@@ -93,6 +93,12 @@ def read_pool(path: Path) -> FixedPointPool:
         raise ConfigError(f"{path}: not a pool file")
     (magic, fmt, d, count, gen, conv, degen, _pad, fp,
      _ver) = _HEADER.unpack_from(raw)
+    payload = len(raw) - _HEADER.size
+    if payload != count * d * 8:
+        raise ConfigError(
+            f"{path}: pool payload is {payload} bytes, the header declares "
+            f"{count} x {d} float64 values ({count * d * 8} bytes); "
+            "the file is truncated or corrupt")
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size,
                          count=count * d).reshape(count, d)
     return FixedPointPool(vectors=data.copy(), generation=gen,

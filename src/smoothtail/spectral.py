@@ -163,8 +163,10 @@ def build_grid(spec_or_params, size: Optional[int] = None) -> SphereGrid:
 class OperatorAssembler:
     """Assembles the grid operator at any tilt s from one cached draw set.
 
-    Common random numbers across rows and across s values: bisection and
-    finite differences then act on a smooth deterministic surrogate of m(s).
+    Common random numbers across rows and across s values: the root finder
+    and finite differences then act on a smooth deterministic surrogate of
+    m(s).  Everything that does not depend on s (draws, direction rows, flat
+    scatter indices, normal quantiles) is computed once here.
     Three strategies, picked from family structure:
 
     * exact enumeration for finite-support ensembles,
@@ -185,7 +187,6 @@ class OperatorAssembler:
         self.rejected_fraction = 0.0
         atoms = spec.ensemble.atoms()
         fact = spec.ensemble.scalar_factorization()
-        G = len(grid)
         if atoms is not None:
             self.mode = "exact"
             mats, probs = atoms
@@ -197,41 +198,44 @@ class OperatorAssembler:
                     "(zero row/column); the operator is not defined there")
             self._probs = probs
         elif fact is not None:
+            from scipy.special import ndtri
             self.mode = "scalar"
             P = fact
             self.mc_reps = mc_reps
             per = max(2, mc_reps // groups)
-            # cached uniforms; the s-dependent quantile map is applied per call
-            self._strata = [(np.arange(per) + rng.random()) / per
-                            for _ in range(groups)]
+            # normal quantiles of the cached stratified uniforms; only the
+            # tilt shift applied to them depends on s
+            self._quantiles = [ndtri((np.arange(per) + rng.random()) / per)
+                               for _ in range(groups)]
             self._lognormal = spec.ensemble.lognormal_params()
             self._rows = self._direction_rows(P.T[None, :, :])
         else:
             self.mode = "mc"
             self.mc_reps = mc_reps
             mats = np.swapaxes(spec.ensemble.draw(rng, mc_reps), -1, -2)
-            # reject singular-action draws in chunks, then decide whether the
-            # per-draw interpolation rows fit in memory or get recomputed
+            # reject singular-action draws in chunks; when one chunk holds
+            # every draw (K*G <= 4e6 entries) its rows stay cached, otherwise
+            # assemble_groups rebuilds them chunk by chunk on every call
+            chunk = self._chunk()
             keep = np.ones(mc_reps, dtype=bool)
-            for a in range(0, mc_reps, self._chunk()):
-                b = min(a + self._chunk(), mc_reps)
-                norms, _, _ = self._direction_rows(mats[a:b])
-                keep[a:b] = (norms > UNDERFLOW).all(axis=1)
+            for a in range(0, mc_reps, chunk):
+                rows = self._direction_rows(mats[a:a + chunk])
+                keep[a:a + chunk] = (rows[0] > UNDERFLOW).all(axis=1)
             self.rejected_fraction = 1.0 - float(keep.mean())
             if self.rejected_fraction > 0.01:
                 raise AssemblyError(
                     f"{self.rejected_fraction:.1%} of draws rejected for singular action")
             self._mats = mats[keep]
-            if len(self._mats) * G <= 4_000_000:
-                self._rows = self._direction_rows(self._mats)
-            else:
-                self._rows = None
+            self._rows = None
+            if mc_reps <= chunk:
+                self._rows = rows if keep.all() else tuple(r[keep] for r in rows)
 
     def _chunk(self) -> int:
         return max(1, 4_000_000 // max(len(self.grid), 1))
 
     def _direction_rows(self, mats: np.ndarray):
-        """Per (draw, grid point): |M x_i|, interp indices, interp weights."""
+        """Per (draw, grid point i): |M x_i|, the flat operator indices
+        i*G + j of its two interpolation neighbours j, and their weights."""
         X = self.grid.points                       # (G, d)
         Y = np.einsum("kij,gj->kgi", mats, X)      # (K, G, d)
         norms = vec_norm(Y, self.spec.norm)        # (K, G)
@@ -239,30 +243,29 @@ class OperatorAssembler:
         dirs = Y / safe[:, :, None]
         K, G = norms.shape
         idx, w = self.grid.interp_rows(dirs.reshape(K * G, -1))
-        return norms, idx.reshape(K, G, 2), w.reshape(K, G, 2)
+        flat = np.arange(G)[None, :, None] * G + idx.reshape(K, G, 2)
+        return norms, flat, w.reshape(K, G, 2)
 
-    def _scatter(self, norms_s: np.ndarray, idx: np.ndarray, w: np.ndarray,
+    def _scatter(self, norms_s: np.ndarray, flat: np.ndarray, w: np.ndarray,
                  coefs: np.ndarray) -> np.ndarray:
-        """op[i, j] = sum_k coefs[k] * norms_s[k, i] * w[k, i, :] at idx[k, i, :]."""
-        K, G = norms_s.shape
+        """op.flat[flat[k, i, :]] += coefs[k] * norms_s[k, i] * w[k, i, :]."""
+        G = len(self.grid)
         vals = (coefs[:, None, None] * norms_s[:, :, None] * w)     # (K, G, 2)
-        cols = idx                                                  # (K, G, 2)
-        rows = np.broadcast_to(np.arange(G)[None, :, None], cols.shape)
-        flat = (rows * G + cols).ravel()
-        return np.bincount(flat, weights=vals.ravel(), minlength=G * G).reshape(G, G)
+        return np.bincount(flat.ravel(), weights=vals.ravel(),
+                           minlength=G * G).reshape(G, G)
 
     def assemble(self, s: float) -> np.ndarray:
         ops = self.assemble_groups(s)
         return sum(ops) / len(ops)
 
-    def _scalar_moment(self, s: float, u: np.ndarray) -> float:
-        """Unbiased E W^s from stratified uniforms u via half-tilt importance
-        sampling: z ~ N(tau, 1) with tau = s*sigma/2, weight e^{(t-tau)z+tau^2/2}."""
-        from scipy.special import ndtri
+    def _scalar_moment(self, s: float, quantiles: np.ndarray) -> float:
+        """Unbiased E W^s from the quantiles of stratified uniforms via
+        half-tilt importance sampling: z ~ N(tau, 1) with tau = s*sigma/2,
+        weight e^{(t-tau)z+tau^2/2}."""
         mu, sigma = self._lognormal
         t = s * sigma
         tau = 0.5 * t
-        z = tau + ndtri(u)
+        z = tau + quantiles
         return float(math.exp(s * mu + 0.5 * tau * tau)
                      * np.exp((t - tau) * z).mean())
 
@@ -270,13 +273,12 @@ class OperatorAssembler:
         """Independent-group operators (group spread feeds the k standard error)."""
         G = len(self.grid)
         if self.mode == "exact":
-            norms, idx, w = self._rows
-            op = self._scatter(norms ** s, idx, w, self._probs)
-            return [op]
+            norms, flat, w = self._rows
+            return [self._scatter(norms ** s, flat, w, self._probs)]
         if self.mode == "scalar":
-            norms, idx, w = self._rows
-            base = self._scatter(norms ** s, idx, w, np.ones(1))
-            return [self._scalar_moment(s, u) * base for u in self._strata]
+            norms, flat, w = self._rows
+            base = self._scatter(norms ** s, flat, w, np.ones(1))
+            return [self._scalar_moment(s, q) * base for q in self._quantiles]
         K = len(self._mats)
         bounds = np.linspace(0, K, self.groups + 1).astype(int)
         out = []
@@ -285,15 +287,15 @@ class OperatorAssembler:
                 continue
             coefs = np.full(b - a, 1.0 / (b - a))
             if self._rows is not None:
-                norms, idx, w = self._rows
-                out.append(self._scatter(norms[a:b] ** s, idx[a:b], w[a:b],
+                norms, flat, w = self._rows
+                out.append(self._scatter(norms[a:b] ** s, flat[a:b], w[a:b],
                                          coefs))
                 continue
             op = np.zeros((G, G))
             for c in range(a, b, self._chunk()):
                 e = min(c + self._chunk(), b)
-                norms, idx, w = self._direction_rows(self._mats[c:e])
-                op += self._scatter(norms ** s, idx, w, coefs[:e - c])
+                norms, flat, w = self._direction_rows(self._mats[c:e])
+                op += self._scatter(norms ** s, flat, w, coefs[:e - c])
             out.append(op)
         return out
 
@@ -518,46 +520,124 @@ class TailIndexSolution:
                  "rho", "k_beta", "k_drift", "tol", "bracket_history")}
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                tol: float, history: list) -> float:
-    invphi = (math.sqrt(5.0) - 1) / 2
+_EPS = np.finfo(float).eps
+_SQRT_EPS = math.sqrt(_EPS)
+
+
+def _brent_min(f: Callable[[float], float], lo: float, hi: float,
+               tol: float, history: list) -> float:
+    """Minimizer of f on [lo, hi] by Brent's method (golden section with
+    parabolic steps; Brent 1973, ch. 5).
+
+    Stops when the best point x lies within 2*(sqrt(eps)*|x| + tol/3) of both
+    ends of the bracket: for tol above sqrt(eps)*|x| the bracket is then
+    about tol wide, as a golden-section search to tol leaves it.  A minimum
+    on the boundary is approached to within that distance; the ends
+    themselves are never evaluated.
+    """
+    cgold = (3.0 - math.sqrt(5.0)) / 2
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+    x = w = v = a + cgold * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x
+        step = "golden"
+        if abs(e) > tol1:
+            # parabola through (v, fv), (w, fw), (x, fx)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                step = "parabolic"
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, xm - x)
+        if step == "golden":
+            e = (a - x) if x >= xm else (b - x)
+            d = cgold * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        history.append(("golden", a, b))
-    return 0.5 * (a + b)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        history.append((step, a, b))
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float,
-            history: list) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+def _brent_root(f: Callable[[float], float], lo: float, hi: float,
+                tol: float, history: list) -> float:
+    """Root of f on [lo, hi] by Brent's zeroin (bisection safeguarding secant
+    and inverse quadratic steps; Brent 1973, ch. 4).
+
+    Returns an evaluated point within tol + 4*eps*|root| of a sign change of
+    f.  Raises NoRootError when f has the same sign at both ends.
+    """
+    a, b = lo, hi
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0) == (fb > 0):
         raise NoRootError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        history.append(("bisect", lo, hi))
-    return 0.5 * (lo + hi)
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        step = "bisect"
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            r3 = fb / fa
+            if a == c:
+                kind = "secant"
+                p = 2.0 * xm * r3
+                q = 1.0 - r3
+            else:
+                kind = "inverse-quadratic"
+                q, r = fa / fc, fb / fc
+                p = r3 * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (r3 - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+                step = kind
+        if step == "bisect":
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+        if (fb > 0) == (fc > 0):
+            # the sign change now lies between the last two iterates
+            c, fc = a, fa
+            d = e = b - a
+        history.append((step, min(b, c), max(b, c)))
 
 
 def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
@@ -567,10 +647,14 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
                      h: float = 1e-2) -> TailIndexSolution:
     """Locate the two roots of m(s) = 1 on [0, s_max].
 
-    Golden-section finds the minimizer s* of log m (m is log-convex), then
-    bisection brackets alpha on (0, s*) and beta on (s*, s_max).  All m
+    Brent's minimizer (golden section with parabolic steps) finds the
+    minimizer s* of log m (m is log-convex) to about
+    gs_tol = min(tol, 1e-6) * max(1, s_max); Brent's root finder then
+    locates alpha on (0, s*) and beta on (s*, s_max) to within tol.  All m
     evaluations reuse one cached draw set, so the solver sees a smooth
-    deterministic function.  Raises NoRootError when m(s*) >= 1 and
+    deterministic function; each distinct s is assembled once.  The last 20
+    solver steps, as (kind, bracket low, bracket high), are kept in
+    ``bracket_history``.  Raises NoRootError when m(s*) >= 1 and
     NoSecondRootError when the minimizer sits on the s_max boundary.
     """
     if s_max <= 0:
@@ -590,9 +674,11 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
 
     history: list = []
     gs_tol = min(tol, 1e-6) * max(1.0, s_max)
-    s_star = _golden_min(lambda s: math.log(m(s)), 0.0, s_max, gs_tol, history)
+    s_star = _brent_min(lambda s: math.log(m(s)), 0.0, s_max, gs_tol, history)
     m_star = m(s_star)
-    if s_star >= s_max - 10 * gs_tol:
+    # the minimizer stops within 2*(sqrt(eps)*s_max + gs_tol/3) of s_max
+    # when m is still decreasing there
+    if s_star >= s_max - 10 * (gs_tol + _SQRT_EPS * s_max):
         raise NoSecondRootError(
             f"m is still decreasing at s_max={s_max} (m={m(s_max):.6g}); widen s_max",
             m_at_s_max=m(s_max))
@@ -605,8 +691,8 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
 
     g = lambda s: m(s) - 1.0
     lo_alpha = max(1e-12, 1e-9 * s_max)
-    alpha = _bisect(g, lo_alpha, s_star, tol, history)
-    beta = _bisect(g, s_star, s_max, tol, history)
+    alpha = _brent_root(g, lo_alpha, s_star, tol, history)
+    beta = _brent_root(g, s_star, s_max, tol, history)
     k_beta = m(beta) / en
     # centered differences on the cached smooth surrogate
     m_plus, m_minus = m(beta + h), m(beta - h)

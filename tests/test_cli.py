@@ -60,6 +60,20 @@ def test_missing_pool_exit_2(tmp_path):
     assert _run(tmp_path, "tails", cfg) == 2
 
 
+def test_truncated_pool_exit_2(tmp_path, capsys):
+    pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
+                          generation=1, converged=True)
+    path = tmp_path / "pool.bin"
+    artifacts.write_pool(path, pool, "0" * 16)
+    raw = path.read_bytes()
+    header = len(raw) - 2000 * 8
+    path.write_bytes(raw[:header + 1000 * 8])
+    cfg = {"model": D1_MODEL, "seed": 1,
+           "tails": {"pool": "pool.bin", "beta": 3.0}}
+    assert _run(tmp_path, "tails", cfg) == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_model_roundtrip():
     spec = model_from_jsonable(D1_MODEL)
     doc = model_to_jsonable(spec)

@@ -8,10 +8,11 @@ import pytest
 from conftest import (ALPHA_D1, BETA_D1, K1_D2, RHO_D1, d1_lognormal_spec,
                       d1_quarter_spec, d2_finite_pair_spec,
                       d2_lognormal_matrix_spec, d2_rotation_spec)
-from smoothtail.errors import NoSecondRootError
+from smoothtail.errors import NoRootError, NoSecondRootError
 from smoothtail.rng import substream
-from smoothtail.spectral import (OperatorAssembler, build_grid, build_operator,
-                                 drift, k_by_products, k_grid, m_of_s,
+from smoothtail.spectral import (OperatorAssembler, _brent_min, _brent_root,
+                                 build_grid, build_operator, drift,
+                                 k_by_products, k_grid, m_of_s,
                                  power_iteration, solve_alpha_beta)
 
 
@@ -64,6 +65,32 @@ def test_operator_d1_scalar_moment():
     op = build_operator(spec, 1.0, grid, 400_000, substream(3, "o"))
     assert op.shape == (1, 1)
     assert op[0, 0] == pytest.approx(math.exp(-0.75), rel=1e-3)
+
+
+def test_rotation_cached_rows_match_rebuild():
+    spec = d2_rotation_spec()
+    assembler = OperatorAssembler(spec, build_grid(spec, size=32), 4000,
+                                  substream(25, "o"))
+    assert assembler._rows is not None
+    cached = {s: assembler.assemble_groups(s) for s in (0.0, 1.0, 4.0)}
+    assembler._rows = None
+    for s, ops in cached.items():
+        rebuilt = assembler.assemble_groups(s)
+        assert len(rebuilt) == len(ops) == 8
+        for a, b in zip(ops, rebuilt):
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
+
+
+def test_scalar_moment_cached_quantiles_at_beta():
+    spec = d1_lognormal_spec()
+    assembler = OperatorAssembler(spec, build_grid(spec), 400_000,
+                                  substream(26, "o"))
+    # G = 1 and |W x| = W: each group operator is that group's E W^beta
+    moments = [op[0, 0] for op in assembler.assemble_groups(BETA_D1)]
+    se = np.std(moments, ddof=1) / math.sqrt(len(moments))
+    exact = math.exp(-BETA_D1 + 0.25 * BETA_D1 ** 2)   # mu = -1, sigma2 = 1/2
+    assert se > 0
+    assert abs(np.mean(moments) - exact) < 3 * se
 
 
 def test_operator_rotation_row_sums():
@@ -162,10 +189,53 @@ def test_m_of_s_values():
     assert mb == pytest.approx(1.0, rel=5e-3)
 
 
-def test_solve_alpha_beta_reference():
+def test_brent_root_closed_form():
+    for f, lo, hi, root in ((lambda x: x ** 3 - 2.0, 0.0, 3.0, 2.0 ** (1 / 3)),
+                            (lambda x: math.exp(x) - 3.0, -5.0, 5.0,
+                             math.log(3.0)),
+                            (lambda x: 1.0 - 2.0 * math.exp(-x + x * x / 4),
+                             2.0, 6.0, BETA_D1)):
+        for tol in (1e-4, 1e-10):
+            history = []
+            x = _brent_root(f, lo, hi, tol, history)
+            assert abs(x - root) <= tol + 4 * np.finfo(float).eps * abs(root)
+            assert history and all(lo <= a <= b <= hi for _, a, b in history)
+
+
+def test_brent_root_no_sign_change():
+    with pytest.raises(NoRootError):
+        _brent_root(lambda x: x * x + 1.0, -1.0, 2.0, 1e-8, [])
+
+
+def test_brent_min_interior_and_boundary():
+    tol = 1e-8
+    x = _brent_min(lambda x: (x - 1.3) ** 2 + 0.5, 0.0, 4.0, tol, [])
+    assert abs(x - 1.3) < 1e-7
+    x = _brent_min(lambda x: math.log(2.0) - x + x * x / 4, 0.0, 6.0, tol, [])
+    assert abs(x - 2.0) < 1e-7
+    # monotone: the minimum sits on an end of the bracket, which the
+    # minimizer approaches to within 2*(sqrt(eps)*|x| + tol/3)
+    reach = 2 * (math.sqrt(np.finfo(float).eps) * 4.0 + tol / 3)
+    x = _brent_min(lambda x: math.exp(-x), 0.0, 4.0, tol, [])
+    assert 4.0 - reach <= x < 4.0
+    x = _brent_min(lambda x: x, 0.0, 4.0, tol, [])
+    assert 0.0 < x <= reach
+
+
+def test_solve_alpha_beta_reference(monkeypatch):
     spec = d1_lognormal_spec()
+    calls = []
+    assemble = OperatorAssembler.assemble
+
+    def counted(self, s):
+        calls.append(s)
+        return assemble(self, s)
+
+    monkeypatch.setattr(OperatorAssembler, "assemble", counted)
     sol = solve_alpha_beta(spec, s_max=6.0, tol=1e-8,
                            rng=substream(16, "s"), mc_reps=1_000_000)
+    assert len(calls) <= 40
+    assert len(set(calls)) == len(calls)          # each s is assembled once
     assert sol.alpha == pytest.approx(ALPHA_D1, abs=0.01)
     assert sol.beta == pytest.approx(BETA_D1, abs=0.02)
     assert 0 < sol.alpha < sol.s_star < sol.beta
