@@ -14,8 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneratePoolError, MemoryCapError, SpecError
+from .errors import MemoryCapError, SpecError
 from .model import ModelSpec, check_class
+from .walks import matvec_sum
 
 NodeId = tuple[int, ...]
 
@@ -241,12 +242,14 @@ def _innovation_batch(spec: ModelSpec, size: int, rng: np.random.Generator):
     d = spec.d
     n = spec.branching.sample(rng, size)
     n_max = int(n.max()) if size else 0
-    mats = np.zeros((size, n_max, d, d))
     if n_max > 0:
-        raw = spec.ensemble.draw(rng, size * n_max).reshape(size, n_max, d, d)
-        check_class(spec, raw.reshape(-1, d, d))
+        mats = spec.ensemble.draw(rng, size * n_max).reshape(size, n_max, d, d)
+        check_class(spec, mats.reshape(-1, d, d))
         mask = np.arange(1, n_max + 1)[None, :] <= n[:, None]
-        mats = raw * mask[:, :, None, None]
+        if not mask.all():
+            mats = mats * mask[:, :, None, None]
+    else:
+        mats = np.zeros((size, 0, d, d))
     q = spec.q_law.draw(rng, size, d)
     return n, mats, q
 
@@ -261,20 +264,16 @@ def population_iterate(spec: ModelSpec, pool: np.ndarray,
         raise SpecError("pool must be nonempty")
     n, mats, q = _innovation_batch(spec, size, rng)
     n_max = mats.shape[1]
-    out = q.astype(float).copy()
+    out = q.astype(float)
     if n_max > 0:
         idx = rng.integers(0, size, size=(size, n_max))
-        xs = pool[idx]                                   # (size, n_max, d)
-        out += np.einsum("snij,snj->si", mats, xs)
-    bad = ~np.isfinite(out).all(axis=1)
-    if bad.any():
+        out += matvec_sum(mats, pool[idx])
+    if not np.isfinite(out).all():
         # one retry per flagged sample, then give up
-        redo = np.flatnonzero(bad)
+        redo = np.flatnonzero(~np.isfinite(out).all(axis=1))
         n2, mats2, q2 = _innovation_batch(spec, len(redo), rng)
         idx2 = rng.integers(0, size, size=(len(redo), mats2.shape[1]))
-        repl = q2 + np.einsum("snij,snj->si", mats2, pool[idx2]) \
-            if mats2.shape[1] > 0 else q2
-        out[redo] = repl
+        out[redo] = q2 + matvec_sum(mats2, pool[idx2])
         if not np.isfinite(out).all():
             raise SpecError("numeric overflow persisted after resampling")
     return out
@@ -377,8 +376,3 @@ def replicate_mean_se(pool: FixedPointPool):
         means.append(v.mean())
     means = np.asarray(means)
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(len(means)))
-
-
-def degeneracy_check(pool: FixedPointPool) -> None:
-    if pool.degenerate:
-        raise DegeneratePoolError("pool collapsed to a point mass")

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import CoverageError, NondegeneracyError, SpecError
 from .model import CLASS_NONNEG, ModelSpec
 from .rng import parallel_map, spawn
-from .walks import (StepSampler, effective_sample_size, run_walks,
-                    tilted_batch, vec_norm, weighted_mean)
+from .walks import (StepSampler, effective_sample_size, matvec_sum,
+                    run_walks, tilted_batch, vec_norm, weighted_mean)
 
 MIN_NT_HARD = 4
 MIN_NT_RECOMMENDED = 16
@@ -140,7 +140,9 @@ def draw_z_marks(spec: ModelSpec, pool_vectors: np.ndarray, count: int,
         idx = rng.integers(0, npool, size=(count, slots))
         xs = pool_vectors[idx]
         mask = (np.arange(slots)[None, :] < (nvals - 1)[:, None])
-        out += np.einsum("csij,csj->ci", mats * mask[:, :, None, None], xs)
+        if not mask.all():
+            mats = mats * mask[:, :, None, None]
+        out += matvec_sum(mats, xs)
     return vec_norm(out, spec.norm)
 
 
@@ -580,8 +582,6 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     (E N)^{p+q-m-2 C1}.  Every estimate draws from its own pre-derived
     substream, so results do not depend on the worker count.
     """
-    from .rng import parallel_map, spawn
-
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if C0 is None or delta is None:
         eparams = choose_event_params(spec, t, rho, k_beta, rng, pool_vectors,
@@ -639,9 +639,11 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
         coef = en ** (p + q - m - 2 * C1)
         w_sum += coef * est.value
         w_var += (coef * est.se) ** 2
-        if est.hits == 0:
-            flags.append(f"W at (p,q,m)=({p},{q},{m}) had no hits; "
-                         f"heuristic upper {coef * (est.upper_95 or 0):.3g}")
+        if est.flagged:
+            msg = f"W estimate at (p,q,m)=({p},{q},{m}) flagged (ess={est.ess:.1f})"
+            if est.hits == 0:
+                msg += f"; no hits, heuristic upper {coef * (est.upper_95 or 0):.3g}"
+            flags.append(msg)
         per_geom.append({"p": p, "q": q, "m": m, "count": coef,
                          "prob": est.value, "se": est.se,
                          "hits": est.hits, "ess": est.ess,

@@ -62,14 +62,44 @@ def _hill_from_sorted(xs: np.ndarray, k: int) -> float:
     return 1.0 / h
 
 
+def _resampled_hill(logs: np.ndarray, draws: np.ndarray, k: int,
+                    window: int) -> float:
+    """Hill index of one bootstrap resample of ascending log data.
+
+    ``draws`` are the resample's indices into ``logs``.  Only the draws in
+    the top ``window`` order statistics are counted; the full count is the
+    fallback when fewer than k + 1 of them land there.
+    """
+    lo = len(logs) - window
+    top = draws[draws >= lo]
+    if len(top) > k:
+        counts = np.bincount(top - lo, minlength=window)
+    else:
+        lo = 0
+        counts = np.bincount(draws, minlength=len(logs))
+    logs = logs[lo:]
+    # walk down from the top to find the resampled k-th order statistic
+    csum = np.cumsum(counts[::-1])
+    m = np.searchsorted(csum, k + 1)           # index from the top
+    top_idx = len(counts) - 1 - np.arange(m + 1)
+    cnt = counts[top_idx].astype(float)
+    cnt[-1] -= csum[m] - k
+    x_k_log = logs[top_idx[-1]]
+    h = float((cnt * (logs[top_idx] - x_k_log)).sum() / k)
+    return 1.0 / h if h > 0 else np.inf
+
+
 def hill(samples: np.ndarray, k_frac: float,
          rng: Optional[np.random.Generator] = None,
          n_boot: int = BOOTSTRAP_DEFAULT) -> HillEstimate:
     """Hill tail-index estimate on the top k_frac order statistics.
 
     Bootstrap CI (percentile, 95%) from n_boot resamples of the full
-    sample, computed via multinomial counts over the sorted data so each
-    resample costs O(n).
+    sample.  Each resample draws n indices with replacement, but counts
+    only those among the top min(n, 2k + 64) order statistics, which
+    almost always hold the resampled k + 1 largest; when they do not, the
+    resample is counted in full.  A resample thus costs its O(n) draw and
+    one O(n) comparison, plus O(k) for the estimate.
     """
     x = np.asarray(samples, dtype=float)
     x = x[x > 0]
@@ -84,20 +114,10 @@ def hill(samples: np.ndarray, k_frac: float,
     if rng is None:
         rng = np.random.default_rng(0)
     logs = np.log(xs)
+    window = min(n, 2 * k + 64)
     boots = np.empty(n_boot)
     for b in range(n_boot):
-        # multinomial resample counts via index draws (fast for large n)
-        counts = np.bincount(rng.integers(0, n, n), minlength=n)
-        # walk down from the top to find the resampled k-th order statistic
-        csum = np.cumsum(counts[::-1])
-        m = np.searchsorted(csum, k + 1)           # index from the top
-        top_idx = n - 1 - np.arange(m + 1)
-        cnt = counts[top_idx].astype(float)
-        take = min(float(k), csum[m])
-        cnt[-1] -= csum[m] - take
-        x_k_log = logs[top_idx[-1]]
-        h = float((cnt * (logs[top_idx] - x_k_log)).sum() / k)
-        boots[b] = 1.0 / h if h > 0 else np.inf
+        boots[b] = _resampled_hill(logs, rng.integers(0, n, n), k, window)
     lo, hi = np.percentile(boots[np.isfinite(boots)], [2.5, 97.5])
     return HillEstimate(index=float(est), ci_low=float(lo), ci_high=float(hi),
                         k=k, threshold=float(xs[-k - 1]), n_boot=n_boot)
@@ -125,13 +145,18 @@ def _bootstrap_scaled_mins(proj_sorted: np.ndarray, t_grid: np.ndarray,
                            beta: float, rng: np.random.Generator,
                            n_boot: int) -> np.ndarray:
     """Pool-level bootstrap of min_t t^beta * survival, preserving cross-t
-    dependence, via per-element multinomial weights and suffix sums."""
+    dependence, via per-element multinomial weights and suffix sums.  Only
+    the draws at or above the lowest grid position are counted: the
+    survival at every grid point reads nothing below it."""
     n = len(proj_sorted)
     pos = np.searchsorted(proj_sorted, t_grid, side="right")
+    lo = int(pos.min())
+    pos = pos - lo
     tb = t_grid ** beta
     mins = np.empty(n_boot)
     for b in range(n_boot):
-        w = np.bincount(rng.integers(0, n, n), minlength=n)
+        draws = rng.integers(0, n, n)
+        w = np.bincount(draws[draws >= lo] - lo, minlength=n - lo)
         suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0]])
         surv = suffix[pos] / n
         mins[b] = (tb * surv).min()

@@ -31,7 +31,10 @@ def vec_norm(x: np.ndarray, norm: str) -> np.ndarray:
     """Vector norm along the last axis (l1 or l2)."""
     x = np.asarray(x, dtype=float)
     if norm == "l1":
-        return np.abs(x).sum(axis=-1)
+        out = np.abs(x[..., 0])
+        for j in range(1, x.shape[-1]):
+            out += np.abs(x[..., j])
+        return out
     return np.sqrt((x * x).sum(axis=-1))
 
 
@@ -47,8 +50,48 @@ def operator_norms(mats: np.ndarray, norm: str) -> np.ndarray:
     """Batched operator norms for an (n, d, d) stack."""
     mats = np.asarray(mats, dtype=float)
     if norm == "l1":
-        return np.abs(mats).sum(axis=-2).max(axis=-1)
+        cols = np.abs(mats[..., 0, :])
+        for i in range(1, mats.shape[-2]):
+            cols += np.abs(mats[..., i, :])
+        out = cols[..., 0]
+        for k in range(1, cols.shape[-1]):
+            out = np.maximum(out, cols[..., k])
+        return out
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
+
+
+def matvec_sum(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_n mats[:, n] @ xs[:, n] for (S, n, d, d) and (S, n, d) stacks.
+
+    Unrolled over the short axes: one vectorised multiply-add per term, the
+    inner sum over j left to right, then the outer sum over n, which is the
+    order np.einsum("snij,snj->si") adds in for d = 2, and for d = 1 with
+    n <= 2.  Elsewhere the two differ in the last few ulps.
+    """
+    size, n_max, d = xs.shape
+    out = np.zeros((size, d))
+    if n_max == 0:
+        return out
+    for i in range(d):
+        for n in range(n_max):
+            term = mats[:, n, i, 0] * xs[:, n, 0]
+            for j in range(1, d):
+                term += mats[:, n, i, j] * xs[:, n, j]
+            if n == 0:
+                acc = term
+            else:
+                acc += term
+        out[:, i] = acc
+    return out
+
+
+def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[r] @ b[r] for two (R, d, d) stacks, summed over j left to right
+    like np.einsum("rij,rjk->rik")."""
+    out = a[:, :, 0, None] * b[:, None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[:, :, j, None] * b[:, None, j, :]
+    return out
 
 
 def iotas(mats: np.ndarray, norm: str) -> np.ndarray:
@@ -171,11 +214,6 @@ def trace_table(states: list[PathState]):
 # batched engines
 # ---------------------------------------------------------------------------
 
-def _apply(mats: np.ndarray, U: np.ndarray) -> np.ndarray:
-    # (R,d,d) @ (R,d) -> (R,d)
-    return np.einsum("rij,rj->ri", mats, U)
-
-
 class StepSampler:
     """Draws walk steps M = A^T, nominally or from a tilted proposal.
 
@@ -194,12 +232,10 @@ class StepSampler:
     """
 
     def __init__(self, spec: ModelSpec, s: float = 0.0,
-                 e_interp: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 k_s: Optional[float] = None):
+                 e_interp: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.spec = spec
         self.s = float(s)
         self.e_interp = e_interp
-        self.k_s = k_s
         self._atoms = spec.ensemble.atoms()
         if self._atoms is not None:
             mats, probs = self._atoms
@@ -320,7 +356,7 @@ def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
             logw += lr
         else:
             mats = sampler.nominal(rng, reps)
-        y = _apply(mats, U)
+        y = matvec_sum(mats[:, None], U[:, None])
         nrm = vec_norm(y, spec.norm)
         bad = nrm <= UNDERFLOW
         if bad.any():
@@ -329,7 +365,7 @@ def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
         U = y / nrm[:, None]
         S = S + np.log(nrm)
         if record_hist:
-            G = np.einsum("rij,rjk->rik", mats, G)
+            G = matmul_batch(mats, G)
             gn = operator_norms(G, spec.norm)
             G /= gn[:, None, None]
             g_scale += np.log(gn)
@@ -350,8 +386,7 @@ def tilted_walk(spec: ModelSpec, u0: np.ndarray, n: int, s: float,
     absorbed into the exact weight.
     """
     sampler = StepSampler(spec, s=s,
-                          e_interp=None if spectral is None else spectral.e_interp,
-                          k_s=None if spectral is None else spectral.k)
+                          e_interp=None if spectral is None else spectral.e_interp)
     batch = run_walks(spec, u0, n, 1, rng, sampler=sampler, tilted=True)
     lw = float(batch.log_weight[0])
     return TiltedSample(
@@ -364,8 +399,7 @@ def tilted_batch(spec: ModelSpec, u0: np.ndarray, n: int, s: float, spectral,
                  record_hist: bool = False) -> WalkBatch:
     """Vectorized tilted paths (the estimator workhorse)."""
     sampler = StepSampler(spec, s=s,
-                          e_interp=None if spectral is None else spectral.e_interp,
-                          k_s=None if spectral is None else spectral.k)
+                          e_interp=None if spectral is None else spectral.e_interp)
     return run_walks(spec, u0, n, reps, rng, sampler=sampler, tilted=True,
                      record_hist=record_hist)
 

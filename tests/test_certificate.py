@@ -8,7 +8,7 @@ import pytest
 from conftest import (BETA_D1, K_BETA_D1, RHO_D1, d1_lognormal_spec,
                       random13_spec)
 from smoothtail.branching import grow_tree
-from smoothtail.certificate import (EventParams, SubtreeParams,
+from smoothtail.certificate import (ESS_FLOOR, EventParams, SubtreeParams,
                                     build_sparse_subtree, cone_family,
                                     estimate_PV, estimate_PW,
                                     estimate_tail_prob, expected_count_check,
@@ -306,6 +306,25 @@ def test_lower_bound_zero_kappa_formula(d1_pool):
                       C1=2, pool_vectors=x, rng=substream(20, "lb"),
                       C0=10.0, delta=0.2, reps_v=20_000, reps_w=5_000)
     assert 0.0 * rep.v_sum - rep.w_sum <= 0.0
+
+
+def test_lower_bound_flags_low_ess_w_with_hits(d1_pool):
+    # with 60 paths per geometry no W estimate can reach the ESS floor, so
+    # every one is flagged, including those that did hit
+    spec = d1_lognormal_spec()
+    x = d1_pool.vectors
+    t = float(np.quantile(x[:, 0], 0.999))
+    rep = lower_bound(spec, np.array([1.0]), t, RHO_D1, BETA_D1, K_BETA_D1,
+                      C1=2, pool_vectors=x, rng=substream(23, "lb"),
+                      C0=10.0, delta=0.2, reps_v=20_000, reps_w=60)
+    hit = [g for g in rep.per_geometry_W if g["hits"] > 0]
+    assert hit and all(g["ess"] < ESS_FLOOR for g in hit)
+    for g in rep.per_geometry_W:
+        geom = f"({g['p']},{g['q']},{g['m']})"
+        msg = [f for f in rep.flags if f.startswith(f"W estimate at (p,q,m)={geom}")]
+        assert len(msg) == 1
+        assert f"ess={g['ess']:.1f}" in msg[0]
+        assert ("no hits" in msg[0]) == (g["hits"] == 0)
 
 
 def test_lower_bound_below_direct_union(d1_pool):

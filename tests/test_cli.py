@@ -453,3 +453,47 @@ def test_d2_model_through_cli(tmp_path):
     sol = json.loads((tmp_path / "out/tail_indices.json").read_text())
     assert sol["alpha"] == pytest.approx(ALPHA_D1, abs=0.01)
     assert sol["beta"] == pytest.approx(BETA_D1, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+# ---------------------------------------------------------------------------
+
+_IMPORT_PROBE = """
+import json, sys
+import smoothtail
+bare = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from smoothtail.cli import main
+codes = [main([c, "--config", sys.argv[1], "--out", sys.argv[2]])
+         for c in ("validate", "spectrum", "solve-index")]
+after = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"bare": bare, "codes": codes, "after": after}))
+"""
+
+
+def test_spectral_commands_skip_scipy_optimize_and_stats(tmp_path):
+    # scipy.optimize and scipy.stats each cost tens of MB and a few tenths
+    # of a second to import; the d=1 reference path needs neither
+    import os
+    import subprocess
+    import sys
+
+    import smoothtail
+    cfg = _write(tmp_path, "cfg.json", {
+        "model": D1_MODEL, "seed": 11,
+        "validate": {"beta_hat": 3.1, "eps": 0.1, "reps": 2000},
+        "spectrum": {"s_grid": [0.0, 1.0], "mc_reps": 20_000},
+        "solve_index": {"s_max": 6.0, "tol": 1e-7, "mc_reps": 20_000}})
+    src = str(Path(smoothtail.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(cfg), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["bare"] == []
+    assert doc["codes"] == [0, 0, 0]
+    assert "scipy.optimize" not in doc["after"]
+    assert "scipy.stats" not in doc["after"]

@@ -154,3 +154,80 @@ def test_profile_constant_under_model_symmetry():
         for j in range(i + 1, len(entries)):
             a, b = entries[i], entries[j]
             assert abs(a.scaled - b.scaled) < 3 * math.hypot(a.se, b.se)
+
+
+# ---------------------------------------------------------------------------
+# windowed bootstrap counts vs the full multinomial counts
+# ---------------------------------------------------------------------------
+
+def _hill_boot_full_count(logs, draws, k):
+    # every resample counted over all n order statistics
+    n = len(logs)
+    counts = np.bincount(draws, minlength=n)
+    csum = np.cumsum(counts[::-1])
+    m = np.searchsorted(csum, k + 1)
+    top_idx = n - 1 - np.arange(m + 1)
+    cnt = counts[top_idx].astype(float)
+    take = min(float(k), csum[m])
+    cnt[-1] -= csum[m] - take
+    x_k_log = logs[top_idx[-1]]
+    h = float((cnt * (logs[top_idx] - x_k_log)).sum() / k)
+    return 1.0 / h if h > 0 else np.inf
+
+
+def _scaled_mins_full_count(proj_sorted, t_grid, beta, rng, n_boot):
+    n = len(proj_sorted)
+    pos = np.searchsorted(proj_sorted, t_grid, side="right")
+    tb = t_grid ** beta
+    mins = np.empty(n_boot)
+    for b in range(n_boot):
+        w = np.bincount(rng.integers(0, n, n), minlength=n)
+        suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0]])
+        mins[b] = (tb * (suffix[pos] / n)).min()
+    return mins
+
+
+def test_hill_bootstrap_matches_full_count():
+    x = _pareto(2.0, 30_000, 70)
+    k_frac, n_boot = 0.01, 60
+    est = hill(x, k_frac, rng=substream(71, "boot"), n_boot=n_boot)
+    logs = np.log(np.sort(x))
+    n, k = len(x), est.k
+    window = min(n, 2 * k + 64)
+    rng = substream(71, "boot")
+    boots = []
+    for _ in range(n_boot):
+        draws = rng.integers(0, n, n)
+        # the top window holds the resampled (k+1)-th largest
+        assert (draws >= n - window).sum() > k
+        boots.append(_hill_boot_full_count(logs, draws, k))
+    boots = np.asarray(boots)
+    lo, hi = np.percentile(boots[np.isfinite(boots)], [2.5, 97.5])
+    assert (est.ci_low, est.ci_high) == (float(lo), float(hi))
+
+
+def test_hill_window_fallback_matches_full_count():
+    from smoothtail.tails import _resampled_hill
+    x = _pareto(1.5, 20_000, 72)
+    logs = np.log(np.sort(x))
+    n, k = len(x), 200
+    rng = substream(73, "boot")
+    for _ in range(5):
+        draws = rng.integers(0, n, n)
+        want = _hill_boot_full_count(logs, draws, k)
+        # the top 10 order statistics catch about 10 draws, not k + 1
+        assert (draws >= n - 10).sum() <= k
+        assert _resampled_hill(logs, draws, k, 10) == want
+        assert _resampled_hill(logs, draws, k, 2 * k + 64) == want
+        assert _resampled_hill(logs, draws, k, n) == want
+
+
+def test_scaled_mins_match_full_count():
+    from smoothtail.tails import _bootstrap_scaled_mins
+    proj = np.sort(_pareto(2.5, 30_000, 74))
+    t_grid = np.exp(np.linspace(math.log(np.quantile(proj, 0.95)),
+                                math.log(np.quantile(proj, 0.999)), 25))
+    assert np.searchsorted(proj, t_grid, side="right").min() > 0
+    got = _bootstrap_scaled_mins(proj, t_grid, 2.5, substream(75, "b"), 40)
+    want = _scaled_mins_full_count(proj, t_grid, 2.5, substream(75, "b"), 40)
+    assert np.array_equal(got, want)

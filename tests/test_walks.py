@@ -323,3 +323,88 @@ def test_d3_rotation_walk_and_grid():
     assert abs(batch.S.mean() / 10 - (-0.5)) < 4 * se / 10 + 0.05
     idx = grid.cell_index(batch.U)
     assert ((0 <= idx) & (idx < 128)).all()
+
+
+# ---------------------------------------------------------------------------
+# unrolled kernels vs the einsum / axis reductions they replace
+# ---------------------------------------------------------------------------
+
+def _lognormal_entries(rng, shape, signed=True):
+    x = np.exp(2.0 * rng.standard_normal(shape))
+    return x * rng.choice([-1.0, 1.0], size=shape) if signed else x
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
+def test_matvec_sum_matches_einsum_exactly(d, n_max):
+    rng = substream(60, "matvec", 10 * d + n_max)
+    mats = _lognormal_entries(rng, (5000, n_max, d, d))
+    xs = _lognormal_entries(rng, (5000, n_max, d))
+    assert np.array_equal(walks.matvec_sum(mats, xs),
+                          np.einsum("snij,snj->si", mats, xs))
+
+
+@pytest.mark.parametrize("d,n_max", [(3, 1), (3, 2), (1, 3), (3, 3)])
+def test_matvec_sum_close_to_einsum(d, n_max):
+    # einsum's own summation order differs here; positive entries keep
+    # the relative error at roundoff
+    rng = substream(61, "matvec", 10 * d + n_max)
+    mats = _lognormal_entries(rng, (5000, n_max, d, d), signed=False)
+    xs = _lognormal_entries(rng, (5000, n_max, d), signed=False)
+    np.testing.assert_allclose(walks.matvec_sum(mats, xs),
+                               np.einsum("snij,snj->si", mats, xs),
+                               rtol=1e-13, atol=0)
+
+
+def test_matvec_sum_no_slots_is_zero():
+    out = walks.matvec_sum(np.zeros((4, 0, 2, 2)), np.zeros((4, 0, 2)))
+    assert np.array_equal(out, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matmul_batch_and_l1_norms_match_exactly(d):
+    rng = substream(62, "matmul", d)
+    a = _lognormal_entries(rng, (5000, d, d))
+    b = _lognormal_entries(rng, (5000, d, d))
+    x = _lognormal_entries(rng, (5000, d))
+    assert np.array_equal(walks.matmul_batch(a, b),
+                          np.einsum("rij,rjk->rik", a, b))
+    assert np.array_equal(walks.vec_norm(x, "l1"), np.abs(x).sum(axis=-1))
+    assert np.array_equal(walks.operator_norms(a, "l1"),
+                          np.abs(a).sum(axis=-2).max(axis=-1))
+
+
+def test_masked_slots_under_random_n():
+    # random N in {1, 2, 3}: slots past N are zeroed before the kernel,
+    # in the population step and in the certificate's Z-marks alike
+    from smoothtail.branching import _innovation_batch
+    from smoothtail.certificate import draw_z_marks
+    from smoothtail.model import Branching, ModelSpec, QLaw
+    base = d2_lognormal_matrix_spec()
+    spec = ModelSpec(dimension=2,
+                     branching=Branching(mode="random", support=(1, 2, 3),
+                                         probs=(0.3, 0.3, 0.4)),
+                     ensemble=base.ensemble,
+                     q_law=QLaw(kind="deterministic", vector=[1.0, 1.0]),
+                     geom_class=base.geom_class)
+    n, mats, q = _innovation_batch(spec, 3000, substream(63, "innov"))
+    active = np.arange(1, mats.shape[1] + 1)[None, :] <= n[:, None]
+    assert mats.shape[1] == 3 and not active.all()
+    assert not mats[~active].any() and (mats[active] > 0).all()
+    xs = _lognormal_entries(substream(63, "xs"), (3000, 3, 2))
+    assert np.array_equal(walks.matvec_sum(mats, xs),
+                          np.einsum("snij,snj->si", mats, xs))
+
+    pool = _lognormal_entries(substream(64, "pool"), (500, 2), signed=False)
+    count = 4000
+    got = draw_z_marks(spec, pool, count, substream(64, "z"))
+    # the same draws, contracted by einsum over the masked stack
+    rng = substream(64, "z")
+    nvals = spec.branching.sample(rng, count)
+    want = spec.q_law.draw(rng, count, 2).astype(float)
+    slots = int(nvals.max() - 1)
+    raw = spec.ensemble.draw(rng, count * slots).reshape(count, slots, 2, 2)
+    idx = rng.integers(0, len(pool), size=(count, slots))
+    mask = np.arange(slots)[None, :] < (nvals - 1)[:, None]
+    assert not mask.all()
+    want += np.einsum("csij,csj->ci", raw * mask[:, :, None, None], pool[idx])
+    assert np.array_equal(got, np.abs(want).sum(axis=-1))
