@@ -47,7 +47,12 @@ def write_json(path: Path, payload: dict, fp: str) -> None:
 
 
 def read_json(path: Path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
 
 
 def _fmt(x) -> str:

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import rng as rng_module
 from .errors import MemoryCapError, SpecError
 from .model import ModelSpec, check_class
 from .walks import matvec_sum
@@ -333,34 +334,35 @@ def sample_fixed_point_replicated(spec: ModelSpec, generations: int,
                                   pool_size: int, x0: np.ndarray,
                                   rngs: list[np.random.Generator],
                                   drift_tol: float = 0.02,
-                                  fingerprint: str = "") -> FixedPointPool:
+                                  fingerprint: str = "",
+                                  threads: int = 1) -> FixedPointPool:
     """Independent replicate pools concatenated, for honest standard errors.
 
     Resampling with replacement correlates members within one pool, so
-    between-replicate spread is the only defensible error bar.
+    between-replicate spread is the only defensible error bar.  Replicate r
+    draws only from rngs[r]; the replicates fan out over ``threads`` workers
+    and merge in index order, so the pool does not depend on the worker count.
     """
     n_rep = len(rngs)
+    if not 1 <= n_rep <= pool_size:
+        raise SpecError("need 1 <= replicates <= pool_size")
     per = pool_size // n_rep
-    if per < 1:
-        raise SpecError("pool_size smaller than replicate count")
-    parts = []
-    bounds = [0]
-    converged = True
-    degenerate = False
-    history = []
-    for r, rng in enumerate(rngs):
-        size = per if r < n_rep - 1 else pool_size - per * (n_rep - 1)
-        p = sample_fixed_point(spec, generations, size, x0, rng,
-                               drift_tol=drift_tol, fingerprint=fingerprint)
-        parts.append(p.vectors)
-        bounds.append(bounds[-1] + size)
-        converged &= p.converged
-        degenerate |= p.degenerate
-        history.append(p.history)
-    return FixedPointPool(vectors=np.vstack(parts), generation=generations,
-                          spec_fingerprint=fingerprint, converged=converged,
-                          degenerate=degenerate, replicate_bounds=bounds,
-                          history=history)
+    sizes = [per] * (n_rep - 1) + [pool_size - per * (n_rep - 1)]
+
+    def task(r: int) -> FixedPointPool:
+        return sample_fixed_point(spec, generations, sizes[r], x0, rngs[r],
+                                  drift_tol=drift_tol, fingerprint=fingerprint)
+
+    # looked up on the rng module at call time, so a wrapper installed there
+    # (perfbench's tracer) also sees this fan-out
+    parts = rng_module.parallel_map(task, n_rep, threads)
+    bounds = [per * r for r in range(n_rep)] + [pool_size]
+    return FixedPointPool(vectors=np.vstack([p.vectors for p in parts]),
+                          generation=generations, spec_fingerprint=fingerprint,
+                          converged=all(p.converged for p in parts),
+                          degenerate=any(p.degenerate for p in parts),
+                          replicate_bounds=bounds,
+                          history=[p.history for p in parts])
 
 
 def replicate_mean_se(pool: FixedPointPool):

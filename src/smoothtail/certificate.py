@@ -157,6 +157,22 @@ class ProbEstimate:
     upper_95: Optional[float] = None   # one-sided bound when hits == 0
 
 
+def _summarize(ind: np.ndarray, log_weight: np.ndarray,
+               method: str) -> ProbEstimate:
+    """Weighted hit rate with its ESS over the hits.  An estimate under
+    ESS_FLOOR is flagged (no hits gives ESS 0); with no hits it also gets a
+    heuristic one-sided bound of three times the largest weight per rep."""
+    hits = int(ind.sum())
+    est, se = weighted_mean(ind.astype(float), log_weight)
+    ess = effective_sample_size(log_weight[ind]) if hits else 0.0
+    upper = None
+    if hits == 0:
+        upper = 3.0 * float(np.exp(log_weight.max())) / len(ind)
+    return ProbEstimate(value=float(est), se=float(se), hits=hits,
+                        ess=float(ess), method=method,
+                        flagged=ess < ESS_FLOOR, upper_95=upper)
+
+
 def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
                 rng: np.random.Generator, method: str = "tilted",
                 spectral=None, pool_vectors: Optional[np.ndarray] = None,
@@ -180,17 +196,7 @@ def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
     z = draw_z_marks(spec, pool_vectors, reps * n, rng).reshape(reps, n)
     z_log = np.log(np.maximum(z, 1.0))
     ind = _indicator_V_batch(batch.opnorm_log_hist, batch.S, z_log, params, n)
-    hits = int(ind.sum())
-    est, se = weighted_mean(ind.astype(float), batch.log_weight)
-    ess = effective_sample_size(batch.log_weight[ind]) if hits else 0.0
-    flagged = ess < ESS_FLOOR
-    upper = None
-    if hits == 0:
-        mx = float(np.exp(batch.log_weight.max()))
-        upper = 3.0 * mx / reps
-        flagged = True
-    return ProbEstimate(value=float(est), se=float(se), hits=hits, ess=float(ess),
-                        method=method, flagged=flagged, upper_95=upper)
+    return _summarize(ind, batch.log_weight, method)
 
 
 def estimate_tail_prob(spec: ModelSpec, n: int, t: float, reps: int,
@@ -207,18 +213,7 @@ def estimate_tail_prob(spec: ModelSpec, n: int, t: float, reps: int,
         batch = tilted_batch(spec, u, n, beta, spectral, reps, rng)
     else:
         batch = run_walks(spec, u, n, reps, rng)
-    ind = batch.S > math.log(t)
-    hits = int(ind.sum())
-    est, se = weighted_mean(ind.astype(float), batch.log_weight)
-    ess = effective_sample_size(batch.log_weight[ind]) if hits else 0.0
-    upper = None
-    flagged = ess < ESS_FLOOR
-    if hits == 0:
-        upper = 3.0 * float(np.exp(batch.log_weight.max())) / reps
-        flagged = True
-    return ProbEstimate(value=float(est), se=float(se), hits=hits,
-                        ess=float(ess), method=method, flagged=flagged,
-                        upper_95=upper)
+    return _summarize(batch.S > math.log(t), batch.log_weight, method)
 
 
 def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
@@ -260,18 +255,7 @@ def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
         # the shorter path is the meet itself: its exceedance uses the prefix
         ok2 = pre.S > log_t
         logw = pre.log_weight + br1.log_weight
-    ind = ok1 & ok2 & meet_ok
-    hits = int(ind.sum())
-    est, se = weighted_mean(ind.astype(float), logw)
-    ess = effective_sample_size(logw[ind]) if hits else 0.0
-    flagged = ess < ESS_FLOOR
-    upper = None
-    if hits == 0:
-        upper = 3.0 * float(np.exp(logw.max())) / reps
-        flagged = True
-    return ProbEstimate(value=float(est), se=float(se), hits=hits,
-                        ess=float(ess), method=method, flagged=flagged,
-                        upper_95=upper)
+    return _summarize(ok1 & ok2 & meet_ok, logw, method)
 
 
 # ---------------------------------------------------------------------------

@@ -262,23 +262,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     replicates = int(sec.get("replicates", 8))
     drift_tol = float(sec.get("drift_tol", 0.02))
     x0 = np.asarray(sec.get("x0", [0.0] * cfg.spec.d), dtype=float)
-    per = pool_size // replicates
-    sizes = [per] * (replicates - 1) + [pool_size - per * (replicates - 1)]
-
-    def task(i: int):
-        rng = substream(cfg.seed, "simulate", i)
-        return branching.sample_fixed_point(cfg.spec, generations, sizes[i],
-                                            x0, rng, drift_tol=drift_tol,
-                                            fingerprint=fp)
-
-    parts = parallel_map(task, replicates, cfg.threads)
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    pool = branching.FixedPointPool(
-        vectors=np.vstack([p.vectors for p in parts]),
-        generation=generations, spec_fingerprint=fp,
-        converged=all(p.converged for p in parts),
-        degenerate=any(p.degenerate for p in parts),
-        replicate_bounds=bounds, history=[p.history for p in parts])
+    rngs = [substream(cfg.seed, "simulate", i) for i in range(replicates)]
+    pool = branching.sample_fixed_point_replicated(
+        cfg.spec, generations, pool_size, x0, rngs, drift_tol=drift_tol,
+        fingerprint=fp, threads=cfg.threads)
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_pool(cfg.out / "pool.bin", pool, fp)
     if sec.get("write_csv"):
@@ -302,8 +289,13 @@ def _load_beta(cfg: RunConfig, sec: dict) -> tuple[float, float, float]:
         k_beta = float(sec.get("k_beta", 0.0)) or None
         return beta, rho, k_beta
     if "solution" in sec:
-        doc = artifacts.read_json(cfg.resolve(sec["solution"]))
-        return float(doc["beta"]), float(doc["rho"]), float(doc["k_beta"])
+        path = cfg.resolve(sec["solution"])
+        doc = artifacts.read_json(path)
+        try:
+            return float(doc["beta"]), float(doc["rho"]), float(doc["k_beta"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: not a solve-index solution "
+                              f"({type(exc).__name__}: {exc})")
     raise ConfigError("need 'beta' or 'solution' in the command section")
 
 
@@ -341,18 +333,20 @@ def cmd_tails(cfg: RunConfig) -> int:
 def _load_spectral(cfg: RunConfig, sec: dict):
     if "spectral" not in sec:
         return None
-    doc = artifacts.read_json(cfg.resolve(sec["spectral"]))
-    pts = np.asarray(doc["points"], dtype=float)
-    grid = spectral.SphereGrid(points=pts,
-                               weights=np.full(len(pts), 1.0 / len(pts)),
-                               resolution=len(pts),
-                               geometry=doc["grid_geometry"],
-                               norm=doc.get("norm", cfg.spec.norm))
-    return spectral.SpectralResult(
-        s=doc["s"], k=doc["k"], e=np.asarray(doc["e"], float),
-        nu=np.asarray(doc["nu"], float), grid=grid,
-        residual=doc["residual"], iterations=doc["iterations"],
-        mc_reps=doc["mc_reps"], k_se=doc.get("k_se", 0.0))
+    path = cfg.resolve(sec["spectral"])
+    doc = artifacts.read_json(path)
+    try:
+        grid = spectral.SphereGrid(points=np.asarray(doc["points"], float),
+                                   geometry=doc["grid_geometry"],
+                                   norm=doc.get("norm", cfg.spec.norm))
+        return spectral.SpectralResult(
+            s=doc["s"], k=doc["k"], e=np.asarray(doc["e"], float),
+            nu=np.asarray(doc["nu"], float), grid=grid,
+            residual=doc["residual"], iterations=doc["iterations"],
+            mc_reps=doc["mc_reps"], k_se=doc.get("k_se", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a spectrum artifact "
+                          f"({type(exc).__name__}: {exc})")
 
 
 def cmd_certificate(cfg: RunConfig) -> int:

@@ -31,11 +31,10 @@ RESIDUAL_TOL = 1e-8
 
 @dataclass
 class SphereGrid:
-    """Unit vectors (under the model norm) with positive weights summing to 1."""
+    """Unit vectors (under the model norm) and the geometry that fixes how
+    directions are interpolated and binned between them."""
 
     points: np.ndarray          # (G, d)
-    weights: np.ndarray         # (G,)
-    resolution: int
     geometry: str               # halfline | pm1 | quarter_circle | circle | sphere | orthant
     norm: str
 
@@ -130,9 +129,8 @@ def build_grid(spec_or_params, size: Optional[int] = None) -> SphereGrid:
     nonneg = geom_class == CLASS_NONNEG
     if d == 1:
         if nonneg:
-            return SphereGrid(np.array([[1.0]]), np.array([1.0]), 1, "halfline", norm)
-        return SphereGrid(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5]), 2,
-                          "pm1", norm)
+            return SphereGrid(np.array([[1.0]]), "halfline", norm)
+        return SphereGrid(np.array([[1.0], [-1.0]]), "pm1", norm)
     if d == 2:
         G = size or DEFAULT_GRID_D2
         if nonneg:
@@ -142,7 +140,7 @@ def build_grid(spec_or_params, size: Optional[int] = None) -> SphereGrid:
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
         pts /= vec_norm(pts, norm)[:, None]
         geometry = "quarter_circle" if nonneg else "circle"
-        return SphereGrid(pts, np.full(G, 1.0 / G), G, geometry, norm)
+        return SphereGrid(pts, geometry, norm)
     from scipy.special import ndtri
     from scipy.stats import qmc
     G = size or DEFAULT_GRID_HIGH
@@ -153,7 +151,7 @@ def build_grid(spec_or_params, size: Optional[int] = None) -> SphereGrid:
         z = np.abs(z)
     pts = z / np.maximum(vec_norm(z, norm)[:, None], UNDERFLOW)
     geometry = "orthant" if nonneg else "sphere"
-    return SphereGrid(pts, np.full(G, 1.0 / G), G, geometry, norm)
+    return SphereGrid(pts, geometry, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +296,6 @@ class OperatorAssembler:
                 op += self._scatter(norms ** s, flat, w, coefs[:e - c])
             out.append(op)
         return out
-
-
-def build_operator(spec: ModelSpec, s: float, grid: SphereGrid, mc_reps: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Grid operator at tilt s (row i approximates f -> E|M x_i|^s f(M . x_i))."""
-    if s < 0:
-        raise SpecError("tilt s must be >= 0")
-    if not spec.ensemble.moment_finite(s):
-        raise AssemblyError(f"family declares E||M||^s infinite at s={s}")
-    return OperatorAssembler(spec, grid, mc_reps, rng).assemble(s)
 
 
 # ---------------------------------------------------------------------------
@@ -479,24 +467,6 @@ def k_by_products(spec: ModelSpec, s: float, n_list, reps: int,
 # ---------------------------------------------------------------------------
 # m(s) and the tail roots
 # ---------------------------------------------------------------------------
-
-def m_of_s(spec: ModelSpec, s: float, method: str = "grid",
-           rng: Optional[np.random.Generator] = None,
-           assembler: Optional[OperatorAssembler] = None,
-           mc_reps: int = 200_000, n_list=(2, 4, 6, 8), reps: int = 50_000,
-           spectral: Optional[SpectralResult] = None) -> float:
-    """(E N) * k(s), with E N exact from the branching law."""
-    en = spec.mean_children()
-    if method == "grid":
-        return en * k_grid(spec, s, mc_reps=mc_reps, rng=rng,
-                           assembler=assembler).k
-    if method == "products":
-        if rng is None:
-            raise SpecError("products method needs an rng")
-        return en * k_by_products(spec, s, n_list, reps, rng,
-                                  spectral=spectral).k
-    raise SpecError(f"unknown method {method!r}")
-
 
 @dataclass
 class TailIndexSolution:
@@ -702,45 +672,3 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
                              m_alpha=m(alpha), m_beta=m(beta), m_star=m_star,
                              rho=rho, k_beta=k_beta, k_drift=k_drift, tol=tol,
                              bracket_history=history[-20:])
-
-
-@dataclass
-class DriftResult:
-    k_drift: float      # k'(s)/k(s)
-    m_deriv: float      # m'(s)
-    low_confidence: bool
-
-
-def drift(spec: ModelSpec, s: float, h: float = 1e-2,
-          rng: Optional[np.random.Generator] = None,
-          assembler: Optional[OperatorAssembler] = None,
-          grid: Optional[SphereGrid] = None,
-          mc_reps: int = 1_000_000) -> DriftResult:
-    """Centered finite differences of log k and of m at s (common draws).
-
-    The per-group differences (same strata on both sides) estimate the MC
-    noise of the derivative; a spread that makes the sign indefinite flags
-    the result as low confidence.
-    """
-    if assembler is None:
-        if rng is None:
-            raise SpecError("drift needs an rng or an assembler")
-        grid = grid or build_grid(spec)
-        assembler = OperatorAssembler(spec, grid, mc_reps, rng)
-    en = spec.mean_children()
-    lo = max(s - h, 0.0)
-    denom = (s + h) - lo
-    plus_groups = assembler.assemble_groups(s + h)
-    minus_groups = assembler.assemble_groups(lo)
-    k_plus = power_iteration(sum(plus_groups) / len(plus_groups))[0]
-    k_minus = power_iteration(sum(minus_groups) / len(minus_groups))[0]
-    k_drift = (math.log(k_plus) - math.log(k_minus)) / denom
-    m_deriv = en * (k_plus - k_minus) / denom
-    low_conf = not np.isfinite(k_drift)
-    if len(plus_groups) > 1 and np.isfinite(k_drift):
-        per_group = [(power_iteration(p)[0] - power_iteration(q)[0]) / denom
-                     for p, q in zip(plus_groups, minus_groups)]
-        se = float(np.std(per_group, ddof=1) / math.sqrt(len(per_group)))
-        if abs(m_deriv / en) < 3 * se:
-            low_conf = True
-    return DriftResult(k_drift=k_drift, m_deriv=m_deriv, low_confidence=low_conf)

@@ -128,28 +128,8 @@ def iota(m: np.ndarray, norm: str, geom_class: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# projective action and single-path walk
+# projective action
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PathState:
-    """Walk state: direction U (unit), log scale S, step count n."""
-
-    U: np.ndarray
-    S: float
-    n: int
-    norm: str = "l1"
-
-
-@dataclass
-class TiltedSample:
-    """Terminal state of one tilted path with its importance weight."""
-
-    state: PathState
-    weight: float
-    tilt: float
-    log_weight: float = 0.0
-
 
 def act(m: np.ndarray, x: np.ndarray, norm: str = "l1") -> np.ndarray:
     """Projective action m . x = m x / |m x|."""
@@ -160,54 +140,12 @@ def act(m: np.ndarray, x: np.ndarray, norm: str = "l1") -> np.ndarray:
     return y / nrm
 
 
-def step(state: PathState, m: np.ndarray) -> PathState:
-    """One multiplicative step: U' = m . U, S' = S + log|m U|."""
-    y = np.atleast_2d(np.asarray(m, dtype=float)) @ state.U
-    nrm = float(vec_norm(y, state.norm))
-    if nrm <= UNDERFLOW:
-        raise SingularActionError("|m U| underflowed at step %d" % (state.n + 1))
-    return PathState(U=y / nrm, S=state.S + math.log(nrm), n=state.n + 1,
-                     norm=state.norm)
-
-
 def _unit(u0: np.ndarray, norm: str) -> np.ndarray:
     u0 = np.asarray(u0, dtype=float)
     n = float(vec_norm(u0, norm))
     if n <= 0:
         raise SpecError("u0 must be nonzero")
     return u0 / n
-
-
-def simulate_walk(spec: ModelSpec, u0: np.ndarray, n: int,
-                  rng: np.random.Generator) -> PathState:
-    """n nominal steps with M = A_1^T from the model ensemble, P(U_0=u0)=1."""
-    if n < 0:
-        raise SpecError("walk length must be >= 0")
-    state = PathState(U=_unit(u0, spec.norm), S=0.0, n=0, norm=spec.norm)
-    if n == 0:
-        return state
-    mats = spec.ensemble.draw(rng, n)
-    for m in mats:
-        state = step(state, m.T)
-    return state
-
-
-def walk_trace(spec: ModelSpec, u0: np.ndarray, n: int,
-               rng: np.random.Generator) -> list[PathState]:
-    """All intermediate states (for CSV path dumps)."""
-    states = [PathState(U=_unit(u0, spec.norm), S=0.0, n=0, norm=spec.norm)]
-    mats = spec.ensemble.draw(rng, n) if n > 0 else []
-    for m in mats:
-        states.append(step(states[-1], m.T))
-    return states
-
-
-def trace_table(states: list[PathState]):
-    """(columns, rows) for exporting a walk trace as CSV."""
-    d = len(states[0].U)
-    columns = ["n"] + [f"u{i}" for i in range(d)] + ["S"]
-    rows = [(st.n, *st.U.tolist(), st.S) for st in states]
-    return columns, rows
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +315,6 @@ def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
                      log_weight_hist=logw_hist if record_hist else None)
 
 
-def tilted_walk(spec: ModelSpec, u0: np.ndarray, n: int, s: float,
-                spectral, rng: np.random.Generator) -> TiltedSample:
-    """One path from the tilted proposal at tilt s.
-
-    ``spectral`` is the SpectralResult computed at s for this model; its
-    eigenfunction drives the proposal and its interpolation error is
-    absorbed into the exact weight.
-    """
-    sampler = StepSampler(spec, s=s,
-                          e_interp=None if spectral is None else spectral.e_interp)
-    batch = run_walks(spec, u0, n, 1, rng, sampler=sampler, tilted=True)
-    lw = float(batch.log_weight[0])
-    return TiltedSample(
-        state=PathState(U=batch.U[0], S=float(batch.S[0]), n=n, norm=spec.norm),
-        weight=math.exp(lw), tilt=s, log_weight=lw)
-
-
 def tilted_batch(spec: ModelSpec, u0: np.ndarray, n: int, s: float, spectral,
                  reps: int, rng: np.random.Generator,
                  record_hist: bool = False) -> WalkBatch:
@@ -425,33 +346,3 @@ def weighted_mean(values: np.ndarray, log_weight: np.ndarray):
     se = x.std(ddof=1) / math.sqrt(len(x)) if len(x) > 1 else 0.0
     scale = math.exp(m) if m < 700 else math.inf
     return mean * scale, se * scale
-
-
-def estimate_Pi_norm_moment(spec: ModelSpec, n: int, s: float, reps: int,
-                            rng: np.random.Generator,
-                            method: str = "naive", spectral=None):
-    """Monte Carlo estimate of E ||Pi_n||^s with its standard error.
-
-    ``naive`` is the plain mean over independent products; ``tilted`` is the
-    unbiased importance-sampled version (essential when the summand is
-    heavy-tailed, e.g. s near the tail root).
-    """
-    if reps < 2:
-        raise SpecError("need reps >= 2 for a standard error")
-    if n == 0 or s == 0.0:
-        return 1.0, 0.0
-    u0 = np.zeros(spec.d)
-    u0[0] = 1.0
-    if method == "naive":
-        sampler = StepSampler(spec)
-        batch = run_walks(spec, u0, n, reps, rng, sampler=sampler,
-                          record_hist=True)
-        vals = np.exp(s * batch.opnorm_log_hist[:, n])
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps))
-    if method == "tilted":
-        batch = tilted_batch(spec, u0, n, s, spectral, reps, rng,
-                             record_hist=True)
-        logvals = s * batch.opnorm_log_hist[:, n] + batch.log_weight
-        mean, se = weighted_mean(np.ones(reps), logvals)
-        return float(mean), float(se)
-    raise SpecError(f"unknown method {method!r}")

@@ -1,16 +1,20 @@
 """Tree algebra, the Y/Z recursions, the decomposition identity, and pools."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import (MEAN_D1, d1_lognormal_spec, d1_quarter_spec,
                       d2_finite_pair_spec, random13_spec)
+from smoothtail.artifacts import read_pool
 from smoothtail.branching import (decompose_check, evaluate_Yl,
                                   evaluate_Z, grow_tree, node_leq, node_meet,
                                   node_prefix, path_weight, population_iterate,
                                   replicate_mean_se, sample_fixed_point,
                                   sample_fixed_point_replicated)
+from smoothtail.cli import main, model_to_jsonable
 from smoothtail.errors import MemoryCapError, SpecError
 from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
 from smoothtail.rng import substream
@@ -244,6 +248,31 @@ def test_pool_mean_identity():
                                          np.array([MEAN_D1]), rngs)
     mean, se = replicate_mean_se(pool)
     assert abs(mean - MEAN_D1) < 3 * se
+
+
+def test_replicated_pool_is_the_simulate_engine(tmp_path):
+    # one engine for every worker count, and the one `simulate` writes out
+    spec = d1_lognormal_spec()
+    seed, generations, size, reps = 31, 4, 3001, 3
+
+    def build(threads):
+        rngs = [substream(seed, "simulate", i) for i in range(reps)]
+        return sample_fixed_point_replicated(spec, generations, size,
+                                             np.array([1.0]), rngs,
+                                             threads=threads)
+
+    one, two = build(1), build(2)
+    assert np.array_equal(one.vectors, two.vectors)
+    assert one.replicate_bounds == two.replicate_bounds == [0, 1000, 2000, 3001]
+    assert one.history == two.history and len(one.history) == reps
+    cfg = {"model": model_to_jsonable(spec), "seed": seed,
+           "simulate": {"pool_size": size, "generations": generations,
+                        "replicates": reps, "x0": [1.0]}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert np.array_equal(read_pool(tmp_path / "out/pool.bin").vectors,
+                          one.vectors)
 
 
 def test_pool_convergence_contraction():

@@ -9,8 +9,8 @@ from conftest import (BETA_D1, K_BETA_D1, RHO_D1, d1_lognormal_spec,
                       random13_spec)
 from smoothtail.branching import grow_tree
 from smoothtail.certificate import (ESS_FLOOR, EventParams, SubtreeParams,
-                                    build_sparse_subtree, cone_family,
-                                    estimate_PV, estimate_PW,
+                                    _summarize, build_sparse_subtree,
+                                    cone_family, estimate_PV, estimate_PW,
                                     estimate_tail_prob, expected_count_check,
                                     indicator_V, lower_bound)
 from smoothtail.errors import NondegeneracyError, SpecError
@@ -388,3 +388,29 @@ def test_cone_family_coverage_error_one_sided_pool():
     ep = EventParams(t=10.0, C0=1.0, delta=0.5, rho=1.0)
     with pytest.raises(CoverageError):
         cone_family(pool, 2, ep, spec)
+
+
+def test_summarize_flags_and_upper_bound():
+    # no hits: flagged (ESS 0), with three times the largest weight per rep
+    lw = np.log(np.array([0.5, 2.0, 1.0, 4.0]))
+    none = _summarize(np.zeros(4, dtype=bool), lw, "tilted")
+    assert none.hits == 0 and none.ess == 0.0 and none.value == 0.0
+    assert none.flagged
+    assert none.upper_95 == pytest.approx(3.0 * 4.0 / 4, rel=1e-12)
+    # hits whose weight sits on one sample: ESS near 1, flagged, no bound
+    ind = np.zeros(1000, dtype=bool)
+    ind[:200] = True
+    lw = np.zeros(1000)
+    lw[0] = 20.0
+    skewed = _summarize(ind, lw, "tilted")
+    assert skewed.hits == 200 and skewed.ess < 2.0
+    assert skewed.flagged and skewed.upper_95 is None
+    # equal weights: the ESS is the hit count; at the floor it passes
+    for hits in (ESS_FLOOR - 1, ESS_FLOOR, 3 * ESS_FLOOR):
+        ind = np.zeros(1000, dtype=bool)
+        ind[:hits] = True
+        est = _summarize(ind, np.zeros(1000), "naive")
+        assert est.ess == pytest.approx(hits, rel=1e-12)
+        assert est.value == pytest.approx(hits / 1000, rel=1e-12)
+        assert est.flagged == (hits < ESS_FLOOR)
+        assert est.upper_95 is None and est.method == "naive"

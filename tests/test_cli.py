@@ -74,6 +74,45 @@ def test_truncated_pool_exit_2(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+SOLUTION = {"beta": BETA_D1, "rho": RHO_D1, "k_beta": 0.5}
+
+
+@pytest.mark.parametrize("command, files, section, named", [
+    ("tails", {}, {"solution": "sol.json"}, "sol.json"),
+    ("certificate", {}, {"solution": "sol.json"}, "sol.json"),
+    ("certificate", {"sol.json": SOLUTION},
+     {"solution": "sol.json", "spectral": "spec.json"}, "spec.json"),
+    ("tails", {"sol.json": "{ not json"}, {"solution": "sol.json"}, "sol.json"),
+    ("tails", {"sol.json": {"beta": BETA_D1}}, {"solution": "sol.json"},
+     "sol.json"),
+    ("certificate", {"sol.json": SOLUTION, "spec.json": {"s": BETA_D1}},
+     {"solution": "sol.json", "spectral": "spec.json"}, "spec.json"),
+], ids=["tails-missing-solution", "certificate-missing-solution",
+        "certificate-missing-spectral", "solution-bad-json",
+        "solution-without-rho", "spectral-without-points"])
+def test_bad_artifact_file_exit_2(tmp_path, capsys, command, files, section,
+                                  named):
+    pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
+                          generation=1, converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    for name, doc in files.items():
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (tmp_path / name).write_text(text)
+    sec = dict(section, pool="pool.bin", t=10.0)
+    cfg = {"model": D1_MODEL, "seed": 1, command: sec}
+    assert _run(tmp_path, command, cfg) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("replicates", [0, -1, 1001])
+def test_simulate_bad_replicates_exit_2(tmp_path, capsys, replicates):
+    cfg = {"model": D1_MODEL, "seed": 2,
+           "simulate": {"pool_size": 1000, "generations": 2,
+                        "replicates": replicates, "x0": [1.0]}}
+    assert _run(tmp_path, "simulate", cfg) == 2
+    assert "need 1 <= replicates <= pool_size" in capsys.readouterr().err
+
+
 def test_model_roundtrip():
     spec = model_from_jsonable(D1_MODEL)
     doc = model_to_jsonable(spec)

@@ -11,8 +11,7 @@ from conftest import (ALPHA_D1, BETA_D1, K1_D2, RHO_D1, d1_lognormal_spec,
 from smoothtail.errors import NoRootError, NoSecondRootError
 from smoothtail.rng import substream
 from smoothtail.spectral import (OperatorAssembler, _brent_min, _brent_root,
-                                 build_grid, build_operator, drift,
-                                 k_by_products, k_grid, m_of_s,
+                                 build_grid, k_by_products, k_grid,
                                  power_iteration, solve_alpha_beta)
 
 
@@ -26,8 +25,6 @@ def test_grid_unit_norm_and_weights():
         grid = build_grid(spec)
         from smoothtail.walks import vec_norm
         assert np.allclose(vec_norm(grid.points, spec.norm), 1.0, atol=1e-10)
-        assert (grid.weights > 0).all()
-        assert grid.weights.sum() == pytest.approx(1.0)
 
 
 def test_grid_interp_partition_of_unity():
@@ -55,14 +52,15 @@ def test_grid_interp_recovers_linear_in_angle():
 
 def test_operator_rows_stochastic_at_zero_tilt():
     spec = d2_finite_pair_spec()
-    op = build_operator(spec, 0.0, build_grid(spec), 0, substream(2, "o"))
+    op = OperatorAssembler(spec, build_grid(spec), 0,
+                           substream(2, "o")).assemble(0.0)
     assert np.allclose(op.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_operator_d1_scalar_moment():
     spec = d1_lognormal_spec()
     grid = build_grid(spec)
-    op = build_operator(spec, 1.0, grid, 400_000, substream(3, "o"))
+    op = OperatorAssembler(spec, grid, 400_000, substream(3, "o")).assemble(1.0)
     assert op.shape == (1, 1)
     assert op[0, 0] == pytest.approx(math.exp(-0.75), rel=1e-3)
 
@@ -96,7 +94,7 @@ def test_scalar_moment_cached_quantiles_at_beta():
 def test_operator_rotation_row_sums():
     spec = d2_rotation_spec()
     grid = build_grid(spec, size=64)
-    op = build_operator(spec, 1.0, grid, 20_000, substream(4, "o"))
+    op = OperatorAssembler(spec, grid, 20_000, substream(4, "o")).assemble(1.0)
     target = math.exp(-1.0 + 0.125)        # E c^1
     assert np.allclose(op.sum(axis=1), target, rtol=0.05)
 
@@ -181,12 +179,14 @@ def test_grid_and_products_agree():
 
 def test_m_of_s_values():
     spec = d1_lognormal_spec()
-    m1 = m_of_s(spec, 1.0, rng=substream(13, "m"), mc_reps=400_000)
-    assert m1 == pytest.approx(2 * math.exp(-0.75), rel=1e-3)
-    m0 = m_of_s(spec, 0.0, rng=substream(14, "m"), mc_reps=1000)
-    assert m0 == pytest.approx(2.0, abs=1e-9)
-    mb = m_of_s(spec, BETA_D1, rng=substream(15, "m"), mc_reps=1_000_000)
-    assert mb == pytest.approx(1.0, rel=5e-3)
+
+    def m(s, seed, mc_reps):
+        res = k_grid(spec, s, mc_reps=mc_reps, rng=substream(seed, "m"))
+        return spec.mean_children() * res.k
+
+    assert m(1.0, 13, 400_000) == pytest.approx(2 * math.exp(-0.75), rel=1e-3)
+    assert m(0.0, 14, 1000) == pytest.approx(2.0, abs=1e-9)
+    assert m(BETA_D1, 15, 1_000_000) == pytest.approx(1.0, rel=5e-3)
 
 
 def test_brent_root_closed_form():
@@ -255,13 +255,18 @@ def test_solve_no_second_root():
 
 def test_drift_reference():
     spec = d1_lognormal_spec()
-    grid = build_grid(spec)
-    assembler = OperatorAssembler(spec, grid, 1_000_000, substream(18, "d"))
-    res = drift(spec, BETA_D1, h=1e-2, assembler=assembler)
-    assert res.m_deriv == pytest.approx(RHO_D1, rel=0.02)
-    assert res.k_drift == pytest.approx(RHO_D1, rel=0.02)
-    star = drift(spec, 2.0, h=1e-2, assembler=assembler)     # s* = 2 exactly
-    assert abs(star.m_deriv) < 0.02
+    sol = solve_alpha_beta(spec, s_max=6.0, tol=1e-8,
+                           rng=substream(18, "d"), mc_reps=1_000_000)
+    assert sol.rho == pytest.approx(RHO_D1, rel=0.02)
+    assert sol.k_drift == pytest.approx(RHO_D1, rel=0.02)
+    assert sol.s_star == pytest.approx(2.0, abs=0.01)    # s* = 2 exactly
+    # the drift vanishes at the minimizer s* = 2
+    assembler = OperatorAssembler(spec, build_grid(spec), 1_000_000,
+                                  substream(18, "d"))
+    h = 1e-2
+    m_deriv = spec.mean_children() * (assembler.assemble(2.0 + h)[0, 0]
+                                      - assembler.assemble(2.0 - h)[0, 0]) / (2 * h)
+    assert abs(m_deriv) < 0.02
 
 
 def test_log_convexity_midpoint():
@@ -307,8 +312,8 @@ def test_assembly_rejects_frequent_singular_draws():
     # force the generic MC path by hiding the atoms
     object.__setattr__(spec.ensemble, "atoms", lambda: None)
     with pytest.raises(AssemblyError):
-        build_operator(spec, 1.0, build_grid(spec, 32), 20_000,
-                       substream(22, "o"))
+        OperatorAssembler(spec, build_grid(spec, 32), 20_000,
+                          substream(22, "o"))
 
 
 def test_power_iteration_oscillation_detected():
@@ -316,15 +321,6 @@ def test_power_iteration_oscillation_detected():
     op = np.array([[0.0, 2.0], [1.0, 0.0]])     # eigenvalues +-sqrt(2)
     with pytest.raises(ConvergenceError, match="oscillation"):
         power_iteration(op)
-
-
-def test_drift_flags_sign_indefinite():
-    # near the minimizer s* = 2, a tiny step makes the difference pure noise
-    spec = d1_lognormal_spec()
-    grid = build_grid(spec)
-    assembler = OperatorAssembler(spec, grid, 2000, substream(23, "d"))
-    res = drift(spec, 2.0, h=1e-5, assembler=assembler)
-    assert res.low_confidence
 
 
 def test_exact_assembly_rejects_annihilating_atom():
@@ -336,4 +332,4 @@ def test_exact_assembly_rejects_annihilating_atom():
                                             probs=np.array([0.5, 0.5])),
                      q_law=QLaw(kind="zero"), geom_class="nonnegative-C")
     with pytest.raises(AssemblyError):
-        build_operator(spec, 0.0, build_grid(spec), 0, substream(24, "o"))
+        OperatorAssembler(spec, build_grid(spec), 0, substream(24, "o"))

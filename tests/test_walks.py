@@ -11,15 +11,32 @@ from conftest import (BETA_D1, d1_lognormal_spec, d2_finite_pair_spec,
 from smoothtail.errors import SingularActionError, SpecError
 from smoothtail.rng import substream
 from smoothtail import walks
-from smoothtail.walks import (PathState, act, estimate_Pi_norm_moment, iota,
-                              operator_norm, run_walks, simulate_walk, step,
-                              tilted_batch, tilted_walk, weighted_mean)
+from smoothtail.spectral import k_by_products
+from smoothtail.walks import (act, iota, operator_norm, run_walks, tilted_batch,
+                              weighted_mean)
 
 PHI = (1 + math.sqrt(5)) / 2
 
 
+class FixedSteps:
+    """Stand-in sampler whose nominal draws are the given steps M, in order,
+    one path at a time."""
+
+    def __init__(self, steps):
+        self._steps = iter(np.asarray(steps, dtype=float))
+
+    def nominal(self, rng, reps):
+        return next(self._steps)[None]
+
+
+def walk_through(spec, u0, steps):
+    """One recorded path of run_walks driven by the given steps."""
+    return run_walks(spec, u0, len(steps), 1, None,
+                     sampler=FixedSteps(steps), record_hist=True)
+
+
 # ---------------------------------------------------------------------------
-# act / step
+# act / one walk step
 # ---------------------------------------------------------------------------
 
 def test_act_permutation():
@@ -63,32 +80,38 @@ def test_act_singular_raises():
 
 
 def test_step_scalar_and_cocycle():
-    st = PathState(U=np.array([1.0]), S=0.0, n=0, norm="l1")
-    st = step(st, np.array([[2.0]]))
-    assert st.S == pytest.approx(math.log(2.0))
-    assert st.n == 1
+    one = walk_through(d1_lognormal_spec(), np.array([1.0]), [[[2.0]]])
+    assert one.S[0] == pytest.approx(math.log(2.0))
+    assert one.U[0, 0] == 1.0
+    assert one.opnorm_log_hist.shape == (1, 2)
+    assert one.opnorm_log_hist[0, 1] == pytest.approx(math.log(2.0))
 
     rng = substream(3, "step")
     m1 = rng.random((2, 2)) + 0.1
     m2 = rng.random((2, 2)) + 0.1
     u = np.array([0.3, 0.7])
-    st = PathState(U=u.copy(), S=0.0, n=0, norm="l1")
-    st = step(step(st, m1), m2)
+    two = walk_through(d2_finite_pair_spec(), u, [m1, m2])
     direct = math.log(np.abs(m2 @ m1 @ u).sum())
-    assert st.S == pytest.approx(direct, rel=1e-12)
+    assert two.S[0] == pytest.approx(direct, rel=1e-12)
+    assert two.opnorm_log_hist[0, 2] == pytest.approx(
+        math.log(operator_norm(m2 @ m1, "l1")), rel=1e-12)
 
 
 def test_cocycle_against_dense_product():
     spec = d2_finite_pair_spec()
     rng = substream(4, "walk")
-    mats = spec.ensemble.draw(rng, 30)
+    steps = np.swapaxes(spec.ensemble.draw(rng, 30), -1, -2)
     u = np.array([0.5, 0.5])
-    st = PathState(U=u.copy(), S=0.0, n=0, norm="l1")
+    batch = walk_through(spec, u, steps)
     prod = np.eye(2)
-    for m in mats:
-        st = step(st, m.T)
-        prod = m.T @ prod
-    assert st.S == pytest.approx(math.log(np.abs(prod @ u).sum()), rel=1e-8)
+    for k, m in enumerate(steps, start=1):
+        prod = m @ prod
+        assert batch.opnorm_log_hist[0, k] == pytest.approx(
+            math.log(operator_norm(prod, "l1")), rel=1e-8)
+    y = prod @ u
+    assert batch.S[0] == pytest.approx(math.log(np.abs(y).sum()), rel=1e-8)
+    assert walks.vec_norm(batch.U[0], "l1") == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(batch.U[0], y / np.abs(y).sum(), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +181,11 @@ def test_submultiplicativity_and_sandwich():
 
 def test_walk_zero_steps():
     spec = d1_lognormal_spec()
-    st = simulate_walk(spec, np.array([1.0]), 0, substream(7, "w"))
-    assert st.n == 0 and st.S == 0.0 and st.U[0] == 1.0
+    batch = run_walks(spec, np.array([1.0]), 0, 3, substream(7, "w"),
+                      record_hist=True)
+    assert (batch.S == 0.0).all() and (batch.U == 1.0).all()
+    assert (batch.log_weight == 0.0).all()
+    assert batch.opnorm_log_hist.shape == (3, 1)
 
 
 def test_walk_lln_drift():
@@ -175,16 +201,19 @@ def test_walk_rotation_isometry():
     rng = substream(9, "w")
     mats = spec.ensemble.draw(rng, 50)
     scales = np.linalg.norm(mats[:, :, 0], axis=1)   # |c R e1|_2 = c
-    st = PathState(U=np.array([1.0, 0.0]), S=0.0, n=0, norm="l2")
-    for m in mats:
-        st = step(st, m.T)
-    assert st.S == pytest.approx(np.log(scales).sum(), rel=1e-10)
+    batch = walk_through(spec, np.array([1.0, 0.0]),
+                         np.swapaxes(mats, -1, -2))
+    log_scale = np.log(scales).sum()
+    assert batch.S[0] == pytest.approx(log_scale, rel=1e-10)
+    assert batch.opnorm_log_hist[0, 50] == pytest.approx(log_scale, rel=1e-10)
+    assert walks.vec_norm(batch.U[0], "l2") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tilted_walk_weight_at_zero_tilt():
     spec = d1_lognormal_spec()
-    out = tilted_walk(spec, np.array([1.0]), 10, 0.0, None, substream(10, "t"))
-    assert out.weight == 1.0 and out.log_weight == 0.0
+    batch = tilted_batch(spec, np.array([1.0]), 10, 0.0, None, 50,
+                         substream(10, "t"))
+    assert (batch.log_weight == 0.0).all()
 
 
 def test_tilted_drift_matches_cumulant():
@@ -240,50 +269,28 @@ def test_tilted_finite_support_exact_ratios():
 
 def test_pi_norm_moment_zeroth():
     spec = d1_lognormal_spec()
-    est, se = estimate_Pi_norm_moment(spec, 5, 0.0, 100, substream(17, "m"))
-    assert est == 1.0 and se == 0.0
+    pe = k_by_products(spec, 0.0, [1, 5], 100, substream(17, "m"))
+    assert pe.per_n == [(1, 0.0, 0.0), (5, 0.0, 0.0)]
 
 
 def test_pi_norm_moment_single_factor():
     spec = d1_lognormal_spec()
-    est, se = estimate_Pi_norm_moment(spec, 1, 1.0, 200_000, substream(18, "m"))
-    assert abs(est - math.exp(-0.75)) < 3 * se
+    pe = k_by_products(spec, 1.0, [1, 2], 200_000, substream(18, "m"))
+    n, log_mean, rel_se = pe.per_n[0]
+    assert n == 1
+    est = math.exp(log_mean)
+    assert abs(est - math.exp(-0.75)) < 3 * rel_se * est
 
 
 def test_pi_norm_moment_beta_tilted_exact():
     # E||Pi_10||^beta = 2^-10 by construction; the conjugate tilt is
     # variance-free in d = 1, the naive route cannot resolve this moment
     spec = d1_lognormal_spec()
-    est, _se = estimate_Pi_norm_moment(spec, 10, BETA_D1, 4000,
-                                       substream(19, "m"), method="tilted")
-    assert est == pytest.approx(2.0 ** -10, rel=1e-9)
-
-
-def test_pi_norm_moment_needs_reps():
-    with pytest.raises(SpecError):
-        estimate_Pi_norm_moment(d1_lognormal_spec(), 3, 1.0, 1,
-                                substream(20, "m"))
-
-
-def test_csv_trace_shape():
-    spec = d2_lognormal_matrix_spec()
-    states = walks.walk_trace(spec, np.array([1.0, 0.0]), 5, substream(21, "tr"))
-    assert len(states) == 6
-    assert states[-1].n == 5
-    for st in states:
-        assert abs(walks.vec_norm(st.U, "l1") - 1) < 1e-10
-
-
-def test_trace_table_export(tmp_path):
-    from smoothtail import artifacts
-    spec = d2_lognormal_matrix_spec()
-    states = walks.walk_trace(spec, np.array([1.0, 0.0]), 4,
-                              substream(30, "tr"))
-    cols, rows = walks.trace_table(states)
-    assert cols == ["n", "u0", "u1", "S"]
-    artifacts.write_csv(tmp_path / "trace.csv", cols, rows, "0" * 16)
-    lines = (tmp_path / "trace.csv").read_text().splitlines()
-    assert len(lines) == 2 + 5
+    pe = k_by_products(spec, BETA_D1, [2, 10], 4000, substream(19, "m"),
+                       method="tilted")
+    n, log_mean, _rel_se = pe.per_n[1]
+    assert n == 10
+    assert log_mean == pytest.approx(-10 * math.log(2.0), rel=1e-9)
 
 
 def test_tilted_with_eigenfunction_unbiased():
