@@ -134,14 +134,35 @@ def model_to_jsonable(spec: ModelSpec) -> dict:
 # config handling
 # ---------------------------------------------------------------------------
 
+class Section(dict):
+    """One config section, named in the errors its values raise."""
+
+    def __init__(self, name: str, values: dict):
+        super().__init__(values)
+        self.name = name
+
+    def num(self, key: str, default=None, kind=float):
+        """self[key] (default when absent) as kind; None stays None."""
+        value = self.get(key, default)
+        if value is None:
+            return None
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(
+                f"{self.name}.{key}: non-numeric value {value!r}") from None
+
+
 class RunConfig:
     """Parsed configuration plus derived fingerprint per command."""
 
     def __init__(self, raw: dict, base: Path, seed=None, threads=None, out=None):
         self.raw = raw
         self.base = base
-        self.seed = int(seed if seed is not None else raw.get("seed", 0))
-        self.threads = int(threads if threads is not None else raw.get("threads", 1))
+        root = Section("config", raw)
+        self.seed = int(seed) if seed is not None else root.num("seed", 0, int)
+        self.threads = (int(threads) if threads is not None
+                        else root.num("threads", 1, int))
         self.out = Path(out if out is not None else raw.get("out", "."))
         model_doc = raw.get("model")
         if model_doc is None:
@@ -158,11 +179,11 @@ class RunConfig:
         self.model_doc = model_doc
         self.spec = model_from_jsonable(model_doc)
 
-    def section(self, name: str) -> dict:
+    def section(self, name: str) -> Section:
         sec = self.raw.get(name, {})
         if not isinstance(sec, dict):
             raise ConfigError(f"config section {name!r} must be an object")
-        return sec
+        return Section(name, sec)
 
     def fingerprint(self, command: str) -> str:
         return artifacts.fingerprint({
@@ -196,9 +217,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     sec = cfg.section("validate")
     fp = cfg.fingerprint("validate")
     rng = substream(cfg.seed, "validate")
-    report = validate(cfg.spec, beta_hat=float(sec.get("beta_hat", 1.0)),
-                      eps=float(sec.get("eps", 0.1)),
-                      reps=int(sec.get("reps", 20_000)), rng=rng)
+    report = validate(cfg.spec, beta_hat=sec.num("beta_hat", 1.0),
+                      eps=sec.num("eps", 0.1),
+                      reps=sec.num("reps", 20_000, int), rng=rng)
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "validation.json", report.to_jsonable(), fp)
     return EXIT_VALIDATION if report.hard_fail() else EXIT_OK
@@ -207,10 +228,10 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     sec = cfg.section("spectrum")
     fp = cfg.fingerprint("spectrum")
-    s_grid = [float(s) for s in sec.get("s_grid", [0.0, 0.5, 1.0])]
-    mc_reps = int(sec.get("mc_reps", 200_000))
-    grid_size = sec.get("grid_size")
-    grid = spectral.build_grid(cfg.spec, size=grid_size)
+    s_grid = sec.num("s_grid", [0.0, 0.5, 1.0],
+                     lambda v: [float(s) for s in v])
+    mc_reps = sec.num("mc_reps", 200_000, int)
+    grid = spectral.build_grid(cfg.spec, size=sec.num("grid_size", None, int))
     en = cfg.spec.mean_children()
 
     def task(i: int):
@@ -243,12 +264,11 @@ def cmd_solve_index(cfg: RunConfig) -> int:
     sec = cfg.section("solve_index")
     fp = cfg.fingerprint("solve-index")
     rng = substream(cfg.seed, "solve-index")
-    grid = spectral.build_grid(cfg.spec, size=sec.get("grid_size"))
+    grid = spectral.build_grid(cfg.spec, size=sec.num("grid_size", None, int))
     sol = spectral.solve_alpha_beta(
-        cfg.spec, s_max=float(sec.get("s_max", 8.0)),
-        tol=float(sec.get("tol", 1e-6)), rng=rng, grid=grid,
-        mc_reps=int(sec.get("mc_reps", 1_000_000)),
-        h=float(sec.get("h", 1e-2)))
+        cfg.spec, s_max=sec.num("s_max", 8.0), tol=sec.num("tol", 1e-6),
+        rng=rng, grid=grid, mc_reps=sec.num("mc_reps", 1_000_000, int),
+        h=sec.num("h", 1e-2))
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "tail_indices.json", sol.to_jsonable(), fp)
     return EXIT_OK
@@ -257,10 +277,10 @@ def cmd_solve_index(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     sec = cfg.section("simulate")
     fp = cfg.fingerprint("simulate")
-    pool_size = int(sec.get("pool_size", 100_000))
-    generations = int(sec.get("generations", 60))
-    replicates = int(sec.get("replicates", 8))
-    drift_tol = float(sec.get("drift_tol", 0.02))
+    pool_size = sec.num("pool_size", 100_000, int)
+    generations = sec.num("generations", 60, int)
+    replicates = sec.num("replicates", 8, int)
+    drift_tol = sec.num("drift_tol", 0.02)
     x0 = np.asarray(sec.get("x0", [0.0] * cfg.spec.d), dtype=float)
     rngs = [substream(cfg.seed, "simulate", i) for i in range(replicates)]
     pool = branching.sample_fixed_point_replicated(
@@ -281,13 +301,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_beta(cfg: RunConfig, sec: dict) -> tuple[float, float, float]:
+def _load_beta(cfg: RunConfig, sec: Section) -> tuple[float, float, float]:
     """(beta, rho, k_beta) from explicit config values or a solution file."""
     if "beta" in sec:
-        beta = float(sec["beta"])
-        rho = float(sec.get("rho", 0.0)) or None
-        k_beta = float(sec.get("k_beta", 0.0)) or None
-        return beta, rho, k_beta
+        return (sec.num("beta"), sec.num("rho", 0.0) or None,
+                sec.num("k_beta", 0.0) or None)
     if "solution" in sec:
         path = cfg.resolve(sec["solution"])
         doc = artifacts.read_json(path)
@@ -315,9 +333,9 @@ def cmd_tails(cfg: RunConfig) -> int:
         pool.vectors, u, beta, rng=rng,
         window_quantiles=tuple(sec.get("window_quantiles", (0.99, 0.9999))),
         k_fracs=tuple(sec.get("k_fracs", (0.01, 0.005, 0.002))),
-        n_points=int(sec.get("n_points", 25)),
-        n_boot=int(sec.get("n_boot", 200)),
-        ratio_max=float(sec.get("ratio_max", tails.FLATNESS_RATIO_MAX)))
+        n_points=sec.num("n_points", 25, int),
+        n_boot=sec.num("n_boot", 200, int),
+        ratio_max=sec.num("ratio_max", tails.FLATNESS_RATIO_MAX))
     cfg.out.mkdir(parents=True, exist_ok=True)
     doc = report.to_jsonable()
     doc["verdict"] = ("positivity supported" if report.flatness.supported
@@ -330,7 +348,7 @@ def cmd_tails(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_spectral(cfg: RunConfig, sec: dict):
+def _load_spectral(cfg: RunConfig, sec: Section):
     if "spectral" not in sec:
         return None
     path = cfg.resolve(sec["spectral"])
@@ -363,25 +381,24 @@ def cmd_certificate(cfg: RunConfig) -> int:
         raise ConfigError("certificate needs rho and k_beta (or a solution file)")
     u = np.asarray(sec.get("u", [1.0] + [0.0] * (cfg.spec.d - 1)), dtype=float)
     if "t" in sec:
-        t = float(sec["t"])
+        t = sec.num("t")
     elif "t_quantile" in sec:
-        proj = pool.vectors @ u
-        t = float(np.quantile(proj, float(sec["t_quantile"])))
+        t = float(np.quantile(pool.vectors @ u, sec.num("t_quantile")))
     else:
         raise ConfigError("certificate needs 't' or 't_quantile'")
     kappa_zero = bool(sec.get("force_kappa_zero", False))
     rng = substream(cfg.seed, "certificate")
     report = certificate.lower_bound(
         cfg.spec, u, t, rho, beta, k_beta,
-        C1=int(sec.get("C1", 2)), pool_vectors=pool.vectors, rng=rng,
+        C1=sec.num("C1", 2, int), pool_vectors=pool.vectors, rng=rng,
         spectral=_load_spectral(cfg, sec),
-        C0=sec.get("C0"), delta=sec.get("delta"), J=int(sec.get("J", 8)),
-        reps_v=int(sec.get("reps_v", 100_000)),
-        reps_w=int(sec.get("reps_w", 10_000)),
-        reps_search=int(sec.get("reps_search", 20_000)),
-        min_recommended_nt=int(sec.get("min_recommended_nt",
-                                       certificate.MIN_NT_RECOMMENDED)),
-        m_stride=int(sec.get("m_stride", 1)), threads=cfg.threads)
+        C0=sec.num("C0"), delta=sec.num("delta"), J=sec.num("J", 8, int),
+        reps_v=sec.num("reps_v", 100_000, int),
+        reps_w=sec.num("reps_w", 10_000, int),
+        reps_search=sec.num("reps_search", 20_000, int),
+        min_recommended_nt=sec.num("min_recommended_nt",
+                                   certificate.MIN_NT_RECOMMENDED, int),
+        m_stride=sec.num("m_stride", 1, int), threads=cfg.threads)
     if kappa_zero:
         report.kappa = 0.0
         report.bound = -report.w_sum

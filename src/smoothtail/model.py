@@ -105,19 +105,6 @@ class MatrixEnsemble:
         """(matrices, probs) for finite-support families, else None."""
         return None
 
-    def scalar_factorization(self):
-        """The fixed matrix P when the family is a positive lognormal scalar
-        times P (so the projective move is deterministic), else None."""
-        return None
-
-    def lognormal_params(self):
-        """(mu, sigma) of the scalar factor for lognormal families, else None."""
-        return None
-
-    def log_scalar_moment(self, s: float) -> float | None:
-        """log E W^s for the scalar factor, when one exists."""
-        return None
-
     def support_nonnegative(self) -> bool:
         raise NotImplementedError
 
@@ -169,44 +156,61 @@ class FiniteSupport(MatrixEnsemble):
 
 
 @dataclass(frozen=True)
-class LognormalScalarMatrix(MatrixEnsemble):
+class LognormalFamily(MatrixEnsemble):
+    """W * D for a scale W ~ LogNormal(mu, sigma2) independent of a direction
+    factor D; each family supplies only the law of D (``directions``)."""
+
+    mu: float
+    sigma2: float
+    bounded_support = False
+
+    def __post_init__(self):
+        if self.sigma2 <= 0:
+            raise SpecError("lognormal family requires sigma2 > 0")
+
+    @property
+    def sigma(self) -> float:
+        return math.sqrt(self.sigma2)
+
+    def directions(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """i.i.d. direction factors D, shape (size, d, d), or (1, d, d) when
+        D is a fixed matrix."""
+        raise NotImplementedError
+
+    def draw(self, rng, size):
+        w = np.exp(self.mu + self.sigma * rng.standard_normal(size))
+        return w[:, None, None] * self.directions(rng, size)
+
+    def lognormal_params(self):
+        """(mu, sigma) of the scale W."""
+        return self.mu, self.sigma
+
+    def log_scalar_moment(self, s: float) -> float:
+        """log E W^s."""
+        return self.mu * s + 0.5 * self.sigma2 * s * s
+
+
+@dataclass(frozen=True)
+class LognormalScalarMatrix(LognormalFamily):
     """W * P for W ~ LogNormal(mu, sigma2) and a fixed matrix P.
 
     With P the 1x1 identity this is the plain scalar-lognormal family.
     """
 
-    mu: float
-    sigma2: float
     matrix: np.ndarray
     family: str = "lognormal_fixed_matrix"
-    bounded_support: bool = False
     finite_moment_s_max: Optional[float] = None
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise SpecError("lognormal family requires sigma2 > 0")
+        super().__post_init__()
         P = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         if P.shape[0] != P.shape[1]:
             raise SpecError("fixed matrix must be square")
         object.__setattr__(self, "matrix", P)
         object.__setattr__(self, "d", P.shape[0])
 
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma2)
-
-    def draw(self, rng, size):
-        w = np.exp(self.mu + self.sigma * rng.standard_normal(size))
-        return w[:, None, None] * self.matrix[None, :, :]
-
-    def scalar_factorization(self):
-        return self.matrix
-
-    def lognormal_params(self):
-        return self.mu, self.sigma
-
-    def log_scalar_moment(self, s):
-        return self.mu * s + 0.5 * self.sigma2 * s * s
+    def directions(self, rng, size):
+        return self.matrix[None, :, :]
 
     def support_nonnegative(self):
         return bool((self.matrix >= -ZERO_TOL).all())
@@ -218,27 +222,19 @@ class LognormalScalarMatrix(MatrixEnsemble):
 
 
 @dataclass(frozen=True)
-class LognormalRotation(MatrixEnsemble):
+class LognormalRotation(LognormalFamily):
     """c * R for c ~ LogNormal(mu, sigma2) and R a Haar rotation of R^d."""
 
-    mu: float
-    sigma2: float
     d: int = 2
     family: str = "lognormal_rotation"
-    bounded_support: bool = False
     finite_moment_s_max: Optional[float] = None
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise SpecError("lognormal family requires sigma2 > 0")
+        super().__post_init__()
         if self.d < 2:
             raise SpecError("rotation family requires d >= 2")
 
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma2)
-
-    def _rotations(self, rng, size):
+    def directions(self, rng, size):
         if self.d == 2:
             theta = rng.uniform(0.0, 2.0 * np.pi, size)
             c, s = np.cos(theta), np.sin(theta)
@@ -251,16 +247,6 @@ class LognormalRotation(MatrixEnsemble):
         det = np.linalg.det(q)
         q[det < 0, :, 0] *= -1.0
         return q
-
-    def draw(self, rng, size):
-        c = np.exp(self.mu + self.sigma * rng.standard_normal(size))
-        return c[:, None, None] * self._rotations(rng, size)
-
-    def lognormal_params(self):
-        return self.mu, self.sigma
-
-    def log_scalar_moment(self, s):
-        return self.mu * s + 0.5 * self.sigma2 * s * s
 
     def support_nonnegative(self):
         return False

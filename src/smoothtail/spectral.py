@@ -161,75 +161,55 @@ def build_grid(spec_or_params, size: Optional[int] = None) -> SphereGrid:
 class OperatorAssembler:
     """Assembles the grid operator at any tilt s from one cached draw set.
 
+    Every ensemble is a law of direction factors D with probabilities,
+    scaled by an independent scalar: the operator at tilt s is the scalar's
+    moment times the direction operator, which scatters each atom's
+    |D^T x_i|^s times its interpolation weights into row i.
+
+    * Finite support: the atoms with their probabilities and moment 1 (one
+      group, exact).
+    * Lognormal families W * D: K = min(mc_reps // groups, 4e6 // G) draws
+      of ``directions`` (one atom when D is fixed) at weight 1/K, and per
+      group the moment E W^s, estimated by importance-stratified sampling
+      (proposal normal shifted by half the exponential tilt, systematic
+      strata over ``groups`` independent uniform offsets), which keeps the
+      integrand's growth bounded so the top stratum cannot dominate.  When
+      |D^T x| = 1 (rotations) every direction-operator row sums to 1, so
+      k(s) is that moment and K only sets the resolution of e_s and nu_s.
+
     Common random numbers across rows and across s values: the root finder
     and finite differences then act on a smooth deterministic surrogate of
-    m(s).  Everything that does not depend on s (draws, direction rows, flat
+    m(s).  Everything that does not depend on s (direction rows, flat
     scatter indices, normal quantiles) is computed once here.
-    Three strategies, picked from family structure:
-
-    * exact enumeration for finite-support ensembles,
-    * scalar moment x deterministic direction rows when the family is a
-      lognormal scalar times a fixed matrix: the scalar moment E W^s is
-      estimated by importance-stratified sampling (proposal normal shifted
-      by half the exponential tilt, systematic strata over ``groups``
-      independent uniform offsets), which keeps the integrand's growth
-      bounded so the top stratum cannot dominate,
-    * generic Monte Carlo with cached matrices otherwise.
     """
 
     def __init__(self, spec: ModelSpec, grid: SphereGrid, mc_reps: int,
                  rng: np.random.Generator, groups: int = 8):
         self.spec = spec
         self.grid = grid
-        self.groups = groups
-        self.rejected_fraction = 0.0
-        atoms = spec.ensemble.atoms()
-        fact = spec.ensemble.scalar_factorization()
+        ens = spec.ensemble
+        atoms = ens.atoms()
         if atoms is not None:
-            self.mode = "exact"
-            mats, probs = atoms
+            mats, self._weights = atoms
             self.mc_reps = 0
-            self._rows = self._direction_rows(np.swapaxes(mats, -1, -2))
-            if (self._rows[0] <= UNDERFLOW).any():
-                raise AssemblyError(
-                    "an ensemble atom annihilates part of the sphere grid "
-                    "(zero row/column); the operator is not defined there")
-            self._probs = probs
-        elif fact is not None:
+            self._quantiles = None
+        else:
             from scipy.special import ndtri
-            self.mode = "scalar"
-            P = fact
             self.mc_reps = mc_reps
             per = max(2, mc_reps // groups)
             # normal quantiles of the cached stratified uniforms; only the
             # tilt shift applied to them depends on s
             self._quantiles = [ndtri((np.arange(per) + rng.random()) / per)
                                for _ in range(groups)]
-            self._lognormal = spec.ensemble.lognormal_params()
-            self._rows = self._direction_rows(P.T[None, :, :])
-        else:
-            self.mode = "mc"
-            self.mc_reps = mc_reps
-            mats = np.swapaxes(spec.ensemble.draw(rng, mc_reps), -1, -2)
-            # reject singular-action draws in chunks; when one chunk holds
-            # every draw (K*G <= 4e6 entries) its rows stay cached, otherwise
-            # assemble_groups rebuilds them chunk by chunk on every call
-            chunk = self._chunk()
-            keep = np.ones(mc_reps, dtype=bool)
-            for a in range(0, mc_reps, chunk):
-                rows = self._direction_rows(mats[a:a + chunk])
-                keep[a:a + chunk] = (rows[0] > UNDERFLOW).all(axis=1)
-            self.rejected_fraction = 1.0 - float(keep.mean())
-            if self.rejected_fraction > 0.01:
-                raise AssemblyError(
-                    f"{self.rejected_fraction:.1%} of draws rejected for singular action")
-            self._mats = mats[keep]
-            self._rows = None
-            if mc_reps <= chunk:
-                self._rows = rows if keep.all() else tuple(r[keep] for r in rows)
-
-    def _chunk(self) -> int:
-        return max(1, 4_000_000 // max(len(self.grid), 1))
+            self._lognormal = ens.lognormal_params()
+            mats = ens.directions(
+                rng, max(1, min(mc_reps // groups, 4_000_000 // len(grid))))
+            self._weights = np.full(len(mats), 1.0 / len(mats))
+        self._rows = self._direction_rows(np.swapaxes(mats, -1, -2))
+        if (self._rows[0] <= UNDERFLOW).any():
+            raise AssemblyError(
+                "an ensemble atom annihilates part of the sphere grid "
+                "(zero row/column); the operator is not defined there")
 
     def _direction_rows(self, mats: np.ndarray):
         """Per (draw, grid point i): |M x_i|, the flat operator indices
@@ -269,33 +249,11 @@ class OperatorAssembler:
 
     def assemble_groups(self, s: float) -> list[np.ndarray]:
         """Independent-group operators (group spread feeds the k standard error)."""
-        G = len(self.grid)
-        if self.mode == "exact":
-            norms, flat, w = self._rows
-            return [self._scatter(norms ** s, flat, w, self._probs)]
-        if self.mode == "scalar":
-            norms, flat, w = self._rows
-            base = self._scatter(norms ** s, flat, w, np.ones(1))
-            return [self._scalar_moment(s, q) * base for q in self._quantiles]
-        K = len(self._mats)
-        bounds = np.linspace(0, K, self.groups + 1).astype(int)
-        out = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b == a:
-                continue
-            coefs = np.full(b - a, 1.0 / (b - a))
-            if self._rows is not None:
-                norms, flat, w = self._rows
-                out.append(self._scatter(norms[a:b] ** s, flat[a:b], w[a:b],
-                                         coefs))
-                continue
-            op = np.zeros((G, G))
-            for c in range(a, b, self._chunk()):
-                e = min(c + self._chunk(), b)
-                norms, flat, w = self._direction_rows(self._mats[c:e])
-                op += self._scatter(norms ** s, flat, w, coefs[:e - c])
-            out.append(op)
-        return out
+        norms, flat, w = self._rows
+        base = self._scatter(norms ** s, flat, w, self._weights)
+        if self._quantiles is None:
+            return [base]
+        return [self._scalar_moment(s, q) * base for q in self._quantiles]
 
 
 # ---------------------------------------------------------------------------

@@ -156,14 +156,14 @@ class StepSampler:
     """Draws walk steps M = A^T, nominally or from a tilted proposal.
 
     The tilted proposal approximates the h-transform kernel
-    q(m | U) ~ |m U|^s e_s(m . U) mu(dm) family by family:
+    q(m | U) ~ |m U|^s e_s(m . U) mu(dm):
 
     * finite support: exact enumeration of the tilted probabilities
       (with e_s interpolated from the grid);
-    * scalar-times-fixed-matrix: conjugate lognormal tilt of the scalar
-      (the direction move is deterministic, so the e_s factor cancels);
-    * scaled rotations: conjugate lognormal tilt of the scale, rotation
-      part left nominal (e_s is constant for transitive isometries).
+    * lognormal families W * D: conjugate lognormal tilt of the scale W,
+      the direction factor D left nominal (for a fixed D the move is
+      deterministic, so |D^T U|^s e_s(D^T . U) cancels; for rotations
+      |D^T U| = 1 and e_s is constant).
 
     Each draw returns the exact log likelihood ratio
     log f_nominal(m) - log f_proposal(m | U) of the step actually taken.
@@ -179,7 +179,6 @@ class StepSampler:
             mats, probs = self._atoms
             self._atoms_T = np.ascontiguousarray(np.swapaxes(mats, -1, -2))
             self._atom_probs = probs
-        self._fact = spec.ensemble.scalar_factorization()
 
     # -- nominal ------------------------------------------------------------
 
@@ -196,13 +195,7 @@ class StepSampler:
             return mats, np.zeros(U.shape[0])
         if self._atoms is not None:
             return self._tilted_atoms(rng, U)
-        ens = self.spec.ensemble
-        log_mom = ens.log_scalar_moment(self.s)
-        if log_mom is None:
-            raise SpecError(f"no tilted sampler for family {ens.family!r}")
-        if self._fact is not None:
-            return self._tilted_scalar_fixed(rng, U, log_mom)
-        return self._tilted_rotation(rng, U, log_mom)
+        return self._tilted_scale(rng, U.shape[0])
 
     def _tilted_atoms(self, rng, U):
         mats_T, probs = self._atoms_T, self._atom_probs
@@ -226,26 +219,15 @@ class StepSampler:
         log_ratio = np.log(probs[idx]) - np.log(q[np.arange(R), idx])
         return picked, log_ratio
 
-    def _tilted_scalar_fixed(self, rng, U, log_mom):
-        P = self._fact
-        R = U.shape[0]
+    def _tilted_scale(self, rng, R):
         # conjugate tilt: density w^s f(w) / E W^s, i.e. mean shift in log space
-        mu, sigma = self.spec.ensemble.lognormal_params()
+        ens = self.spec.ensemble
+        mu, sigma = ens.lognormal_params()
         z = rng.standard_normal(R)
         logw = mu + sigma * sigma * self.s + sigma * z
-        w = np.exp(logw)
-        mats = w[:, None, None] * P.T[None, :, :]
-        log_ratio = log_mom - self.s * logw
-        return mats, log_ratio
-
-    def _tilted_rotation(self, rng, U, log_mom):
-        ens = self.spec.ensemble
-        R = U.shape[0]
-        z = rng.standard_normal(R)
-        logc = ens.mu + ens.sigma * ens.sigma * self.s + ens.sigma * z
-        rots = ens._rotations(rng, R)
-        mats = np.exp(logc)[:, None, None] * np.swapaxes(rots, -1, -2)
-        log_ratio = log_mom - self.s * logc
+        dirs_T = np.swapaxes(ens.directions(rng, R), -1, -2)
+        mats = np.exp(logw)[:, None, None] * dirs_T
+        log_ratio = ens.log_scalar_moment(self.s) - self.s * logw
         return mats, log_ratio
 
 

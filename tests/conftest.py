@@ -23,6 +23,11 @@ BETA_D1 = 2.0 + 2.0 * SQ
 RHO_D1 = SQ
 MEAN_D1 = 1.0 / (1.0 - 2.0 * math.exp(-0.75))
 K_BETA_D1 = 0.5
+# d2_rotation_spec: m(s) = 2 E c^s = 2 exp(-s + s^2/8)
+SQ_ROT = math.sqrt(1.0 - math.log(2.0) / 2.0)
+ALPHA_ROT = 4.0 - 4.0 * SQ_ROT
+BETA_ROT = 4.0 + 4.0 * SQ_ROT
+RHO_ROT = SQ_ROT
 LAMBDA_P = (3.0 + math.sqrt(5.0)) / 2.0
 K1_D2 = math.exp(-0.875) * LAMBDA_P
 

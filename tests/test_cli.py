@@ -204,6 +204,39 @@ def test_solve_index_no_second_root_exit_5(tmp_path):
     assert _run(tmp_path, "solve-index", cfg) == 5
 
 
+NUMERIC_BASE = {
+    "tails": {"pool": "pool.bin", "beta": 3.0},
+    "certificate": {"pool": "pool.bin", "beta": 3.0, "rho": 0.5,
+                    "k_beta": 0.5, "t": 10.0},
+}
+
+
+@pytest.mark.parametrize("command, where, key, value", [
+    ("validate", "config", "seed", "x"),
+    ("validate", "config", "threads", "two"),
+    ("validate", "validate", "reps", "many"),
+    ("spectrum", "spectrum", "mc_reps", "lots"),
+    ("spectrum", "spectrum", "s_grid", [0.0, "x"]),
+    ("solve-index", "solve_index", "s_max", "x"),
+    ("solve-index", "solve_index", "grid_size", "big"),
+    ("simulate", "simulate", "generations", "two"),
+    ("tails", "tails", "beta", "abc"),
+    ("tails", "tails", "n_boot", 1e400),
+    ("certificate", "certificate", "C0", "big"),
+    ("certificate", "certificate", "delta", [0.2]),
+])
+def test_non_numeric_config_value_exit_2(tmp_path, capsys, command, where,
+                                         key, value):
+    pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
+                          generation=1, converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    sec = command.replace("-", "_")
+    cfg = {"model": D1_MODEL, "seed": 1, sec: dict(NUMERIC_BASE.get(sec, {}))}
+    (cfg if where == "config" else cfg[sec])[key] = value
+    assert _run(tmp_path, command, cfg) == 2
+    assert f"{where}.{key}: non-numeric value" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate / tails / certificate
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (ALPHA_D1, BETA_D1, K1_D2, RHO_D1, d1_lognormal_spec,
-                      d1_quarter_spec, d2_finite_pair_spec,
-                      d2_lognormal_matrix_spec, d2_rotation_spec)
+from conftest import (ALPHA_D1, ALPHA_ROT, BETA_D1, BETA_ROT, K1_D2, RHO_D1,
+                      RHO_ROT, d1_lognormal_spec, d1_quarter_spec,
+                      d2_finite_pair_spec, d2_lognormal_matrix_spec,
+                      d2_rotation_spec)
 from smoothtail.errors import NoRootError, NoSecondRootError
 from smoothtail.rng import substream
 from smoothtail.spectral import (OperatorAssembler, _brent_min, _brent_root,
@@ -65,20 +66,6 @@ def test_operator_d1_scalar_moment():
     assert op[0, 0] == pytest.approx(math.exp(-0.75), rel=1e-3)
 
 
-def test_rotation_cached_rows_match_rebuild():
-    spec = d2_rotation_spec()
-    assembler = OperatorAssembler(spec, build_grid(spec, size=32), 4000,
-                                  substream(25, "o"))
-    assert assembler._rows is not None
-    cached = {s: assembler.assemble_groups(s) for s in (0.0, 1.0, 4.0)}
-    assembler._rows = None
-    for s, ops in cached.items():
-        rebuilt = assembler.assemble_groups(s)
-        assert len(rebuilt) == len(ops) == 8
-        for a, b in zip(ops, rebuilt):
-            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
-
-
 def test_scalar_moment_cached_quantiles_at_beta():
     spec = d1_lognormal_spec()
     assembler = OperatorAssembler(spec, build_grid(spec), 400_000,
@@ -97,6 +84,20 @@ def test_operator_rotation_row_sums():
     op = OperatorAssembler(spec, grid, 20_000, substream(4, "o")).assemble(1.0)
     target = math.exp(-1.0 + 0.125)        # E c^1
     assert np.allclose(op.sum(axis=1), target, rtol=0.05)
+
+
+def test_rotation_group_rows_sum_to_group_moment():
+    # |R^T x| = 1 and the interpolation weights sum to 1, so each row of a
+    # group operator is that group's stratified estimate of E c^s
+    spec = d2_rotation_spec()
+    assembler = OperatorAssembler(spec, build_grid(spec, size=64), 20_000,
+                                  substream(27, "o"))
+    for s in (0.0, 1.0, 7.2):
+        ops = assembler.assemble_groups(s)
+        assert len(ops) == len(assembler._quantiles) == 8
+        for op, q in zip(ops, assembler._quantiles):
+            moment = assembler._scalar_moment(s, q)
+            np.testing.assert_allclose(op.sum(axis=1), moment, rtol=1e-12)
 
 
 def test_power_iteration_identity():
@@ -245,6 +246,15 @@ def test_solve_alpha_beta_reference(monkeypatch):
     assert sol.k_beta * 2.0 == pytest.approx(sol.m_beta, rel=1e-12)
 
 
+def test_solve_alpha_beta_rotation_oracle():
+    spec = d2_rotation_spec()
+    sol = solve_alpha_beta(spec, s_max=12.0, tol=1e-7, rng=substream(19, "s"),
+                           grid=build_grid(spec, size=64), mc_reps=200_000)
+    assert abs(sol.alpha - ALPHA_ROT) < 0.01
+    assert abs(sol.beta - BETA_ROT) < 0.02
+    assert sol.rho == pytest.approx(RHO_ROT, rel=0.02)
+
+
 def test_solve_no_second_root():
     spec = d1_quarter_spec()       # m(s) = 2 * 4^{-s}, strictly decreasing
     with pytest.raises(NoSecondRootError) as exc:
@@ -298,22 +308,6 @@ def test_solve_no_root_when_m_above_one():
     with pytest.raises(NoRootError):
         solve_alpha_beta(spec, s_max=3.0, tol=1e-6, rng=substream(21, "s"),
                          mc_reps=20_000)
-
-
-def test_assembly_rejects_frequent_singular_draws():
-    from smoothtail.errors import AssemblyError
-    from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
-    mats = np.array([[[0.0, 0.0], [0.0, 0.0]],
-                     [[1.0, 1.0], [1.0, 2.0]]])
-    spec = ModelSpec(dimension=2, branching=Branching(mode="fixed", n=2),
-                     ensemble=FiniteSupport(matrices=mats,
-                                            probs=np.array([0.05, 0.95])),
-                     q_law=QLaw(kind="zero"), geom_class="nonnegative-C")
-    # force the generic MC path by hiding the atoms
-    object.__setattr__(spec.ensemble, "atoms", lambda: None)
-    with pytest.raises(AssemblyError):
-        OperatorAssembler(spec, build_grid(spec, 32), 20_000,
-                          substream(22, "o"))
 
 
 def test_power_iteration_oscillation_detected():
