@@ -36,10 +36,6 @@ def node_prefix(i: NodeId, k: int) -> NodeId:
     return i[:k]
 
 
-def node_concat(i: NodeId, j: NodeId) -> NodeId:
-    return i + j
-
-
 def node_leq(i: NodeId, j: NodeId) -> bool:
     """i <= j iff i is an ancestor-or-self of j."""
     return len(i) <= len(j) and j[:len(i)] == i
@@ -74,9 +70,6 @@ class WeightedTree:
     depth: int
     d: int
     mode: str                        # branching mode tag
-
-    def __contains__(self, i: NodeId) -> bool:
-        return i in self.nodes
 
     def children(self, i: NodeId) -> list[NodeId]:
         return [i + (j,) for j in range(1, self.nodes[i].n_children + 1)]
@@ -238,21 +231,30 @@ class FixedPointPool:
         return self.vectors.shape[1]
 
 
-def _innovation_batch(spec: ModelSpec, size: int, rng: np.random.Generator):
-    """(N (size,), A (size, n_max, d, d), Q (size, d)) with slots >= N zeroed."""
+def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
+                  rng: np.random.Generator, skip: int = 0) -> np.ndarray:
+    """size draws of sum_{skip < i <= N} A_i X_i + Q, (size, d), from fresh
+    innovations (N, (A_i), Q) with the X_i resampled uniformly with
+    replacement from pool.
+
+    skip = 0 is one population-dynamics step; skip = 1 leaves out the first
+    child, which gives the side sums Z of the path decomposition.  Draw
+    order: N, the A_i (slots past N zeroed), Q, then the pool indices.
+    """
     d = spec.d
     n = spec.branching.sample(rng, size)
-    n_max = int(n.max()) if size else 0
-    if n_max > 0:
-        mats = spec.ensemble.draw(rng, size * n_max).reshape(size, n_max, d, d)
+    slots = max(int(n.max()) - skip, 0) if size else 0
+    if slots > 0:
+        mats = spec.ensemble.draw(rng, size * slots).reshape(size, slots, d, d)
         check_class(spec, mats.reshape(-1, d, d))
-        mask = np.arange(1, n_max + 1)[None, :] <= n[:, None]
+        mask = np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None]
         if not mask.all():
             mats = mats * mask[:, :, None, None]
-    else:
-        mats = np.zeros((size, 0, d, d))
-    q = spec.q_law.draw(rng, size, d)
-    return n, mats, q
+    out = spec.q_law.draw(rng, size, d).astype(float)
+    if slots > 0:
+        idx = rng.integers(0, pool.shape[0], size=(size, slots))
+        out += matvec_sum(mats, pool[idx])
+    return out
 
 
 def population_iterate(spec: ModelSpec, pool: np.ndarray,
@@ -260,21 +262,13 @@ def population_iterate(spec: ModelSpec, pool: np.ndarray,
     """One generation: each output is sum_i A_i X_i + Q with X_i resampled
     uniformly with replacement from the input pool."""
     pool = np.atleast_2d(np.asarray(pool, dtype=float))
-    size, d = pool.shape
-    if size == 0:
+    if pool.shape[0] == 0:
         raise SpecError("pool must be nonempty")
-    n, mats, q = _innovation_batch(spec, size, rng)
-    n_max = mats.shape[1]
-    out = q.astype(float)
-    if n_max > 0:
-        idx = rng.integers(0, size, size=(size, n_max))
-        out += matvec_sum(mats, pool[idx])
+    out = resampled_sum(spec, pool, pool.shape[0], rng)
     if not np.isfinite(out).all():
         # one retry per flagged sample, then give up
         redo = np.flatnonzero(~np.isfinite(out).all(axis=1))
-        n2, mats2, q2 = _innovation_batch(spec, len(redo), rng)
-        idx2 = rng.integers(0, size, size=(len(redo), mats2.shape[1]))
-        out[redo] = q2 + matvec_sum(mats2, pool[idx2])
+        out[redo] = resampled_sum(spec, pool, len(redo), rng)
         if not np.isfinite(out).all():
             raise SpecError("numeric overflow persisted after resampling")
     return out

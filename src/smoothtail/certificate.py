@@ -20,10 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+from .branching import resampled_sum
 from .errors import CoverageError, NondegeneracyError, SpecError
 from .model import CLASS_NONNEG, ModelSpec
 from .rng import parallel_map, spawn
-from .walks import (StepSampler, effective_sample_size, matvec_sum,
+from .walks import (StepSampler, effective_sample_size, method_tilt,
                     run_walks, tilted_batch, vec_norm, weighted_mean)
 
 MIN_NT_HARD = 4
@@ -127,23 +128,11 @@ def _indicator_V_batch(opnorm_log_hist: np.ndarray, S_final: np.ndarray,
 
 def draw_z_marks(spec: ModelSpec, pool_vectors: np.ndarray, count: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """|Z| draws for Z = sum_{i=2}^N A_i X_i + Q, with X_i resampled from a
-    converged pool (the only available sampler for the fixed-point law)."""
-    d = spec.d
-    pool_vectors = np.atleast_2d(pool_vectors)
-    npool = pool_vectors.shape[0]
-    nvals = spec.branching.sample(rng, count)
-    slots = int(max(nvals.max() - 1, 0))
-    out = spec.q_law.draw(rng, count, d).astype(float)
-    if slots > 0:
-        mats = spec.ensemble.draw(rng, count * slots).reshape(count, slots, d, d)
-        idx = rng.integers(0, npool, size=(count, slots))
-        xs = pool_vectors[idx]
-        mask = (np.arange(slots)[None, :] < (nvals - 1)[:, None])
-        if not mask.all():
-            mats = mats * mask[:, :, None, None]
-        out += matvec_sum(mats, xs)
-    return vec_norm(out, spec.norm)
+    """|Z| draws for Z = sum_{i=2}^N A_i X_i + Q: a population-dynamics
+    innovation without its first child, with X_i resampled from a converged
+    pool (the only available sampler for the fixed-point law)."""
+    return vec_norm(resampled_sum(spec, np.atleast_2d(pool_vectors), count,
+                                  rng, skip=1), spec.norm)
 
 
 @dataclass
@@ -184,15 +173,8 @@ def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
     if u is None:
         u = np.zeros(spec.d)
         u[0] = 1.0
-    if method == "tilted":
-        if beta is None:
-            raise SpecError("tilted estimate needs the tilt parameter beta")
-        batch = tilted_batch(spec, u, n, beta, spectral, reps, rng,
-                             record_hist=True)
-    elif method == "naive":
-        batch = run_walks(spec, u, n, reps, rng, record_hist=True)
-    else:
-        raise SpecError(f"unknown method {method!r}")
+    batch = tilted_batch(spec, u, n, method_tilt(method, beta), spectral,
+                         reps, rng, record_hist=True)
     z = draw_z_marks(spec, pool_vectors, reps * n, rng).reshape(reps, n)
     z_log = np.log(np.maximum(z, 1.0))
     ind = _indicator_V_batch(batch.opnorm_log_hist, batch.S, z_log, params, n)
@@ -207,12 +189,8 @@ def estimate_tail_prob(spec: ModelSpec, n: int, t: float, reps: int,
     if u is None:
         u = np.zeros(spec.d)
         u[0] = 1.0
-    if method == "tilted":
-        if beta is None:
-            raise SpecError("tilted estimate needs beta")
-        batch = tilted_batch(spec, u, n, beta, spectral, reps, rng)
-    else:
-        batch = run_walks(spec, u, n, reps, rng)
+    batch = tilted_batch(spec, u, n, method_tilt(method, beta), spectral,
+                         reps, rng)
     return _summarize(batch.S > math.log(t), batch.log_weight, method)
 
 
@@ -233,22 +211,16 @@ def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
     if u is None:
         u = np.zeros(spec.d)
         u[0] = 1.0
-    tilt = beta if method == "tilted" else 0.0
-    if method == "tilted" and beta is None:
-        raise SpecError("tilted estimate needs beta")
-    sampler = StepSampler(spec, s=tilt,
+    sampler = StepSampler(spec, s=method_tilt(method, beta),
                           e_interp=None if spectral is None else spectral.e_interp)
-    pre = run_walks(spec, u, m, reps, rng, sampler=sampler,
-                    tilted=method == "tilted", record_hist=True)
+    pre = run_walks(spec, u, m, reps, rng, sampler=sampler, record_hist=True)
     log_t = math.log(params.t)
     meet_ok = pre.opnorm_log_hist[:, m] <= math.log(params.C0 * params.t) \
         - params.delta * (p - m)
-    br1 = run_walks(spec, pre.U, p - m, reps, rng, sampler=sampler,
-                    tilted=method == "tilted")
+    br1 = run_walks(spec, pre.U, p - m, reps, rng, sampler=sampler)
     ok1 = pre.S + br1.S > log_t
     if q > m:
-        br2 = run_walks(spec, pre.U, q - m, reps, rng, sampler=sampler,
-                        tilted=method == "tilted")
+        br2 = run_walks(spec, pre.U, q - m, reps, rng, sampler=sampler)
         ok2 = pre.S + br2.S > log_t
         logw = pre.log_weight + br1.log_weight + br2.log_weight
     else:
@@ -557,7 +529,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
                 reps_v: int = 100_000, reps_w: int = 10_000,
                 reps_search: int = 20_000,
                 min_recommended_nt: int = MIN_NT_RECOMMENDED,
-                m_stride: int = 1, threads: int = 1) -> CertificateReport:
+                threads: int = 1) -> CertificateReport:
     """Evaluate kappa * sum P(V) - sum P(W) over the sparse subtree.
 
     The sum over the subtree uses expected node counts times per-level
@@ -587,7 +559,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     cones = cone_family(pool_vectors, J, eparams, spec)
     geoms = [(p, q, m)
              for p in levels for q in levels if q <= p
-             for m in range(0, (q - 1 if q == p else q) + 1, m_stride)]
+             for m in range(0, (q - 1 if q == p else q) + 1)]
     v_streams = spawn(rng, len(levels))
     w_streams = spawn(rng, len(geoms))
 

@@ -134,6 +134,13 @@ def model_to_jsonable(spec: ModelSpec) -> dict:
 # config handling
 # ---------------------------------------------------------------------------
 
+def _floats(values) -> list[float]:
+    """A JSON number or list of numbers as floats (a Section.num converter)."""
+    if not isinstance(values, (list, tuple)):
+        values = [values]
+    return [float(v) for v in values]
+
+
 class Section(dict):
     """One config section, named in the errors its values raise."""
 
@@ -151,6 +158,14 @@ class Section(dict):
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(
                 f"{self.name}.{key}: non-numeric value {value!r}") from None
+
+    def direction(self, key: str, d: int) -> np.ndarray:
+        """self[key] as a d-vector, e_1 when absent."""
+        u = np.asarray(self.num(key, [1.0] + [0.0] * (d - 1), _floats))
+        if u.shape != (d,):
+            raise ConfigError(
+                f"{self.name}.{key}: length {u.size}, the model dimension is {d}")
+        return u
 
 
 class RunConfig:
@@ -228,8 +243,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     sec = cfg.section("spectrum")
     fp = cfg.fingerprint("spectrum")
-    s_grid = sec.num("s_grid", [0.0, 0.5, 1.0],
-                     lambda v: [float(s) for s in v])
+    s_grid = sec.num("s_grid", [0.0, 0.5, 1.0], _floats)
     mc_reps = sec.num("mc_reps", 200_000, int)
     grid = spectral.build_grid(cfg.spec, size=sec.num("grid_size", None, int))
     en = cfg.spec.mean_children()
@@ -281,7 +295,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     generations = sec.num("generations", 60, int)
     replicates = sec.num("replicates", 8, int)
     drift_tol = sec.num("drift_tol", 0.02)
-    x0 = np.asarray(sec.get("x0", [0.0] * cfg.spec.d), dtype=float)
+    x0 = np.asarray(sec.num("x0", [0.0] * cfg.spec.d, _floats))
     rngs = [substream(cfg.seed, "simulate", i) for i in range(replicates)]
     pool = branching.sample_fixed_point_replicated(
         cfg.spec, generations, pool_size, x0, rngs, drift_tol=drift_tol,
@@ -302,7 +316,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _load_beta(cfg: RunConfig, sec: Section) -> tuple[float, float, float]:
-    """(beta, rho, k_beta) from explicit config values or a solution file."""
+    """(beta, rho, k_beta) from explicit config values or a solution file;
+    a value the config or the file leaves out is None."""
     if "beta" in sec:
         return (sec.num("beta"), sec.num("rho", 0.0) or None,
                 sec.num("k_beta", 0.0) or None)
@@ -310,10 +325,13 @@ def _load_beta(cfg: RunConfig, sec: Section) -> tuple[float, float, float]:
         path = cfg.resolve(sec["solution"])
         doc = artifacts.read_json(path)
         try:
-            return float(doc["beta"]), float(doc["rho"]), float(doc["k_beta"])
+            beta = float(doc["beta"])
+            rho, k_beta = (None if doc.get(k) is None else float(doc[k])
+                           for k in ("rho", "k_beta"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: not a solve-index solution "
                               f"({type(exc).__name__}: {exc})")
+        return beta, rho, k_beta
     raise ConfigError("need 'beta' or 'solution' in the command section")
 
 
@@ -326,13 +344,14 @@ def cmd_tails(cfg: RunConfig) -> int:
     if not pool_path.exists():
         raise ConfigError(f"pool file not found: {pool_path}")
     pool = artifacts.read_pool(pool_path)
-    beta, _, _ = _load_beta(cfg, sec)
-    u = np.asarray(sec.get("u", [1.0] + [0.0] * (cfg.spec.d - 1)), dtype=float)
+    beta = _load_beta(cfg, sec)[0]
+    u = sec.direction("u", cfg.spec.d)
     rng = substream(cfg.seed, "tails")
     report = tails.tail_report(
         pool.vectors, u, beta, rng=rng,
-        window_quantiles=tuple(sec.get("window_quantiles", (0.99, 0.9999))),
-        k_fracs=tuple(sec.get("k_fracs", (0.01, 0.005, 0.002))),
+        window_quantiles=tuple(sec.num("window_quantiles", (0.99, 0.9999),
+                                       _floats)),
+        k_fracs=tuple(sec.num("k_fracs", (0.01, 0.005, 0.002), _floats)),
         n_points=sec.num("n_points", 25, int),
         n_boot=sec.num("n_boot", 200, int),
         ratio_max=sec.num("ratio_max", tails.FLATNESS_RATIO_MAX))
@@ -379,7 +398,7 @@ def cmd_certificate(cfg: RunConfig) -> int:
     beta, rho, k_beta = _load_beta(cfg, sec)
     if rho is None or k_beta is None:
         raise ConfigError("certificate needs rho and k_beta (or a solution file)")
-    u = np.asarray(sec.get("u", [1.0] + [0.0] * (cfg.spec.d - 1)), dtype=float)
+    u = sec.direction("u", cfg.spec.d)
     if "t" in sec:
         t = sec.num("t")
     elif "t_quantile" in sec:
@@ -398,7 +417,7 @@ def cmd_certificate(cfg: RunConfig) -> int:
         reps_search=sec.num("reps_search", 20_000, int),
         min_recommended_nt=sec.num("min_recommended_nt",
                                    certificate.MIN_NT_RECOMMENDED, int),
-        m_stride=sec.num("m_stride", 1, int), threads=cfg.threads)
+        threads=cfg.threads)
     if kappa_zero:
         report.kappa = 0.0
         report.bound = -report.w_sum

@@ -65,16 +65,6 @@ class Branching:
             return float(self.n)
         return float(sum(k * p for k, p in zip(self.support, self.probs)))
 
-    def max_children(self) -> int:
-        if self.mode == "fixed":
-            return self.n
-        return max(self.support)
-
-    def min_children(self) -> int:
-        if self.mode == "fixed":
-            return self.n
-        return min(k for k, p in zip(self.support, self.probs) if p > 0)
-
     def sample(self, rng: np.random.Generator, size: int | None = None):
         if self.mode == "fixed":
             if size is None:
@@ -180,10 +170,6 @@ class LognormalFamily(MatrixEnsemble):
     def draw(self, rng, size):
         w = np.exp(self.mu + self.sigma * rng.standard_normal(size))
         return w[:, None, None] * self.directions(rng, size)
-
-    def lognormal_params(self):
-        """(mu, sigma) of the scale W."""
-        return self.mu, self.sigma
 
     def log_scalar_moment(self, s: float) -> float:
         """log E W^s."""
@@ -297,13 +283,6 @@ class QLaw:
         if self.kind == "deterministic":
             return bool((self.vector == 0).all())
         return bool((self.vectors == 0).all())
-
-    def mean(self, d: int) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(d)
-        if self.kind == "deterministic":
-            return self.vector.copy()
-        return self.probs @ self.vectors
 
     def draw(self, rng: np.random.Generator, size: int, d: int) -> np.ndarray:
         if self.kind == "zero":

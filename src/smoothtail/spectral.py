@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import AssemblyError, ConvergenceError, NoRootError, NoSecondRootError, SpecError
 from .model import CLASS_NONNEG, ModelSpec
-from .walks import StepSampler, UNDERFLOW, run_walks, vec_norm, weighted_mean
+from .walks import (StepSampler, UNDERFLOW, method_tilt, run_walks, vec_norm,
+                    weighted_mean)
 
 DEFAULT_GRID_D2 = 256
 DEFAULT_GRID_HIGH = 512
@@ -55,13 +56,6 @@ class SphereGrid:
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         n = dirs.shape[0]
         G = len(self.points)
-        if self.geometry == "halfline":
-            return np.zeros((n, 2), dtype=np.int64), np.column_stack(
-                [np.ones(n), np.zeros(n)])
-        if self.geometry == "pm1":
-            idx0 = (dirs[:, 0] < 0).astype(np.int64)
-            return np.column_stack([idx0, idx0]), np.column_stack(
-                [np.ones(n), np.zeros(n)])
         if self.geometry == "quarter_circle":
             step = (math.pi / 2) / G
             t = self._angles(np.abs(dirs)) / step - 0.5
@@ -80,7 +74,7 @@ class SphereGrid:
             idx = np.column_stack([j0, (j0 + 1) % G])
             w = np.column_stack([1.0 - frac, frac])
             return idx, w
-        # nearest neighbor on high-dimensional grids
+        # nearest neighbor on the d = 1 and high-dimensional grids
         j = self.cell_index(dirs)
         return np.column_stack([j, j]), np.column_stack([np.ones(n), np.zeros(n)])
 
@@ -92,10 +86,6 @@ class SphereGrid:
         """Nearest grid cell per direction (used for orbit coverage counts)."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         G = len(self.points)
-        if self.geometry == "halfline":
-            return np.zeros(dirs.shape[0], dtype=np.int64)
-        if self.geometry == "pm1":
-            return (dirs[:, 0] < 0).astype(np.int64)
         if self.geometry == "quarter_circle":
             step = (math.pi / 2) / G
             t = self._angles(np.abs(dirs)) / step - 0.5
@@ -201,7 +191,7 @@ class OperatorAssembler:
             # tilt shift applied to them depends on s
             self._quantiles = [ndtri((np.arange(per) + rng.random()) / per)
                                for _ in range(groups)]
-            self._lognormal = ens.lognormal_params()
+            self._lognormal = ens.mu, ens.sigma
             mats = ens.directions(
                 rng, max(1, min(mc_reps // groups, 4_000_000 // len(grid))))
             self._weights = np.full(len(mats), 1.0 / len(mats))
@@ -337,14 +327,12 @@ class SpectralResult:
 
 
 def k_grid(spec: ModelSpec, s: float, grid: Optional[SphereGrid] = None,
-           mc_reps: int = 200_000, rng: Optional[np.random.Generator] = None,
-           assembler: Optional[OperatorAssembler] = None) -> SpectralResult:
+           mc_reps: int = 200_000,
+           rng: Optional[np.random.Generator] = None) -> SpectralResult:
     """Spectral radius at tilt s by operator discretization plus power iteration."""
-    if assembler is None:
-        if rng is None:
-            raise SpecError("k_grid needs an rng when no assembler is supplied")
-        grid = grid or build_grid(spec)
-        assembler = OperatorAssembler(spec, grid, mc_reps, rng)
+    if rng is None:
+        raise SpecError("k_grid needs an rng")
+    assembler = OperatorAssembler(spec, grid or build_grid(spec), mc_reps, rng)
     if not spec.ensemble.moment_finite(s):
         raise AssemblyError(f"family declares E||M||^s infinite at s={s}")
     group_ops = assembler.assemble_groups(s)
@@ -381,9 +369,10 @@ def k_by_products(spec: ModelSpec, s: float, n_list, reps: int,
                   spectral: Optional[SpectralResult] = None) -> ProductsEstimate:
     """Fit log E||Pi_n||^s against n; the slope exponentiates to k(s).
 
-    The naive estimator collapses for heavy-tailed summands (relative SE
-    grows like a power of k(2s)/k(s)^2 per step); the tilted method keeps
-    the same expectation with exponential variance reduction.
+    The naive estimator (the tilt-0 walk) collapses for heavy-tailed
+    summands (relative SE grows like a power of k(2s)/k(s)^2 per step); the
+    tilted method walks at tilt s and keeps the same expectation, through
+    the running log weights, with exponential variance reduction.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if len(n_list) < 2:
@@ -391,22 +380,14 @@ def k_by_products(spec: ModelSpec, s: float, n_list, reps: int,
     n_max = max(n_list)
     u0 = np.zeros(spec.d)
     u0[0] = 1.0
-    if method == "naive":
-        batch = run_walks(spec, u0, n_max, reps, rng, sampler=StepSampler(spec),
-                          record_hist=True)
-    elif method == "tilted":
-        sampler = StepSampler(spec, s=s,
-                              e_interp=None if spectral is None else spectral.e_interp)
-        batch = run_walks(spec, u0, n_max, reps, rng, sampler=sampler,
-                          tilted=True, record_hist=True)
-    else:
-        raise SpecError(f"unknown method {method!r}")
+    sampler = StepSampler(spec, s=method_tilt(method, s),
+                          e_interp=None if spectral is None else spectral.e_interp)
+    batch = run_walks(spec, u0, n_max, reps, rng, sampler=sampler,
+                      record_hist=True)
     rows = []
     low_conf = False
     for n in n_list:
-        logvals = s * batch.opnorm_log_hist[:, n]
-        if method == "tilted":
-            logvals = logvals + batch.log_weight_hist[:, n]
+        logvals = s * batch.opnorm_log_hist[:, n] + batch.log_weight_hist[:, n]
         mean, se = weighted_mean(np.ones(reps), logvals)
         if not (mean > 0) or not np.isfinite(mean):
             raise AssemblyError(f"empirical moment vanished at n={n}")

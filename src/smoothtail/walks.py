@@ -153,11 +153,13 @@ def _unit(u0: np.ndarray, norm: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class StepSampler:
-    """Draws walk steps M = A^T, nominally or from a tilted proposal.
+    """Draws walk steps M = A^T from the tilted proposal at tilt s.
 
-    The tilted proposal approximates the h-transform kernel
+    The proposal approximates the h-transform kernel
     q(m | U) ~ |m U|^s e_s(m . U) mu(dm):
 
+    * s = 0: the nominal law mu itself, with zero log ratios (the nominal
+      walk is the tilt-0 walk);
     * finite support: exact enumeration of the tilted probabilities
       (with e_s interpolated from the grid);
     * lognormal families W * D: conjugate lognormal tilt of the scale W,
@@ -180,22 +182,15 @@ class StepSampler:
             self._atoms_T = np.ascontiguousarray(np.swapaxes(mats, -1, -2))
             self._atom_probs = probs
 
-    # -- nominal ------------------------------------------------------------
-
-    def nominal(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        mats = self.spec.ensemble.draw(rng, size)
-        return np.swapaxes(mats, -1, -2)
-
-    # -- tilted -------------------------------------------------------------
-
     def tilted(self, rng: np.random.Generator, U: np.ndarray):
         """(M (R,d,d), log_ratio (R,)) given current directions U (R,d)."""
+        R = U.shape[0]
         if self.s == 0.0:
-            mats = self.nominal(rng, U.shape[0])
-            return mats, np.zeros(U.shape[0])
+            mats = self.spec.ensemble.draw(rng, R)
+            return np.swapaxes(mats, -1, -2), np.zeros(R)
         if self._atoms is not None:
             return self._tilted_atoms(rng, U)
-        return self._tilted_scale(rng, U.shape[0])
+        return self._tilted_scale(rng, R)
 
     def _tilted_atoms(self, rng, U):
         mats_T, probs = self._atoms_T, self._atom_probs
@@ -222,9 +217,9 @@ class StepSampler:
     def _tilted_scale(self, rng, R):
         # conjugate tilt: density w^s f(w) / E W^s, i.e. mean shift in log space
         ens = self.spec.ensemble
-        mu, sigma = ens.lognormal_params()
+        sigma = ens.sigma
         z = rng.standard_normal(R)
-        logw = mu + sigma * sigma * self.s + sigma * z
+        logw = ens.mu + sigma * sigma * self.s + sigma * z
         dirs_T = np.swapaxes(ens.directions(rng, R), -1, -2)
         mats = np.exp(logw)[:, None, None] * dirs_T
         log_ratio = ens.log_scalar_moment(self.s) - self.s * logw
@@ -237,20 +232,21 @@ class WalkBatch:
 
     U: np.ndarray              # (R, d) final directions
     S: np.ndarray              # (R,) final log scales
-    log_weight: np.ndarray     # (R,) log importance weights (zeros when nominal)
+    log_weight: np.ndarray     # (R,) log importance weights (zeros at tilt 0)
     opnorm_log_hist: Optional[np.ndarray] = None  # (R, n+1) log ||Pi*_k||
-    log_weight_hist: Optional[np.ndarray] = None  # (R, n+1), tilted runs only
+    log_weight_hist: Optional[np.ndarray] = None  # (R, n+1) log weights after k steps
 
 
 def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
               rng: np.random.Generator, sampler: Optional[StepSampler] = None,
-              tilted: bool = False, record_hist: bool = False) -> WalkBatch:
-    """Run reps independent paths of length n, optionally tilted.
+              record_hist: bool = False) -> WalkBatch:
+    """Run reps independent paths of length n with steps from sampler.
 
-    u0 may be one direction or a (reps, d) array of per-path starting
-    directions.  With record_hist the per-step log scales and log operator
-    norms of the partial products Pi*_k are kept (needed by the event
-    indicators).
+    The default sampler is the tilt-0 one, i.e. the nominal walk with zero
+    log weights.  u0 may be one direction or a (reps, d) array of per-path
+    starting directions.  With record_hist the per-step log operator norms
+    of the partial products Pi*_k and the running log weights are kept
+    (needed by the event indicators and the moment regression).
     """
     if sampler is None:
         sampler = StepSampler(spec)
@@ -269,13 +265,10 @@ def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
         G = np.broadcast_to(np.eye(d), (reps, d, d)).copy()
         g_scale = np.zeros(reps)
         opn_hist = np.zeros((reps, n + 1))
-        logw_hist = np.zeros((reps, n + 1)) if tilted else None
+        logw_hist = np.zeros((reps, n + 1))
     for k in range(n):
-        if tilted:
-            mats, lr = sampler.tilted(rng, U)
-            logw += lr
-        else:
-            mats = sampler.nominal(rng, reps)
+        mats, lr = sampler.tilted(rng, U)
+        logw += lr
         y = matvec_sum(mats[:, None], U[:, None])
         nrm = vec_norm(y, spec.norm)
         bad = nrm <= UNDERFLOW
@@ -290,8 +283,7 @@ def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
             G /= gn[:, None, None]
             g_scale += np.log(gn)
             opn_hist[:, k + 1] = g_scale
-            if tilted:
-                logw_hist[:, k + 1] = logw
+            logw_hist[:, k + 1] = logw
     return WalkBatch(U=U, S=S, log_weight=logw,
                      opnorm_log_hist=opn_hist if record_hist else None,
                      log_weight_hist=logw_hist if record_hist else None)
@@ -303,8 +295,19 @@ def tilted_batch(spec: ModelSpec, u0: np.ndarray, n: int, s: float, spectral,
     """Vectorized tilted paths (the estimator workhorse)."""
     sampler = StepSampler(spec, s=s,
                           e_interp=None if spectral is None else spectral.e_interp)
-    return run_walks(spec, u0, n, reps, rng, sampler=sampler, tilted=True,
+    return run_walks(spec, u0, n, reps, rng, sampler=sampler,
                      record_hist=record_hist)
+
+
+def method_tilt(method: str, s: Optional[float]) -> float:
+    """The tilt an estimator method walks at: 0 for "naive", s for "tilted"."""
+    if method == "naive":
+        return 0.0
+    if method != "tilted":
+        raise SpecError(f"unknown method {method!r}")
+    if s is None:
+        raise SpecError("tilted estimate needs the tilt parameter")
+    return s
 
 
 def effective_sample_size(log_weight: np.ndarray) -> float:

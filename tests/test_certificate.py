@@ -1,21 +1,25 @@
 """Event indicators, probability estimates, subtree counts, cones, and the bound."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import (BETA_D1, K_BETA_D1, RHO_D1, d1_lognormal_spec,
-                      random13_spec)
+                      d2_lognormal_matrix_spec, random13_spec)
 from smoothtail.branching import grow_tree
 from smoothtail.certificate import (ESS_FLOOR, EventParams, SubtreeParams,
                                     _summarize, build_sparse_subtree,
-                                    cone_family, estimate_PV, estimate_PW,
-                                    estimate_tail_prob, expected_count_check,
-                                    indicator_V, lower_bound)
+                                    cone_family, draw_z_marks, estimate_PV,
+                                    estimate_PW, estimate_tail_prob,
+                                    expected_count_check, indicator_V,
+                                    lower_bound)
 from smoothtail.errors import NondegeneracyError, SpecError
 from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
 from smoothtail.rng import substream
+from smoothtail.spectral import k_by_products
+from smoothtail.walks import matvec_sum, vec_norm
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +162,65 @@ def test_pw_inclusion(d1_pool):
     one = estimate_tail_prob(spec, 8, t, 60_000, substream(11, "o"),
                              beta=BETA_D1)
     assert w.value <= one.value * (1 + 1e-9) + 3 * math.hypot(w.se, one.se)
+
+
+def test_unknown_method_rejected_by_every_estimator(d1_pool):
+    spec = d1_lognormal_spec()
+    p = EventParams(t=math.exp(-5.0), C0=1e6, delta=0.1, rho=RHO_D1)
+    calls = [
+        lambda m: estimate_PV(spec, 2, p, 100, substream(9, "m"), method=m,
+                              pool_vectors=d1_pool.vectors, beta=BETA_D1),
+        lambda m: estimate_tail_prob(spec, 2, p.t, 100, substream(9, "m"),
+                                     method=m, beta=BETA_D1),
+        lambda m: estimate_PW(spec, 2, 2, 0, p, 100, substream(9, "m"),
+                              method=m, beta=BETA_D1),
+        lambda m: k_by_products(spec, 1.0, [1, 2], 100, substream(9, "m"),
+                                method=m),
+    ]
+    for call in calls:
+        with pytest.raises(SpecError, match="unknown method 'tilde'"):
+            call("tilde")
+
+
+# ---------------------------------------------------------------------------
+# Z-marks
+# ---------------------------------------------------------------------------
+
+def _replayed_z_marks(spec, pool, count, rng):
+    """The Z-mark draw as a standalone routine: N, then Q, then the A_i and
+    the pool indices."""
+    d = spec.d
+    nvals = spec.branching.sample(rng, count)
+    slots = int(max(nvals.max() - 1, 0))
+    out = spec.q_law.draw(rng, count, d).astype(float)
+    if slots > 0:
+        mats = spec.ensemble.draw(rng, count * slots).reshape(count, slots, d, d)
+        idx = rng.integers(0, len(pool), size=(count, slots))
+        mask = np.arange(slots)[None, :] < (nvals - 1)[:, None]
+        if not mask.all():
+            mats = mats * mask[:, :, None, None]
+        out += matvec_sum(mats, pool[idx])
+    return vec_norm(out, spec.norm)
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: replace(d1_lognormal_spec(), q_law=QLaw(kind="zero")),
+    d1_lognormal_spec,
+    lambda: replace(d2_lognormal_matrix_spec(), q_law=QLaw(kind="zero")),
+    d2_lognormal_matrix_spec,
+    lambda: replace(d2_lognormal_matrix_spec(),
+                    branching=Branching(mode="random", support=(1, 3),
+                                        probs=(0.5, 0.5))),
+], ids=["d1-zero-q", "d1-deterministic-q", "d2-zero-q", "d2-deterministic-q",
+        "d2-random-n13"])
+def test_z_marks_match_standalone_draw(make_spec):
+    # with a zero or deterministic Q nothing is drawn for Q, so drawing it
+    # before or after the A_i gives the same marks bit for bit
+    spec = make_spec()
+    pool = np.abs(substream(80, "pool").standard_normal((700, spec.d))) * 5.0
+    got = draw_z_marks(spec, pool, 5000, substream(81, "z"))
+    want = _replayed_z_marks(spec, pool, 5000, substream(81, "z"))
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,8 @@ SOLUTION = {"beta": BETA_D1, "rho": RHO_D1, "k_beta": 0.5}
     ("certificate", {"sol.json": SOLUTION},
      {"solution": "sol.json", "spectral": "spec.json"}, "spec.json"),
     ("tails", {"sol.json": "{ not json"}, {"solution": "sol.json"}, "sol.json"),
-    ("tails", {"sol.json": {"beta": BETA_D1}}, {"solution": "sol.json"},
-     "sol.json"),
+    ("certificate", {"sol.json": {"beta": BETA_D1}}, {"solution": "sol.json"},
+     "certificate needs rho and k_beta"),
     ("certificate", {"sol.json": SOLUTION, "spec.json": {"s": BETA_D1}},
      {"solution": "sol.json", "spectral": "spec.json"}, "spec.json"),
 ], ids=["tails-missing-solution", "certificate-missing-solution",
@@ -224,6 +224,11 @@ NUMERIC_BASE = {
     ("tails", "tails", "n_boot", 1e400),
     ("certificate", "certificate", "C0", "big"),
     ("certificate", "certificate", "delta", [0.2]),
+    ("simulate", "simulate", "x0", ["a", 0]),
+    ("tails", "tails", "window_quantiles", ["x", 0.999]),
+    ("tails", "tails", "k_fracs", [None]),
+    ("tails", "tails", "u", ["x"]),
+    ("certificate", "certificate", "u", "e1"),
 ])
 def test_non_numeric_config_value_exit_2(tmp_path, capsys, command, where,
                                          key, value):
@@ -235,6 +240,43 @@ def test_non_numeric_config_value_exit_2(tmp_path, capsys, command, where,
     (cfg if where == "config" else cfg[sec])[key] = value
     assert _run(tmp_path, command, cfg) == 2
     assert f"{where}.{key}: non-numeric value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tails", "certificate"])
+def test_direction_of_wrong_length_exit_2(tmp_path, capsys, command):
+    pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
+                          generation=1, converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    sec = dict(NUMERIC_BASE[command], u=[1.0, 0.0, 0.0])
+    assert _run(tmp_path, command, {"model": D1_MODEL, "seed": 1,
+                                    command: sec}) == 2
+    assert (f"{command}.u: length 3, the model dimension is 1"
+            in capsys.readouterr().err)
+
+
+def test_scalar_for_one_entry_list_on_d1(tmp_path):
+    # on a d=1 model a bare number stands for the one-entry x0 and u
+    cfg = {"model": D1_MODEL, "seed": 2,
+           "simulate": {"pool_size": 1000, "generations": 2,
+                        "replicates": 1, "x0": 18.094},
+           "tails": {"pool": "out/pool.bin", "beta": BETA_D1, "u": 1.0,
+                     "window_quantiles": [0.5, 0.9], "n_boot": 20}}
+    assert _run(tmp_path, "simulate", cfg) == 0
+    assert _run(tmp_path, "tails", cfg) == 0
+
+
+def test_tails_reads_only_beta_from_solution(tmp_path):
+    # rho and k_beta are the certificate's; tails runs on beta alone
+    pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
+                          generation=1, converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    _write(tmp_path, "sol.json", {"beta": BETA_D1})
+    cfg = {"model": D1_MODEL, "seed": 1,
+           "tails": {"pool": "pool.bin", "solution": "sol.json",
+                     "window_quantiles": [0.5, 0.9], "n_boot": 20}}
+    assert _run(tmp_path, "tails", cfg) == 0
+    doc = json.loads((tmp_path / "out/tail_report.json").read_text())
+    assert doc["beta"] == pytest.approx(BETA_D1)
 
 
 # ---------------------------------------------------------------------------

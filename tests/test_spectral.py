@@ -47,6 +47,28 @@ def test_grid_interp_recovers_linear_in_angle():
     assert np.allclose(got, angles[3:250] + 1e-3, atol=1e-6)
 
 
+@pytest.mark.parametrize("geom_class, geometry", [
+    ("nonnegative-C", "halfline"), ("invertible-ipo", "pm1")])
+def test_d1_grid_lookups_nearest_neighbour(geom_class, geometry):
+    from smoothtail.model import (Branching, LognormalScalarMatrix,
+                                  ModelSpec, QLaw)
+    spec = ModelSpec(dimension=1, branching=Branching(mode="fixed", n=2),
+                     ensemble=LognormalScalarMatrix(mu=-1.0, sigma2=0.5,
+                                                    matrix=[[1.0]]),
+                     q_law=QLaw(kind="zero"), geom_class=geom_class)
+    grid = build_grid(spec)
+    assert grid.geometry == geometry
+    dirs = np.array([[1.0], [-1.0], [0.0], [-0.0]])
+    # the closed forms: the one point of the half line, and on {+1, -1}
+    # index 1 exactly for negative directions (0 and -0.0 map to index 0)
+    want = (np.zeros(4, dtype=np.int64) if geometry == "halfline"
+            else (dirs[:, 0] < 0).astype(np.int64))
+    assert np.array_equal(grid.cell_index(dirs), want)
+    idx, w = grid.interp_rows(dirs)
+    assert np.array_equal(idx, np.column_stack([want, want]))
+    assert np.array_equal(w, np.column_stack([np.ones(4), np.zeros(4)]))
+
+
 # ---------------------------------------------------------------------------
 # operator and power iteration
 # ---------------------------------------------------------------------------

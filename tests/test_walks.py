@@ -19,14 +19,14 @@ PHI = (1 + math.sqrt(5)) / 2
 
 
 class FixedSteps:
-    """Stand-in sampler whose nominal draws are the given steps M, in order,
-    one path at a time."""
+    """Stand-in sampler whose draws are the given steps M, in order, one
+    path at a time, each with a zero log ratio."""
 
     def __init__(self, steps):
         self._steps = iter(np.asarray(steps, dtype=float))
 
-    def nominal(self, rng, reps):
-        return next(self._steps)[None]
+    def tilted(self, rng, U):
+        return next(self._steps)[None], np.zeros(1)
 
 
 def walk_through(spec, u0, steps):
@@ -381,10 +381,9 @@ def test_matmul_batch_and_l1_norms_match_exactly(d):
 
 
 def test_masked_slots_under_random_n():
-    # random N in {1, 2, 3}: slots past N are zeroed before the kernel,
-    # in the population step and in the certificate's Z-marks alike
-    from smoothtail.branching import _innovation_batch
-    from smoothtail.certificate import draw_z_marks
+    # random N in {1, 2, 3}: slots past N are zeroed before the kernel
+    # (the certificate's Z-marks are checked in test_certificate.py)
+    from smoothtail.branching import resampled_sum
     from smoothtail.model import Branching, ModelSpec, QLaw
     base = d2_lognormal_matrix_spec()
     spec = ModelSpec(dimension=2,
@@ -393,25 +392,47 @@ def test_masked_slots_under_random_n():
                      ensemble=base.ensemble,
                      q_law=QLaw(kind="deterministic", vector=[1.0, 1.0]),
                      geom_class=base.geom_class)
-    n, mats, q = _innovation_batch(spec, 3000, substream(63, "innov"))
-    active = np.arange(1, mats.shape[1] + 1)[None, :] <= n[:, None]
-    assert mats.shape[1] == 3 and not active.all()
-    assert not mats[~active].any() and (mats[active] > 0).all()
-    xs = _lognormal_entries(substream(63, "xs"), (3000, 3, 2))
-    assert np.array_equal(walks.matvec_sum(mats, xs),
-                          np.einsum("snij,snj->si", mats, xs))
-
     pool = _lognormal_entries(substream(64, "pool"), (500, 2), signed=False)
-    count = 4000
-    got = draw_z_marks(spec, pool, count, substream(64, "z"))
-    # the same draws, contracted by einsum over the masked stack
-    rng = substream(64, "z")
-    nvals = spec.branching.sample(rng, count)
-    want = spec.q_law.draw(rng, count, 2).astype(float)
-    slots = int(nvals.max() - 1)
-    raw = spec.ensemble.draw(rng, count * slots).reshape(count, slots, 2, 2)
-    idx = rng.integers(0, len(pool), size=(count, slots))
-    mask = np.arange(slots)[None, :] < (nvals - 1)[:, None]
-    assert not mask.all()
-    want += np.einsum("csij,csj->ci", raw * mask[:, :, None, None], pool[idx])
-    assert np.array_equal(got, np.abs(want).sum(axis=-1))
+
+    got = resampled_sum(spec, pool, 3000, substream(63, "innov"))
+    # the same draws (N, A, Q, indices), contracted by einsum over the
+    # masked stack
+    rng = substream(63, "innov")
+    n = spec.branching.sample(rng, 3000)
+    raw = spec.ensemble.draw(rng, 3000 * 3).reshape(3000, 3, 2, 2)
+    want = spec.q_law.draw(rng, 3000, 2).astype(float)
+    idx = rng.integers(0, len(pool), size=(3000, 3))
+    active = np.arange(1, 4)[None, :] <= n[:, None]
+    assert n.max() == 3 and not active.all()
+    want += np.einsum("snij,snj->si", raw * active[:, :, None, None], pool[idx])
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the nominal walk is the tilt-0 walk
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make_spec", [d2_finite_pair_spec,
+                                       d2_lognormal_matrix_spec],
+                         ids=["finite-support", "lognormal"])
+def test_default_sampler_is_tilt_zero_bit_for_bit(make_spec):
+    spec = make_spec()
+    u0 = np.array([1.0, 0.0])
+    nominal = run_walks(spec, u0, 12, 2000, substream(70, "w"),
+                        sampler=None, record_hist=True)
+    zero = tilted_batch(spec, u0, 12, 0.0, None, 2000, substream(70, "w"),
+                        record_hist=True)
+    for name in ("U", "S", "log_weight", "opnorm_log_hist",
+                 "log_weight_hist"):
+        assert np.array_equal(getattr(nominal, name), getattr(zero, name))
+    assert not nominal.log_weight_hist.any()
+
+
+def test_method_tilt():
+    assert walks.method_tilt("naive", None) == 0.0
+    assert walks.method_tilt("naive", 2.5) == 0.0
+    assert walks.method_tilt("tilted", 2.5) == 2.5
+    with pytest.raises(SpecError, match="tilt parameter"):
+        walks.method_tilt("tilted", None)
+    with pytest.raises(SpecError, match="unknown method 'tilde'"):
+        walks.method_tilt("tilde", 2.5)
