@@ -239,21 +239,39 @@ def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
 
     skip = 0 is one population-dynamics step; skip = 1 leaves out the first
     child, which gives the side sums Z of the path decomposition.  Draw
-    order: N, the A_i (slots past N zeroed), Q, then the pool indices.
+    order: N, the A_i (scales of the slots past N zeroed), Q, then the pool
+    indices.
+
+    Each A_i = W_i D_i is kept as its two factors: the scales multiply the
+    resampled X_i, and a fixed D is applied once to their sum,
+    sum_i W_i D X_i = D sum_i W_i X_i.
     """
     d = spec.d
     n = spec.branching.sample(rng, size)
     slots = max(int(n.max()) - skip, 0) if size else 0
     if slots > 0:
-        mats = spec.ensemble.draw(rng, size * slots).reshape(size, slots, d, d)
-        check_class(spec, mats.reshape(-1, d, d))
-        mask = np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None]
-        if not mask.all():
-            mats = mats * mask[:, :, None, None]
-    out = spec.q_law.draw(rng, size, d).astype(float)
+        log_w, dirs = spec.ensemble.factors(rng, size * slots)
+        check_class(spec, dirs)
+        w = np.exp(log_w).reshape(size, slots)
+        if n.min() < skip + slots:
+            w = w * (np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None])
+    out = spec.q_law.draw(rng, size, d).astype(float, copy=False)
     if slots > 0:
-        idx = rng.integers(0, pool.shape[0], size=(size, slots))
-        out += matvec_sum(mats, pool[idx])
+        xs = np.take(pool, rng.integers(0, pool.shape[0], size=(size, slots)),
+                     axis=0)
+        if len(dirs) == 1:
+            # y = sum_k w_k x_k, one length-size multiply-add per term
+            y = np.empty((size, d))
+            for j in range(d):
+                acc = y[:, j]
+                np.multiply(w[:, 0], xs[:, 0, j], out=acc)
+                for k in range(1, slots):
+                    acc += w[:, k] * xs[:, k, j]
+            del xs                    # the mat-vec needs only the sums
+            out += matvec_sum(dirs[None], y[:, None])
+        else:
+            out += matvec_sum(dirs.reshape(size, slots, d, d),
+                              w[:, :, None] * xs)
     return out
 
 
@@ -278,8 +296,21 @@ _DECILES = np.arange(0.1, 1.0, 0.1)
 
 
 def _pool_stats(pool: np.ndarray):
-    proj = pool[:, 0] if pool.shape[1] == 1 else np.linalg.norm(pool, axis=1)
-    return float(proj.mean()), np.quantile(proj, _DECILES)
+    """(mean, deciles) of the pool's first coordinate (d = 1) or l2 norms."""
+    if pool.shape[1] == 1:
+        proj = pool[:, 0].copy()
+    else:
+        # the row norm unrolled, squares added left to right as
+        # np.linalg.norm adds them
+        sq = pool[:, 0] * pool[:, 0]
+        for j in range(1, pool.shape[1]):
+            sq += pool[:, j] * pool[:, j]
+        proj = np.sqrt(sq, out=sq)
+    # the mean comes before the sort, whose order would change the pairwise
+    # sum; on sorted input np.quantile's partition has no work left to do
+    mean = float(proj.mean())
+    proj.sort()
+    return mean, np.quantile(proj, _DECILES)
 
 
 def sample_fixed_point(spec: ModelSpec, generations: int, pool_size: int,

@@ -500,7 +500,7 @@ class CertificateReport:
     w_sum_se: float
     bound: float
     bound_se: float
-    verdict: str              # "positive" | "not positive at these parameters"
+    verdict: str              # "positive" | "not positive at these parameters" | "vacuous"
     t_beta_v_term: float      # t^beta * kappa * v_sum
     shape_actual: float       # #L_t k(beta)^C1 / sqrt(n_t)
     shape_idealized: float    # k(beta)^C1 / (2 C1)
@@ -519,6 +519,14 @@ class CertificateReport:
         out["per_level_V"] = self.per_level_V
         out["per_geometry_W"] = self.per_geometry_W
         return out
+
+
+def verdict(levels: list, bound: float) -> str:
+    """The certificate's verdict on a bound summed over the levels L_t."""
+    if not levels:
+        # no level to sum over: the bound is 0 by construction, not evidence
+        return "vacuous"
+    return "positive" if bound > 0 else "not positive at these parameters"
 
 
 def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
@@ -616,13 +624,13 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     t_beta_v = t ** beta * v_term if beta * math.log(t) < 700 else math.inf
     fitted = t_beta_v / (kappa * shape_actual) if kappa > 0 and shape_actual > 0 \
         else float("nan")
-    verdict = "positive" if bound > 0 else "not positive at these parameters"
     return CertificateReport(
         t=t, u=u, C0=eparams.C0, delta=eparams.delta, C1=C1, rho=rho,
         beta=beta, n_t=n_t, levels=levels, kappa=kappa,
         kappa_se=cones.kappa_se, v_sum=v_sum, v_sum_se=math.sqrt(v_var),
         w_sum=w_sum, w_sum_se=math.sqrt(w_var), bound=bound,
-        bound_se=bound_se, verdict=verdict, t_beta_v_term=t_beta_v,
+        bound_se=bound_se, verdict=verdict(levels, bound),
+        t_beta_v_term=t_beta_v,
         shape_actual=shape_actual, shape_idealized=shape_ideal,
         fitted_D1=fitted, per_level_V=per_level, per_geometry_W=per_geom,
         flags=flags)

@@ -420,8 +420,8 @@ def cmd_certificate(cfg: RunConfig) -> int:
         threads=cfg.threads)
     if kappa_zero:
         report.kappa = 0.0
-        report.bound = -report.w_sum
-        report.verdict = "not positive at these parameters"
+        report.bound = report.kappa * report.v_sum - report.w_sum
+        report.verdict = certificate.verdict(report.levels, report.bound)
         report.flags.append("kappa forced to zero by config")
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "certificate.json", report.to_jsonable(), fp)

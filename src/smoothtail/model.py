@@ -87,9 +87,17 @@ class MatrixEnsemble:
     family: str
     bounded_support: bool = True
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """i.i.d. draws, shape (size, d, d)."""
+    def factors(self, rng: np.random.Generator,
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+        """i.i.d. draws as a scale times a direction factor, returned as
+        (log w (size,), D (size, d, d)), or D of shape (1, d, d) when it is
+        one fixed matrix."""
         raise NotImplementedError
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """i.i.d. draws w * D, shape (size, d, d)."""
+        log_w, dirs = self.factors(rng, size)
+        return np.exp(log_w)[:, None, None] * dirs
 
     def atoms(self):
         """(matrices, probs) for finite-support families, else None."""
@@ -129,9 +137,9 @@ class FiniteSupport(MatrixEnsemble):
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "d", mats.shape[1])
 
-    def draw(self, rng, size):
+    def factors(self, rng, size):
         idx = rng.choice(len(self.probs), size=size, p=self.probs)
-        return self.matrices[idx]
+        return np.zeros(size), self.matrices[idx]
 
     def atoms(self):
         return self.matrices, self.probs
@@ -167,9 +175,9 @@ class LognormalFamily(MatrixEnsemble):
         D is a fixed matrix."""
         raise NotImplementedError
 
-    def draw(self, rng, size):
-        w = np.exp(self.mu + self.sigma * rng.standard_normal(size))
-        return w[:, None, None] * self.directions(rng, size)
+    def factors(self, rng, size):
+        log_w = self.mu + self.sigma * rng.standard_normal(size)
+        return log_w, self.directions(rng, size)
 
     def log_scalar_moment(self, s: float) -> float:
         """log E W^s."""

@@ -50,12 +50,13 @@ def operator_norms(mats: np.ndarray, norm: str) -> np.ndarray:
     """Batched operator norms for an (n, d, d) stack."""
     mats = np.asarray(mats, dtype=float)
     if norm == "l1":
-        cols = np.abs(mats[..., 0, :])
-        for i in range(1, mats.shape[-2]):
-            cols += np.abs(mats[..., i, :])
-        out = cols[..., 0]
-        for k in range(1, cols.shape[-1]):
-            out = np.maximum(out, cols[..., k])
+        # column sums on length-n views, rows added top to bottom
+        d = mats.shape[-1]
+        for k in range(d):
+            col = np.abs(mats[..., 0, k])
+            for i in range(1, d):
+                col += np.abs(mats[..., i, k])
+            out = col if k == 0 else np.maximum(out, col, out=out)
         return out
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
@@ -66,7 +67,8 @@ def matvec_sum(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
     Unrolled over the short axes: one vectorised multiply-add per term, the
     inner sum over j left to right, then the outer sum over n, which is the
     order np.einsum("snij,snj->si") adds in for d = 2, and for d = 1 with
-    n <= 2.  Elsewhere the two differ in the last few ulps.
+    n <= 2.  Elsewhere the two differ in the last few ulps.  A mats stack
+    with S = 1 applies one matrix per slot to every row.
     """
     size, n_max, d = xs.shape
     out = np.zeros((size, d))
@@ -86,11 +88,17 @@ def matvec_sum(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[r] @ b[r] for two (R, d, d) stacks, summed over j left to right
-    like np.einsum("rij,rjk->rik")."""
-    out = a[:, :, 0, None] * b[:, None, 0, :]
-    for j in range(1, a.shape[-1]):
-        out += a[:, :, j, None] * b[:, None, j, :]
+    """a[r] @ b[r] for two (R, d, d) stacks (either may have R = 1), one
+    length-R multiply-add per term, summed over j left to right like
+    np.einsum("rij,rjk->rik")."""
+    d = a.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i in range(d):
+        for k in range(d):
+            acc = out[:, i, k]
+            np.multiply(a[:, i, 0], b[:, 0, k], out=acc)
+            for j in range(1, d):
+                acc += a[:, i, j] * b[:, j, k]
     return out
 
 
@@ -167,8 +175,11 @@ class StepSampler:
       deterministic, so |D^T U|^s e_s(D^T . U) cancels; for rotations
       |D^T U| = 1 and e_s is constant).
 
-    Each draw returns the exact log likelihood ratio
-    log f_nominal(m) - log f_proposal(m | U) of the step actually taken.
+    A step M = W D^T is returned as its two factors, log W and D^T, so
+    the walk never multiplies out the W D^T stack; a fixed D comes back
+    as one (1, d, d) factor.  Each draw also returns the exact log
+    likelihood ratio log f_nominal(m) - log f_proposal(m | U) of the step
+    actually taken.
     """
 
     def __init__(self, spec: ModelSpec, s: float = 0.0,
@@ -183,11 +194,12 @@ class StepSampler:
             self._atom_probs = probs
 
     def tilted(self, rng: np.random.Generator, U: np.ndarray):
-        """(M (R,d,d), log_ratio (R,)) given current directions U (R,d)."""
+        """(log_scale (R,), D^T (R|1,d,d), log_ratio (R,)) given current
+        directions U (R,d); the step is M = exp(log_scale) D^T."""
         R = U.shape[0]
         if self.s == 0.0:
-            mats = self.spec.ensemble.draw(rng, R)
-            return np.swapaxes(mats, -1, -2), np.zeros(R)
+            log_w, dirs = self.spec.ensemble.factors(rng, R)
+            return log_w, np.swapaxes(dirs, -1, -2), np.zeros(R)
         if self._atoms is not None:
             return self._tilted_atoms(rng, U)
         return self._tilted_scale(rng, R)
@@ -212,7 +224,7 @@ class StepSampler:
         idx = np.minimum(idx, K - 1)
         picked = mats_T[idx]
         log_ratio = np.log(probs[idx]) - np.log(q[np.arange(R), idx])
-        return picked, log_ratio
+        return np.zeros(R), picked, log_ratio
 
     def _tilted_scale(self, rng, R):
         # conjugate tilt: density w^s f(w) / E W^s, i.e. mean shift in log space
@@ -221,9 +233,8 @@ class StepSampler:
         z = rng.standard_normal(R)
         logw = ens.mu + sigma * sigma * self.s + sigma * z
         dirs_T = np.swapaxes(ens.directions(rng, R), -1, -2)
-        mats = np.exp(logw)[:, None, None] * dirs_T
         log_ratio = ens.log_scalar_moment(self.s) - self.s * logw
-        return mats, log_ratio
+        return logw, dirs_T, log_ratio
 
 
 @dataclass
@@ -267,21 +278,23 @@ def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
         opn_hist = np.zeros((reps, n + 1))
         logw_hist = np.zeros((reps, n + 1))
     for k in range(n):
-        mats, lr = sampler.tilted(rng, U)
+        # the step W D^T acts on the direction through D^T alone; log W
+        # goes straight into the log scales
+        log_scale, dirs_T, lr = sampler.tilted(rng, U)
         logw += lr
-        y = matvec_sum(mats[:, None], U[:, None])
+        y = matvec_sum(dirs_T[:, None], U[:, None])
         nrm = vec_norm(y, spec.norm)
         bad = nrm <= UNDERFLOW
         if bad.any():
             raise SingularActionError(
                 f"{int(bad.sum())} of {reps} paths hit a singular action at step {k + 1}")
         U = y / nrm[:, None]
-        S = S + np.log(nrm)
+        S += log_scale + np.log(nrm)
         if record_hist:
-            G = matmul_batch(mats, G)
+            G = matmul_batch(dirs_T, G)
             gn = operator_norms(G, spec.norm)
             G /= gn[:, None, None]
-            g_scale += np.log(gn)
+            g_scale += log_scale + np.log(gn)
             opn_hist[:, k + 1] = g_scale
             logw_hist[:, k + 1] = logw
     return WalkBatch(U=U, S=S, log_weight=logw,

@@ -1,18 +1,21 @@
 """Tree algebra, the Y/Z recursions, the decomposition identity, and pools."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import (MEAN_D1, d1_lognormal_spec, d1_quarter_spec,
-                      d2_finite_pair_spec, random13_spec)
+                      d2_finite_pair_spec, d2_lognormal_matrix_spec,
+                      d2_rotation_spec, random13_spec)
 from smoothtail.artifacts import read_pool
-from smoothtail.branching import (decompose_check, evaluate_Yl,
+from smoothtail.branching import (_pool_stats, decompose_check, evaluate_Yl,
                                   evaluate_Z, grow_tree, node_leq, node_meet,
                                   node_prefix, path_weight, population_iterate,
-                                  replicate_mean_se, sample_fixed_point,
+                                  replicate_mean_se, resampled_sum,
+                                  sample_fixed_point,
                                   sample_fixed_point_replicated)
 from smoothtail.cli import main, model_to_jsonable
 from smoothtail.errors import MemoryCapError, SpecError
@@ -248,6 +251,53 @@ def test_pool_mean_identity():
                                          np.array([MEAN_D1]), rngs)
     mean, se = replicate_mean_se(pool)
     assert abs(mean - MEAN_D1) < 3 * se
+
+
+def _random13(spec):
+    return replace(spec, branching=Branching(mode="random", support=(1, 3),
+                                             probs=(0.5, 0.5)))
+
+
+@pytest.mark.parametrize("make_spec", [
+    d2_lognormal_matrix_spec,
+    d2_rotation_spec,
+    lambda: _random13(d2_lognormal_matrix_spec()),
+    lambda: _random13(d2_rotation_spec()),
+], ids=["w-p", "c-r", "w-p-random-n13", "c-r-random-n13"])
+@pytest.mark.parametrize("skip", [0, 1], ids=["pool-step", "z-mark"])
+def test_resampled_sum_matches_full_stack(make_spec, skip):
+    # the factored engine against the full W D stack of the same draws
+    # (N, A, Q, indices) contracted by einsum: only roundoff may differ
+    spec = make_spec()
+    d, size = spec.d, 4000
+    pool = np.exp(substream(66, "pool").standard_normal((700, d)))
+    got = resampled_sum(spec, pool, size, substream(67, "innov"), skip=skip)
+    rng = substream(67, "innov")
+    n = spec.branching.sample(rng, size)
+    slots = int(n.max()) - skip
+    mats = spec.ensemble.draw(rng, size * slots).reshape(size, slots, d, d)
+    want = spec.q_law.draw(rng, size, d).astype(float)
+    idx = rng.integers(0, len(pool), size=(size, slots))
+    active = np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None]
+    want += np.einsum("snij,snj->si", mats * active[:, :, None, None],
+                      pool[idx])
+    # rotations mix signs, so a component can cancel; its roundoff is set
+    # by the magnitude of the terms, which the absolute sum bounds
+    scale = np.einsum("snij,snj->si", np.abs(mats) * active[:, :, None, None],
+                      pool[idx]) + np.abs(spec.q_law.vector)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-15 * scale)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pool_stats_match_norm_and_quantile_exactly(d):
+    pool = np.exp(substream(68, "stats", d).standard_normal((25_000, d)))
+    pool[::3] *= -1.0
+    before = pool.copy()
+    proj = pool[:, 0] if d == 1 else np.linalg.norm(pool, axis=1)
+    mean, dec = _pool_stats(pool)
+    assert mean == float(proj.mean())
+    assert np.array_equal(dec, np.quantile(proj, np.arange(0.1, 1.0, 0.1)))
+    assert np.array_equal(pool, before)        # the pool is not sorted
 
 
 def test_replicated_pool_is_the_simulate_engine(tmp_path):

@@ -19,7 +19,7 @@ from smoothtail.errors import NondegeneracyError, SpecError
 from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
 from smoothtail.rng import substream
 from smoothtail.spectral import k_by_products
-from smoothtail.walks import matvec_sum, vec_norm
+from smoothtail.walks import vec_norm
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +187,21 @@ def test_unknown_method_rejected_by_every_estimator(d1_pool):
 # ---------------------------------------------------------------------------
 
 def _replayed_z_marks(spec, pool, count, rng):
-    """The Z-mark draw as a standalone routine: N, then Q, then the A_i and
-    the pool indices."""
+    """The Z-mark draw as a standalone routine: N, then Q, then the factors
+    (W_i, P) of the A_i = W_i P and the pool indices, contracted by einsum
+    as P (sum_i W_i X_i)."""
     d = spec.d
     nvals = spec.branching.sample(rng, count)
     slots = int(max(nvals.max() - 1, 0))
     out = spec.q_law.draw(rng, count, d).astype(float)
     if slots > 0:
-        mats = spec.ensemble.draw(rng, count * slots).reshape(count, slots, d, d)
+        log_w, dirs = spec.ensemble.factors(rng, count * slots)
+        assert dirs.shape == (1, d, d)
         idx = rng.integers(0, len(pool), size=(count, slots))
         mask = np.arange(slots)[None, :] < (nvals - 1)[:, None]
-        if not mask.all():
-            mats = mats * mask[:, :, None, None]
-        out += matvec_sum(mats, pool[idx])
+        w = np.exp(log_w).reshape(count, slots)
+        y = np.einsum("sn,snj->sj", w * mask, pool[idx])
+        out += np.einsum("ij,sj->si", dirs[0], y)
     return vec_norm(out, spec.norm)
 
 
@@ -369,6 +371,22 @@ def test_lower_bound_zero_kappa_formula(d1_pool):
                       C1=2, pool_vectors=x, rng=substream(20, "lb"),
                       C0=10.0, delta=0.2, reps_v=20_000, reps_w=5_000)
     assert 0.0 * rep.v_sum - rep.w_sum <= 0.0
+
+
+def test_lower_bound_empty_level_set_is_vacuous(d1_pool):
+    # n_t = 4, window [2, 3): no multiple of C1 = 5 lies in it, so L_t is
+    # empty and the bound is 0 by construction, not a negative finding
+    spec = d1_lognormal_spec()
+    t = math.exp(4 * RHO_D1)
+    rep = lower_bound(spec, np.array([1.0]), t, RHO_D1, BETA_D1, K_BETA_D1,
+                      C1=5, pool_vectors=d1_pool.vectors,
+                      rng=substream(24, "lb"), C0=10.0, delta=0.2,
+                      reps_v=1_000, reps_w=1_000, min_recommended_nt=4)
+    assert rep.n_t == 4 and rep.levels == []
+    assert rep.verdict == "vacuous"
+    assert rep.bound == 0.0 and math.copysign(1.0, rep.bound) == 1.0
+    assert rep.per_level_V == [] and rep.per_geometry_W == []
+    assert any(f.startswith("L_t empty for C1=5") for f in rep.flags)
 
 
 def test_lower_bound_flags_low_ess_w_with_hits(d1_pool):

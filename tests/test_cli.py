@@ -386,6 +386,27 @@ def test_certificate_kappa_zero(pipeline):
     assert doc["verdict"] == "not positive at these parameters"
 
 
+def test_certificate_kappa_zero_keeps_vacuous(pipeline):
+    # no multiple of C1 = 9 lies in the level window at this t, so L_t is
+    # empty; forcing kappa to zero must not turn "vacuous" into a finding
+    cfg = {
+        "model": D1_MODEL, "seed": 11,
+        "certificate": {"pool": "out/pool.bin",
+                        "solution": "out/tail_indices.json",
+                        "t_quantile": 0.999, "C1": 9, "C0": 10.0,
+                        "delta": 0.2, "reps_v": 1_000, "reps_w": 1_000,
+                        "force_kappa_zero": True},
+    }
+    cfg_path = pipeline / "cfg_cert_vacuous.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["certificate", "--config", str(cfg_path),
+                 "--out", str(pipeline / "outk0v")]) == 0
+    doc = json.loads((pipeline / "outk0v/certificate.json").read_text())
+    assert doc["levels"] == [] and doc["verdict"] == "vacuous"
+    # +0.0, as lower_bound wrote it, not -0.0
+    assert math.copysign(1.0, doc["bound"]) == 1.0 and doc["bound"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ from scipy import stats
 
 from conftest import BETA_D1, d1_lognormal_spec, d2_rotation_spec
 from smoothtail.errors import SpecError
-from smoothtail.model import (Branching, FiniteSupport, LognormalScalarMatrix,
-                              ModelSpec, QLaw, check_allowable, check_proximal,
+from smoothtail.model import (Branching, FiniteSupport, LognormalRotation,
+                              LognormalScalarMatrix, ModelSpec, QLaw,
+                              check_allowable, check_proximal,
                               exchangeify, find_positive_product,
                               heuristic_nonarithmetic, perron_data,
                               sample_family, validate)
@@ -67,6 +68,42 @@ def test_sampler_determinism():
     draws1 = spec.ensemble.draw(substream(9, "det"), 1000)
     draws2 = spec.ensemble.draw(substream(9, "det"), 1000)
     assert np.array_equal(draws1, draws2)
+
+
+def _full_stack_draw(ens, rng, size):
+    """The full (size, d, d) draw as it was before the factored draw: the
+    lognormal scales first, then the direction factors; or the atoms."""
+    if isinstance(ens, FiniteSupport):
+        return ens.matrices[rng.choice(len(ens.probs), size=size, p=ens.probs)]
+    w = np.exp(ens.mu + ens.sigma * rng.standard_normal(size))
+    return w[:, None, None] * ens.directions(rng, size)
+
+
+def _state(rng):
+    # Philox keeps its counter and key as arrays; their repr is exact
+    return repr(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("ens", [
+    LognormalScalarMatrix(mu=-1.0, sigma2=0.25,
+                          matrix=[[1.0, 1.0], [1.0, 2.0]]),
+    LognormalRotation(mu=-1.0, sigma2=0.25, d=2),
+    LognormalRotation(mu=-1.0, sigma2=0.25, d=3),
+    FiniteSupport(matrices=np.array([[[1.0, 1.0], [0.0, 1.0]],
+                                     [[1.0, 0.0], [1.0, 1.0]]]),
+                  probs=np.array([0.3, 0.7])),
+], ids=["w-p", "c-r-d2", "c-r-d3", "finite"])
+def test_factors_consume_the_generator_as_the_full_draw(ens):
+    old_rng, rng, draw_rng = (substream(10, "fac") for _ in range(3))
+    old = _full_stack_draw(ens, old_rng, 400)
+    log_w, dirs = ens.factors(rng, 400)
+    assert _state(rng) == _state(old_rng)
+    assert log_w.shape == (400,)
+    assert dirs.shape in ((1,) + old.shape[1:], old.shape)
+    assert np.array_equal(ens.draw(draw_rng, 400), old)
+    assert _state(draw_rng) == _state(old_rng)
+    # the generator carries on with the same stream afterwards
+    assert np.array_equal(rng.standard_normal(5), old_rng.standard_normal(5))
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,14 @@ PHI = (1 + math.sqrt(5)) / 2
 
 class FixedSteps:
     """Stand-in sampler whose draws are the given steps M, in order, one
-    path at a time, each with a zero log ratio."""
+    path at a time, each as the factors (log scale 0, M) with a zero log
+    ratio."""
 
     def __init__(self, steps):
         self._steps = iter(np.asarray(steps, dtype=float))
 
     def tilted(self, rng, U):
-        return next(self._steps)[None], np.zeros(1)
+        return np.zeros(1), next(self._steps)[None], np.zeros(1)
 
 
 def walk_through(spec, u0, steps):
@@ -252,7 +253,8 @@ def test_tilted_finite_support_exact_ratios():
     sampler = walks.StepSampler(spec, s=1.5)
     rng = substream(16, "fs")
     U = np.tile(np.array([0.5, 0.5]), (500, 1))
-    mats, logr = sampler.tilted(rng, U)
+    log_scale, mats, logr = sampler.tilted(rng, U)
+    assert not log_scale.any()               # finite support: scale 1
     assert mats.shape == (500, 2, 2)
     assert np.isfinite(logr).all()
     # importance-weighted transition frequencies reproduce the nominal fair coin
@@ -395,17 +397,66 @@ def test_masked_slots_under_random_n():
     pool = _lognormal_entries(substream(64, "pool"), (500, 2), signed=False)
 
     got = resampled_sum(spec, pool, 3000, substream(63, "innov"))
-    # the same draws (N, A, Q, indices), contracted by einsum over the
-    # masked stack
+    # the same draws (N, the factors W_i and P of the A_i, Q, indices),
+    # contracted by einsum as P (sum_i W_i X_i) with the masked scales
     rng = substream(63, "innov")
     n = spec.branching.sample(rng, 3000)
-    raw = spec.ensemble.draw(rng, 3000 * 3).reshape(3000, 3, 2, 2)
+    log_w, dirs = spec.ensemble.factors(rng, 3000 * 3)
     want = spec.q_law.draw(rng, 3000, 2).astype(float)
     idx = rng.integers(0, len(pool), size=(3000, 3))
     active = np.arange(1, 4)[None, :] <= n[:, None]
     assert n.max() == 3 and not active.all()
-    want += np.einsum("snij,snj->si", raw * active[:, :, None, None], pool[idx])
+    y = np.einsum("sn,snj->sj", np.exp(log_w).reshape(3000, 3) * active,
+                  pool[idx])
+    want += np.einsum("ij,sj->si", dirs[0], y)
     assert np.array_equal(got, want)
+
+
+class Recorder:
+    """Passes a sampler's steps through and keeps them."""
+
+    def __init__(self, sampler):
+        self.sampler, self.steps = sampler, []
+
+    def tilted(self, rng, U):
+        step = self.sampler.tilted(rng, U)
+        self.steps.append(step)
+        return step
+
+
+@pytest.mark.parametrize("make_spec", [d2_lognormal_matrix_spec,
+                                       d2_rotation_spec], ids=["w-p", "c-r"])
+@pytest.mark.parametrize("s", [0.0, 2.0], ids=["nominal", "tilted"])
+def test_factored_walk_matches_full_stack(make_spec, s):
+    # the walk's factored steps (log W, D^T) against the same steps
+    # multiplied out as M = W D^T and applied by einsum: only roundoff may
+    # differ
+    spec = make_spec()
+    n, reps = 12, 3000
+    rec = Recorder(walks.StepSampler(spec, s=s))
+    got = run_walks(spec, np.array([1.0, 0.0]), n, reps, substream(71, "w"),
+                    sampler=rec, record_hist=True)
+    U = np.tile([1.0, 0.0], (reps, 1))
+    G = np.broadcast_to(np.eye(2), (reps, 2, 2))
+    S, logw, opn = np.zeros(reps), np.zeros(reps), [np.zeros(reps)]
+    for log_scale, dirs_T, lr in rec.steps:
+        assert dirs_T.shape[0] == (1 if make_spec is d2_lognormal_matrix_spec
+                                   else reps)
+        mats = np.exp(log_scale)[:, None, None] * dirs_T
+        y = np.einsum("rij,rj->ri", mats, U)
+        nrm = walks.vec_norm(y, spec.norm)
+        U, S = y / nrm[:, None], S + np.log(nrm)
+        G = np.einsum("rij,rjk->rik", mats, G)
+        gn = walks.operator_norms(G, spec.norm)
+        G = G / gn[:, None, None]
+        opn.append(opn[-1] + np.log(gn))
+        logw += lr
+    assert len(rec.steps) == n
+    np.testing.assert_allclose(got.U, U, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(got.S, S, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(got.opnorm_log_hist, np.column_stack(opn),
+                               rtol=1e-13, atol=1e-13)
+    assert np.array_equal(got.log_weight, logw)
 
 
 # ---------------------------------------------------------------------------
