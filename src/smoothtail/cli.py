@@ -159,6 +159,12 @@ class Section(dict):
             raise ConfigError(
                 f"{self.name}.{key}: non-numeric value {value!r}") from None
 
+    def require(self, key: str, ok: bool, need: str) -> None:
+        """Reject self[key] unless ok, naming what the key needs."""
+        if not ok:
+            raise ConfigError(
+                f"{self.name}.{key}: need {need}, got {self.get(key)!r}")
+
     def direction(self, key: str, d: int) -> np.ndarray:
         """self[key] as a d-vector, e_1 when absent."""
         u = np.asarray(self.num(key, [1.0] + [0.0] * (d - 1), _floats))
@@ -340,6 +346,20 @@ def cmd_tails(cfg: RunConfig) -> int:
     fp = cfg.fingerprint("tails")
     if "pool" not in sec:
         raise ConfigError("tails needs a 'pool' file path")
+    window = sec.num("window_quantiles", (0.99, 0.9999), _floats)
+    k_fracs = sec.num("k_fracs", (0.01, 0.005, 0.002), _floats)
+    n_points = sec.num("n_points", 25, int)
+    n_boot = sec.num("n_boot", 200, int)
+    ratio_max = sec.num("ratio_max", tails.FLATNESS_RATIO_MAX)
+    sec.require("window_quantiles",
+                len(window) == 2 and 0 < window[0] < window[1] < 1,
+                "two quantiles 0 < q0 < q1 < 1")
+    sec.require("k_fracs", all(0 < kf < 1 for kf in k_fracs),
+                "each k_frac in (0, 1)")
+    sec.require("n_points", n_points >= 2, "n_points >= 2")
+    sec.require("n_boot", n_boot >= 1, "n_boot >= 1")
+    # max/min of the scaled tail is at least 1, so no smaller cap can pass
+    sec.require("ratio_max", ratio_max > 1, "ratio_max > 1")
     pool_path = cfg.resolve(sec["pool"])
     if not pool_path.exists():
         raise ConfigError(f"pool file not found: {pool_path}")
@@ -348,13 +368,9 @@ def cmd_tails(cfg: RunConfig) -> int:
     u = sec.direction("u", cfg.spec.d)
     rng = substream(cfg.seed, "tails")
     report = tails.tail_report(
-        pool.vectors, u, beta, rng=rng,
-        window_quantiles=tuple(sec.num("window_quantiles", (0.99, 0.9999),
-                                       _floats)),
-        k_fracs=tuple(sec.num("k_fracs", (0.01, 0.005, 0.002), _floats)),
-        n_points=sec.num("n_points", 25, int),
-        n_boot=sec.num("n_boot", 200, int),
-        ratio_max=sec.num("ratio_max", tails.FLATNESS_RATIO_MAX))
+        pool.vectors, u, beta, rng=rng, window_quantiles=tuple(window),
+        k_fracs=tuple(k_fracs), n_points=n_points, n_boot=n_boot,
+        ratio_max=ratio_max)
     cfg.out.mkdir(parents=True, exist_ok=True)
     doc = report.to_jsonable()
     doc["verdict"] = ("positivity supported" if report.flatness.supported

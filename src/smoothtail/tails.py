@@ -5,6 +5,13 @@ flatness diagnostic (is t^beta * P(<u,X> > t) bounded away from zero and
 roughly flat over a resolvable window?), and the directional profile.
 The exponent beta is always an input from the spectral side, never re-fit
 here: hypothesis and evidence stay separated.
+
+Both bootstraps read only the top window of the sorted sample, so a
+resample is drawn there alone: a binomial count of the draws that land in
+the window, then that many uniform positions inside it.  This is the exact
+law of a full resample restricted to the window, at O(window) cost per
+resample; only the Hill fallback (too few window hits) draws the rest,
+at O(n).
 """
 
 from __future__ import annotations
@@ -62,21 +69,33 @@ def _hill_from_sorted(xs: np.ndarray, k: int) -> float:
     return 1.0 / h
 
 
-def _resampled_hill(logs: np.ndarray, draws: np.ndarray, k: int,
+def _top_counts(rng: np.random.Generator, n: int, lo: int) -> np.ndarray:
+    """Counts of positions lo..n-1 in a uniform resample of range(n).
+
+    The number of the n draws that land in [lo, n) is Binomial(n, (n-lo)/n),
+    and given that number they are i.i.d. uniform on [lo, n): the counts
+    have the law of the full multinomial counts restricted to the window.
+    """
+    m = rng.binomial(n, (n - lo) / n)
+    return np.bincount(rng.integers(0, n - lo, m), minlength=n - lo)
+
+
+def _resampled_hill(logs: np.ndarray, rng: np.random.Generator, k: int,
                     window: int) -> float:
     """Hill index of one bootstrap resample of ascending log data.
 
-    ``draws`` are the resample's indices into ``logs``.  Only the draws in
-    the top ``window`` order statistics are counted; the full count is the
-    fallback when fewer than k + 1 of them land there.
+    The resample is drawn over the top ``window`` order statistics only;
+    when k or fewer of its n draws land there, the other draws are added,
+    uniform below the window, and the resample is counted in full.
     """
-    lo = len(logs) - window
-    top = draws[draws >= lo]
-    if len(top) > k:
-        counts = np.bincount(top - lo, minlength=window)
-    else:
+    n = len(logs)
+    lo = n - window
+    counts = _top_counts(rng, n, lo)
+    hits = int(counts.sum())
+    if hits <= k:
+        below = np.bincount(rng.integers(0, lo, n - hits), minlength=lo)
+        counts = np.concatenate([below, counts])
         lo = 0
-        counts = np.bincount(draws, minlength=len(logs))
     logs = logs[lo:]
     # walk down from the top to find the resampled k-th order statistic
     csum = np.cumsum(counts[::-1])
@@ -95,11 +114,12 @@ def hill(samples: np.ndarray, k_frac: float,
     """Hill tail-index estimate on the top k_frac order statistics.
 
     Bootstrap CI (percentile, 95%) from n_boot resamples of the full
-    sample.  Each resample draws n indices with replacement, but counts
-    only those among the top min(n, 2k + 64) order statistics, which
-    almost always hold the resampled k + 1 largest; when they do not, the
-    resample is counted in full.  A resample thus costs its O(n) draw and
-    one O(n) comparison, plus O(k) for the estimate.
+    sample.  Each resample draws only the top window of min(n, 2k + 64)
+    order statistics, which almost always holds the resampled k + 1
+    largest: a binomial count of window hits, then their positions.  A
+    resample thus costs O(window) = O(k); in the rare fallback, when the
+    window holds k or fewer draws, the rest of the resample is drawn and
+    counted in full at O(n).
     """
     x = np.asarray(samples, dtype=float)
     x = x[x > 0]
@@ -117,7 +137,7 @@ def hill(samples: np.ndarray, k_frac: float,
     window = min(n, 2 * k + 64)
     boots = np.empty(n_boot)
     for b in range(n_boot):
-        boots[b] = _resampled_hill(logs, rng.integers(0, n, n), k, window)
+        boots[b] = _resampled_hill(logs, rng, k, window)
     lo, hi = np.percentile(boots[np.isfinite(boots)], [2.5, 97.5])
     return HillEstimate(index=float(est), ci_low=float(lo), ci_high=float(hi),
                         k=k, threshold=float(xs[-k - 1]), n_boot=n_boot)
@@ -146,7 +166,7 @@ def _bootstrap_scaled_mins(proj_sorted: np.ndarray, t_grid: np.ndarray,
                            n_boot: int) -> np.ndarray:
     """Pool-level bootstrap of min_t t^beta * survival, preserving cross-t
     dependence, via per-element multinomial weights and suffix sums.  Only
-    the draws at or above the lowest grid position are counted: the
+    the weights at or above the lowest grid position are drawn: the
     survival at every grid point reads nothing below it."""
     n = len(proj_sorted)
     pos = np.searchsorted(proj_sorted, t_grid, side="right")
@@ -155,8 +175,7 @@ def _bootstrap_scaled_mins(proj_sorted: np.ndarray, t_grid: np.ndarray,
     tb = t_grid ** beta
     mins = np.empty(n_boot)
     for b in range(n_boot):
-        draws = rng.integers(0, n, n)
-        w = np.bincount(draws[draws >= lo] - lo, minlength=n - lo)
+        w = _top_counts(rng, n, lo)
         suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0]])
         surv = suffix[pos] / n
         mins[b] = (tb * surv).min()

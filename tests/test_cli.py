@@ -113,6 +113,33 @@ def test_simulate_bad_replicates_exit_2(tmp_path, capsys, replicates):
     assert "need 1 <= replicates <= pool_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, need", [
+    ("n_boot", 0, "n_boot >= 1"),
+    ("n_boot", -5, "n_boot >= 1"),
+    ("n_points", 1, "n_points >= 2"),
+    ("window_quantiles", [0.99, 1.5], "two quantiles 0 < q0 < q1 < 1"),
+    ("window_quantiles", [0.0, 0.9], "two quantiles 0 < q0 < q1 < 1"),
+    ("window_quantiles", [0.9, 0.5], "two quantiles 0 < q0 < q1 < 1"),
+    ("window_quantiles", [0.5, 0.9, 0.99], "two quantiles 0 < q0 < q1 < 1"),
+    ("window_quantiles", 0.9, "two quantiles 0 < q0 < q1 < 1"),
+    ("k_fracs", [0.01, 1.0], "each k_frac in (0, 1)"),
+    ("k_fracs", [0.0], "each k_frac in (0, 1)"),
+    ("ratio_max", 1.0, "ratio_max > 1"),
+])
+def test_tails_out_of_range_value_exit_2(tmp_path, capsys, key, value, need):
+    pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
+                          generation=1, converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    sec = {"pool": "pool.bin", "beta": 3.0, "window_quantiles": [0.5, 0.9],
+           "n_boot": 20, key: value}
+    assert _run(tmp_path, "tails", {"model": D1_MODEL, "seed": 1,
+                                    "tails": sec}) == 2
+    err = capsys.readouterr().err
+    assert f"tails.{key}: need {need}, got {value!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out/tail_report.json").exists()
+
+
 def test_model_roundtrip():
     spec = model_from_jsonable(D1_MODEL)
     doc = model_to_jsonable(spec)

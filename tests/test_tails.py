@@ -157,7 +157,7 @@ def test_profile_constant_under_model_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# windowed bootstrap counts vs the full multinomial counts
+# windowed bootstrap draws vs the full multinomial counts
 # ---------------------------------------------------------------------------
 
 def _hill_boot_full_count(logs, draws, k):
@@ -175,16 +175,29 @@ def _hill_boot_full_count(logs, draws, k):
     return 1.0 / h if h > 0 else np.inf
 
 
-def _scaled_mins_full_count(proj_sorted, t_grid, beta, rng, n_boot):
+def _scaled_mins_full_count(proj_sorted, t_grid, beta, resamples):
+    # each resample is a length-n index array, counted over all of range(n)
     n = len(proj_sorted)
     pos = np.searchsorted(proj_sorted, t_grid, side="right")
     tb = t_grid ** beta
-    mins = np.empty(n_boot)
-    for b in range(n_boot):
-        w = np.bincount(rng.integers(0, n, n), minlength=n)
+    mins = []
+    for draws in resamples:
+        w = np.bincount(draws, minlength=n)
         suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0]])
-        mins[b] = (tb * (suffix[pos] / n)).min()
-    return mins
+        mins.append((tb * (suffix[pos] / n)).min())
+    return np.asarray(mins)
+
+
+def _replayed_resample(rng, n, lo, rest_rng, k=None):
+    """A full resample of range(n) whose window part replays the bootstrap's
+    draws from rng: the binomial count of draws in [lo, n), then their
+    positions.  The draws below lo come from rng only where the Hill
+    fallback draws them (k given and at most k window hits); otherwise
+    the estimators never read them, and rest_rng supplies them."""
+    m = rng.binomial(n, (n - lo) / n)
+    top = lo + rng.integers(0, n - lo, m)
+    below = rng if k is not None and m <= k else rest_rng
+    return np.concatenate([top, below.integers(0, lo, n - m)]), m
 
 
 def test_hill_bootstrap_matches_full_count():
@@ -194,12 +207,12 @@ def test_hill_bootstrap_matches_full_count():
     logs = np.log(np.sort(x))
     n, k = len(x), est.k
     window = min(n, 2 * k + 64)
-    rng = substream(71, "boot")
+    rng, rest = substream(71, "boot"), substream(71, "rest")
     boots = []
     for _ in range(n_boot):
-        draws = rng.integers(0, n, n)
+        draws, m = _replayed_resample(rng, n, n - window, rest, k)
         # the top window holds the resampled (k+1)-th largest
-        assert (draws >= n - window).sum() > k
+        assert m > k
         boots.append(_hill_boot_full_count(logs, draws, k))
     boots = np.asarray(boots)
     lo, hi = np.percentile(boots[np.isfinite(boots)], [2.5, 97.5])
@@ -211,15 +224,17 @@ def test_hill_window_fallback_matches_full_count():
     x = _pareto(1.5, 20_000, 72)
     logs = np.log(np.sort(x))
     n, k = len(x), 200
-    rng = substream(73, "boot")
-    for _ in range(5):
-        draws = rng.integers(0, n, n)
-        want = _hill_boot_full_count(logs, draws, k)
-        # the top 10 order statistics catch about 10 draws, not k + 1
-        assert (draws >= n - 10).sum() <= k
-        assert _resampled_hill(logs, draws, k, 10) == want
-        assert _resampled_hill(logs, draws, k, 2 * k + 64) == want
-        assert _resampled_hill(logs, draws, k, n) == want
+    for window in (10, 2 * k + 64, n):
+        got, rng = substream(73, "boot"), substream(73, "boot")
+        rest = substream(73, "rest")
+        for _ in range(5):
+            draws, m = _replayed_resample(rng, n, n - window, rest, k)
+            # the top 10 order statistics catch about 10 draws, not k + 1
+            assert (m <= k) == (window == 10)
+            assert _resampled_hill(logs, got, k, window) == \
+                _hill_boot_full_count(logs, draws, k)
+        # both generators consumed the same draws, fallback included
+        assert got.random() == rng.random()
 
 
 def test_scaled_mins_match_full_count():
@@ -227,7 +242,32 @@ def test_scaled_mins_match_full_count():
     proj = np.sort(_pareto(2.5, 30_000, 74))
     t_grid = np.exp(np.linspace(math.log(np.quantile(proj, 0.95)),
                                 math.log(np.quantile(proj, 0.999)), 25))
-    assert np.searchsorted(proj, t_grid, side="right").min() > 0
+    lo = int(np.searchsorted(proj, t_grid, side="right").min())
+    assert lo > 0
     got = _bootstrap_scaled_mins(proj, t_grid, 2.5, substream(75, "b"), 40)
-    want = _scaled_mins_full_count(proj, t_grid, 2.5, substream(75, "b"), 40)
+    rng, rest = substream(75, "b"), substream(75, "rest")
+    want = _scaled_mins_full_count(
+        proj, t_grid, 2.5,
+        [_replayed_resample(rng, len(proj), lo, rest)[0] for _ in range(40)])
     assert np.array_equal(got, want)
+
+
+def test_top_counts_follow_the_multinomial_law():
+    # window counts of a uniform resample of range(n): the total is
+    # Binomial(n, p) and each cell Binomial(n, 1/n), mean 1
+    from smoothtail.tails import _top_counts
+    n, lo, reps = 2000, 1900, 20_000
+    rng = substream(76, "law")
+    counts = np.array([_top_counts(rng, n, lo) for _ in range(reps)])
+    assert counts.shape == (reps, n - lo)
+    p = (n - lo) / n
+    total = counts.sum(axis=1)
+    mean, var = n * p, n * p * (1 - p)
+    assert abs(total.mean() - mean) < 4 * math.sqrt(var / reps)
+    # Var of the sample variance: (mu4 - var^2 (reps - 3)/(reps - 1)) / reps,
+    # with the binomial fourth central moment mu4
+    mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))
+    se_var = math.sqrt((mu4 - var ** 2 * (reps - 3) / (reps - 1)) / reps)
+    assert abs(total.var(ddof=1) - var) < 4 * se_var
+    cell_se = math.sqrt((1 - 1 / n) / reps)
+    assert (np.abs(counts.mean(axis=0) - 1.0) < 4 * cell_se).all()
