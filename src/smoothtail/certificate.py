@@ -30,6 +30,7 @@ from .walks import (StepSampler, effective_sample_size, method_tilt,
 MIN_NT_HARD = 4
 MIN_NT_RECOMMENDED = 16
 ESS_FLOOR = 100            # effective contributing samples per estimate
+VERDICT_Z = 2              # a positive bound must clear this many standard errors
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +163,31 @@ def _summarize(ind: np.ndarray, log_weight: np.ndarray,
                         flagged=ess < ESS_FLOOR, upper_95=upper)
 
 
+def _draw_V(spec: ModelSpec, n: int, reps: int, rng: np.random.Generator,
+            tilt: float, spectral, pool_vectors: Optional[np.ndarray],
+            u: Optional[np.ndarray]):
+    """The draws behind a P(V_{n,t}) estimate: reps tilted paths of length
+    n with their history, then their n Z-marks each, as (batch, log(|Z| v 1)).
+    Only the indicator depends on (C0, delta)."""
+    if pool_vectors is None:
+        raise SpecError("estimate_PV needs pool vectors for the Z-marks")
+    if u is None:
+        u = np.zeros(spec.d)
+        u[0] = 1.0
+    batch = tilted_batch(spec, u, n, tilt, spectral, reps, rng,
+                         record_hist=True)
+    z = draw_z_marks(spec, pool_vectors, reps * n, rng).reshape(reps, n)
+    return batch, np.log(np.maximum(z, 1.0))
+
+
 def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
                 rng: np.random.Generator, method: str = "tilted",
                 spectral=None, pool_vectors: Optional[np.ndarray] = None,
                 u: Optional[np.ndarray] = None,
                 beta: Optional[float] = None) -> ProbEstimate:
     """P(V_{n,t}) by naive or beta-tilted Monte Carlo with Z-marks from a pool."""
-    if pool_vectors is None:
-        raise SpecError("estimate_PV needs pool vectors for the Z-marks")
-    if u is None:
-        u = np.zeros(spec.d)
-        u[0] = 1.0
-    batch = tilted_batch(spec, u, n, method_tilt(method, beta), spectral,
-                         reps, rng, record_hist=True)
-    z = draw_z_marks(spec, pool_vectors, reps * n, rng).reshape(reps, n)
-    z_log = np.log(np.maximum(z, 1.0))
+    batch, z_log = _draw_V(spec, n, reps, rng, method_tilt(method, beta),
+                           spectral, pool_vectors, u)
     ind = _indicator_V_batch(batch.opnorm_log_hist, batch.S, z_log, params, n)
     return _summarize(ind, batch.log_weight, method)
 
@@ -447,26 +458,30 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
 
     Score: all window levels must have hits; among those, minimize the range
     of log P(V_n) - n log k(beta) (the rate-shape residual), tie-breaking
-    toward larger mean mass.  The chosen values travel inside EventParams
-    and are recorded in every report.
+    toward larger mean mass.  The window depends on t and rho alone, so
+    every cell is scored on the same draws (common random numbers): one
+    tilted batch and its Z-marks per window level, drawn level by level.
+    The chosen values travel inside EventParams and are recorded in every
+    report.
     """
+    cells = [EventParams(t=t, C0=C0, delta=delta, rho=rho,
+                         min_recommended_nt=min_recommended_nt)
+             for C0 in C0_grid for delta in delta_grid]
+    levels = cells[0].window_levels()
+    tilt = method_tilt("tilted", beta)
+    draws = [_draw_V(spec, n, reps, rng, tilt, spectral, pool_vectors, u)
+             for n in levels]
     best = None
-    for C0 in C0_grid:
-        for delta in delta_grid:
-            params = EventParams(t=t, C0=C0, delta=delta, rho=rho,
-                                 min_recommended_nt=min_recommended_nt)
-            centered = []
-            ok = True
-            for n in params.window_levels():
-                est = estimate_PV(spec, n, params, reps, rng, method="tilted",
-                                  spectral=spectral, pool_vectors=pool_vectors,
-                                  u=u, beta=beta)
-                if est.hits == 0 or est.value <= 0:
-                    ok = False
-                    break
-                centered.append(math.log(est.value) - n * math.log(k_beta))
-            if not ok:
-                continue
+    for params in cells:
+        centered = []
+        for n, (batch, z_log) in zip(levels, draws):
+            ind = _indicator_V_batch(batch.opnorm_log_hist, batch.S, z_log,
+                                     params, n)
+            est = _summarize(ind, batch.log_weight, "tilted")
+            if est.hits == 0 or est.value <= 0:
+                break
+            centered.append(math.log(est.value) - n * math.log(k_beta))
+        else:
             spread = max(centered) - min(centered)
             mean_level = sum(centered) / len(centered)
             key = (spread, -mean_level)
@@ -521,12 +536,25 @@ class CertificateReport:
         return out
 
 
-def verdict(levels: list, bound: float) -> str:
-    """The certificate's verdict on a bound summed over the levels L_t."""
+def verdict(levels: list, bound: float, bound_se: float,
+            n_flagged: int) -> tuple[str, Optional[str]]:
+    """The certificate's verdict on a bound summed over the levels L_t, and
+    the reason when it is not positive.  Positive needs the bound to clear
+    VERDICT_Z standard errors with no V or W estimate under the ESS floor
+    (n_flagged counts those)."""
     if not levels:
         # no level to sum over: the bound is 0 by construction, not evidence
-        return "vacuous"
-    return "positive" if bound > 0 else "not positive at these parameters"
+        return "vacuous", None
+    reasons = []
+    if not bound > VERDICT_Z * bound_se:
+        reasons.append(f"bound {bound:.3g} not above {VERDICT_Z} x "
+                       f"bound_se {bound_se:.3g}")
+    if n_flagged:
+        reasons.append(f"{n_flagged} V/W estimates below the ESS floor")
+    if not reasons:
+        return "positive", None
+    return ("not positive at these parameters",
+            "not positive: " + "; ".join(reasons))
 
 
 def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
@@ -537,14 +565,17 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
                 reps_v: int = 100_000, reps_w: int = 10_000,
                 reps_search: int = 20_000,
                 min_recommended_nt: int = MIN_NT_RECOMMENDED,
-                threads: int = 1) -> CertificateReport:
+                threads: int = 1,
+                force_kappa_zero: bool = False) -> CertificateReport:
     """Evaluate kappa * sum P(V) - sum P(W) over the sparse subtree.
 
     The sum over the subtree uses expected node counts times per-level
     probabilities (P(V_i) depends only on |i| by exchangeability); pair
     sums are grouped by (p, q, m) with expected ordered-pair counts
     (E N)^{p+q-m-2 C1}.  Every estimate draws from its own pre-derived
-    substream, so results do not depend on the worker count.
+    substream, so results do not depend on the worker count.  With
+    force_kappa_zero the cone floor is taken as exactly 0 (no standard
+    error), which leaves the bound -sum P(W).
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if C0 is None or delta is None:
@@ -613,11 +644,19 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
                          "hits": est.hits, "ess": est.ess,
                          "method": est.method,
                          "upper_95": est.upper_95})
-    kappa = cones.kappa
+    if force_kappa_zero:
+        kappa, kappa_se = 0.0, 0.0
+        flags.append("kappa forced to zero")
+    else:
+        kappa, kappa_se = cones.kappa, cones.kappa_se
     v_term = kappa * v_sum
     bound = v_term - w_sum
     bound_se = math.sqrt(kappa ** 2 * v_var + w_var
-                         + (v_sum * cones.kappa_se) ** 2)
+                         + (v_sum * kappa_se) ** 2)
+    n_flagged = sum(est.flagged for est in v_results + w_results)
+    outcome, reason = verdict(levels, bound, bound_se, n_flagged)
+    if reason is not None:
+        flags.append(reason)
     n_t = eparams.n_t
     shape_actual = (len(levels) * k_beta ** C1 / math.sqrt(n_t)) if levels else 0.0
     shape_ideal = k_beta ** C1 / (2 * C1)
@@ -627,9 +666,9 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     return CertificateReport(
         t=t, u=u, C0=eparams.C0, delta=eparams.delta, C1=C1, rho=rho,
         beta=beta, n_t=n_t, levels=levels, kappa=kappa,
-        kappa_se=cones.kappa_se, v_sum=v_sum, v_sum_se=math.sqrt(v_var),
+        kappa_se=kappa_se, v_sum=v_sum, v_sum_se=math.sqrt(v_var),
         w_sum=w_sum, w_sum_se=math.sqrt(w_var), bound=bound,
-        bound_se=bound_se, verdict=verdict(levels, bound),
+        bound_se=bound_se, verdict=outcome,
         t_beta_v_term=t_beta_v,
         shape_actual=shape_actual, shape_idealized=shape_ideal,
         fitted_D1=fitted, per_level_V=per_level, per_geometry_W=per_geom,

@@ -421,7 +421,6 @@ def cmd_certificate(cfg: RunConfig) -> int:
         t = float(np.quantile(pool.vectors @ u, sec.num("t_quantile")))
     else:
         raise ConfigError("certificate needs 't' or 't_quantile'")
-    kappa_zero = bool(sec.get("force_kappa_zero", False))
     rng = substream(cfg.seed, "certificate")
     report = certificate.lower_bound(
         cfg.spec, u, t, rho, beta, k_beta,
@@ -433,12 +432,8 @@ def cmd_certificate(cfg: RunConfig) -> int:
         reps_search=sec.num("reps_search", 20_000, int),
         min_recommended_nt=sec.num("min_recommended_nt",
                                    certificate.MIN_NT_RECOMMENDED, int),
-        threads=cfg.threads)
-    if kappa_zero:
-        report.kappa = 0.0
-        report.bound = report.kappa * report.v_sum - report.w_sum
-        report.verdict = certificate.verdict(report.levels, report.bound)
-        report.flags.append("kappa forced to zero by config")
+        threads=cfg.threads,
+        force_kappa_zero=bool(sec.get("force_kappa_zero", False)))
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "certificate.json", report.to_jsonable(), fp)
     artifacts.write_csv(cfg.out / "v_estimates.csv",

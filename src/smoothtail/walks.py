@@ -241,7 +241,7 @@ class StepSampler:
 class WalkBatch:
     """Vectorized terminal data for a batch of paths."""
 
-    U: np.ndarray              # (R, d) final directions
+    U: np.ndarray              # (R, d) final directions (read-only rows of one when shared)
     S: np.ndarray              # (R,) final log scales
     log_weight: np.ndarray     # (R,) log importance weights (zeros at tilt 0)
     opnorm_log_hist: Optional[np.ndarray] = None  # (R, n+1) log ||Pi*_k||
@@ -258,6 +258,15 @@ def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
     starting directions.  With record_hist the per-step log operator norms
     of the partial products Pi*_k and the running log weights are kept
     (needed by the event indicators and the moment regression).
+
+    While every path has the same direction U (one start, or equal rows of
+    u0) and the steps share one direction factor D^T (a fixed P, or the
+    d = 1 scalar family), U and the normalised partial product G stay a
+    single row that serves the whole batch: only the log scales are per
+    path.  The first per-path factor (rotations, finite-support atoms)
+    expands them to reps rows.  Each row is computed exactly as it would be
+    in the expanded batch, so the result does not depend on when that
+    happens.
     """
     if sampler is None:
         sampler = StepSampler(spec)
@@ -267,27 +276,32 @@ def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
         if u0.shape != (reps, d):
             raise SpecError("per-path u0 must have shape (reps, d)")
         U = u0 / np.maximum(vec_norm(u0, spec.norm), UNDERFLOW)[:, None]
+        if (U == U[:1]).all():
+            U = U[:1]
     else:
-        u = _unit(u0, spec.norm)
-        U = np.broadcast_to(u, (reps, d)).copy()
+        U = _unit(u0, spec.norm)[None]
     S = np.zeros(reps)
     logw = np.zeros(reps)
     if record_hist:
-        G = np.broadcast_to(np.eye(d), (reps, d, d)).copy()
+        G = np.eye(d)[None]
         g_scale = np.zeros(reps)
-        opn_hist = np.zeros((reps, n + 1))
-        logw_hist = np.zeros((reps, n + 1))
+        # one row per step: each write is contiguous
+        opn_hist = np.zeros((n + 1, reps))
+        logw_hist = np.zeros((n + 1, reps))
     for k in range(n):
         # the step W D^T acts on the direction through D^T alone; log W
         # goes straight into the log scales
-        log_scale, dirs_T, lr = sampler.tilted(rng, U)
+        log_scale, dirs_T, lr = sampler.tilted(rng, np.broadcast_to(U, (reps, d)))
         logw += lr
+        if len(dirs_T) > len(U):
+            U = np.broadcast_to(U, (reps, d))
         y = matvec_sum(dirs_T[:, None], U[:, None])
         nrm = vec_norm(y, spec.norm)
         bad = nrm <= UNDERFLOW
         if bad.any():
+            n_bad = int(np.broadcast_to(bad, (reps,)).sum())
             raise SingularActionError(
-                f"{int(bad.sum())} of {reps} paths hit a singular action at step {k + 1}")
+                f"{n_bad} of {reps} paths hit a singular action at step {k + 1}")
         U = y / nrm[:, None]
         S += log_scale + np.log(nrm)
         if record_hist:
@@ -295,11 +309,11 @@ def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
             gn = operator_norms(G, spec.norm)
             G /= gn[:, None, None]
             g_scale += log_scale + np.log(gn)
-            opn_hist[:, k + 1] = g_scale
-            logw_hist[:, k + 1] = logw
-    return WalkBatch(U=U, S=S, log_weight=logw,
-                     opnorm_log_hist=opn_hist if record_hist else None,
-                     log_weight_hist=logw_hist if record_hist else None)
+            opn_hist[k + 1] = g_scale
+            logw_hist[k + 1] = logw
+    return WalkBatch(U=np.broadcast_to(U, (reps, d)), S=S, log_weight=logw,
+                     opnorm_log_hist=opn_hist.T if record_hist else None,
+                     log_weight_hist=logw_hist.T if record_hist else None)
 
 
 def tilted_batch(spec: ModelSpec, u0: np.ndarray, n: int, s: float, spectral,

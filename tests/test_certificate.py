@@ -1,5 +1,6 @@
 """Event indicators, probability estimates, subtree counts, cones, and the bound."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -9,12 +10,14 @@ import pytest
 from conftest import (BETA_D1, K_BETA_D1, RHO_D1, d1_lognormal_spec,
                       d2_lognormal_matrix_spec, random13_spec)
 from smoothtail.branching import grow_tree
-from smoothtail.certificate import (ESS_FLOOR, EventParams, SubtreeParams,
-                                    _summarize, build_sparse_subtree,
+from smoothtail import certificate
+from smoothtail.certificate import (ESS_FLOOR, VERDICT_Z, EventParams,
+                                    SubtreeParams, _summarize,
+                                    build_sparse_subtree, choose_event_params,
                                     cone_family, draw_z_marks, estimate_PV,
                                     estimate_PW, estimate_tail_prob,
                                     expected_count_check, indicator_V,
-                                    lower_bound)
+                                    lower_bound, verdict)
 from smoothtail.errors import NondegeneracyError, SpecError
 from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
 from smoothtail.rng import substream
@@ -406,6 +409,13 @@ def test_lower_bound_flags_low_ess_w_with_hits(d1_pool):
         assert len(msg) == 1
         assert f"ess={g['ess']:.1f}" in msg[0]
         assert ("no hits" in msg[0]) == (g["hits"] == 0)
+    # a flagged estimate rules out "positive", and the verdict says why once
+    assert rep.verdict == "not positive at these parameters"
+    reason = [f for f in rep.flags if f.startswith("not positive: ")]
+    n_flagged = sum(g["ess"] < ESS_FLOOR
+                    for g in rep.per_level_V + rep.per_geometry_W)
+    assert len(reason) == 1
+    assert f"{n_flagged} V/W estimates below the ESS floor" in reason[0]
 
 
 def test_lower_bound_below_direct_union(d1_pool):
@@ -495,3 +505,136 @@ def test_summarize_flags_and_upper_bound():
         assert est.value == pytest.approx(hits / 1000, rel=1e-12)
         assert est.flagged == (hits < ESS_FLOOR)
         assert est.upper_95 is None and est.method == "naive"
+
+
+# ---------------------------------------------------------------------------
+# verdict
+# ---------------------------------------------------------------------------
+
+def test_verdict_rule():
+    assert VERDICT_Z == 2
+    # no level to sum over: vacuous, whatever the numbers
+    assert verdict([], 0.0, 0.0, 0) == ("vacuous", None)
+    assert verdict([], 0.0, 0.0, 3) == ("vacuous", None)
+    # clear of two standard errors with every estimate above the floor
+    assert verdict([4, 6], 1.0, 0.49, 0) == ("positive", None)
+    # a bound inside its error bar
+    call, reason = verdict([4, 6], 1.0, 0.5, 0)
+    assert call == "not positive at these parameters"
+    assert reason == "not positive: bound 1 not above 2 x bound_se 0.5"
+    call, reason = verdict([4], 3.2e-13, 4.4e-12, 0)
+    assert call == "not positive at these parameters"
+    assert reason == "not positive: bound 3.2e-13 not above 2 x bound_se 4.4e-12"
+    call, reason = verdict([4], -1.0, 0.0, 0)
+    assert call == "not positive at these parameters" and "bound -1 " in reason
+    # a flagged estimate, even under a tight error bar
+    assert verdict([4], 1.0, 0.01, 2) == (
+        "not positive at these parameters",
+        "not positive: 2 V/W estimates below the ESS floor")
+    # both reasons, in one flag
+    assert verdict([4], 0.0, 1.0, 1) == (
+        "not positive at these parameters",
+        "not positive: bound 0 not above 2 x bound_se 1; "
+        "1 V/W estimates below the ESS floor")
+
+
+def test_lower_bound_hands_the_verdict_its_bound_and_flags(monkeypatch, d1_pool):
+    # the rule as lower_bound applies it: the same report is positive or
+    # not depending only on the error bar and the ESS flags it carries
+    spec = d1_lognormal_spec()
+    x = d1_pool.vectors
+    t = float(np.quantile(x[:, 0], 0.999))
+    args = (spec, np.array([1.0]), t, RHO_D1, BETA_D1, K_BETA_D1)
+    kw = dict(C1=2, pool_vectors=x, C0=10.0, delta=0.2, reps_v=20_000,
+              reps_w=2_000)
+    seen = []
+
+    def fake_verdict(levels, bound, bound_se, n_flagged):
+        seen.append((bound, bound_se, n_flagged))
+        return verdict(levels, 1.0, 0.0, 0)
+
+    monkeypatch.setattr(certificate, "verdict", fake_verdict)
+    rep = lower_bound(*args, rng=substream(26, "lb"), **kw)
+    assert rep.verdict == "positive"
+    assert not any(f.startswith("not positive") for f in rep.flags)
+    bound, bound_se, n_flagged = seen[0]
+    assert (bound, bound_se) == (rep.bound, rep.bound_se)
+    assert n_flagged == sum(r["ess"] < ESS_FLOOR for r in
+                            rep.per_level_V + rep.per_geometry_W)
+
+
+# ---------------------------------------------------------------------------
+# (C0, delta) search on common random numbers
+# ---------------------------------------------------------------------------
+
+def _brute_force_choice(levels, draws, t, rho, k_beta):
+    """The search's score, one path at a time through indicator_V, on the
+    draws the search made."""
+    best = None
+    for C0 in (1.0, 3.0, 10.0, 30.0):
+        for delta in (0.05, 0.1, 0.2, 0.4):
+            params = EventParams(t=t, C0=C0, delta=delta, rho=rho)
+            centered = []
+            for n, (batch, z) in zip(levels, draws):
+                ind = np.array([
+                    indicator_V(batch.opnorm_log_hist[r], math.exp(batch.S[r]),
+                                z[r], params, n)
+                    for r in range(len(batch.S))])
+                value = float(np.mean(ind * np.exp(batch.log_weight)))
+                if not ind.any() or value <= 0:
+                    break
+                centered.append(math.log(value) - n * math.log(k_beta))
+            else:
+                key = (max(centered) - min(centered),
+                       -sum(centered) / len(centered))
+                if best is None or key < best[0]:
+                    best = (key, (C0, delta))
+    return best[1]
+
+
+def test_search_scores_every_cell_on_one_draw_per_level(monkeypatch, d1_pool):
+    spec = d1_lognormal_spec()
+    x = d1_pool.vectors
+    t = float(np.quantile(x[:, 0], 0.999))
+    reps = 1500
+    walks_drawn, marks_drawn = [], []
+    tilted_batch, z_marks = certificate.tilted_batch, certificate.draw_z_marks
+
+    def counting_batch(spec, u0, n, s, spectral, reps, rng, record_hist=False):
+        batch = tilted_batch(spec, u0, n, s, spectral, reps, rng,
+                             record_hist=record_hist)
+        walks_drawn.append((n, s, record_hist, batch))
+        return batch
+
+    def counting_marks(spec, pool_vectors, count, rng):
+        z = z_marks(spec, pool_vectors, count, rng)
+        marks_drawn.append(z)
+        return z
+
+    monkeypatch.setattr(certificate, "tilted_batch", counting_batch)
+    monkeypatch.setattr(certificate, "draw_z_marks", counting_marks)
+    chosen = choose_event_params(spec, t, RHO_D1, K_BETA_D1,
+                                 substream(27, "search"), x, BETA_D1,
+                                 u=np.array([1.0]), reps=reps)
+    levels = chosen.window_levels()
+    assert len(levels) >= 2
+    # exactly one tilted walk batch and one Z-mark array per window level
+    assert [(n, s, h) for n, s, h, _ in walks_drawn] == \
+        [(n, BETA_D1, True) for n in levels]
+    assert [len(z) for z in marks_drawn] == [reps * n for n in levels]
+    draws = [(b, z.reshape(reps, n)) for (n, _, _, b), z
+             in zip(walks_drawn, marks_drawn)]
+    want = _brute_force_choice(levels, draws, t, RHO_D1, K_BETA_D1)
+    assert (chosen.C0, chosen.delta) == want
+
+
+def test_lower_bound_with_search_is_the_same_at_any_worker_count(d1_pool):
+    spec = d1_lognormal_spec()
+    x = d1_pool.vectors
+    t = float(np.quantile(x[:, 0], 0.999))
+    docs = [json.dumps(lower_bound(
+        spec, np.array([1.0]), t, RHO_D1, BETA_D1, K_BETA_D1, C1=2,
+        pool_vectors=x, rng=substream(28, "lb"), reps_v=5_000, reps_w=1_000,
+        reps_search=2_000, threads=threads).to_jsonable())
+        for threads in (1, 2)]
+    assert docs[0] == docs[1]

@@ -411,6 +411,13 @@ def test_certificate_kappa_zero(pipeline):
     doc = json.loads((pipeline / "outk0/certificate.json").read_text())
     assert doc["bound"] <= 0
     assert doc["verdict"] == "not positive at these parameters"
+    # every kappa-dependent field follows the forced kappa, not the cones'
+    assert doc["kappa"] == 0.0 and doc["kappa_se"] == 0.0
+    assert doc["bound"] == -doc["w_sum"]
+    assert doc["bound_se"] == doc["w_sum_se"]
+    assert doc["t_beta_v_term"] == 0.0
+    assert "kappa forced to zero" in doc["flags"]
+    assert sum(f.startswith("not positive: ") for f in doc["flags"]) == 1
 
 
 def test_certificate_kappa_zero_keeps_vacuous(pipeline):

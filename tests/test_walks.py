@@ -487,3 +487,101 @@ def test_method_tilt():
         walks.method_tilt("tilted", None)
     with pytest.raises(SpecError, match="unknown method 'tilde'"):
         walks.method_tilt("tilde", 2.5)
+
+
+# ---------------------------------------------------------------------------
+# shared-direction walks
+# ---------------------------------------------------------------------------
+
+class PerPathFactor:
+    """Passes a sampler's steps through with a shared (1, d, d) direction
+    factor handed back as the (R, d, d) stack it stands for, which forces
+    run_walks onto its per-path rows."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+
+    def tilted(self, rng, U):
+        log_scale, dirs_T, lr = self.sampler.tilted(rng, U)
+        return log_scale, np.broadcast_to(dirs_T, (len(U),) + dirs_T.shape[1:]), lr
+
+
+WALK_FIELDS = ("U", "S", "log_weight", "opnorm_log_hist", "log_weight_hist")
+
+
+@pytest.mark.parametrize("make_spec", [d1_lognormal_spec,
+                                       d2_lognormal_matrix_spec],
+                         ids=["scalar-d1", "w-p-d2"])
+@pytest.mark.parametrize("s", [0.0, BETA_D1], ids=["nominal", "beta"])
+@pytest.mark.parametrize("record_hist", [False, True], ids=["plain", "hist"])
+def test_shared_walk_is_the_per_path_walk(make_spec, s, record_hist):
+    spec = make_spec()
+    u0 = np.eye(spec.d)[0]
+    got = {}
+    for wrap in (False, True):
+        sampler = walks.StepSampler(spec, s=s)
+        got[wrap] = run_walks(spec, u0, 12, 2000, substream(72, "w"),
+                              sampler=PerPathFactor(sampler) if wrap else sampler,
+                              record_hist=record_hist)
+    shared, per_path = got[False], got[True]
+    # the shared walk kept one direction row for the whole batch
+    assert shared.U.strides[0] == 0 and per_path.U.strides[0] != 0
+    for name in WALK_FIELDS:
+        a, b = getattr(shared, name), getattr(per_path, name)
+        assert (a is None) == (b is None) == (name.endswith("_hist")
+                                              and not record_hist)
+        assert a is None or np.array_equal(a, b)
+    assert np.ptp(shared.S) > 1.0
+
+
+def test_equal_start_rows_stay_shared():
+    # a (reps, d) start with equal rows (estimate_PW's branches from pre.U)
+    # walks like the one start it repeats
+    spec = d2_lognormal_matrix_spec()
+    sampler = walks.StepSampler(spec, s=2.0)
+    one = run_walks(spec, np.array([0.3, 0.7]), 8, 500, substream(73, "w"),
+                    sampler=sampler, record_hist=True)
+    rows = run_walks(spec, np.tile([0.3, 0.7], (500, 1)), 8, 500,
+                     substream(73, "w"), sampler=sampler, record_hist=True)
+    assert rows.U.strides[0] == 0
+    for name in WALK_FIELDS:
+        assert np.array_equal(getattr(one, name), getattr(rows, name))
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_pw_branches_match_per_path_walks(monkeypatch, m):
+    from smoothtail import certificate
+    spec = d2_lognormal_matrix_spec()
+    params = certificate.EventParams(t=30.0, C0=10.0, delta=0.2, rho=0.5)
+    args = (spec, 5, 4, m, params, 4000)
+    shared = certificate.estimate_PW(*args, substream(74, "pw"), beta=2.0)
+    monkeypatch.setattr(certificate, "StepSampler",
+                        lambda *a, **k: PerPathFactor(walks.StepSampler(*a, **k)))
+    per_path = certificate.estimate_PW(*args, substream(74, "pw"), beta=2.0)
+    assert shared.hits > 0 and shared == per_path
+
+
+class SingularSteps:
+    """Steps whose direction factor is zero on the chosen paths."""
+
+    def __init__(self, d, zero_rows=None):
+        self.d, self.zero_rows = d, zero_rows
+
+    def tilted(self, rng, U):
+        R = len(U)
+        if self.zero_rows is None:
+            dirs = np.zeros((1, self.d, self.d))
+        else:
+            dirs = np.broadcast_to(np.eye(self.d), (R, self.d, self.d)).copy()
+            dirs[self.zero_rows] = 0.0
+        return np.zeros(R), dirs, np.zeros(R)
+
+
+@pytest.mark.parametrize("zero_rows, bad", [(None, 50), (slice(0, 7), 7)],
+                         ids=["shared", "per-path"])
+def test_singular_action_counts_paths(zero_rows, bad):
+    spec = d2_lognormal_matrix_spec()
+    with pytest.raises(SingularActionError,
+                       match=f"^{bad} of 50 paths hit a singular action at step 1$"):
+        run_walks(spec, np.array([1.0, 0.0]), 3, 50, None,
+                  sampler=SingularSteps(2, zero_rows))
