@@ -247,31 +247,38 @@ def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
     sum_i W_i D X_i = D sum_i W_i X_i.
     """
     d = spec.d
-    n = spec.branching.sample(rng, size)
-    slots = max(int(n.max()) - skip, 0) if size else 0
+    # a fixed N draws nothing and masks nothing
+    n = None if spec.branching.mode == "fixed" else spec.branching.sample(rng, size)
+    n_max = spec.branching.n if n is None else int(n.max(initial=0))
+    slots = max(n_max - skip, 0) if size else 0
     if slots > 0:
         log_w, dirs = spec.ensemble.factors(rng, size * slots)
         check_class(spec, dirs)
-        w = np.exp(log_w).reshape(size, slots)
-        if n.min() < skip + slots:
-            w = w * (np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None])
-    out = spec.q_law.draw(rng, size, d).astype(float, copy=False)
+        w = np.exp(log_w, out=log_w).reshape(size, slots)
+        if n is not None and n.min() < skip + slots:
+            w *= np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None]
+    out = spec.q_law.draw(rng, size, d)
     if slots > 0:
         xs = np.take(pool, rng.integers(0, pool.shape[0], size=(size, slots)),
                      axis=0)
+        for j in range(d):
+            xs[:, :, j] *= w                      # w_k x_k, in place
         if len(dirs) == 1:
-            # y = sum_k w_k x_k, one length-size multiply-add per term
-            y = np.empty((size, d))
-            for j in range(d):
-                acc = y[:, j]
-                np.multiply(w[:, 0], xs[:, 0, j], out=acc)
-                for k in range(1, slots):
-                    acc += w[:, k] * xs[:, k, j]
-            del xs                    # the mat-vec needs only the sums
-            out += matvec_sum(dirs[None], y[:, None])
+            # y = sum_k w_k x_k in child order, summed on the gathered block;
+            # then out_i += sum_j D_ij y_j, left to right as matvec_sum adds
+            # (1.0 * y is y, so the 1x1 identity is skipped)
+            y = [xs[:, 0, j] for j in range(d)]
+            for k in range(1, slots):
+                for j in range(d):
+                    y[j] += xs[:, k, j]
+            P = dirs[0]
+            for i in range(d):
+                term = y[0] if d == 1 and P[0, 0] == 1.0 else P[i, 0] * y[0]
+                for j in range(1, d):
+                    term += P[i, j] * y[j]
+                out[:, i] += term
         else:
-            out += matvec_sum(dirs.reshape(size, slots, d, d),
-                              w[:, :, None] * xs)
+            out += matvec_sum(dirs.reshape(size, slots, d, d), xs)
     return out
 
 
@@ -307,10 +314,18 @@ def _pool_stats(pool: np.ndarray):
             sq += pool[:, j] * pool[:, j]
         proj = np.sqrt(sq, out=sq)
     # the mean comes before the sort, whose order would change the pairwise
-    # sum; on sorted input np.quantile's partition has no work left to do
+    # sum; the deciles follow np.quantile's linear rule on the sorted values:
+    # virtual index (n - 1) q and its floor (a lone value is read at index
+    # -1 with t = 1), then numpy's _lerp with its t >= 0.5 branch
     mean = float(proj.mean())
     proj.sort()
-    return mean, np.quantile(proj, _DECILES)
+    n = len(proj)
+    vi = (n - 1) * _DECILES
+    lo = np.floor(vi) - (n == 1)
+    i = lo.astype(np.intp)
+    a, b, t = proj[i], proj[i + 1], vi - lo
+    diff = b - a
+    return mean, np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
 def sample_fixed_point(spec: ModelSpec, generations: int, pool_size: int,

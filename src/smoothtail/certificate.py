@@ -530,6 +530,9 @@ class CertificateReport:
                 "kappa", "kappa_se", "v_sum", "v_sum_se", "w_sum", "w_sum_se",
                 "bound", "bound_se", "verdict", "t_beta_v_term",
                 "shape_actual", "shape_idealized", "fitted_D1", "flags")}
+        for k in ("t_beta_v_term", "fitted_D1"):
+            if not math.isfinite(out[k]):
+                out[k] = None     # zero kappa, empty L_t, or t^beta overflow
         out["u"] = self.u.tolist()
         out["per_level_V"] = self.per_level_V
         out["per_geometry_W"] = self.per_geometry_W

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ClassViolationError, EigenDiagnosticError, SpecError
+from .errors import (ClassViolationError, EigenDiagnosticError,
+                     SingularActionError, SpecError)
 
 CLASS_NONNEG = "nonnegative-C"
 CLASS_IPO = "invertible-ipo"
@@ -24,6 +25,7 @@ GEOM_CLASSES = (CLASS_NONNEG, CLASS_IPO, CLASS_ID)
 
 ZERO_TOL = 1e-12        # entries below this count as structural zeros
 DET_TOL = 1e-10         # invertibility margin for declared invertible classes
+ORBIT_CHUNK = 256       # orbit-coverage steps binned per cell_index call
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +178,9 @@ class LognormalFamily(MatrixEnsemble):
         raise NotImplementedError
 
     def factors(self, rng, size):
-        log_w = self.mu + self.sigma * rng.standard_normal(size)
+        log_w = rng.standard_normal(size)
+        log_w *= self.sigma           # mu + sigma z, bit for bit
+        log_w += self.mu
         return log_w, self.directions(rng, size)
 
     def log_scalar_moment(self, s: float) -> float:
@@ -296,7 +300,7 @@ class QLaw:
         if self.kind == "zero":
             return np.zeros((size, d))
         if self.kind == "deterministic":
-            return np.broadcast_to(self.vector, (size, d)).copy()
+            return np.tile(self.vector, (size, 1))
         idx = rng.choice(len(self.probs), size=size, p=self.probs)
         return self.vectors[idx]
 
@@ -574,7 +578,9 @@ def _support_matrices(spec: ModelSpec, rng: np.random.Generator, reps: int) -> n
 
 
 def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> float:
-    """Fraction of sphere-grid cells visited by the projective orbit."""
+    """Fraction of sphere-grid cells visited by the projective orbit, binned
+    ORBIT_CHUNK steps at a time until every cell is visited; the matrices
+    are drawn first, so the early stop leaves the generator state as is."""
     from .spectral import build_grid
     from .walks import act, vec_norm
 
@@ -584,12 +590,18 @@ def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> fl
     x = x / vec_norm(x, spec.norm)
     visited = np.zeros(len(grid.points), dtype=bool)
     mats = spec.ensemble.draw(rng, steps)
-    for m in mats:
-        try:
-            x = act(m.T, x, spec.norm)
-        except Exception:
-            continue
-        visited[grid.cell_index(x[None, :])[0]] = True
+    for a in range(0, steps, ORBIT_CHUNK):
+        orbit = []
+        for m in mats[a:a + ORBIT_CHUNK]:
+            try:
+                x = act(m.T, x, spec.norm)
+            except SingularActionError:
+                continue
+            orbit.append(x)
+        if orbit:
+            visited[grid.cell_index(np.array(orbit))] = True
+        if visited.all():
+            break
     return float(visited.mean())
 
 

@@ -32,6 +32,12 @@ LAMBDA_P = (3.0 + math.sqrt(5.0)) / 2.0
 K1_D2 = math.exp(-0.875) * LAMBDA_P
 
 
+def rng_state(rng: np.random.Generator) -> str:
+    """A generator's full state; Philox keeps its counter and key as arrays,
+    whose repr is exact."""
+    return repr(rng.bit_generator.state)
+
+
 def d1_lognormal_spec() -> ModelSpec:
     return ModelSpec(
         dimension=1,
@@ -68,6 +74,15 @@ def d2_rotation_spec() -> ModelSpec:
         branching=Branching(mode="fixed", n=2),
         ensemble=LognormalRotation(mu=-1.0, sigma2=0.25, d=2),
         q_law=QLaw(kind="deterministic", vector=[1.0, 0.0]),
+        geom_class="invertible-ipo")
+
+
+def d3_rotation_spec() -> ModelSpec:
+    return ModelSpec(
+        dimension=3,
+        branching=Branching(mode="fixed", n=2),
+        ensemble=LognormalRotation(mu=-1.0, sigma2=0.25, d=3),
+        q_law=QLaw(kind="deterministic", vector=[1.0, 0.0, 0.0]),
         geom_class="invertible-ipo")
 
 

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import reference_engine as ref
 from conftest import (MEAN_D1, d1_lognormal_spec, d1_quarter_spec,
                       d2_finite_pair_spec, d2_lognormal_matrix_spec,
-                      d2_rotation_spec, random13_spec)
+                      d2_rotation_spec, d3_rotation_spec, random13_spec,
+                      rng_state)
+from smoothtail import branching
 from smoothtail.artifacts import read_pool
 from smoothtail.branching import (_pool_stats, decompose_check, evaluate_Yl,
                                   evaluate_Z, grow_tree, node_leq, node_meet,
@@ -288,16 +291,84 @@ def test_resampled_sum_matches_full_stack(make_spec, skip):
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-15 * scale)
 
 
+def _with_q(spec, kind):
+    if kind == "zero":
+        return replace(spec, q_law=QLaw(kind="zero"))
+    if kind == "finite-support":
+        vectors = np.arange(1.0, 1.0 + 3 * spec.d).reshape(3, spec.d)
+        return replace(spec, q_law=QLaw(kind="finite_support", vectors=vectors,
+                                        probs=np.array([0.2, 0.3, 0.5])))
+    return spec
+
+
+@pytest.mark.parametrize("make_spec", [
+    d1_lognormal_spec,
+    d2_lognormal_matrix_spec,
+    d2_rotation_spec,
+    d3_rotation_spec,
+    d2_finite_pair_spec,
+    random13_spec,
+    lambda: _random13(d1_lognormal_spec()),
+    lambda: _random13(d2_lognormal_matrix_spec()),
+], ids=["scalar-d1", "w-p-d2", "c-r-d2", "c-r-d3", "finite-support",
+        "finite-support-random-n13", "scalar-random-n13", "w-p-random-n13"])
+@pytest.mark.parametrize("q_kind", ["zero", "deterministic", "finite-support"])
+@pytest.mark.parametrize("skip", [0, 1], ids=["pool-step", "z-mark"])
+def test_resampled_sum_replays_the_reference_engine(make_spec, q_kind, skip):
+    # the same draws from the same generator state, bit for bit, and the
+    # generator left in the same state
+    spec = _with_q(make_spec(), q_kind)
+    pool = np.exp(substream(69, "pool").standard_normal((700, spec.d)))
+    pool[::3] *= -1.0
+    for size in (0, 1, 2, 3000):
+        rng, rng_ref = substream(70, "innov", size), substream(70, "innov", size)
+        got = resampled_sum(spec, pool, size, rng, skip=skip)
+        want = ref.resampled_sum(spec, pool, size, rng_ref, skip=skip)
+        assert got.shape == (size, spec.d)
+        assert np.array_equal(got, want)
+        assert rng_state(rng) == rng_state(rng_ref)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_pool_stats_match_norm_and_quantile_exactly(d):
-    pool = np.exp(substream(68, "stats", d).standard_normal((25_000, d)))
-    pool[::3] *= -1.0
-    before = pool.copy()
-    proj = pool[:, 0] if d == 1 else np.linalg.norm(pool, axis=1)
-    mean, dec = _pool_stats(pool)
-    assert mean == float(proj.mean())
-    assert np.array_equal(dec, np.quantile(proj, np.arange(0.1, 1.0, 0.1)))
-    assert np.array_equal(pool, before)        # the pool is not sorted
+    for n in (1, 2, 3, 9, 10, 11, 101, 25_000):
+        pool = np.exp(substream(68, "stats", d).standard_normal((n, d)))
+        pool[::3] *= -1.0
+        before = pool.copy()
+        proj = pool[:, 0] if d == 1 else np.linalg.norm(pool, axis=1)
+        mean, dec = _pool_stats(pool)
+        assert mean == float(proj.mean())
+        assert np.array_equal(dec, np.quantile(proj, np.arange(0.1, 1.0, 0.1)))
+        assert np.array_equal(pool, before)        # the pool is not sorted
+        ref_mean, ref_dec = ref._pool_stats(pool)
+        assert mean == ref_mean and np.array_equal(dec, ref_dec)
+
+
+def test_pool_stats_single_negative_zero():
+    # numpy reads a one-member pool at index -1 with weight 1: b - 0 * 0
+    _, dec = _pool_stats(np.array([[-0.0]]))
+    assert np.array_equal(np.signbit(dec), np.signbit(
+        np.quantile(np.array([-0.0]), np.arange(0.1, 1.0, 0.1))))
+
+
+@pytest.mark.parametrize("make_spec, x0", [
+    (d1_lognormal_spec, [MEAN_D1]),
+    (d2_lognormal_matrix_spec, [1.0, 1.0]),
+], ids=["scalar-d1", "w-p-d2"])
+def test_sample_fixed_point_replays_the_reference_engine(monkeypatch,
+                                                         make_spec, x0):
+    spec = make_spec()
+
+    def run():
+        return sample_fixed_point(spec, 60, 2000, np.array(x0),
+                                  substream(72, "sfp"))
+
+    got = run()
+    monkeypatch.setattr(branching, "resampled_sum", ref.resampled_sum)
+    monkeypatch.setattr(branching, "_pool_stats", ref._pool_stats)
+    want = run()
+    assert got.history == want.history and len(got.history) == 60
+    assert np.array_equal(got.vectors, want.vectors)
 
 
 def test_replicated_pool_is_the_simulate_engine(tmp_path):

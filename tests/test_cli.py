@@ -408,7 +408,14 @@ def test_certificate_kappa_zero(pipeline):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["certificate", "--config", str(cfg_path),
                  "--out", str(pipeline / "outk0")]) == 0
-    doc = json.loads((pipeline / "outk0/certificate.json").read_text())
+    text = (pipeline / "outk0/certificate.json").read_text()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(text, parse_constant=reject)
+    # with kappa zero fitted_D1 is 0/0: null, not NaN
+    assert doc["fitted_D1"] is None
     assert doc["bound"] <= 0
     assert doc["verdict"] == "not positive at these parameters"
     # every kappa-dependent field follows the forced kappa, not the cones'

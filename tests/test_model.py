@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import BETA_D1, d1_lognormal_spec, d2_rotation_spec
+import reference_engine as ref
+from conftest import (BETA_D1, d1_lognormal_spec, d2_rotation_spec,
+                      d3_rotation_spec, rng_state)
 from smoothtail.errors import SpecError
-from smoothtail.model import (Branching, FiniteSupport, LognormalRotation,
-                              LognormalScalarMatrix, ModelSpec, QLaw,
-                              check_allowable, check_proximal,
-                              exchangeify, find_positive_product,
-                              heuristic_nonarithmetic, perron_data,
-                              sample_family, validate)
+from smoothtail.model import (_orbit_coverage, Branching, FiniteSupport,
+                              LognormalRotation, LognormalScalarMatrix,
+                              ModelSpec, QLaw, check_allowable,
+                              check_proximal, exchangeify,
+                              find_positive_product, heuristic_nonarithmetic,
+                              perron_data, sample_family, validate)
 from smoothtail.rng import substream
 
 
@@ -79,11 +81,6 @@ def _full_stack_draw(ens, rng, size):
     return w[:, None, None] * ens.directions(rng, size)
 
 
-def _state(rng):
-    # Philox keeps its counter and key as arrays; their repr is exact
-    return repr(rng.bit_generator.state)
-
-
 @pytest.mark.parametrize("ens", [
     LognormalScalarMatrix(mu=-1.0, sigma2=0.25,
                           matrix=[[1.0, 1.0], [1.0, 2.0]]),
@@ -97,11 +94,14 @@ def test_factors_consume_the_generator_as_the_full_draw(ens):
     old_rng, rng, draw_rng = (substream(10, "fac") for _ in range(3))
     old = _full_stack_draw(ens, old_rng, 400)
     log_w, dirs = ens.factors(rng, 400)
-    assert _state(rng) == _state(old_rng)
+    assert rng_state(rng) == rng_state(old_rng)
     assert log_w.shape == (400,)
+    if not isinstance(ens, FiniteSupport):
+        z = substream(10, "fac").standard_normal(400)
+        assert np.array_equal(log_w, ens.mu + ens.sigma * z)
     assert dirs.shape in ((1,) + old.shape[1:], old.shape)
     assert np.array_equal(ens.draw(draw_rng, 400), old)
-    assert _state(draw_rng) == _state(old_rng)
+    assert rng_state(draw_rng) == rng_state(old_rng)
     # the generator carries on with the same stream afterwards
     assert np.array_equal(rng.standard_normal(5), old_rng.standard_normal(5))
 
@@ -287,6 +287,32 @@ def test_validate_rotation_orbit_coverage():
     assert report.conditions["strong_irreducibility"].verdict == "declared"
     # scaled rotations are never proximal
     assert report.conditions["proximal"].verdict == "inconclusive"
+
+
+def _quarter_turn_spec():
+    # 0.5 times a quarter turn: the orbit of e1 visits 4 of the 64 cells
+    turn = np.array([[[0.0, -0.5], [0.5, 0.0]]])
+    return ModelSpec(dimension=2, branching=Branching(mode="fixed", n=2),
+                     ensemble=FiniteSupport(matrices=turn,
+                                            probs=np.array([1.0])),
+                     q_law=QLaw(kind="deterministic", vector=[1.0, 0.0]),
+                     geom_class="invertible-ipo")
+
+
+@pytest.mark.parametrize("make_spec", [
+    d2_rotation_spec,
+    d3_rotation_spec,
+    _quarter_turn_spec,
+], ids=["c-r-d2", "c-r-d3", "orbit-misses-cells"])
+def test_orbit_coverage_replays_the_per_step_loop(make_spec):
+    spec = make_spec()
+    for steps in (1, 256, 1000):
+        rng, rng_ref = substream(18, "o", steps), substream(18, "o", steps)
+        cov = _orbit_coverage(spec, rng, steps)
+        assert cov == ref._orbit_coverage(spec, rng_ref, steps)
+        assert rng_state(rng) == rng_state(rng_ref)
+    if make_spec is _quarter_turn_spec:
+        assert cov == 4 / 64
 
 
 def test_validate_requires_positive_beta():
