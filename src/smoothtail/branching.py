@@ -17,7 +17,7 @@ import numpy as np
 from . import rng as rng_module
 from .errors import MemoryCapError, SpecError
 from .model import ModelSpec, check_class
-from .walks import matvec_sum
+from .walks import matvec_sum, vec_norm
 
 NodeId = tuple[int, ...]
 
@@ -304,15 +304,7 @@ _DECILES = np.arange(0.1, 1.0, 0.1)
 
 def _pool_stats(pool: np.ndarray):
     """(mean, deciles) of the pool's first coordinate (d = 1) or l2 norms."""
-    if pool.shape[1] == 1:
-        proj = pool[:, 0].copy()
-    else:
-        # the row norm unrolled, squares added left to right as
-        # np.linalg.norm adds them
-        sq = pool[:, 0] * pool[:, 0]
-        for j in range(1, pool.shape[1]):
-            sq += pool[:, j] * pool[:, j]
-        proj = np.sqrt(sq, out=sq)
+    proj = pool[:, 0].copy() if pool.shape[1] == 1 else vec_norm(pool, "l2")
     # the mean comes before the sort, whose order would change the pairwise
     # sum; the deciles follow np.quantile's linear rule on the sorted values:
     # virtual index (n - 1) q and its floor (a lone value is read at index

@@ -111,6 +111,10 @@ class MatrixEnsemble:
     def support_invertible(self) -> bool:
         raise NotImplementedError
 
+    def preserves_norm(self, norm: str) -> bool:
+        """Whether |D x| = |x| for every direction factor D and vector x."""
+        return False
+
     def moment_finite(self, s: float) -> bool:
         """Whether E ||M||^s is finite (all named families: yes below cap)."""
         cap = getattr(self, "finite_moment_s_max", None)
@@ -252,6 +256,9 @@ class LognormalRotation(LognormalFamily):
     def support_invertible(self):
         return True
 
+    def preserves_norm(self, norm):
+        return norm == "l2"
+
 
 # ---------------------------------------------------------------------------
 # Q laws
@@ -368,7 +375,9 @@ def check_class(spec: ModelSpec, mats: np.ndarray) -> None:
     if spec.geom_class == CLASS_NONNEG:
         if (mats < -ZERO_TOL).any():
             raise ClassViolationError("negative entry sampled under nonnegative class")
-    else:
+    elif not spec.ensemble.support_invertible():
+        # an invertible support (rotations, an invertible fixed P, finite
+        # support with invertible atoms) makes every draw invertible
         dets = np.abs(np.linalg.det(mats))
         if (dets <= 0).any():
             raise ClassViolationError("singular matrix sampled under invertible class")
@@ -616,7 +625,7 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
     """
     if beta_hat <= 0:
         raise SpecError("validate requires beta_hat > 0")
-    from .walks import iotas, operator_norms
+    from .walks import norms_and_iotas
 
     conditions: dict[str, ConditionVerdict] = {}
     notes: list[str] = []
@@ -689,9 +698,9 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
     qn = np.abs(q).sum(axis=1) if spec.norm == "l1" else np.sqrt((q * q).sum(axis=1))
     qs = qn ** s
     mats_T = np.swapaxes(spec.ensemble.draw(rng, max(reps, 2)), -1, -2)
-    io = iotas(mats_T, spec.norm)
+    opn, io = norms_and_iotas(mats_T, spec.norm)
     with np.errstate(divide="ignore"):
-        vals = operator_norms(mats_T, spec.norm) ** s * io ** (-eps)
+        vals = opn ** s * io ** (-eps)
     vals[io <= 0] = np.inf          # non-allowable draw: the moment diverges
     moment_estimates = {
         "s": s, "eps": eps,

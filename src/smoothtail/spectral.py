@@ -24,6 +24,7 @@ DEFAULT_GRID_D2 = 256
 DEFAULT_GRID_HIGH = 512
 POWER_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
+SCATTER_CHUNK = 1 << 14     # draw x grid-point entries per scatter pass
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +149,20 @@ def build_grid(spec_or_params, size: Optional[int] = None) -> SphereGrid:
 # operator assembly
 # ---------------------------------------------------------------------------
 
+def _grid_products(mats: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """mats[k] @ X[g] for every draw k and grid point g, shape (K, G, d):
+    one multiply-add per term, summed over j left to right like
+    np.einsum("kij,gj->kgi", mats, X)."""
+    d = X.shape[1]
+    Y = np.empty((mats.shape[0], X.shape[0], d))
+    for i in range(d):
+        acc = Y[:, :, i]
+        np.multiply(mats[:, i, 0, None], X[None, :, 0], out=acc)
+        for j in range(1, d):
+            acc += mats[:, i, j, None] * X[None, :, j]
+    return Y
+
+
 class OperatorAssembler:
     """Assembles the grid operator at any tilt s from one cached draw set.
 
@@ -163,14 +178,20 @@ class OperatorAssembler:
       group the moment E W^s, estimated by importance-stratified sampling
       (proposal normal shifted by half the exponential tilt, systematic
       strata over ``groups`` independent uniform offsets), which keeps the
-      integrand's growth bounded so the top stratum cannot dominate.  When
-      |D^T x| = 1 (rotations) every direction-operator row sums to 1, so
-      k(s) is that moment and K only sets the resolution of e_s and nu_s.
+      integrand's growth bounded so the top stratum cannot dominate.
+
+    When D preserves the model norm (rotations under l2), |D^T x| = 1, so
+    the direction operator has the same value at every s: it is built once
+    here as a dense G x G matrix, scattered SCATTER_CHUNK entries at a time,
+    and each s costs one scalar moment per group.  Every row of it sums to 1,
+    so k(s) is that moment and K only sets the resolution of e_s and nu_s.
+    Other families keep the direction rows (|D^T x_i|, scatter indices,
+    weights) and scatter |D^T x_i|^s at each s.
 
     Common random numbers across rows and across s values: the root finder
     and finite differences then act on a smooth deterministic surrogate of
-    m(s).  Everything that does not depend on s (direction rows, flat
-    scatter indices, normal quantiles) is computed once here.
+    m(s).  Everything that does not depend on s (the direction operator or
+    rows, normal quantiles) is computed once here.
     """
 
     def __init__(self, spec: ModelSpec, grid: SphereGrid, mc_reps: int,
@@ -195,18 +216,34 @@ class OperatorAssembler:
             mats = ens.directions(
                 rng, max(1, min(mc_reps // groups, 4_000_000 // len(grid))))
             self._weights = np.full(len(mats), 1.0 / len(mats))
-        self._rows = self._direction_rows(np.swapaxes(mats, -1, -2))
-        if (self._rows[0] <= UNDERFLOW).any():
-            raise AssemblyError(
-                "an ensemble atom annihilates part of the sphere grid "
-                "(zero row/column); the operator is not defined there")
+        mats = np.swapaxes(mats, -1, -2)
+        self._rows = self._direction_op = None
+        if ens.preserves_norm(spec.norm):
+            self._direction_op = self._direction_operator(mats)
+        else:
+            self._rows = self._direction_rows(mats)
+            if (self._rows[0] <= UNDERFLOW).any():
+                raise AssemblyError(
+                    "an ensemble atom annihilates part of the sphere grid "
+                    "(zero row/column); the operator is not defined there")
+
+    def _direction_operator(self, mats: np.ndarray) -> np.ndarray:
+        """sum_k weight_k times the interpolation weights of M_k x_i in row
+        i, for norm-preserving M, scattered SCATTER_CHUNK entries at a time."""
+        G = len(self.grid)
+        chunk = max(1, SCATTER_CHUNK // G)
+        op = np.zeros((G, G))
+        for a in range(0, len(mats), chunk):
+            _, flat, w = self._direction_rows(mats[a:a + chunk])
+            op += self._scatter(self._weights[a:a + chunk, None, None] * w,
+                                flat)
+        return op
 
     def _direction_rows(self, mats: np.ndarray):
         """Per (draw, grid point i): |M x_i|, the flat operator indices
         i*G + j of its two interpolation neighbours j, and their weights."""
-        X = self.grid.points                       # (G, d)
-        Y = np.einsum("kij,gj->kgi", mats, X)      # (K, G, d)
-        norms = vec_norm(Y, self.spec.norm)        # (K, G)
+        Y = _grid_products(mats, self.grid.points)      # (K, G, d)
+        norms = vec_norm(Y, self.spec.norm)             # (K, G)
         safe = np.maximum(norms, UNDERFLOW)
         dirs = Y / safe[:, :, None]
         K, G = norms.shape
@@ -214,11 +251,9 @@ class OperatorAssembler:
         flat = np.arange(G)[None, :, None] * G + idx.reshape(K, G, 2)
         return norms, flat, w.reshape(K, G, 2)
 
-    def _scatter(self, norms_s: np.ndarray, flat: np.ndarray, w: np.ndarray,
-                 coefs: np.ndarray) -> np.ndarray:
-        """op.flat[flat[k, i, :]] += coefs[k] * norms_s[k, i] * w[k, i, :]."""
+    def _scatter(self, vals: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """The G x G operator with op.flat[flat[k, i, :]] += vals[k, i, :]."""
         G = len(self.grid)
-        vals = (coefs[:, None, None] * norms_s[:, :, None] * w)     # (K, G, 2)
         return np.bincount(flat.ravel(), weights=vals.ravel(),
                            minlength=G * G).reshape(G, G)
 
@@ -239,8 +274,12 @@ class OperatorAssembler:
 
     def assemble_groups(self, s: float) -> list[np.ndarray]:
         """Independent-group operators (group spread feeds the k standard error)."""
-        norms, flat, w = self._rows
-        base = self._scatter(norms ** s, flat, w, self._weights)
+        base = self._direction_op
+        if base is None:
+            norms, flat, w = self._rows
+            base = self._scatter(
+                self._weights[:, None, None] * (norms ** s)[:, :, None] * w,
+                flat)
         if self._quantiles is None:
             return [base]
         return [self._scalar_moment(s, q) * base for q in self._quantiles]

@@ -28,14 +28,20 @@ UNDERFLOW = 1e-300      # |mx| below this signals structural singularity
 # ---------------------------------------------------------------------------
 
 def vec_norm(x: np.ndarray, norm: str) -> np.ndarray:
-    """Vector norm along the last axis (l1 or l2)."""
+    """Vector norm along the last axis (l1 or l2), unrolled over the
+    components and added left to right, as np.abs(x).sum(-1) and
+    np.sqrt((x * x).sum(-1)) add them for d < 8."""
     x = np.asarray(x, dtype=float)
     if norm == "l1":
         out = np.abs(x[..., 0])
         for j in range(1, x.shape[-1]):
             out += np.abs(x[..., j])
         return out
-    return np.sqrt((x * x).sum(axis=-1))
+    out = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        out += x[..., j] * x[..., j]
+    # a lone vector's sum of squares is a scalar, which has no buffer
+    return np.sqrt(out, out=out) if out.ndim else np.sqrt(out)
 
 
 def operator_norm(m: np.ndarray, norm: str) -> float:
@@ -102,16 +108,19 @@ def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def iotas(mats: np.ndarray, norm: str) -> np.ndarray:
-    """Batched minimal expansions (min column sum or smallest singular value).
+def norms_and_iotas(mats: np.ndarray, norm: str):
+    """Batched operator norms and minimal expansions (min column sum or
+    smallest singular value) of an (n, d, d) stack; under l2 both come from
+    one singular value decomposition.
 
-    Non-allowable or singular entries come back as 0; callers decide whether
+    Non-allowable or singular entries have iota 0; callers decide whether
     that is an error or a diverging moment.
     """
     mats = np.asarray(mats, dtype=float)
     if norm == "l1":
-        return mats.sum(axis=-2).min(axis=-1)
-    return np.linalg.svd(mats, compute_uv=False)[..., -1]
+        return operator_norms(mats, norm), mats.sum(axis=-2).min(axis=-1)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    return sv[..., 0], sv[..., -1]
 
 
 def iota(m: np.ndarray, norm: str, geom_class: str) -> float:

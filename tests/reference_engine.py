@@ -1,19 +1,26 @@
 """Reference engines for the replay tests: the population step with a
-y buffer and a full mat-vec, the pool statistics through np.quantile, and
-the orbit coverage binned one step at a time.
+y buffer and a full mat-vec, the pool statistics through np.quantile, the
+orbit coverage binned one step at a time, and the grid operator assembled
+from cached direction rows at every tilt.
 
-The engines in src/ must replay these bit for bit from the same generator
-state; test_branching.py and test_model.py compare the outputs with
-np.array_equal and the final generator states exactly.
+The engines in src/ must replay the first three bit for bit from the same
+generator state; test_branching.py and test_model.py compare the outputs
+with np.array_equal and the final generator states exactly.  The operator
+of a norm-preserving family is built once in src/, without the factor
+|D^T x|^s = (1 +- 3e-16)^s, so test_spectral.py compares it with the
+reference entrywise to rounding.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from smoothtail.errors import AssemblyError
 from smoothtail.model import ModelSpec, check_class
-from smoothtail.spectral import build_grid
-from smoothtail.walks import act, matvec_sum, vec_norm
+from smoothtail.spectral import SphereGrid, build_grid
+from smoothtail.walks import UNDERFLOW, act, matvec_sum, vec_norm
 
 
 def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
@@ -96,3 +103,77 @@ def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> fl
             continue
         visited[grid.cell_index(x[None, :])[0]] = True
     return float(visited.mean())
+
+
+class OperatorAssembler:
+    """The grid operator at any tilt s from one cached draw set: each
+    draw's |D^T x_i|, scatter indices and interpolation weights are kept,
+    and |D^T x_i|^s is scattered at every s."""
+
+    def __init__(self, spec: ModelSpec, grid: SphereGrid, mc_reps: int,
+                 rng: np.random.Generator, groups: int = 8):
+        self.spec = spec
+        self.grid = grid
+        ens = spec.ensemble
+        atoms = ens.atoms()
+        if atoms is not None:
+            mats, self._weights = atoms
+            self.mc_reps = 0
+            self._quantiles = None
+        else:
+            from scipy.special import ndtri
+            self.mc_reps = mc_reps
+            per = max(2, mc_reps // groups)
+            # normal quantiles of the cached stratified uniforms; only the
+            # tilt shift applied to them depends on s
+            self._quantiles = [ndtri((np.arange(per) + rng.random()) / per)
+                               for _ in range(groups)]
+            self._lognormal = ens.mu, ens.sigma
+            mats = ens.directions(
+                rng, max(1, min(mc_reps // groups, 4_000_000 // len(grid))))
+            self._weights = np.full(len(mats), 1.0 / len(mats))
+        self._rows = self._direction_rows(np.swapaxes(mats, -1, -2))
+        if (self._rows[0] <= UNDERFLOW).any():
+            raise AssemblyError(
+                "an ensemble atom annihilates part of the sphere grid "
+                "(zero row/column); the operator is not defined there")
+
+    def _direction_rows(self, mats: np.ndarray):
+        """Per (draw, grid point i): |M x_i|, the flat operator indices
+        i*G + j of its two interpolation neighbours j, and their weights."""
+        X = self.grid.points                       # (G, d)
+        Y = np.einsum("kij,gj->kgi", mats, X)      # (K, G, d)
+        norms = vec_norm(Y, self.spec.norm)        # (K, G)
+        safe = np.maximum(norms, UNDERFLOW)
+        dirs = Y / safe[:, :, None]
+        K, G = norms.shape
+        idx, w = self.grid.interp_rows(dirs.reshape(K * G, -1))
+        flat = np.arange(G)[None, :, None] * G + idx.reshape(K, G, 2)
+        return norms, flat, w.reshape(K, G, 2)
+
+    def _scatter(self, norms_s: np.ndarray, flat: np.ndarray, w: np.ndarray,
+                 coefs: np.ndarray) -> np.ndarray:
+        """op.flat[flat[k, i, :]] += coefs[k] * norms_s[k, i] * w[k, i, :]."""
+        G = len(self.grid)
+        vals = (coefs[:, None, None] * norms_s[:, :, None] * w)     # (K, G, 2)
+        return np.bincount(flat.ravel(), weights=vals.ravel(),
+                           minlength=G * G).reshape(G, G)
+
+    def _scalar_moment(self, s: float, quantiles: np.ndarray) -> float:
+        """Unbiased E W^s from the quantiles of stratified uniforms via
+        half-tilt importance sampling: z ~ N(tau, 1) with tau = s*sigma/2,
+        weight e^{(t-tau)z+tau^2/2}."""
+        mu, sigma = self._lognormal
+        t = s * sigma
+        tau = 0.5 * t
+        z = tau + quantiles
+        return float(math.exp(s * mu + 0.5 * tau * tau)
+                     * np.exp((t - tau) * z).mean())
+
+    def assemble_groups(self, s: float) -> list[np.ndarray]:
+        """Independent-group operators (group spread feeds the k standard error)."""
+        norms, flat, w = self._rows
+        base = self._scatter(norms ** s, flat, w, self._weights)
+        if self._quantiles is None:
+            return [base]
+        return [self._scalar_moment(s, q) * base for q in self._quantiles]

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import reference_engine as ref
 from conftest import (ALPHA_D1, ALPHA_ROT, BETA_D1, BETA_ROT, K1_D2, RHO_D1,
                       RHO_ROT, d1_lognormal_spec, d1_quarter_spec,
                       d2_finite_pair_spec, d2_lognormal_matrix_spec,
-                      d2_rotation_spec)
+                      d2_rotation_spec, d3_rotation_spec)
 from smoothtail.errors import NoRootError, NoSecondRootError
 from smoothtail.rng import substream
 from smoothtail.spectral import (OperatorAssembler, _brent_min, _brent_root,
-                                 build_grid, k_by_products, k_grid,
-                                 power_iteration, solve_alpha_beta)
+                                 _grid_products, build_grid, k_by_products,
+                                 k_grid, power_iteration, solve_alpha_beta)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +121,55 @@ def test_rotation_group_rows_sum_to_group_moment():
         for op, q in zip(ops, assembler._quantiles):
             moment = assembler._scalar_moment(s, q)
             np.testing.assert_allclose(op.sum(axis=1), moment, rtol=1e-12)
+
+
+@pytest.mark.parametrize("make_spec", [d2_rotation_spec, d3_rotation_spec])
+def test_rotation_operator_matches_cached_rows(make_spec):
+    # the direction operator built once drops only |R^T x|^s = (1 +- 3e-16)^s
+    # and sums chunk by chunk: equal to the per-s scatter up to rounding
+    spec = make_spec()
+    grid = build_grid(spec, size=64)
+    assembler = OperatorAssembler(spec, grid, 15_000, substream(28, "o"))
+    reference = ref.OperatorAssembler(spec, grid, 15_000, substream(28, "o"))
+    assert assembler._rows is None
+    for s in (0.0, 1.0, 7.2):
+        for op, want in zip(assembler.assemble_groups(s),
+                            reference.assemble_groups(s), strict=True):
+            np.testing.assert_allclose(op, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("make_spec", [d2_lognormal_matrix_spec,
+                                       d2_finite_pair_spec, d2_rotation_spec,
+                                       d3_rotation_spec])
+def test_grid_products_match_einsum_exactly(make_spec):
+    spec = make_spec()
+    ens = spec.ensemble
+    atoms = ens.atoms()
+    mats = atoms[0] if atoms is not None else ens.directions(
+        substream(29, "o"), 1875)
+    mats = np.swapaxes(mats, -1, -2)
+    X = build_grid(spec, size=64).points
+    assert np.array_equal(_grid_products(mats, X),
+                          np.einsum("kij,gj->kgi", mats, X))
+
+
+def test_rotation_assembler_memory_at_default_settings():
+    # 256 points and mc_reps = 1e6 draw K = 15,625 rotations: K*G = 4e6
+    # cached row entries took about 450 MB; the G x G operator takes 0.5 MB
+    import tracemalloc
+    spec = d2_rotation_spec()
+    grid = build_grid(spec)
+    tracemalloc.start()
+    try:
+        assembler = OperatorAssembler(spec, grid, 1_000_000,
+                                      substream(30, "o"))
+        for s in (1.0, 4.0, 7.2):
+            assembler.assemble(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == 256
+    assert peak < 100e6
 
 
 def test_power_iteration_identity():

@@ -382,6 +382,24 @@ def test_matmul_batch_and_l1_norms_match_exactly(d):
                           np.abs(a).sum(axis=-2).max(axis=-1))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_l2_norms_match_exactly(d):
+    # the unrolled sum of squares and one SVD for both extreme singular
+    # values replay the plain reductions bit for bit
+    rng = substream(66, "l2", d)
+    x = _lognormal_entries(rng, (1875, 64, d))
+    assert np.array_equal(walks.vec_norm(x, "l2"),
+                          np.sqrt((x * x).sum(axis=-1)))
+    a = _lognormal_entries(rng, (5000, d, d))
+    sv = np.linalg.svd(a, compute_uv=False)
+    opn, io = walks.norms_and_iotas(a, "l2")
+    assert np.array_equal(opn, sv[:, 0]) and np.array_equal(io, sv[:, -1])
+    a = np.abs(a)
+    opn, io = walks.norms_and_iotas(a, "l1")
+    assert np.array_equal(opn, walks.operator_norms(a, "l1"))
+    assert np.array_equal(io, a.sum(axis=-2).min(axis=-1))
+
+
 def test_masked_slots_under_random_n():
     # random N in {1, 2, 3}: slots past N are zeroed before the kernel
     # (the certificate's Z-marks are checked in test_certificate.py)
