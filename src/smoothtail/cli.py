@@ -246,20 +246,33 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_VALIDATION if report.hard_fail() else EXIT_OK
 
 
+def _spectral_settings(sec: Section, mc_reps_default: int):
+    """(grid_size, mc_reps) of a spectrum or solve_index section, checked."""
+    grid_size = sec.num("grid_size", None, int)
+    mc_reps = sec.num("mc_reps", mc_reps_default, int)
+    sec.require("grid_size", grid_size is None or grid_size >= 2,
+                "grid_size >= 2")
+    sec.require("mc_reps", mc_reps >= 1, "mc_reps >= 1")
+    return grid_size, mc_reps
+
+
 def cmd_spectrum(cfg: RunConfig) -> int:
     sec = cfg.section("spectrum")
     fp = cfg.fingerprint("spectrum")
     s_grid = sec.num("s_grid", [0.0, 0.5, 1.0], _floats)
-    mc_reps = sec.num("mc_reps", 200_000, int)
-    grid = spectral.build_grid(cfg.spec, size=sec.num("grid_size", None, int))
+    json_s = sec.num("json_s", s_grid, _floats)
+    grid_size, mc_reps = _spectral_settings(sec, 200_000)
+    grid = spectral.build_grid(cfg.spec, size=grid_size)
+    # one draw set for every s: k(s) does not depend on the rest of s_grid
+    assembler = spectral.OperatorAssembler(cfg.spec, grid, mc_reps,
+                                           substream(cfg.seed, "spectrum"))
     en = cfg.spec.mean_children()
 
     def task(i: int):
         s = s_grid[i]
         if not cfg.spec.ensemble.moment_finite(s):
             return None
-        rng = substream(cfg.seed, "spectrum", i)
-        return spectral.k_grid(cfg.spec, s, grid=grid, mc_reps=mc_reps, rng=rng)
+        return spectral.k_grid(assembler, s)
 
     results = parallel_map(task, len(s_grid), cfg.threads)
     rows = []
@@ -270,7 +283,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             rows.append((s, res.k, en * res.k, res.k_se))
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_csv(cfg.out / "spectrum.csv", ["s", "k", "m", "se"], rows, fp)
-    json_s = sec.get("json_s", s_grid)
     for i, (s, res) in enumerate(zip(s_grid, results)):
         if res is None or s not in json_s:
             continue
@@ -284,11 +296,14 @@ def cmd_solve_index(cfg: RunConfig) -> int:
     sec = cfg.section("solve_index")
     fp = cfg.fingerprint("solve-index")
     rng = substream(cfg.seed, "solve-index")
-    grid = spectral.build_grid(cfg.spec, size=sec.num("grid_size", None, int))
+    grid_size, mc_reps = _spectral_settings(sec, 1_000_000)
+    tol, h = sec.num("tol", 1e-6), sec.num("h", 1e-2)
+    sec.require("tol", tol > 0, "tol > 0")
+    sec.require("h", h > 0, "h > 0")
+    grid = spectral.build_grid(cfg.spec, size=grid_size)
     sol = spectral.solve_alpha_beta(
-        cfg.spec, s_max=sec.num("s_max", 8.0), tol=sec.num("tol", 1e-6),
-        rng=rng, grid=grid, mc_reps=sec.num("mc_reps", 1_000_000, int),
-        h=sec.num("h", 1e-2))
+        cfg.spec, s_max=sec.num("s_max", 8.0), tol=tol, rng=rng, grid=grid,
+        mc_reps=mc_reps, h=h)
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "tail_indices.json", sol.to_jsonable(), fp)
     return EXIT_OK
@@ -415,21 +430,28 @@ def cmd_certificate(cfg: RunConfig) -> int:
     if rho is None or k_beta is None:
         raise ConfigError("certificate needs rho and k_beta (or a solution file)")
     u = sec.direction("u", cfg.spec.d)
+    C0, delta = sec.num("C0"), sec.num("delta")
+    sec.require("delta" if C0 is None else "C0",
+                (C0 is None) == (delta is None),
+                "C0 and delta together, or neither")
+    reps = {key: sec.num(key, default, int) for key, default in
+            (("reps_v", 100_000), ("reps_w", 10_000), ("reps_search", 20_000))}
+    for key, n in reps.items():
+        sec.require(key, n >= 1, f"{key} >= 1")
     if "t" in sec:
         t = sec.num("t")
     elif "t_quantile" in sec:
-        t = float(np.quantile(pool.vectors @ u, sec.num("t_quantile")))
+        q = sec.num("t_quantile")
+        sec.require("t_quantile", 0 < q < 1, "0 < t_quantile < 1")
+        t = float(np.quantile(pool.vectors @ u, q))
     else:
         raise ConfigError("certificate needs 't' or 't_quantile'")
     rng = substream(cfg.seed, "certificate")
     report = certificate.lower_bound(
         cfg.spec, u, t, rho, beta, k_beta,
         C1=sec.num("C1", 2, int), pool_vectors=pool.vectors, rng=rng,
-        spectral=_load_spectral(cfg, sec),
-        C0=sec.num("C0"), delta=sec.num("delta"), J=sec.num("J", 8, int),
-        reps_v=sec.num("reps_v", 100_000, int),
-        reps_w=sec.num("reps_w", 10_000, int),
-        reps_search=sec.num("reps_search", 20_000, int),
+        spectral=_load_spectral(cfg, sec), C0=C0, delta=delta,
+        J=sec.num("J", 8, int), **reps,
         min_recommended_nt=sec.num("min_recommended_nt",
                                    certificate.MIN_NT_RECOMMENDED, int),
         threads=cfg.threads,

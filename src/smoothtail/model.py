@@ -591,12 +591,11 @@ def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> fl
     ORBIT_CHUNK steps at a time until every cell is visited; the matrices
     are drawn first, so the early stop leaves the generator state as is."""
     from .spectral import build_grid
-    from .walks import act, vec_norm
+    from .walks import act
 
     grid = build_grid(spec, size=64 if spec.d > 1 else 2)
     x = np.zeros(spec.d)
-    x[0] = 1.0
-    x = x / vec_norm(x, spec.norm)
+    x[0] = 1.0                          # unit under l1 and l2
     visited = np.zeros(len(grid.points), dtype=bool)
     mats = spec.ensemble.draw(rng, steps)
     for a in range(0, steps, ORBIT_CHUNK):
@@ -625,7 +624,7 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
     """
     if beta_hat <= 0:
         raise SpecError("validate requires beta_hat > 0")
-    from .walks import norms_and_iotas
+    from .walks import norms_and_iotas, vec_norm
 
     conditions: dict[str, ConditionVerdict] = {}
     notes: list[str] = []
@@ -695,8 +694,7 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
     # empirical moment estimates E|Q|^(b+e), E||A*||^(b+e) iota(A*)^(-e)
     s = beta_hat + eps
     q = spec.q_law.draw(rng, max(reps, 2), spec.d)
-    qn = np.abs(q).sum(axis=1) if spec.norm == "l1" else np.sqrt((q * q).sum(axis=1))
-    qs = qn ** s
+    qs = vec_norm(q, spec.norm) ** s
     mats_T = np.swapaxes(spec.ensemble.draw(rng, max(reps, 2)), -1, -2)
     opn, io = norms_and_iotas(mats_T, spec.norm)
     with np.errstate(divide="ignore"):

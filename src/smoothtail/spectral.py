@@ -167,9 +167,10 @@ class OperatorAssembler:
     """Assembles the grid operator at any tilt s from one cached draw set.
 
     Every ensemble is a law of direction factors D with probabilities,
-    scaled by an independent scalar: the operator at tilt s is the scalar's
-    moment times the direction operator, which scatters each atom's
-    |D^T x_i|^s times its interpolation weights into row i.
+    scaled by an independent scalar W: the operator at tilt s is the
+    moment E W^s times one direction operator, which scatters each atom's
+    |D^T x_i|^s times its interpolation weights into row i.  The factors
+    stay apart, so k(s) is the mean moment times one spectral radius.
 
     * Finite support: the atoms with their probabilities and moment 1 (one
       group, exact).
@@ -184,14 +185,14 @@ class OperatorAssembler:
     the direction operator has the same value at every s: it is built once
     here as a dense G x G matrix, scattered SCATTER_CHUNK entries at a time,
     and each s costs one scalar moment per group.  Every row of it sums to 1,
-    so k(s) is that moment and K only sets the resolution of e_s and nu_s.
+    so k(s) is the mean moment and K only sets the resolution of e_s and nu_s.
     Other families keep the direction rows (|D^T x_i|, scatter indices,
     weights) and scatter |D^T x_i|^s at each s.
 
     Common random numbers across rows and across s values: the root finder
     and finite differences then act on a smooth deterministic surrogate of
     m(s).  Everything that does not depend on s (the direction operator or
-    rows, normal quantiles) is computed once here.
+    rows, normal quantiles) is computed once here; later calls only read.
     """
 
     def __init__(self, spec: ModelSpec, grid: SphereGrid, mc_reps: int,
@@ -257,10 +258,6 @@ class OperatorAssembler:
         return np.bincount(flat.ravel(), weights=vals.ravel(),
                            minlength=G * G).reshape(G, G)
 
-    def assemble(self, s: float) -> np.ndarray:
-        ops = self.assemble_groups(s)
-        return sum(ops) / len(ops)
-
     def _scalar_moment(self, s: float, quantiles: np.ndarray) -> float:
         """Unbiased E W^s from the quantiles of stratified uniforms via
         half-tilt importance sampling: z ~ N(tau, 1) with tau = s*sigma/2,
@@ -272,17 +269,19 @@ class OperatorAssembler:
         return float(math.exp(s * mu + 0.5 * tau * tau)
                      * np.exp((t - tau) * z).mean())
 
-    def assemble_groups(self, s: float) -> list[np.ndarray]:
-        """Independent-group operators (group spread feeds the k standard error)."""
-        base = self._direction_op
-        if base is None:
+    def assemble_groups(self, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """(moments, op): per-group E W^s (np.ones(1) for finite support)
+        and the direction operator at s, shared and read-only."""
+        op = self._direction_op
+        if op is None:
             norms, flat, w = self._rows
-            base = self._scatter(
+            op = self._scatter(
                 self._weights[:, None, None] * (norms ** s)[:, :, None] * w,
                 flat)
         if self._quantiles is None:
-            return [base]
-        return [self._scalar_moment(s, q) * base for q in self._quantiles]
+            return np.ones(1), op
+        return np.array([self._scalar_moment(s, q)
+                         for q in self._quantiles]), op
 
 
 # ---------------------------------------------------------------------------
@@ -365,26 +364,19 @@ class SpectralResult:
         }
 
 
-def k_grid(spec: ModelSpec, s: float, grid: Optional[SphereGrid] = None,
-           mc_reps: int = 200_000,
-           rng: Optional[np.random.Generator] = None) -> SpectralResult:
-    """Spectral radius at tilt s by operator discretization plus power iteration."""
-    if rng is None:
-        raise SpecError("k_grid needs an rng")
-    assembler = OperatorAssembler(spec, grid or build_grid(spec), mc_reps, rng)
-    if not spec.ensemble.moment_finite(s):
+def k_grid(assembler: OperatorAssembler, s: float) -> SpectralResult:
+    """k(s): the mean group moment times the direction operator's spectral
+    radius, with the moments' standard error scaled the same way."""
+    if not assembler.spec.ensemble.moment_finite(s):
         raise AssemblyError(f"family declares E||M||^s infinite at s={s}")
-    group_ops = assembler.assemble_groups(s)
-    op = sum(group_ops) / len(group_ops)
-    k, e, nu, iters, residual = power_iteration(op)
-    if len(group_ops) > 1:
-        ks = [power_iteration(g)[0] for g in group_ops]
-        k_se = float(np.std(ks, ddof=1) / math.sqrt(len(ks)))
-    else:
-        k_se = 0.0
-    return SpectralResult(s=s, k=k, e=e, nu=nu, grid=assembler.grid,
-                          residual=residual, iterations=iters,
-                          mc_reps=assembler.mc_reps, k_se=k_se)
+    moments, op = assembler.assemble_groups(s)
+    k_op, e, nu, iters, residual = power_iteration(op)
+    k_se = (float(np.std(moments, ddof=1) / math.sqrt(len(moments))) * k_op
+            if len(moments) > 1 else 0.0)
+    return SpectralResult(s=s, k=float(moments.mean()) * k_op, e=e, nu=nu,
+                          grid=assembler.grid, residual=residual,
+                          iterations=iters, mc_reps=assembler.mc_reps,
+                          k_se=k_se)
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +608,8 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
 
     def m(s: float) -> float:
         if s not in cache:
-            op = assembler.assemble(s)
-            cache[s] = en * power_iteration(op)[0]
+            moments, op = assembler.assemble_groups(s)
+            cache[s] = en * float(moments.mean()) * power_iteration(op)[0]
         return cache[s]
 
     history: list = []

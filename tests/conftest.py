@@ -32,6 +32,15 @@ LAMBDA_P = (3.0 + math.sqrt(5.0)) / 2.0
 K1_D2 = math.exp(-0.875) * LAMBDA_P
 
 
+def k_at(spec: ModelSpec, s: float, mc_reps: int, rng: np.random.Generator,
+         grid=None):
+    """spectral.k_grid at s on an assembler of its own, drawn from rng, over
+    grid (the model's default grid when None)."""
+    from smoothtail.spectral import OperatorAssembler, build_grid, k_grid
+    return k_grid(OperatorAssembler(spec, grid or build_grid(spec), mc_reps,
+                                    rng), s)
+
+
 def rng_state(rng: np.random.Generator) -> str:
     """A generator's full state; Philox keeps its counter and key as arrays,
     whose repr is exact."""

@@ -1,25 +1,29 @@
 """Reference engines for the replay tests: the population step with a
 y buffer and a full mat-vec, the pool statistics through np.quantile, the
-orbit coverage binned one step at a time, and the grid operator assembled
-from cached direction rows at every tilt.
+orbit coverage binned one step at a time, the grid operator assembled
+from cached direction rows at every tilt, and k(s) by one power iteration
+per group operator.
 
 The engines in src/ must replay the first three bit for bit from the same
 generator state; test_branching.py and test_model.py compare the outputs
 with np.array_equal and the final generator states exactly.  The operator
 of a norm-preserving family is built once in src/, without the factor
 |D^T x|^s = (1 +- 3e-16)^s, so test_spectral.py compares it with the
-reference entrywise to rounding.
+reference entrywise to rounding, and its factored k(s) and standard error
+with this k_grid to a relative 1e-9.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
-from smoothtail.errors import AssemblyError
+from smoothtail.errors import AssemblyError, SpecError
 from smoothtail.model import ModelSpec, check_class
-from smoothtail.spectral import SphereGrid, build_grid
+from smoothtail.spectral import (SpectralResult, SphereGrid, build_grid,
+                                 power_iteration)
 from smoothtail.walks import UNDERFLOW, act, matvec_sum, vec_norm
 
 
@@ -177,3 +181,25 @@ class OperatorAssembler:
         if self._quantiles is None:
             return [base]
         return [self._scalar_moment(s, q) * base for q in self._quantiles]
+
+
+def k_grid(spec: ModelSpec, s: float, grid: Optional[SphereGrid] = None,
+           mc_reps: int = 200_000,
+           rng: Optional[np.random.Generator] = None) -> SpectralResult:
+    """Spectral radius at tilt s by operator discretization plus power iteration."""
+    if rng is None:
+        raise SpecError("k_grid needs an rng")
+    assembler = OperatorAssembler(spec, grid or build_grid(spec), mc_reps, rng)
+    if not spec.ensemble.moment_finite(s):
+        raise AssemblyError(f"family declares E||M||^s infinite at s={s}")
+    group_ops = assembler.assemble_groups(s)
+    op = sum(group_ops) / len(group_ops)
+    k, e, nu, iters, residual = power_iteration(op)
+    if len(group_ops) > 1:
+        ks = [power_iteration(g)[0] for g in group_ops]
+        k_se = float(np.std(ks, ddof=1) / math.sqrt(len(ks)))
+    else:
+        k_se = 0.0
+    return SpectralResult(s=s, k=k, e=e, nu=nu, grid=assembler.grid,
+                          residual=residual, iterations=iters,
+                          mc_reps=assembler.mc_reps, k_se=k_se)

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import (ALPHA_D1, BETA_D1, K1_D2, K_BETA_D1, MEAN_D1, RHO_D1,
                       d1_lognormal_spec, d2_finite_pair_spec,
-                      d2_lognormal_matrix_spec, d2_rotation_spec,
+                      d2_lognormal_matrix_spec, d2_rotation_spec, k_at,
                       random13_spec)
 from smoothtail import certificate as cert
 from smoothtail import spectral, tails, walks
@@ -59,8 +59,7 @@ def test_criterion_1_tail_index_solver():
 def test_criterion_2_spectral_vs_products():
     t0 = time.monotonic()
     spec2 = d2_lognormal_matrix_spec()
-    grid_k = spectral.k_grid(spec2, 1.0, mc_reps=100_000,
-                             rng=substream(1002, "grid"))
+    grid_k = k_at(spec2, 1.0, 100_000, substream(1002, "grid"))
     prod_k = spectral.k_by_products(spec2, 1.0, [2, 4, 6, 8], 100_000,
                                     substream(1003, "prod"))
     errs = {}
@@ -68,8 +67,7 @@ def test_criterion_2_spectral_vs_products():
                        ("d2-lognormal-matrix", spec2),
                        ("d2-finite-pair", d2_finite_pair_spec()),
                        ("d2-rotation", d2_rotation_spec())):
-        res = spectral.k_grid(spec, 0.0, mc_reps=20_000,
-                              rng=substream(1004, name))
+        res = k_at(spec, 0.0, 20_000, substream(1004, name))
         errs[name] = abs(res.k - 1.0)
     elapsed = time.monotonic() - t0
     ok = (abs(grid_k.k - K1_D2) / K1_D2 <= 0.02

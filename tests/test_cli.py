@@ -202,6 +202,56 @@ def test_spectrum_k_at_beta(tmp_path):
     assert k_beta == pytest.approx(0.5, rel=5e-3)
 
 
+ROT_MODEL = {
+    "dimension": 2,
+    "branching": {"mode": "fixed", "n": 2},
+    "ensemble": {"family": "lognormal_rotation", "mu": -1.0, "sigma2": 0.25},
+    "q_law": {"kind": "deterministic", "vector": [1.0, 0.0]},
+    "class": "invertible-ipo",
+    "norm": "l2",
+}
+
+
+@pytest.mark.parametrize("model", [D1_MODEL, ROT_MODEL], ids=["d1", "c*R"])
+def test_spectrum_builds_one_assembler(tmp_path, monkeypatch, model):
+    from smoothtail import spectral
+    inits = []
+    init = spectral.OperatorAssembler.__init__
+
+    def counted(self, *args, **kw):
+        inits.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(spectral.OperatorAssembler, "__init__", counted)
+    cfg = {"model": model, "seed": 8,
+           "spectrum": {"s_grid": [0.0, 1.0, 2.0, 4.0], "mc_reps": 8_000,
+                        "grid_size": 32}}
+    assert _run(tmp_path, "spectrum", cfg, threads=2) == 0
+    assert len(inits) == 1
+
+
+@pytest.mark.parametrize("model", [D1_MODEL, ROT_MODEL], ids=["d1", "c*R"])
+def test_spectrum_k_independent_of_grid_order(tmp_path, model):
+    rows = []
+    for out, s_grid in (("a", [1.0, 2.0]), ("b", [2.0, 1.0])):
+        cfg = {"model": model, "seed": 8,
+               "spectrum": {"s_grid": s_grid, "mc_reps": 8_000,
+                            "grid_size": 32}}
+        assert _run(tmp_path, "spectrum", cfg, out=out) == 0
+        lines = (tmp_path / out / "spectrum.csv").read_text().splitlines()
+        rows.append(next(r for r in lines[2:] if r.startswith("2.0,")))
+    assert rows[0] == rows[1]
+
+
+def test_spectrum_json_s_scalar(tmp_path):
+    cfg = {"model": D1_MODEL, "seed": 8,
+           "spectrum": {"s_grid": [0.0, 1.0, 2.0], "mc_reps": 8_000,
+                        "json_s": 1.0}}
+    assert _run(tmp_path, "spectrum", cfg) == 0
+    assert sorted(p.name for p in (tmp_path / "out").glob("spectral_s*")) \
+        == ["spectral_s1.json"]
+
+
 def test_solve_index_reference(tmp_path):
     cfg = {"model": D1_MODEL, "seed": 7,
            "solve_index": {"s_max": 6.0, "tol": 1e-7, "mc_reps": 400_000}}
@@ -236,6 +286,45 @@ NUMERIC_BASE = {
     "certificate": {"pool": "pool.bin", "beta": 3.0, "rho": 0.5,
                     "k_beta": 0.5, "t": 10.0},
 }
+
+
+RANGE_BASE = {
+    "spectrum": {"s_grid": [1.0], "mc_reps": 1000},
+    "solve_index": {"s_max": 6.0, "mc_reps": 1000},
+    "certificate": {"pool": "pool.bin", "beta": 3.0, "rho": 0.5,
+                    "k_beta": 0.5, "t_quantile": 0.99},
+}
+
+
+@pytest.mark.parametrize("command, key, value, need", [
+    ("spectrum", "mc_reps", 0, "mc_reps >= 1"),
+    ("spectrum", "grid_size", 1, "grid_size >= 2"),
+    ("solve-index", "tol", -1e-3, "tol > 0"),
+    ("solve-index", "tol", 0.0, "tol > 0"),
+    ("solve-index", "h", 0, "h > 0"),
+    ("solve-index", "mc_reps", -5, "mc_reps >= 1"),
+    ("solve-index", "grid_size", 0, "grid_size >= 2"),
+    ("certificate", "t_quantile", 1.5, "0 < t_quantile < 1"),
+    ("certificate", "t_quantile", 0.0, "0 < t_quantile < 1"),
+    ("certificate", "reps_v", 0, "reps_v >= 1"),
+    ("certificate", "reps_w", -1, "reps_w >= 1"),
+    ("certificate", "reps_search", 0, "reps_search >= 1"),
+    ("certificate", "C0", 10.0, "C0 and delta together, or neither"),
+    ("certificate", "delta", 0.2, "C0 and delta together, or neither"),
+])
+def test_out_of_range_value_exit_2(tmp_path, capsys, command, key, value,
+                                   need):
+    pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
+                          generation=1, converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    sec = command.replace("-", "_")
+    cfg = {"model": D1_MODEL, "seed": 1, sec: dict(RANGE_BASE[sec])}
+    cfg[sec][key] = value
+    assert _run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert f"{sec}.{key}: need {need}, got {value!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, where, key, value", [

@@ -10,6 +10,7 @@ must validate each other.
 import numpy as np
 import pytest
 
+from conftest import k_at
 from smoothtail import spectral
 from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
 from smoothtail.rng import substream
@@ -52,8 +53,7 @@ def test_alpha_confirmed_by_naive_products(solution):
 
 def test_beta_confirmed_by_tilted_products(solution):
     spec = mixed_scale_spec()
-    res = spectral.k_grid(spec, solution.beta, mc_reps=0,
-                          rng=substream(7703, "k"))
+    res = k_at(spec, solution.beta, 0, substream(7703, "k"))
     # naive products collapse at beta and must say so
     naive = spectral.k_by_products(spec, solution.beta, [6, 8, 10, 12],
                                    50_000, substream(7704, "pn"))
@@ -69,10 +69,8 @@ def test_beta_confirmed_by_tilted_products(solution):
 
 def test_grid_doubling_stability(solution):
     spec = mixed_scale_spec()
-    k1 = spectral.k_grid(spec, solution.beta,
-                         grid=spectral.build_grid(spec, 128), mc_reps=0,
-                         rng=substream(7706, "a")).k
-    k2 = spectral.k_grid(spec, solution.beta,
-                         grid=spectral.build_grid(spec, 512), mc_reps=0,
-                         rng=substream(7706, "b")).k
+    k1 = k_at(spec, solution.beta, 0, substream(7706, "a"),
+              grid=spectral.build_grid(spec, 128)).k
+    k2 = k_at(spec, solution.beta, 0, substream(7706, "b"),
+              grid=spectral.build_grid(spec, 512)).k
     assert abs(k1 - k2) / k2 < 2e-3

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ALPHA_D1, BETA_D1, K_BETA_D1, LAMBDA_P, RHO_D1
+from conftest import ALPHA_D1, BETA_D1, K_BETA_D1, LAMBDA_P, RHO_D1, k_at
 from smoothtail import certificate as cert
 from smoothtail import spectral, tails
 from smoothtail.branching import sample_fixed_point_replicated
@@ -88,8 +88,8 @@ def test_d2_directional_profile_positive(d2_pool, d2_solution):
 
 
 def test_d2_spectral_eigenfunction_at_beta(d2_solution):
-    res = spectral.k_grid(d2_rooted_spec(), d2_solution.beta,
-                          mc_reps=200_000, rng=substream(9004, "k"))
+    res = k_at(d2_rooted_spec(), d2_solution.beta, 200_000,
+               substream(9004, "k"))
     assert res.k == pytest.approx(K_BETA_D1, rel=0.01)
     assert res.e.min() > 0
     assert float(res.nu @ res.e) == pytest.approx(1.0, abs=1e-8)
@@ -101,8 +101,7 @@ def test_d2_certificate_consistency(d2_pool, d2_solution):
     x = d2_pool.vectors
     proj = x @ u
     t = float(np.quantile(proj, 0.999))
-    res_beta = spectral.k_grid(spec, d2_solution.beta, mc_reps=100_000,
-                               rng=substream(9005, "kb"))
+    res_beta = k_at(spec, d2_solution.beta, 100_000, substream(9005, "kb"))
     rep = cert.lower_bound(spec, u, t, d2_solution.rho, d2_solution.beta,
                            d2_solution.k_beta, C1=2, pool_vectors=x,
                            rng=substream(9006, "lb"), spectral=res_beta,

@@ -9,7 +9,7 @@ import reference_engine as ref
 from conftest import (ALPHA_D1, ALPHA_ROT, BETA_D1, BETA_ROT, K1_D2, RHO_D1,
                       RHO_ROT, d1_lognormal_spec, d1_quarter_spec,
                       d2_finite_pair_spec, d2_lognormal_matrix_spec,
-                      d2_rotation_spec, d3_rotation_spec)
+                      d2_rotation_spec, d3_rotation_spec, k_at)
 from smoothtail.errors import NoRootError, NoSecondRootError
 from smoothtail.rng import substream
 from smoothtail.spectral import (OperatorAssembler, _brent_min, _brent_root,
@@ -76,25 +76,30 @@ def test_d1_grid_lookups_nearest_neighbour(geom_class, geometry):
 
 def test_operator_rows_stochastic_at_zero_tilt():
     spec = d2_finite_pair_spec()
-    op = OperatorAssembler(spec, build_grid(spec), 0,
-                           substream(2, "o")).assemble(0.0)
+    moments, op = OperatorAssembler(spec, build_grid(spec), 0,
+                                    substream(2, "o")).assemble_groups(0.0)
+    assert np.array_equal(moments, [1.0])
     assert np.allclose(op.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_operator_d1_scalar_moment():
     spec = d1_lognormal_spec()
     grid = build_grid(spec)
-    op = OperatorAssembler(spec, grid, 400_000, substream(3, "o")).assemble(1.0)
+    moments, op = OperatorAssembler(spec, grid, 400_000,
+                                    substream(3, "o")).assemble_groups(1.0)
     assert op.shape == (1, 1)
-    assert op[0, 0] == pytest.approx(math.exp(-0.75), rel=1e-3)
+    k = moments.mean() * op[0, 0]
+    assert k == pytest.approx(math.exp(-0.75), rel=1e-3)
 
 
 def test_scalar_moment_cached_quantiles_at_beta():
     spec = d1_lognormal_spec()
     assembler = OperatorAssembler(spec, build_grid(spec), 400_000,
                                   substream(26, "o"))
-    # G = 1 and |W x| = W: each group operator is that group's E W^beta
-    moments = [op[0, 0] for op in assembler.assemble_groups(BETA_D1)]
+    # G = 1 and |W x| = W: the direction operator is [[1]] and each
+    # moment is that group's E W^beta
+    moments, op = assembler.assemble_groups(BETA_D1)
+    assert np.array_equal(op, [[1.0]])
     se = np.std(moments, ddof=1) / math.sqrt(len(moments))
     exact = math.exp(-BETA_D1 + 0.25 * BETA_D1 ** 2)   # mu = -1, sigma2 = 1/2
     assert se > 0
@@ -104,9 +109,10 @@ def test_scalar_moment_cached_quantiles_at_beta():
 def test_operator_rotation_row_sums():
     spec = d2_rotation_spec()
     grid = build_grid(spec, size=64)
-    op = OperatorAssembler(spec, grid, 20_000, substream(4, "o")).assemble(1.0)
+    moments, op = OperatorAssembler(spec, grid, 20_000,
+                                    substream(4, "o")).assemble_groups(1.0)
     target = math.exp(-1.0 + 0.125)        # E c^1
-    assert np.allclose(op.sum(axis=1), target, rtol=0.05)
+    assert np.allclose(moments.mean() * op.sum(axis=1), target, rtol=0.05)
 
 
 def test_rotation_group_rows_sum_to_group_moment():
@@ -116,11 +122,11 @@ def test_rotation_group_rows_sum_to_group_moment():
     assembler = OperatorAssembler(spec, build_grid(spec, size=64), 20_000,
                                   substream(27, "o"))
     for s in (0.0, 1.0, 7.2):
-        ops = assembler.assemble_groups(s)
-        assert len(ops) == len(assembler._quantiles) == 8
-        for op, q in zip(ops, assembler._quantiles):
-            moment = assembler._scalar_moment(s, q)
-            np.testing.assert_allclose(op.sum(axis=1), moment, rtol=1e-12)
+        moments, op = assembler.assemble_groups(s)
+        assert len(moments) == len(assembler._quantiles) == 8
+        for m, q in zip(moments, assembler._quantiles):
+            assert m == assembler._scalar_moment(s, q)
+            np.testing.assert_allclose((m * op).sum(axis=1), m, rtol=1e-12)
 
 
 @pytest.mark.parametrize("make_spec", [d2_rotation_spec, d3_rotation_spec])
@@ -133,9 +139,29 @@ def test_rotation_operator_matches_cached_rows(make_spec):
     reference = ref.OperatorAssembler(spec, grid, 15_000, substream(28, "o"))
     assert assembler._rows is None
     for s in (0.0, 1.0, 7.2):
-        for op, want in zip(assembler.assemble_groups(s),
-                            reference.assemble_groups(s), strict=True):
-            np.testing.assert_allclose(op, want, rtol=1e-13, atol=0)
+        moments, op = assembler.assemble_groups(s)
+        for m, want in zip(moments, reference.assemble_groups(s), strict=True):
+            np.testing.assert_allclose(m * op, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("make_spec, s, mc_reps", [
+    (d1_lognormal_spec, BETA_D1, 400_000),
+    (d2_lognormal_matrix_spec, 1.0, 50_000),
+    (d2_rotation_spec, 4.0, 15_000),
+    (d2_finite_pair_spec, 1.5, 0),
+], ids=["d1-lognormal", "W*P", "c*R", "finite-support"])
+def test_factored_k_matches_per_group_power_iterations(make_spec, s, mc_reps):
+    # group g's operator is moments[g] * op, so one power iteration of op
+    # gives k and k_se; the reference iterates on every group operator
+    spec = make_spec()
+    grid = build_grid(spec, size=64)
+    res = k_grid(OperatorAssembler(spec, grid, mc_reps, substream(31, "f")), s)
+    want = ref.k_grid(spec, s, grid=grid, mc_reps=mc_reps,
+                      rng=substream(31, "f"))
+    assert res.k == pytest.approx(want.k, rel=1e-9)
+    assert res.k_se == pytest.approx(want.k_se, rel=1e-9)
+    assert (res.k_se > 0) == (mc_reps > 0)
+    assert res.iterations == want.iterations
 
 
 @pytest.mark.parametrize("make_spec", [d2_lognormal_matrix_spec,
@@ -164,7 +190,7 @@ def test_rotation_assembler_memory_at_default_settings():
         assembler = OperatorAssembler(spec, grid, 1_000_000,
                                       substream(30, "o"))
         for s in (1.0, 4.0, 7.2):
-            assembler.assemble(s)
+            assembler.assemble_groups(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -191,7 +217,7 @@ def test_power_iteration_rank_one():
 
 def test_k_grid_matches_closed_form_d2():
     spec = d2_lognormal_matrix_spec()
-    res = k_grid(spec, 1.0, mc_reps=100_000, rng=substream(5, "k"))
+    res = k_at(spec, 1.0, 100_000, substream(5, "k"))
     assert res.k == pytest.approx(K1_D2, rel=0.02)
     assert res.e.min() > 0
     assert res.nu.sum() == pytest.approx(1.0)
@@ -202,16 +228,16 @@ def test_k_grid_matches_closed_form_d2():
 def test_k_zero_is_one_on_all_families():
     for spec in (d1_lognormal_spec(), d2_lognormal_matrix_spec(),
                  d2_finite_pair_spec(), d2_rotation_spec()):
-        res = k_grid(spec, 0.0, mc_reps=20_000, rng=substream(6, "k"))
+        res = k_at(spec, 0.0, 20_000, substream(6, "k"))
         assert abs(res.k - 1.0) < 1e-3
 
 
 def test_grid_resolution_stability():
     spec = d2_lognormal_matrix_spec()
-    k1 = k_grid(spec, 1.0, grid=build_grid(spec, 128), mc_reps=50_000,
-                rng=substream(7, "k")).k
-    k2 = k_grid(spec, 1.0, grid=build_grid(spec, 256), mc_reps=50_000,
-                rng=substream(7, "k")).k
+    k1 = k_at(spec, 1.0, 50_000, substream(7, "k"),
+              grid=build_grid(spec, 128)).k
+    k2 = k_at(spec, 1.0, 50_000, substream(7, "k"),
+              grid=build_grid(spec, 256)).k
     assert abs(k2 - k1) / k1 < 1e-2
 
 
@@ -239,7 +265,7 @@ def test_products_rotation_isometry():
 
 def test_grid_and_products_agree():
     spec = d2_lognormal_matrix_spec()
-    res = k_grid(spec, 1.0, mc_reps=100_000, rng=substream(11, "k"))
+    res = k_at(spec, 1.0, 100_000, substream(11, "k"))
     pe = k_by_products(spec, 1.0, [2, 4, 6, 8], 100_000, substream(12, "p"))
     se_prod = abs(pe.k) * max(r[2] for r in pe.per_n)
     comb = 3 * math.hypot(res.k_se, se_prod) + 1e-3 * res.k
@@ -254,7 +280,7 @@ def test_m_of_s_values():
     spec = d1_lognormal_spec()
 
     def m(s, seed, mc_reps):
-        res = k_grid(spec, s, mc_reps=mc_reps, rng=substream(seed, "m"))
+        res = k_at(spec, s, mc_reps, substream(seed, "m"))
         return spec.mean_children() * res.k
 
     assert m(1.0, 13, 400_000) == pytest.approx(2 * math.exp(-0.75), rel=1e-3)
@@ -298,13 +324,13 @@ def test_brent_min_interior_and_boundary():
 def test_solve_alpha_beta_reference(monkeypatch):
     spec = d1_lognormal_spec()
     calls = []
-    assemble = OperatorAssembler.assemble
+    assemble = OperatorAssembler.assemble_groups
 
     def counted(self, s):
         calls.append(s)
         return assemble(self, s)
 
-    monkeypatch.setattr(OperatorAssembler, "assemble", counted)
+    monkeypatch.setattr(OperatorAssembler, "assemble_groups", counted)
     sol = solve_alpha_beta(spec, s_max=6.0, tol=1e-8,
                            rng=substream(16, "s"), mc_reps=1_000_000)
     assert len(calls) <= 40
@@ -346,8 +372,8 @@ def test_drift_reference():
     assembler = OperatorAssembler(spec, build_grid(spec), 1_000_000,
                                   substream(18, "d"))
     h = 1e-2
-    m_deriv = spec.mean_children() * (assembler.assemble(2.0 + h)[0, 0]
-                                      - assembler.assemble(2.0 - h)[0, 0]) / (2 * h)
+    m_deriv = spec.mean_children() * (k_grid(assembler, 2.0 + h).k
+                                      - k_grid(assembler, 2.0 - h).k) / (2 * h)
     assert abs(m_deriv) < 0.02
 
 
@@ -359,8 +385,7 @@ def test_log_convexity_midpoint():
     for (s1, s2) in [(0.2, 1.0), (0.5, 2.0), (1.0, 3.0)]:
         vals = {}
         for s in (s1, s2, 0.5 * (s1 + s2)):
-            res = power_iteration(assembler.assemble(s))
-            vals[s] = 2.0 * res[0]
+            vals[s] = 2.0 * k_grid(assembler, s).k
         mid = math.log(vals[0.5 * (s1 + s2)])
         chord = 0.5 * (math.log(vals[s1]) + math.log(vals[s2]))
         assert mid <= chord + 0.02
@@ -368,7 +393,7 @@ def test_log_convexity_midpoint():
 
 def test_spectral_result_roundtrip_interp():
     spec = d2_lognormal_matrix_spec()
-    res = k_grid(spec, 1.5, mc_reps=50_000, rng=substream(20, "k"))
+    res = k_at(spec, 1.5, 50_000, substream(20, "k"))
     vals = res.e_interp(res.grid.points)
     assert np.allclose(vals, res.e, rtol=1e-9)
 

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from conftest import (BETA_D1, d1_lognormal_spec, d2_finite_pair_spec,
-                      d2_lognormal_matrix_spec, d2_rotation_spec)
+                      d2_lognormal_matrix_spec, d2_rotation_spec, k_at)
 from smoothtail.errors import SingularActionError, SpecError
 from smoothtail.rng import substream
 from smoothtail import walks
@@ -73,6 +73,16 @@ def test_act_unit_norm_invariant():
             x = x / walks.vec_norm(x, norm)
             y = act(m, x, norm)
             assert abs(walks.vec_norm(y, norm) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_vec_norm_matches_numpy_sums_exactly(d):
+    # validate's E|Q|^s reads |Q| from vec_norm; below d = 8 numpy adds
+    # the components left to right too, so validation.json keeps its bytes
+    q = substream(3, "vn").normal(size=(1000, d)) * 10.0
+    assert np.array_equal(walks.vec_norm(q, "l1"), np.abs(q).sum(axis=1))
+    assert np.array_equal(walks.vec_norm(q, "l2"),
+                          np.sqrt((q * q).sum(axis=1)))
 
 
 def test_act_singular_raises():
@@ -298,10 +308,9 @@ def test_pi_norm_moment_beta_tilted_exact():
 def test_tilted_with_eigenfunction_unbiased():
     # with a grid eigenfunction driving the proposal, weighted averages
     # still reproduce nominal expectations exactly (ratios are exact)
-    from smoothtail.spectral import k_grid
     spec = d2_finite_pair_spec()
     s = 1.5
-    res = k_grid(spec, s, mc_reps=0, rng=substream(40, "k"))
+    res = k_at(spec, s, 0, substream(40, "k"))
     u0 = np.array([1.0, 0.0])
     n = 4
     nominal = walks.run_walks(spec, u0, n, 200_000, substream(41, "n"))
