@@ -24,8 +24,8 @@ from .branching import resampled_sum
 from .errors import CoverageError, NondegeneracyError, SpecError
 from .model import CLASS_NONNEG, ModelSpec
 from .rng import parallel_map, spawn
-from .walks import (StepSampler, effective_sample_size, method_tilt,
-                    run_walks, tilted_batch, vec_norm, weighted_mean)
+from .walks import (StepSampler, effective_sample_size, run_walks,
+                    tilted_batch, vec_norm, weighted_mean)
 
 MIN_NT_HARD = 4
 MIN_NT_RECOMMENDED = 16
@@ -142,13 +142,11 @@ class ProbEstimate:
     se: float
     hits: int
     ess: float
-    method: str
     flagged: bool = False
     upper_95: Optional[float] = None   # one-sided bound when hits == 0
 
 
-def _summarize(ind: np.ndarray, log_weight: np.ndarray,
-               method: str) -> ProbEstimate:
+def _summarize(ind: np.ndarray, log_weight: np.ndarray) -> ProbEstimate:
     """Weighted hit rate with its ESS over the hits.  An estimate under
     ESS_FLOOR is flagged (no hits gives ESS 0); with no hits it also gets a
     heuristic one-sided bound of three times the largest weight per rep."""
@@ -159,21 +157,16 @@ def _summarize(ind: np.ndarray, log_weight: np.ndarray,
     if hits == 0:
         upper = 3.0 * float(np.exp(log_weight.max())) / len(ind)
     return ProbEstimate(value=float(est), se=float(se), hits=hits,
-                        ess=float(ess), method=method,
-                        flagged=ess < ESS_FLOOR, upper_95=upper)
+                        ess=float(ess), flagged=ess < ESS_FLOOR,
+                        upper_95=upper)
 
 
 def _draw_V(spec: ModelSpec, n: int, reps: int, rng: np.random.Generator,
-            tilt: float, spectral, pool_vectors: Optional[np.ndarray],
+            tilt: float, spectral, pool_vectors: np.ndarray,
             u: Optional[np.ndarray]):
-    """The draws behind a P(V_{n,t}) estimate: reps tilted paths of length
-    n with their history, then their n Z-marks each, as (batch, log(|Z| v 1)).
-    Only the indicator depends on (C0, delta)."""
-    if pool_vectors is None:
-        raise SpecError("estimate_PV needs pool vectors for the Z-marks")
-    if u is None:
-        u = np.zeros(spec.d)
-        u[0] = 1.0
+    """The draws behind a P(V_{n,t}) estimate: reps paths of length n at the
+    given tilt with their history, then their n Z-marks each, as
+    (batch, log(|Z| v 1)).  Only the indicator depends on (C0, delta)."""
     batch = tilted_batch(spec, u, n, tilt, spectral, reps, rng,
                          record_hist=True)
     z = draw_z_marks(spec, pool_vectors, reps * n, rng).reshape(reps, n)
@@ -181,49 +174,38 @@ def _draw_V(spec: ModelSpec, n: int, reps: int, rng: np.random.Generator,
 
 
 def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
-                rng: np.random.Generator, method: str = "tilted",
-                spectral=None, pool_vectors: Optional[np.ndarray] = None,
-                u: Optional[np.ndarray] = None,
-                beta: Optional[float] = None) -> ProbEstimate:
-    """P(V_{n,t}) by naive or beta-tilted Monte Carlo with Z-marks from a pool."""
-    batch, z_log = _draw_V(spec, n, reps, rng, method_tilt(method, beta),
-                           spectral, pool_vectors, u)
+                rng: np.random.Generator, *, tilt: float,
+                pool_vectors: np.ndarray, spectral=None,
+                u: Optional[np.ndarray] = None) -> ProbEstimate:
+    """P(V_{n,t}) by Monte Carlo at the given tilt (0 is the nominal walk,
+    beta the certificate's) with Z-marks from a pool; u defaults to e_1."""
+    batch, z_log = _draw_V(spec, n, reps, rng, tilt, spectral, pool_vectors, u)
     ind = _indicator_V_batch(batch.opnorm_log_hist, batch.S, z_log, params, n)
-    return _summarize(ind, batch.log_weight, method)
+    return _summarize(ind, batch.log_weight)
 
 
 def estimate_tail_prob(spec: ModelSpec, n: int, t: float, reps: int,
-                       rng: np.random.Generator, method: str = "tilted",
-                       spectral=None, u: Optional[np.ndarray] = None,
-                       beta: Optional[float] = None) -> ProbEstimate:
+                       rng: np.random.Generator, *, tilt: float, spectral=None,
+                       u: Optional[np.ndarray] = None) -> ProbEstimate:
     """P(|Pi*_n u| > t), the one-path scale exceedance alone."""
-    if u is None:
-        u = np.zeros(spec.d)
-        u[0] = 1.0
-    batch = tilted_batch(spec, u, n, method_tilt(method, beta), spectral,
-                         reps, rng)
-    return _summarize(batch.S > math.log(t), batch.log_weight, method)
+    batch = tilted_batch(spec, u, n, tilt, spectral, reps, rng)
+    return _summarize(batch.S > math.log(t), batch.log_weight)
 
 
 def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
-                reps: int, rng: np.random.Generator, method: str = "tilted",
-                spectral=None, u: Optional[np.ndarray] = None,
-                beta: Optional[float] = None) -> ProbEstimate:
+                reps: int, rng: np.random.Generator, *, tilt: float,
+                spectral=None, u: Optional[np.ndarray] = None) -> ProbEstimate:
     """P(W) for the two-path overlap event at geometry (p, q, m).
 
-    A shared tilted prefix of length m, then two conditionally independent
-    tilted continuations of lengths p - m and q - m; the meet-product norm
-    constraint uses the prefix's own operator norm.
+    A shared prefix of length m, then two conditionally independent
+    continuations of lengths p - m and q - m, all at the given tilt; the
+    meet-product norm constraint uses the prefix's own operator norm.
     """
     if not (0 <= m <= q <= p):
         raise SpecError("need 0 <= m <= q <= p")
     if m == p:
         raise SpecError("the pair must split strictly below p")
-    if u is None:
-        u = np.zeros(spec.d)
-        u[0] = 1.0
-    sampler = StepSampler(spec, s=method_tilt(method, beta),
-                          e_interp=None if spectral is None else spectral.e_interp)
+    sampler = StepSampler(spec, tilt, spectral)
     pre = run_walks(spec, u, m, reps, rng, sampler=sampler, record_hist=True)
     log_t = math.log(params.t)
     meet_ok = pre.opnorm_log_hist[:, m] <= math.log(params.C0 * params.t) \
@@ -238,7 +220,7 @@ def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
         # the shorter path is the meet itself: its exceedance uses the prefix
         ok2 = pre.S > log_t
         logw = pre.log_weight + br1.log_weight
-    return _summarize(ok1 & ok2 & meet_ok, logw, method)
+    return _summarize(ok1 & ok2 & meet_ok, logw)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +450,7 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
                          min_recommended_nt=min_recommended_nt)
              for C0 in C0_grid for delta in delta_grid]
     levels = cells[0].window_levels()
-    tilt = method_tilt("tilted", beta)
-    draws = [_draw_V(spec, n, reps, rng, tilt, spectral, pool_vectors, u)
+    draws = [_draw_V(spec, n, reps, rng, beta, spectral, pool_vectors, u)
              for n in levels]
     best = None
     for params in cells:
@@ -477,7 +458,7 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
         for n, (batch, z_log) in zip(levels, draws):
             ind = _indicator_V_batch(batch.opnorm_log_hist, batch.S, z_log,
                                      params, n)
-            est = _summarize(ind, batch.log_weight, "tilted")
+            est = _summarize(ind, batch.log_weight)
             if est.hits == 0 or est.value <= 0:
                 break
             centered.append(math.log(est.value) - n * math.log(k_beta))
@@ -607,13 +588,13 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
 
     def v_task(i: int) -> ProbEstimate:
         return estimate_PV(spec, levels[i], eparams, reps_v, v_streams[i],
-                           method="tilted", spectral=spectral,
-                           pool_vectors=pool_vectors, u=u, beta=beta)
+                           tilt=beta, pool_vectors=pool_vectors,
+                           spectral=spectral, u=u)
 
     def w_task(i: int) -> ProbEstimate:
         p, q, m = geoms[i]
         return estimate_PW(spec, p, q, m, eparams, reps_w, w_streams[i],
-                           method="tilted", spectral=spectral, u=u, beta=beta)
+                           tilt=beta, spectral=spectral, u=u)
 
     v_results = parallel_map(v_task, len(levels), threads)
     w_results = parallel_map(w_task, len(geoms), threads)
@@ -629,7 +610,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
             flags.append(f"V estimate at level {ell} flagged (ess={est.ess:.1f})")
         per_level.append({"level": ell, "count": coef, "p": est.value,
                           "se": est.se, "hits": est.hits, "ess": est.ess,
-                          "method": est.method})
+                          "method": "tilted"})
     per_geom = []
     w_sum = 0.0
     w_var = 0.0
@@ -645,8 +626,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
         per_geom.append({"p": p, "q": q, "m": m, "count": coef,
                          "prob": est.value, "se": est.se,
                          "hits": est.hits, "ess": est.ess,
-                         "method": est.method,
-                         "upper_95": est.upper_95})
+                         "method": "tilted", "upper_95": est.upper_95})
     if force_kappa_zero:
         kappa, kappa_se = 0.0, 0.0
         flags.append("kappa forced to zero")

@@ -238,9 +238,11 @@ def cmd_validate(cfg: RunConfig) -> int:
     sec = cfg.section("validate")
     fp = cfg.fingerprint("validate")
     rng = substream(cfg.seed, "validate")
-    report = validate(cfg.spec, beta_hat=sec.num("beta_hat", 1.0),
-                      eps=sec.num("eps", 0.1),
-                      reps=sec.num("reps", 20_000, int), rng=rng)
+    eps, reps = sec.num("eps", 0.1), sec.num("reps", 20_000, int)
+    sec.require("eps", eps > 0, "eps > 0")
+    sec.require("reps", reps >= 1, "reps >= 1")
+    report = validate(cfg.spec, beta_hat=sec.num("beta_hat", 1.0), eps=eps,
+                      reps=reps, rng=rng)
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "validation.json", report.to_jsonable(), fp)
     return EXIT_VALIDATION if report.hard_fail() else EXIT_OK
@@ -356,11 +358,24 @@ def _load_beta(cfg: RunConfig, sec: Section) -> tuple[float, float, float]:
     raise ConfigError("need 'beta' or 'solution' in the command section")
 
 
+def _load_pool(cfg: RunConfig, sec: Section) -> branching.FixedPointPool:
+    """The pool file named in sec, checked against the model's dimension."""
+    if "pool" not in sec:
+        raise ConfigError(f"{sec.name} needs a 'pool' file path")
+    path = cfg.resolve(sec["pool"])
+    if not path.exists():
+        raise ConfigError(f"pool file not found: {path}")
+    pool = artifacts.read_pool(path)
+    if pool.d != cfg.spec.d:
+        raise ConfigError(f"{path}: pool dimension {pool.d}, the model "
+                          f"dimension is {cfg.spec.d}")
+    return pool
+
+
 def cmd_tails(cfg: RunConfig) -> int:
     sec = cfg.section("tails")
     fp = cfg.fingerprint("tails")
-    if "pool" not in sec:
-        raise ConfigError("tails needs a 'pool' file path")
+    pool = _load_pool(cfg, sec)
     window = sec.num("window_quantiles", (0.99, 0.9999), _floats)
     k_fracs = sec.num("k_fracs", (0.01, 0.005, 0.002), _floats)
     n_points = sec.num("n_points", 25, int)
@@ -375,10 +390,6 @@ def cmd_tails(cfg: RunConfig) -> int:
     sec.require("n_boot", n_boot >= 1, "n_boot >= 1")
     # max/min of the scaled tail is at least 1, so no smaller cap can pass
     sec.require("ratio_max", ratio_max > 1, "ratio_max > 1")
-    pool_path = cfg.resolve(sec["pool"])
-    if not pool_path.exists():
-        raise ConfigError(f"pool file not found: {pool_path}")
-    pool = artifacts.read_pool(pool_path)
     beta = _load_beta(cfg, sec)[0]
     u = sec.direction("u", cfg.spec.d)
     rng = substream(cfg.seed, "tails")
@@ -404,12 +415,18 @@ def _load_spectral(cfg: RunConfig, sec: Section):
     path = cfg.resolve(sec["spectral"])
     doc = artifacts.read_json(path)
     try:
-        grid = spectral.SphereGrid(points=np.asarray(doc["points"], float),
-                                   geometry=doc["grid_geometry"],
+        points, e, nu = (np.asarray(doc[k], float)
+                         for k in ("points", "e", "nu"))
+        made = spectral.build_grid(cfg.spec, size=len(points))
+        G = len(made.points)
+        if (points.shape != (G, cfg.spec.d) or e.shape != (G,)
+                or nu.shape != (G,) or doc["grid_geometry"] != made.geometry):
+            raise ValueError(f"need a {made.geometry} grid: points "
+                             f"({G}, {cfg.spec.d}), e and nu of length {G}")
+        grid = spectral.SphereGrid(points=points, geometry=made.geometry,
                                    norm=doc.get("norm", cfg.spec.norm))
         return spectral.SpectralResult(
-            s=doc["s"], k=doc["k"], e=np.asarray(doc["e"], float),
-            nu=np.asarray(doc["nu"], float), grid=grid,
+            s=doc["s"], k=doc["k"], e=e, nu=nu, grid=grid,
             residual=doc["residual"], iterations=doc["iterations"],
             mc_reps=doc["mc_reps"], k_se=doc.get("k_se", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
@@ -420,12 +437,7 @@ def _load_spectral(cfg: RunConfig, sec: Section):
 def cmd_certificate(cfg: RunConfig) -> int:
     sec = cfg.section("certificate")
     fp = cfg.fingerprint("certificate")
-    if "pool" not in sec:
-        raise ConfigError("certificate needs a 'pool' file path")
-    pool_path = cfg.resolve(sec["pool"])
-    if not pool_path.exists():
-        raise ConfigError(f"pool file not found: {pool_path}")
-    pool = artifacts.read_pool(pool_path)
+    pool = _load_pool(cfg, sec)
     beta, rho, k_beta = _load_beta(cfg, sec)
     if rho is None or k_beta is None:
         raise ConfigError("certificate needs rho and k_beta (or a solution file)")
@@ -438,6 +450,8 @@ def cmd_certificate(cfg: RunConfig) -> int:
             (("reps_v", 100_000), ("reps_w", 10_000), ("reps_search", 20_000))}
     for key, n in reps.items():
         sec.require(key, n >= 1, f"{key} >= 1")
+    J = sec.num("J", 8, int)
+    sec.require("J", J >= 1, "J >= 1")
     if "t" in sec:
         t = sec.num("t")
     elif "t_quantile" in sec:
@@ -451,7 +465,7 @@ def cmd_certificate(cfg: RunConfig) -> int:
         cfg.spec, u, t, rho, beta, k_beta,
         C1=sec.num("C1", 2, int), pool_vectors=pool.vectors, rng=rng,
         spectral=_load_spectral(cfg, sec), C0=C0, delta=delta,
-        J=sec.num("J", 8, int), **reps,
+        J=J, **reps,
         min_recommended_nt=sec.num("min_recommended_nt",
                                    certificate.MIN_NT_RECOMMENDED, int),
         threads=cfg.threads,

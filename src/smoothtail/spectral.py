@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import AssemblyError, ConvergenceError, NoRootError, NoSecondRootError, SpecError
 from .model import CLASS_NONNEG, ModelSpec
-from .walks import (StepSampler, UNDERFLOW, method_tilt, run_walks, vec_norm,
-                    weighted_mean)
+from .walks import StepSampler, UNDERFLOW, run_walks, vec_norm, weighted_mean
 
 DEFAULT_GRID_D2 = 256
 DEFAULT_GRID_HIGH = 512
@@ -392,28 +391,24 @@ class ProductsEstimate:
     slope: float
     per_n: list                # rows (n, log_mean, se_of_log)
     low_confidence: bool
-    method: str
 
 
 def k_by_products(spec: ModelSpec, s: float, n_list, reps: int,
-                  rng: np.random.Generator, method: str = "naive",
+                  rng: np.random.Generator, tilt: float = 0.0,
                   spectral: Optional[SpectralResult] = None) -> ProductsEstimate:
     """Fit log E||Pi_n||^s against n; the slope exponentiates to k(s).
 
-    The naive estimator (the tilt-0 walk) collapses for heavy-tailed
-    summands (relative SE grows like a power of k(2s)/k(s)^2 per step); the
-    tilted method walks at tilt s and keeps the same expectation, through
-    the running log weights, with exponential variance reduction.
+    The nominal walk (tilt 0) collapses for heavy-tailed summands (relative
+    SE grows like a power of k(2s)/k(s)^2 per step); the walk at tilt s
+    keeps the same expectation, through the running log weights, with
+    exponential variance reduction.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if len(n_list) < 2:
         raise SpecError("need at least two distinct path lengths")
     n_max = max(n_list)
-    u0 = np.zeros(spec.d)
-    u0[0] = 1.0
-    sampler = StepSampler(spec, s=method_tilt(method, s),
-                          e_interp=None if spectral is None else spectral.e_interp)
-    batch = run_walks(spec, u0, n_max, reps, rng, sampler=sampler,
+    batch = run_walks(spec, None, n_max, reps, rng,
+                      sampler=StepSampler(spec, tilt, spectral),
                       record_hist=True)
     rows = []
     low_conf = False
@@ -431,7 +426,7 @@ def k_by_products(spec: ModelSpec, s: float, n_list, reps: int,
     slope, intercept = np.polyfit(ns, ys, 1)
     return ProductsEstimate(k=float(math.exp(slope)), c_s=float(math.exp(intercept)),
                             slope=float(slope), per_n=rows,
-                            low_confidence=low_conf, method=method)
+                            low_confidence=low_conf)
 
 
 # ---------------------------------------------------------------------------

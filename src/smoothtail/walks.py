@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import SingularActionError, SpecError
-from .model import CLASS_NONNEG, ModelSpec
+from .model import ModelSpec
 
 UNDERFLOW = 1e-300      # |mx| below this signals structural singularity
 
@@ -42,14 +42,6 @@ def vec_norm(x: np.ndarray, norm: str) -> np.ndarray:
         out += x[..., j] * x[..., j]
     # a lone vector's sum of squares is a scalar, which has no buffer
     return np.sqrt(out, out=out) if out.ndim else np.sqrt(out)
-
-
-def operator_norm(m: np.ndarray, norm: str) -> float:
-    """Induced operator norm: max column sum (l1) or top singular value (l2)."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if norm == "l1":
-        return float(np.abs(m).sum(axis=0).max())
-    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def operator_norms(mats: np.ndarray, norm: str) -> np.ndarray:
@@ -123,27 +115,6 @@ def norms_and_iotas(mats: np.ndarray, norm: str):
     return sv[..., 0], sv[..., -1]
 
 
-def iota(m: np.ndarray, norm: str, geom_class: str) -> float:
-    """Minimal expansion of m on the sphere.
-
-    Nonnegative/l1: min column sum, which equals min over the positive part
-    of the sphere of |m x| and is positive exactly for allowable matrices.
-    Invertible/l2: smallest singular value.
-    """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if geom_class == CLASS_NONNEG:
-        if (m < 0).any():
-            raise SpecError("iota under the nonnegative class needs a nonnegative matrix")
-        val = float(m.sum(axis=0).min())
-        if val <= 0.0:
-            raise SpecError("iota is undefined for non-allowable matrices")
-        return val
-    val = float(np.linalg.svd(m, compute_uv=False)[-1])
-    if val <= 0.0:
-        raise SpecError("iota is undefined for singular matrices")
-    return val
-
-
 # ---------------------------------------------------------------------------
 # projective action
 # ---------------------------------------------------------------------------
@@ -178,7 +149,8 @@ class StepSampler:
     * s = 0: the nominal law mu itself, with zero log ratios (the nominal
       walk is the tilt-0 walk);
     * finite support: exact enumeration of the tilted probabilities
-      (with e_s interpolated from the grid);
+      (with e_s interpolated from the grid of spectral, a SpectralResult,
+      or e_s = 1 without one);
     * lognormal families W * D: conjugate lognormal tilt of the scale W,
       the direction factor D left nominal (for a fixed D the move is
       deterministic, so |D^T U|^s e_s(D^T . U) cancels; for rotations
@@ -191,11 +163,10 @@ class StepSampler:
     actually taken.
     """
 
-    def __init__(self, spec: ModelSpec, s: float = 0.0,
-                 e_interp: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+    def __init__(self, spec: ModelSpec, s: float = 0.0, spectral=None):
         self.spec = spec
         self.s = float(s)
-        self.e_interp = e_interp
+        self.spectral = spectral
         self._atoms = spec.ensemble.atoms()
         if self._atoms is not None:
             mats, probs = self._atoms
@@ -220,9 +191,9 @@ class StepSampler:
         y = np.einsum("kij,rj->rki", mats_T, U)            # (R,K,d)
         nrm = vec_norm(y, self.spec.norm)                  # (R,K)
         np.clip(nrm, UNDERFLOW, None, out=nrm)
-        if self.e_interp is not None:
+        if self.spectral is not None:
             dirs = y / nrm[:, :, None]
-            evals = self.e_interp(dirs.reshape(R * K, -1)).reshape(R, K)
+            evals = self.spectral.e_interp(dirs.reshape(R * K, -1)).reshape(R, K)
         else:
             evals = np.ones((R, K))
         w = probs[None, :] * nrm ** self.s * evals         # (R,K)
@@ -257,14 +228,14 @@ class WalkBatch:
     log_weight_hist: Optional[np.ndarray] = None  # (R, n+1) log weights after k steps
 
 
-def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
+def run_walks(spec: ModelSpec, u0: Optional[np.ndarray], n: int, reps: int,
               rng: np.random.Generator, sampler: Optional[StepSampler] = None,
               record_hist: bool = False) -> WalkBatch:
     """Run reps independent paths of length n with steps from sampler.
 
     The default sampler is the tilt-0 one, i.e. the nominal walk with zero
-    log weights.  u0 may be one direction or a (reps, d) array of per-path
-    starting directions.  With record_hist the per-step log operator norms
+    log weights.  u0 may be one direction, a (reps, d) array of per-path
+    starting directions, or None for e_1.  With record_hist the per-step log operator norms
     of the partial products Pi*_k and the running log weights are kept
     (needed by the event indicators and the moment regression).
 
@@ -280,7 +251,7 @@ def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
     if sampler is None:
         sampler = StepSampler(spec)
     d = spec.d
-    u0 = np.asarray(u0, dtype=float)
+    u0 = np.asarray(np.eye(d)[0] if u0 is None else u0, dtype=float)
     if u0.ndim == 2:
         if u0.shape != (reps, d):
             raise SpecError("per-path u0 must have shape (reps, d)")
@@ -325,25 +296,12 @@ def run_walks(spec: ModelSpec, u0: np.ndarray, n: int, reps: int,
                      log_weight_hist=logw_hist.T if record_hist else None)
 
 
-def tilted_batch(spec: ModelSpec, u0: np.ndarray, n: int, s: float, spectral,
-                 reps: int, rng: np.random.Generator,
+def tilted_batch(spec: ModelSpec, u0: Optional[np.ndarray], n: int, s: float,
+                 spectral, reps: int, rng: np.random.Generator,
                  record_hist: bool = False) -> WalkBatch:
-    """Vectorized tilted paths (the estimator workhorse)."""
-    sampler = StepSampler(spec, s=s,
-                          e_interp=None if spectral is None else spectral.e_interp)
-    return run_walks(spec, u0, n, reps, rng, sampler=sampler,
-                     record_hist=record_hist)
-
-
-def method_tilt(method: str, s: Optional[float]) -> float:
-    """The tilt an estimator method walks at: 0 for "naive", s for "tilted"."""
-    if method == "naive":
-        return 0.0
-    if method != "tilted":
-        raise SpecError(f"unknown method {method!r}")
-    if s is None:
-        raise SpecError("tilted estimate needs the tilt parameter")
-    return s
+    """Vectorized paths at tilt s (the estimator workhorse)."""
+    return run_walks(spec, u0, n, reps, rng, StepSampler(spec, s, spectral),
+                     record_hist)
 
 
 def effective_sample_size(log_weight: np.ndarray) -> float:

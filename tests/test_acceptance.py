@@ -82,7 +82,7 @@ def test_criterion_2_spectral_vs_products():
 def test_criterion_3_moment_bound_slope():
     pe = spectral.k_by_products(d1_lognormal_spec(), BETA_D1,
                                 list(range(2, 13)), 20_000,
-                                substream(1005, "slope"), method="tilted")
+                                substream(1005, "slope"), tilt=BETA_D1)
     rel = abs(pe.slope - (-math.log(2.0))) / math.log(2.0)
     _report(3, rel <= 0.05,
             f"slope {pe.slope:.6f} vs -log2 {-math.log(2):.6f} "
@@ -184,7 +184,7 @@ def test_criterion_9_rate_shape():
     for n in params.window_levels():
         est = cert.estimate_tail_prob(spec, n, t, 200_000,
                                       substream(1015, "rate", n),
-                                      beta=BETA_D1)
+                                      tilt=BETA_D1)
         centered.append(math.log(est.value)
                         - (n * math.log(K_BETA_D1) - BETA_D1 * RHO_D1 * n_t
                            - 0.5 * math.log(n_t)))

@@ -21,7 +21,6 @@ from smoothtail.certificate import (ESS_FLOOR, VERDICT_Z, EventParams,
 from smoothtail.errors import NondegeneracyError, SpecError
 from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
 from smoothtail.rng import substream
-from smoothtail.spectral import k_by_products
 from smoothtail.walks import vec_norm
 
 
@@ -82,10 +81,10 @@ def test_pv_naive_vs_tilted(d1_pool):
     t = math.exp(3 * RHO_D1)
     p = EventParams(t=t, C0=30.0, delta=0.1, rho=RHO_D1)
     x = d1_pool.vectors
-    nv = estimate_PV(spec, 2, p, 600_000, substream(1, "nv"), method="naive",
+    nv = estimate_PV(spec, 2, p, 600_000, substream(1, "nv"), tilt=0.0,
                      pool_vectors=x)
-    tl = estimate_PV(spec, 2, p, 100_000, substream(2, "tl"), method="tilted",
-                     pool_vectors=x, beta=BETA_D1)
+    tl = estimate_PV(spec, 2, p, 100_000, substream(2, "tl"), tilt=BETA_D1,
+                     pool_vectors=x)
     assert nv.hits > 20 and tl.hits > 100
     assert abs(nv.value - tl.value) < 3 * math.hypot(nv.se, tl.se)
 
@@ -97,9 +96,9 @@ def test_pv_naive_vs_tilted_n8(d1_pool):
     p = EventParams(t=1.0, C0=1000.0, delta=0.05, rho=RHO_D1)
     x = d1_pool.vectors
     nv = estimate_PV(spec, 8, p, 2_000_000, substream(30, "nv8"),
-                     method="naive", pool_vectors=x)
+                     tilt=0.0, pool_vectors=x)
     tl = estimate_PV(spec, 8, p, 100_000, substream(31, "tl8"),
-                     method="tilted", pool_vectors=x, beta=BETA_D1)
+                     tilt=BETA_D1, pool_vectors=x)
     assert nv.hits > 20 and tl.hits > 1000
     assert abs(nv.value - tl.value) < 3 * math.hypot(nv.se, tl.se)
 
@@ -108,10 +107,10 @@ def test_pv_event_inclusion(d1_pool):
     spec = d1_lognormal_spec()
     t = math.exp(10 * RHO_D1)
     p = EventParams(t=t, C0=10.0, delta=0.2, rho=RHO_D1)
-    pv = estimate_PV(spec, 7, p, 100_000, substream(3, "pv"), method="tilted",
-                     pool_vectors=d1_pool.vectors, beta=BETA_D1)
+    pv = estimate_PV(spec, 7, p, 100_000, substream(3, "pv"), tilt=BETA_D1,
+                     pool_vectors=d1_pool.vectors)
     tp = estimate_tail_prob(spec, 7, t, 100_000, substream(4, "tp"),
-                            beta=BETA_D1)
+                            tilt=BETA_D1)
     assert pv.value <= tp.value * (1 + 1e-9) + 3 * math.hypot(pv.se, tp.se)
 
 
@@ -121,10 +120,10 @@ def test_pv_level_stationary(d1_pool):
     spec = d1_lognormal_spec()
     t = math.exp(12 * RHO_D1)
     p = EventParams(t=t, C0=10.0, delta=0.2, rho=RHO_D1)
-    a = estimate_PV(spec, 9, p, 150_000, substream(5, "a"), method="tilted",
-                    pool_vectors=d1_pool.vectors, beta=BETA_D1)
-    b = estimate_PV(spec, 9, p, 150_000, substream(6, "b"), method="tilted",
-                    pool_vectors=d1_pool.vectors, beta=BETA_D1)
+    a = estimate_PV(spec, 9, p, 150_000, substream(5, "a"), tilt=BETA_D1,
+                    pool_vectors=d1_pool.vectors)
+    b = estimate_PV(spec, 9, p, 150_000, substream(6, "b"), tilt=BETA_D1,
+                    pool_vectors=d1_pool.vectors)
     assert abs(a.value - b.value) < 3 * math.hypot(a.se, b.se)
 
 
@@ -137,10 +136,10 @@ def test_pw_near_one_for_tiny_t():
     # t far below scale with a huge C0: every constraint is vacuous
     p = EventParams(t=math.exp(-5.0), C0=1e6, delta=0.1, rho=RHO_D1)
     est = estimate_PW(spec, 2, 2, 0, p, 20_000, substream(7, "w"),
-                      method="naive")
+                      tilt=0.0)
     assert est.value > 0.99
     p_one = estimate_tail_prob(spec, 2, p.t, 20_000, substream(8, "w1"),
-                               method="naive")
+                               tilt=0.0)
     assert est.value <= p_one.value + 3 * math.hypot(est.se, p_one.se)
 
 
@@ -151,7 +150,7 @@ def test_pw_decreases_in_split_depth(d1_pool):
     vals = []
     for gap in (2, 4, 6):                    # gap = p - m
         est = estimate_PW(spec, 10, 10, 10 - gap, p, 40_000,
-                          substream(9, "w", gap), beta=BETA_D1)
+                          substream(9, "w", gap), tilt=BETA_D1)
         vals.append(est.value)
     # earlier splits decorrelate the two paths: P(W) falls as p - m grows
     assert vals[0] > vals[1] > vals[2] > 0
@@ -161,28 +160,10 @@ def test_pw_inclusion(d1_pool):
     spec = d1_lognormal_spec()
     t = math.exp(10 * RHO_D1)
     p = EventParams(t=t, C0=10.0, delta=0.2, rho=RHO_D1)
-    w = estimate_PW(spec, 8, 8, 2, p, 60_000, substream(10, "w"), beta=BETA_D1)
+    w = estimate_PW(spec, 8, 8, 2, p, 60_000, substream(10, "w"), tilt=BETA_D1)
     one = estimate_tail_prob(spec, 8, t, 60_000, substream(11, "o"),
-                             beta=BETA_D1)
+                             tilt=BETA_D1)
     assert w.value <= one.value * (1 + 1e-9) + 3 * math.hypot(w.se, one.se)
-
-
-def test_unknown_method_rejected_by_every_estimator(d1_pool):
-    spec = d1_lognormal_spec()
-    p = EventParams(t=math.exp(-5.0), C0=1e6, delta=0.1, rho=RHO_D1)
-    calls = [
-        lambda m: estimate_PV(spec, 2, p, 100, substream(9, "m"), method=m,
-                              pool_vectors=d1_pool.vectors, beta=BETA_D1),
-        lambda m: estimate_tail_prob(spec, 2, p.t, 100, substream(9, "m"),
-                                     method=m, beta=BETA_D1),
-        lambda m: estimate_PW(spec, 2, 2, 0, p, 100, substream(9, "m"),
-                              method=m, beta=BETA_D1),
-        lambda m: k_by_products(spec, 1.0, [1, 2], 100, substream(9, "m"),
-                                method=m),
-    ]
-    for call in calls:
-        with pytest.raises(SpecError, match="unknown method 'tilde'"):
-            call("tilde")
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +465,7 @@ def test_cone_family_coverage_error_one_sided_pool():
 def test_summarize_flags_and_upper_bound():
     # no hits: flagged (ESS 0), with three times the largest weight per rep
     lw = np.log(np.array([0.5, 2.0, 1.0, 4.0]))
-    none = _summarize(np.zeros(4, dtype=bool), lw, "tilted")
+    none = _summarize(np.zeros(4, dtype=bool), lw)
     assert none.hits == 0 and none.ess == 0.0 and none.value == 0.0
     assert none.flagged
     assert none.upper_95 == pytest.approx(3.0 * 4.0 / 4, rel=1e-12)
@@ -493,18 +474,18 @@ def test_summarize_flags_and_upper_bound():
     ind[:200] = True
     lw = np.zeros(1000)
     lw[0] = 20.0
-    skewed = _summarize(ind, lw, "tilted")
+    skewed = _summarize(ind, lw)
     assert skewed.hits == 200 and skewed.ess < 2.0
     assert skewed.flagged and skewed.upper_95 is None
     # equal weights: the ESS is the hit count; at the floor it passes
     for hits in (ESS_FLOOR - 1, ESS_FLOOR, 3 * ESS_FLOOR):
         ind = np.zeros(1000, dtype=bool)
         ind[:hits] = True
-        est = _summarize(ind, np.zeros(1000), "naive")
+        est = _summarize(ind, np.zeros(1000))
         assert est.ess == pytest.approx(hits, rel=1e-12)
         assert est.value == pytest.approx(hits / 1000, rel=1e-12)
         assert est.flagged == (hits < ESS_FLOOR)
-        assert est.upper_95 is None and est.method == "naive"
+        assert est.upper_95 is None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 from conftest import ALPHA_D1, BETA_D1, RHO_D1
 from smoothtail import artifacts
 from smoothtail.branching import FixedPointPool
-from smoothtail.cli import main, model_from_jsonable, model_to_jsonable
+from smoothtail.cli import (_load_spectral, load_config, main,
+                            model_from_jsonable, model_to_jsonable)
 from smoothtail.errors import ConfigError
 
 D1_MODEL = {
@@ -75,6 +76,10 @@ def test_truncated_pool_exit_2(tmp_path, capsys):
 
 
 SOLUTION = {"beta": BETA_D1, "rho": RHO_D1, "k_beta": 0.5}
+# a well-formed spectral file for D1_MODEL, whose grid is one point
+SPECTRAL = {"s": BETA_D1, "k": 0.5, "residual": 0.0, "iterations": 1,
+            "mc_reps": 1, "grid_geometry": "halfline", "points": [[1.0]],
+            "e": [1.0], "nu": [1.0]}
 
 
 @pytest.mark.parametrize("command, files, section, named", [
@@ -87,18 +92,45 @@ SOLUTION = {"beta": BETA_D1, "rho": RHO_D1, "k_beta": 0.5}
      "certificate needs rho and k_beta"),
     ("certificate", {"sol.json": SOLUTION, "spec.json": {"s": BETA_D1}},
      {"solution": "sol.json", "spectral": "spec.json"}, "spec.json"),
+    ("certificate", {"sol.json": SOLUTION,
+                     "spec.json": dict(SPECTRAL, e=[])},
+     {"solution": "sol.json", "spectral": "spec.json"},
+     "need a halfline grid: points (1, 1), e and nu of length 1"),
+    ("certificate", {"sol.json": SOLUTION,
+                     "spec.json": dict(SPECTRAL, nu=[1.0, 1.0])},
+     {"solution": "sol.json", "spectral": "spec.json"},
+     "need a halfline grid"),
+    ("certificate", {"sol.json": SOLUTION,
+                     "spec.json": dict(SPECTRAL, points=[[1.0, 0.0]])},
+     {"solution": "sol.json", "spectral": "spec.json"},
+     "need a halfline grid"),
+    ("certificate", {"sol.json": SOLUTION,
+                     "spec.json": dict(SPECTRAL, grid_geometry="circle")},
+     {"solution": "sol.json", "spectral": "spec.json"},
+     "need a halfline grid"),
+    ("tails", {}, {"beta": 3.0, "pool": "pool_d2.bin"},
+     "pool dimension 2, the model dimension is 1"),
+    ("certificate", {"sol.json": SOLUTION},
+     {"solution": "sol.json", "pool": "pool_d2.bin"},
+     "pool dimension 2, the model dimension is 1"),
 ], ids=["tails-missing-solution", "certificate-missing-solution",
         "certificate-missing-spectral", "solution-bad-json",
-        "solution-without-rho", "spectral-without-points"])
+        "solution-without-rho", "spectral-without-points",
+        "spectral-short-e", "spectral-long-nu", "spectral-points-of-d2",
+        "spectral-wrong-geometry", "tails-pool-of-d2",
+        "certificate-pool-of-d2"])
 def test_bad_artifact_file_exit_2(tmp_path, capsys, command, files, section,
                                   named):
     pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
                           generation=1, converged=True)
     artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    pool_d2 = FixedPointPool(vectors=np.ones((100, 2)), generation=1,
+                             converged=True)
+    artifacts.write_pool(tmp_path / "pool_d2.bin", pool_d2, "0" * 16)
     for name, doc in files.items():
         text = doc if isinstance(doc, str) else json.dumps(doc)
         (tmp_path / name).write_text(text)
-    sec = dict(section, pool="pool.bin", t=10.0)
+    sec = {"pool": "pool.bin", "t": 10.0, **section}
     cfg = {"model": D1_MODEL, "seed": 1, command: sec}
     assert _run(tmp_path, command, cfg) == 2
     assert named in capsys.readouterr().err
@@ -289,6 +321,7 @@ NUMERIC_BASE = {
 
 
 RANGE_BASE = {
+    "validate": {"beta_hat": 3.1, "reps": 2000},
     "spectrum": {"s_grid": [1.0], "mc_reps": 1000},
     "solve_index": {"s_max": 6.0, "mc_reps": 1000},
     "certificate": {"pool": "pool.bin", "beta": 3.0, "rho": 0.5,
@@ -297,6 +330,10 @@ RANGE_BASE = {
 
 
 @pytest.mark.parametrize("command, key, value, need", [
+    ("validate", "reps", 0, "reps >= 1"),
+    ("validate", "reps", -3, "reps >= 1"),
+    ("validate", "eps", 0.0, "eps > 0"),
+    ("validate", "eps", -1.0, "eps > 0"),
     ("spectrum", "mc_reps", 0, "mc_reps >= 1"),
     ("spectrum", "grid_size", 1, "grid_size >= 2"),
     ("solve-index", "tol", -1e-3, "tol > 0"),
@@ -311,6 +348,8 @@ RANGE_BASE = {
     ("certificate", "reps_search", 0, "reps_search >= 1"),
     ("certificate", "C0", 10.0, "C0 and delta together, or neither"),
     ("certificate", "delta", 0.2, "C0 and delta together, or neither"),
+    ("certificate", "J", 0, "J >= 1"),
+    ("certificate", "J", -2, "J >= 1"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, command, key, value,
                                    need):
@@ -718,6 +757,20 @@ def test_d2_model_through_cli(tmp_path):
     sol = json.loads((tmp_path / "out/tail_indices.json").read_text())
     assert sol["alpha"] == pytest.approx(ALPHA_D1, abs=0.01)
     assert sol["beta"] == pytest.approx(BETA_D1, abs=0.02)
+
+
+def test_certificate_reads_d2_spectrum_output(tmp_path):
+    # the spectral-file checks accept what spectrum writes on a d = 2 grid
+    cfg = {"model": D2_MODEL, "seed": 5,
+           "spectrum": {"s_grid": [1.0], "mc_reps": 2000, "grid_size": 16},
+           "certificate": {"spectral": "out/spectral_s0.json"}}
+    assert _run(tmp_path, "spectrum", cfg) == 0
+    run = load_config(str(tmp_path / "cfg_spectrum.json"))
+    res = _load_spectral(run, run.section("certificate"))
+    doc = json.loads((tmp_path / "out/spectral_s0.json").read_text())
+    assert res.grid.geometry == "quarter_circle"
+    assert res.grid.points.shape == (16, 2)
+    assert res.e.tolist() == doc["e"] and res.nu.tolist() == doc["nu"]
 
 
 # ---------------------------------------------------------------------------

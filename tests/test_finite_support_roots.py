@@ -61,7 +61,7 @@ def test_beta_confirmed_by_tilted_products(solution):
     # the tilted route at depths past the mixing transient recovers m = 1
     pe = spectral.k_by_products(spec, solution.beta, [16, 20, 24, 28],
                                 100_000, substream(7705, "pt"),
-                                method="tilted", spectral=res)
+                                tilt=solution.beta, spectral=res)
     rel_se = max(r[2] for r in pe.per_n)
     assert not pe.low_confidence
     assert abs(2 * pe.k - 1.0) < 3 * rel_se + 0.01

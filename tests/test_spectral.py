@@ -242,7 +242,7 @@ def test_grid_resolution_stability():
 
 
 # ---------------------------------------------------------------------------
-# products method
+# products estimate
 # ---------------------------------------------------------------------------
 
 def test_products_zero_tilt():
@@ -253,7 +253,7 @@ def test_products_zero_tilt():
 
 def test_products_beta_slope_exact_under_tilt():
     pe = k_by_products(d1_lognormal_spec(), BETA_D1, list(range(2, 13)), 5000,
-                       substream(9, "p"), method="tilted")
+                       substream(9, "p"), tilt=BETA_D1)
     assert pe.slope == pytest.approx(-math.log(2.0), rel=1e-9)
 
 

@@ -8,14 +8,24 @@ from scipy import stats
 
 from conftest import (BETA_D1, d1_lognormal_spec, d2_finite_pair_spec,
                       d2_lognormal_matrix_spec, d2_rotation_spec, k_at)
-from smoothtail.errors import SingularActionError, SpecError
+from smoothtail.errors import SingularActionError
 from smoothtail.rng import substream
 from smoothtail import walks
 from smoothtail.spectral import k_by_products
-from smoothtail.walks import (act, iota, operator_norm, run_walks, tilted_batch,
-                              weighted_mean)
+from smoothtail.walks import (act, norms_and_iotas, operator_norms, run_walks,
+                              tilted_batch, weighted_mean)
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def operator_norm(m, norm):
+    """The induced norm of one matrix, through the batched engine."""
+    return float(operator_norms(np.asarray(m, dtype=float)[None], norm)[0])
+
+
+def iota(m, norm):
+    """The minimal expansion of one matrix, through the batched engine."""
+    return float(norms_and_iotas(np.asarray(m, dtype=float)[None], norm)[1][0])
 
 
 class FixedSteps:
@@ -146,12 +156,12 @@ def test_operator_norm_l2():
 
 def test_iota_values():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert iota(m, "l1", "nonnegative-C") == 4.0
+    assert iota(m, "l1") == 4.0
     w = np.linspace(0, 1, 2001)
     xs = np.column_stack([w, 1 - w])
     vals = np.abs(xs @ m.T).sum(axis=1)
     assert vals.min() == pytest.approx(4.0, abs=1e-12)
-    assert iota(np.diag([3.0, 1 / 3]), "l2", "invertible-ipo") == pytest.approx(1 / 3)
+    assert iota(np.diag([3.0, 1 / 3]), "l2") == pytest.approx(1 / 3)
 
 
 def test_iota_le_operator_norm_random():
@@ -159,14 +169,7 @@ def test_iota_le_operator_norm_random():
     for _ in range(100):
         m = rng.random((3, 3))
         m[m < 0.1] = 0.15      # keep allowable
-        assert iota(m, "l1", "nonnegative-C") <= operator_norm(m, "l1") + 1e-12
-
-
-def test_iota_domain_errors():
-    with pytest.raises(SpecError):
-        iota(np.array([[1.0, 0.0], [2.0, 0.0]]), "l1", "nonnegative-C")
-    with pytest.raises(SpecError):
-        iota(np.zeros((2, 2)), "l2", "invertible-ipo")
+        assert iota(m, "l1") <= operator_norm(m, "l1") + 1e-12
 
 
 def test_submultiplicativity_and_sandwich():
@@ -179,8 +182,7 @@ def test_submultiplicativity_and_sandwich():
             rhs = operator_norm(m, norm) * operator_norm(n, norm)
             assert lhs <= rhs * (1 + 1e-12)
             x = rng.random(2) + 0.01
-            gc = "nonnegative-C" if norm == "l1" else "invertible-ipo"
-            lo = iota(m, norm, gc) * walks.vec_norm(x, norm)
+            lo = iota(m, norm) * walks.vec_norm(x, norm)
             hi = operator_norm(m, norm) * walks.vec_norm(x, norm)
             mx = walks.vec_norm(m @ x, norm)
             assert lo - 1e-12 <= mx <= hi + 1e-12
@@ -299,7 +301,7 @@ def test_pi_norm_moment_beta_tilted_exact():
     # variance-free in d = 1, the naive route cannot resolve this moment
     spec = d1_lognormal_spec()
     pe = k_by_products(spec, BETA_D1, [2, 10], 4000, substream(19, "m"),
-                       method="tilted")
+                       tilt=BETA_D1)
     n, log_mean, _rel_se = pe.per_n[1]
     assert n == 10
     assert log_mean == pytest.approx(-10 * math.log(2.0), rel=1e-9)
@@ -506,14 +508,16 @@ def test_default_sampler_is_tilt_zero_bit_for_bit(make_spec):
     assert not nominal.log_weight_hist.any()
 
 
-def test_method_tilt():
-    assert walks.method_tilt("naive", None) == 0.0
-    assert walks.method_tilt("naive", 2.5) == 0.0
-    assert walks.method_tilt("tilted", 2.5) == 2.5
-    with pytest.raises(SpecError, match="tilt parameter"):
-        walks.method_tilt("tilted", None)
-    with pytest.raises(SpecError, match="unknown method 'tilde'"):
-        walks.method_tilt("tilde", 2.5)
+def test_default_start_is_e1_bit_for_bit():
+    spec = d2_lognormal_matrix_spec()
+    walk = {u0 is None: run_walks(spec, u0, 8, 500, substream(71, "w"),
+                                  sampler=walks.StepSampler(spec, BETA_D1),
+                                  record_hist=True)
+            for u0 in (None, np.array([1.0, 0.0]))}
+    for name in ("U", "S", "log_weight", "opnorm_log_hist",
+                 "log_weight_hist"):
+        assert np.array_equal(getattr(walk[True], name),
+                              getattr(walk[False], name))
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +585,10 @@ def test_pw_branches_match_per_path_walks(monkeypatch, m):
     spec = d2_lognormal_matrix_spec()
     params = certificate.EventParams(t=30.0, C0=10.0, delta=0.2, rho=0.5)
     args = (spec, 5, 4, m, params, 4000)
-    shared = certificate.estimate_PW(*args, substream(74, "pw"), beta=2.0)
+    shared = certificate.estimate_PW(*args, substream(74, "pw"), tilt=2.0)
     monkeypatch.setattr(certificate, "StepSampler",
                         lambda *a, **k: PerPathFactor(walks.StepSampler(*a, **k)))
-    per_path = certificate.estimate_PW(*args, substream(74, "pw"), beta=2.0)
+    per_path = certificate.estimate_PW(*args, substream(74, "pw"), tilt=2.0)
     assert shared.hits > 0 and shared == per_path
 
 
