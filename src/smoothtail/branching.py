@@ -1,9 +1,8 @@
-"""Weighted branching: trees, path weights, the Y_l / Z recursions, and pools.
+"""Population dynamics for the attracting fixed point.
 
-Nodes are tuples of positive integers (the root is the empty tuple); a
-materialized tree stores one innovation (N_i, Q_i, (A_ij)) per node.  The
-attracting fixed point is sampled by population dynamics: iterate
-x -> sum_i A_i x_i + Q on an empirical pool with resampling.
+The fixed point is sampled by iterating x -> sum_i A_i x_i + Q on an
+empirical pool with resampling; independent replicate pools give the
+between-replicate error bars.
 """
 
 from __future__ import annotations
@@ -15,195 +14,9 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rng_module
-from .errors import MemoryCapError, SpecError
+from .errors import SpecError
 from .model import ModelSpec, check_class
 from .walks import matvec_sum, vec_norm
-
-NodeId = tuple[int, ...]
-
-ROOT: NodeId = ()
-MEMORY_CAP_NODES = 10_000_000
-
-
-# ---------------------------------------------------------------------------
-# node algebra
-# ---------------------------------------------------------------------------
-
-def node_prefix(i: NodeId, k: int) -> NodeId:
-    """Curtailment i|_k, the first k coordinates."""
-    if k > len(i):
-        raise SpecError("prefix length exceeds node depth")
-    return i[:k]
-
-
-def node_leq(i: NodeId, j: NodeId) -> bool:
-    """i <= j iff i is an ancestor-or-self of j."""
-    return len(i) <= len(j) and j[:len(i)] == i
-
-
-def node_meet(i: NodeId, j: NodeId) -> NodeId:
-    """Longest common prefix."""
-    k = 0
-    for a, b in zip(i, j):
-        if a != b:
-            break
-        k += 1
-    return i[:k]
-
-
-# ---------------------------------------------------------------------------
-# materialized trees
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TreeNode:
-    n_children: int
-    q: np.ndarray                    # (d,)
-    a: list                          # n_children matrices (d, d)
-
-
-@dataclass
-class WeightedTree:
-    """Innovations for all nodes up to a depth, prefix-closed by construction."""
-
-    nodes: dict[NodeId, TreeNode]
-    depth: int
-    d: int
-    mode: str                        # branching mode tag
-
-    def children(self, i: NodeId) -> list[NodeId]:
-        return [i + (j,) for j in range(1, self.nodes[i].n_children + 1)]
-
-    def edge_matrix(self, child: NodeId) -> np.ndarray:
-        """A_{child}: the weight on the edge from child's parent to child."""
-        parent = child[:-1]
-        return self.nodes[parent].a[child[-1] - 1]
-
-    def level(self, k: int) -> list[NodeId]:
-        return [i for i in self.nodes if len(i) == k]
-
-
-def expected_total_nodes(spec: ModelSpec, depth: int) -> float:
-    en = spec.mean_children()
-    return sum(en ** j for j in range(depth + 1))
-
-
-def grow_tree(spec: ModelSpec, depth: int, rng: np.random.Generator) -> WeightedTree:
-    """Materialize all nodes to the given depth with i.i.d. innovations."""
-    if depth < 0:
-        raise SpecError("depth must be >= 0")
-    expect = expected_total_nodes(spec, depth)
-    if expect > MEMORY_CAP_NODES:
-        raise MemoryCapError(
-            f"expected {expect:.3g} nodes exceeds the cap of {MEMORY_CAP_NODES}",
-            expected_nodes=expect)
-    from .model import sample_family
-    nodes: dict[NodeId, TreeNode] = {}
-    frontier = [ROOT]
-    for lvl in range(depth + 1):
-        next_frontier: list[NodeId] = []
-        for i in frontier:
-            q, a_list, n = sample_family(spec, rng)
-            nodes[i] = TreeNode(n_children=n, q=q, a=a_list)
-            if lvl < depth:
-                next_frontier.extend(i + (j,) for j in range(1, n + 1))
-        frontier = next_frontier
-        if not frontier:
-            break
-    return WeightedTree(nodes=nodes, depth=depth, d=spec.d,
-                        mode=spec.branching.mode)
-
-
-def path_weight(tree: WeightedTree, j: NodeId, ji: NodeId) -> np.ndarray:
-    """Pi_{j, ji}: the product of edge weights down the unique path j -> ji.
-
-    The empty path gives the identity.
-    """
-    if not node_leq(j, ji):
-        raise SpecError("path_weight requires j <= ji")
-    if j not in tree.nodes or (ji not in tree.nodes and len(ji) > 0
-                               and ji[:-1] not in tree.nodes):
-        raise SpecError("nodes not in tree")
-    d = tree.d
-    out = np.eye(d)
-    for k in range(len(j), len(ji)):
-        child = ji[:k + 1]
-        out = out @ tree.edge_matrix(child)
-    return out
-
-
-def _subtree_value(tree: WeightedTree, root: NodeId, m: int,
-                   leaf_values: dict) -> np.ndarray:
-    """[Y_m]_root: the branching sum on the subtree at root, depth m,
-    with leaf values looked up by global node id at depth len(root) + m."""
-    d = tree.d
-
-    def rec(i: NodeId, rem: int) -> np.ndarray:
-        if rem == 0:
-            try:
-                return np.atleast_1d(np.asarray(leaf_values[i], dtype=float))
-            except KeyError:
-                raise SpecError(f"missing leaf value for node {i}")
-        node = tree.nodes[i]
-        acc = node.q.astype(float).copy()
-        for j in range(1, node.n_children + 1):
-            child = i + (j,)
-            acc = acc + node.a[j - 1] @ rec(child, rem - 1)
-        return acc
-
-    if m == 0:
-        try:
-            return np.atleast_1d(np.asarray(leaf_values[root], dtype=float))
-        except KeyError:
-            raise SpecError(f"missing leaf value for node {root}")
-    return rec(root, m)
-
-
-def evaluate_Yl(tree: WeightedTree, l: int, leaf_values: dict) -> np.ndarray:
-    """Y_l = sum_{|i|<l} Pi_i Q_i + sum_{|i|=l} Pi_i X_i (Y_0 = X_root)."""
-    if l > tree.depth:
-        raise SpecError("tree too shallow for the requested l")
-    return _subtree_value(tree, ROOT, l, leaf_values)
-
-
-def evaluate_Z(tree: WeightedTree, l: int, i: NodeId, k: int,
-               leaf_values: dict) -> np.ndarray:
-    """Z_{l, ik} = sum_{j <= N_i, j != k} A_{ij} [Y_{l-|i|-1}]_{ij} + Q_i."""
-    if l <= len(i):
-        raise SpecError("evaluate_Z requires l > |i|")
-    node = tree.nodes[i]
-    if k < 1 or (node.n_children > 0 and k > node.n_children):
-        raise SpecError("child index k must name a child of i")
-    acc = node.q.astype(float).copy()
-    m = l - len(i) - 1
-    for j in range(1, node.n_children + 1):
-        if j == k:
-            continue
-        child = i + (j,)
-        acc = acc + node.a[j - 1] @ _subtree_value(tree, child, m, leaf_values)
-    return acc
-
-
-def decompose_check(tree: WeightedTree, i: NodeId, l: int,
-                    leaf_values: dict) -> float:
-    """Relative residual of the path decomposition identity.
-
-    Y_l equals Pi_i [Y_{l-|i|}]_i + sum_{k <= |i|} Pi_{i|_{k-1}} Z_{l, i|_k}
-    algebraically, so the residual is float roundoff only.
-    """
-    if len(i) > l or l > tree.depth:
-        raise SpecError("need |i| <= l <= tree depth")
-    left = evaluate_Yl(tree, l, leaf_values)
-    head = path_weight(tree, ROOT, i) @ _subtree_value(tree, i, l - len(i),
-                                                       leaf_values)
-    tail = np.zeros(tree.d)
-    for k in range(1, len(i) + 1):
-        pref = path_weight(tree, ROOT, i[:k - 1])
-        tail = tail + pref @ evaluate_Z(tree, l, i[:k - 1], i[k - 1], leaf_values)
-    right = head + tail
-    num = float(np.abs(left - right).max())
-    den = 1.0 + float(np.abs(left).max())
-    return num / den
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ MIN_NT_HARD = 4
 MIN_NT_RECOMMENDED = 16
 ESS_FLOOR = 100            # effective contributing samples per estimate
 VERDICT_Z = 2              # a positive bound must clear this many standard errors
+SEARCH_C0 = (1.0, 3.0, 10.0, 30.0)        # the (C0, delta) search grid
+SEARCH_DELTA = (0.05, 0.1, 0.2, 0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +102,6 @@ class SubtreeParams:
 # events
 # ---------------------------------------------------------------------------
 
-def indicator_V(opnorm_log: np.ndarray, pi_u_final: float, z_marks: np.ndarray,
-                params: EventParams, n: int) -> bool:
-    """One-path event: |Pi*_n u| >= t and
-    ||Pi*_k|| (|Z_{k+1}| v 1) <= e^{-(n-k) delta} C0 t for all k < n."""
-    opnorm_log = np.asarray(opnorm_log, dtype=float)
-    z_marks = np.asarray(z_marks, dtype=float)
-    if len(opnorm_log) < n or len(z_marks) < n:
-        raise SpecError("need ||Pi*_k|| for k < n and n Z-marks")
-    if pi_u_final < params.t:
-        return False
-    ks = np.arange(n)
-    rhs = math.log(params.C0 * params.t) - (n - ks) * params.delta
-    lhs = opnorm_log[:n] + np.log(np.maximum(z_marks[:n], 1.0))
-    return bool((lhs <= rhs).all())
-
-
 def _indicator_V_batch(opnorm_log_hist: np.ndarray, S_final: np.ndarray,
                        z_log: np.ndarray, params: EventParams,
                        n: int) -> np.ndarray:
@@ -184,14 +170,6 @@ def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
     return _summarize(ind, batch.log_weight)
 
 
-def estimate_tail_prob(spec: ModelSpec, n: int, t: float, reps: int,
-                       rng: np.random.Generator, *, tilt: float, spectral=None,
-                       u: Optional[np.ndarray] = None) -> ProbEstimate:
-    """P(|Pi*_n u| > t), the one-path scale exceedance alone."""
-    batch = tilted_batch(spec, u, n, tilt, spectral, reps, rng)
-    return _summarize(batch.S > math.log(t), batch.log_weight)
-
-
 def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
                 reps: int, rng: np.random.Generator, *, tilt: float,
                 spectral=None, u: Optional[np.ndarray] = None) -> ProbEstimate:
@@ -221,64 +199,6 @@ def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
         ok2 = pre.S > log_t
         logw = pre.log_weight + br1.log_weight
     return _summarize(ok1 & ok2 & meet_ok, logw)
-
-
-# ---------------------------------------------------------------------------
-# sparse subtree
-# ---------------------------------------------------------------------------
-
-def build_sparse_subtree(tree, sparams: SubtreeParams,
-                         eparams: EventParams) -> list:
-    """All tree nodes whose level lies in L_t and whose last C1 coordinates
-    are all 1."""
-    levels = set(sparams.levels(eparams))
-    if levels and max(levels) > tree.depth:
-        raise SpecError("tree too shallow for the requested level set")
-    c1 = sparams.C1
-    ones = (1,) * c1
-    out = []
-    for i in tree.nodes:
-        if len(i) in levels and len(i) >= c1 and i[-c1:] == ones:
-            out.append(i)
-    return sorted(out)
-
-
-def expected_count_check(spec: ModelSpec, C1: int, level: int, reps: int,
-                         rng: np.random.Generator):
-    """(empirical mean count, se, predicted (E N)^{level - C1}).
-
-    Simulates the exact marginal law of the sparse-subtree count at one
-    level: a branching population to level - C1, then C1 thinning steps
-    with the probability that the 1-child exists.
-    """
-    if level < C1:
-        raise SpecError("level must be >= C1")
-    br = spec.branching
-    if br.mode == "fixed":
-        support = np.array([br.n])
-        probs = np.array([1.0])
-    else:
-        support = np.asarray(br.support, dtype=np.int64)
-        probs = np.asarray(br.probs, dtype=float)
-    p_child1 = float(probs[support >= 1].sum())
-    counts = np.ones(reps, dtype=np.int64)
-    for _ in range(level - C1):
-        total = int(counts.sum())
-        if total == 0:
-            break
-        draws = support[rng.choice(len(support), size=total, p=probs)]
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        sums = np.add.reduceat(draws, bounds[:-1])
-        sums[counts == 0] = 0
-        counts = sums
-    for _ in range(C1):
-        if p_child1 >= 1.0:
-            break
-        counts = rng.binomial(counts, p_child1)
-    mean = float(counts.mean())
-    se = float(counts.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    predicted = spec.mean_children() ** (level - C1)
-    return mean, se, predicted
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +295,8 @@ def cone_family(pool_vectors: np.ndarray, J: int, eparams: EventParams,
     def masses_for(eps_val):
         thresh = eparams.D / eps_val
         exceed = ok & (norms_model > thresh)
-        mass = np.zeros(Jfull)
-        se = np.zeros(Jfull)
-        for j in range(Jfull):
-            sel = exceed & (assign == j)
-            pj = sel.mean()
-            mass[j] = pj
-            se[j] = math.sqrt(max(pj * (1 - pj), 0.0) / n)
-        return mass, se
+        mass = np.bincount(assign[exceed], minlength=Jfull) / n
+        return mass, np.sqrt(np.maximum(mass * (1 - mass), 0.0) / n)
 
     masses, masses_se = masses_for(eps)
     retained = masses > 0
@@ -432,8 +346,6 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
                         rng: np.random.Generator,
                         pool_vectors: np.ndarray, beta: float,
                         spectral=None, u: Optional[np.ndarray] = None,
-                        C0_grid=(1.0, 3.0, 10.0, 30.0),
-                        delta_grid=(0.05, 0.1, 0.2, 0.4),
                         reps: int = 20_000,
                         min_recommended_nt: int = MIN_NT_RECOMMENDED) -> EventParams:
     """Grid search for (C0, delta) maximizing P(V) stability over the window.
@@ -448,7 +360,7 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
     """
     cells = [EventParams(t=t, C0=C0, delta=delta, rho=rho,
                          min_recommended_nt=min_recommended_nt)
-             for C0 in C0_grid for delta in delta_grid]
+             for C0 in SEARCH_C0 for delta in SEARCH_DELTA]
     levels = cells[0].window_levels()
     draws = [_draw_V(spec, n, reps, rng, beta, spectral, pool_vectors, u)
              for n in levels]
@@ -471,7 +383,7 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
     if best is None:
         raise SpecError(
             "no (C0, delta) combination produced positive V estimates at all "
-            "window levels; enlarge the grids or the budget")
+            "window levels; enlarge the budget")
     return best[1]
 
 

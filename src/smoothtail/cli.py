@@ -99,37 +99,6 @@ def model_from_jsonable(doc: dict) -> ModelSpec:
         raise ConfigError(f"model document: {exc}") from exc
 
 
-def model_to_jsonable(spec: ModelSpec) -> dict:
-    ens = spec.ensemble
-    if isinstance(ens, FiniteSupport):
-        e = {"family": "finite_support", "matrices": ens.matrices.tolist(),
-             "probs": ens.probs.tolist()}
-    elif isinstance(ens, LognormalScalarMatrix):
-        if ens.family == "scalar_lognormal":
-            e = {"family": "scalar_lognormal", "mu": ens.mu, "sigma2": ens.sigma2}
-        else:
-            e = {"family": "lognormal_fixed_matrix", "mu": ens.mu,
-                 "sigma2": ens.sigma2, "matrix": ens.matrix.tolist()}
-    else:
-        e = {"family": "lognormal_rotation", "mu": ens.mu, "sigma2": ens.sigma2}
-    if ens.finite_moment_s_max is not None:
-        e["finite_moment_s_max"] = ens.finite_moment_s_max
-    br = spec.branching
-    b = ({"mode": "fixed", "n": br.n} if br.mode == "fixed" else
-         {"mode": "random",
-          "pmf": {str(k): p for k, p in zip(br.support, br.probs)}})
-    q = spec.q_law
-    if q.kind == "zero":
-        qd = {"kind": "zero"}
-    elif q.kind == "deterministic":
-        qd = {"kind": "deterministic", "vector": q.vector.tolist()}
-    else:
-        qd = {"kind": "finite_support", "vectors": q.vectors.tolist(),
-              "probs": q.probs.tolist()}
-    return {"dimension": spec.dimension, "branching": b, "ensemble": e,
-            "q_law": qd, "class": spec.geom_class, "norm": spec.norm}
-
-
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------

@@ -56,14 +56,6 @@ class WindowError(SmoothtailError):
         self.max_usable_t = max_usable_t
 
 
-class MemoryCapError(SmoothtailError):
-    """Materializing the tree would exceed the node cap."""
-
-    def __init__(self, message, expected_nodes=None):
-        super().__init__(message)
-        self.expected_nodes = expected_nodes
-
-
 class CoverageError(SmoothtailError):
     """Retained cones do not cover the sphere grid."""
 

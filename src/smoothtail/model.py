@@ -67,15 +67,11 @@ class Branching:
             return float(self.n)
         return float(sum(k * p for k, p in zip(self.support, self.probs)))
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.mode == "fixed":
-            if size is None:
-                return self.n
             return np.full(size, self.n, dtype=np.int64)
         ks = np.asarray(self.support, dtype=np.int64)
-        out = ks[rng.choice(len(ks), size=size if size is not None else 1,
-                            p=np.asarray(self.probs))]
-        return out if size is not None else int(out[0])
+        return ks[rng.choice(len(ks), size=size, p=np.asarray(self.probs))]
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +307,6 @@ class QLaw:
         idx = rng.choice(len(self.probs), size=size, p=self.probs)
         return self.vectors[idx]
 
-    def support_nonnegative(self) -> bool:
-        if self.kind == "zero":
-            return True
-        if self.kind == "deterministic":
-            return bool((self.vector >= -ZERO_TOL).all())
-        return bool((self.vectors >= -ZERO_TOL).all())
-
 
 # ---------------------------------------------------------------------------
 # the full model
@@ -381,35 +370,6 @@ def check_class(spec: ModelSpec, mats: np.ndarray) -> None:
         dets = np.abs(np.linalg.det(mats))
         if (dets <= 0).any():
             raise ClassViolationError("singular matrix sampled under invertible class")
-
-
-def exchangeify(mats: list[np.ndarray], q: np.ndarray,
-                rng: np.random.Generator) -> tuple[list[np.ndarray], np.ndarray]:
-    """Apply a uniform random permutation to the matrix tuple.
-
-    The multiset of matrices is unchanged; this enforces exchangeability of
-    fixed-N joint samplers.
-    """
-    n = len(mats)
-    if n <= 1:
-        return mats, q
-    perm = rng.permutation(n)
-    return [mats[i] for i in perm], q
-
-
-def sample_family(spec: ModelSpec, rng: np.random.Generator):
-    """One node innovation: (Q, [A_1..A_N], N)."""
-    n = spec.branching.sample(rng)
-    if n > 0:
-        mats = spec.ensemble.draw(rng, n)
-        check_class(spec, mats)
-        a_list = [mats[i] for i in range(n)]
-    else:
-        a_list = []
-    q = spec.q_law.draw(rng, 1, spec.d)[0]
-    if spec.branching.mode == "fixed":
-        a_list, q = exchangeify(a_list, q, rng)
-    return q, a_list, int(n)
 
 
 # ---------------------------------------------------------------------------

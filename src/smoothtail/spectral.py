@@ -22,7 +22,6 @@ from .walks import StepSampler, UNDERFLOW, run_walks, vec_norm, weighted_mean
 DEFAULT_GRID_D2 = 256
 DEFAULT_GRID_HIGH = 512
 POWER_TOL = 1e-10
-RESIDUAL_TOL = 1e-8
 SCATTER_CHUNK = 1 << 14     # draw x grid-point entries per scatter pass
 
 
@@ -107,14 +106,13 @@ class SphereGrid:
         return out
 
 
-def build_grid(spec_or_params, size: Optional[int] = None) -> SphereGrid:
+def build_grid(spec: ModelSpec, size: Optional[int] = None) -> SphereGrid:
     """Deterministic grid on the sphere of the model norm.
 
     d = 2 uses equally spaced angles (quarter circle for the nonnegative
     class); d >= 3 a fixed-seed scrambled Sobol point set pushed through the
     normal quantile map.
     """
-    spec = spec_or_params
     d, norm, geom_class = spec.d, spec.norm, spec.geom_class
     nonneg = geom_class == CLASS_NONNEG
     if d == 1:

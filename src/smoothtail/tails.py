@@ -1,8 +1,8 @@
 """Empirical tail analysis of fixed-point pools.
 
-Survival curves, Hill estimates with bootstrap intervals, the scaled-tail
-flatness diagnostic (is t^beta * P(<u,X> > t) bounded away from zero and
-roughly flat over a resolvable window?), and the directional profile.
+Survival curves, Hill estimates with bootstrap intervals, and the
+scaled-tail flatness diagnostic (is t^beta * P(<u,X> > t) bounded away
+from zero and roughly flat over a resolvable window?).
 The exponent beta is always an input from the spectral side, never re-fit
 here: hypothesis and evidence stay separated.
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,18 +32,6 @@ def _projections(pool_vectors: np.ndarray, u: np.ndarray) -> np.ndarray:
     pool_vectors = np.atleast_2d(np.asarray(pool_vectors, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     return pool_vectors @ u
-
-
-def empirical_survival(pool_vectors: np.ndarray, u: np.ndarray,
-                       t_grid: np.ndarray) -> np.ndarray:
-    """P_hat(<u, X> > t) for each t in t_grid."""
-    proj = np.sort(_projections(pool_vectors, u))
-    n = len(proj)
-    if n == 0:
-        raise SpecError("pool must be nonempty")
-    t_grid = np.asarray(t_grid, dtype=float)
-    counts = n - np.searchsorted(proj, t_grid, side="right")
-    return counts / n
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +95,7 @@ def _resampled_hill(logs: np.ndarray, rng: np.random.Generator, k: int,
     return 1.0 / h if h > 0 else np.inf
 
 
-def hill(samples: np.ndarray, k_frac: float,
-         rng: Optional[np.random.Generator] = None,
+def hill(samples: np.ndarray, k_frac: float, rng: np.random.Generator,
          n_boot: int = BOOTSTRAP_DEFAULT) -> HillEstimate:
     """Hill tail-index estimate on the top k_frac order statistics.
 
@@ -131,8 +117,6 @@ def hill(samples: np.ndarray, k_frac: float,
     if xs[-k - 1] <= 0 or xs[-k - 1] == xs[-1]:
         raise SpecError("degenerate upper order statistics (no positive log spacings)")
     est = _hill_from_sorted(xs, k)
-    if rng is None:
-        rng = np.random.default_rng(0)
     logs = np.log(xs)
     window = min(n, 2 * k + 64)
     boots = np.empty(n_boot)
@@ -183,8 +167,7 @@ def _bootstrap_scaled_mins(proj_sorted: np.ndarray, t_grid: np.ndarray,
 
 
 def scaled_tail_flatness(pool_vectors: np.ndarray, u: np.ndarray, beta: float,
-                         t_lo: float, t_hi: float,
-                         rng: Optional[np.random.Generator] = None,
+                         t_lo: float, t_hi: float, rng: np.random.Generator,
                          n_points: int = 25, n_boot: int = BOOTSTRAP_DEFAULT,
                          ratio_max: float = FLATNESS_RATIO_MAX) -> FlatnessSummary:
     """t^beta-scaled survival over a log-spaced window, with verdict.
@@ -209,8 +192,6 @@ def scaled_tail_flatness(pool_vectors: np.ndarray, u: np.ndarray, beta: float,
     counts = n - np.searchsorted(proj, t_grid, side="right")
     surv = counts / n
     scaled = t_grid ** beta * surv
-    if rng is None:
-        rng = np.random.default_rng(0)
     mins = _bootstrap_scaled_mins(proj, t_grid, beta, rng, n_boot)
     min_lb = float(np.percentile(mins, 5.0))
     s_min, s_max = float(scaled.min()), float(scaled.max())
@@ -220,41 +201,6 @@ def scaled_tail_flatness(pool_vectors: np.ndarray, u: np.ndarray, beta: float,
                            scaled_min=s_min, scaled_max=s_max, ratio=ratio,
                            min_lower_95=min_lb, supported=supported,
                            ratio_max_allowed=ratio_max, beta=beta)
-
-
-# ---------------------------------------------------------------------------
-# directional profile
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DirectionEntry:
-    u: np.ndarray
-    scaled: float               # t^beta * survival
-    se: float
-    exceedances: int
-    resolvable: bool
-
-
-def directional_profile(pool_vectors: np.ndarray, u_list, t: float,
-                        beta: float,
-                        min_exceedances: int = MIN_EXCEEDANCES) -> list[DirectionEntry]:
-    """t^beta * P_hat(<u,X> > t) per direction (K r(u) up to common scale).
-
-    Directions whose exceedance count falls under the floor are flagged,
-    not fatal.
-    """
-    out = []
-    n = np.atleast_2d(pool_vectors).shape[0]
-    for u in u_list:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        proj = _projections(pool_vectors, u)
-        cnt = int((proj > t).sum())
-        p = cnt / n
-        se = math.sqrt(max(p * (1 - p), 0.0) / n)
-        out.append(DirectionEntry(u=u, scaled=t ** beta * p,
-                                  se=t ** beta * se, exceedances=cnt,
-                                  resolvable=cnt >= min_exceedances))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +243,7 @@ class TailReport:
 
 
 def tail_report(pool_vectors: np.ndarray, u: np.ndarray, beta: float,
-                rng: Optional[np.random.Generator] = None,
+                rng: np.random.Generator,
                 window_quantiles: tuple[float, float] = (0.99, 0.9999),
                 k_fracs=(0.01, 0.005, 0.002),
                 n_points: int = 25, n_boot: int = BOOTSTRAP_DEFAULT,

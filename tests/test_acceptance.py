@@ -17,10 +17,10 @@ from conftest import (ALPHA_D1, BETA_D1, K1_D2, K_BETA_D1, MEAN_D1, RHO_D1,
                       d1_lognormal_spec, d2_finite_pair_spec,
                       d2_lognormal_matrix_spec, d2_rotation_spec, k_at,
                       random13_spec)
+import reference_oracles as oracles
 from smoothtail import certificate as cert
 from smoothtail import spectral, tails, walks
-from smoothtail.branching import (decompose_check, grow_tree,
-                                  replicate_mean_se,
+from smoothtail.branching import (replicate_mean_se,
                                   sample_fixed_point_replicated)
 from smoothtail.cli import main
 from smoothtail.rng import substream
@@ -126,13 +126,13 @@ def test_criterion_6_decomposition_identity():
     for trial in range(100):
         spec = d1_lognormal_spec() if trial % 2 == 0 else d2_finite_pair_spec()
         depth = 2 + int(rng.integers(0, 7))          # depth <= 8
-        tree = grow_tree(spec, depth, substream(1010, "tree", trial))
+        tree = oracles.grow_tree(spec, depth, substream(1010, "tree", trial))
         l = int(rng.integers(1, depth + 1))
         nodes = tree.level(l)
         node = nodes[int(rng.integers(0, len(nodes)))]
         i = node[:int(rng.integers(0, l + 1))]
         leaves = {n: rng.random(spec.d) * 3 for n in tree.level(l)}
-        worst = max(worst, decompose_check(tree, i, l, leaves))
+        worst = max(worst, oracles.decompose_check(tree, i, l, leaves))
         checked += 1
     _report(6, checked == 100 and worst < 1e-9,
             f"{checked} instances, max residual {worst:.2e} < 1e-9")
@@ -164,7 +164,7 @@ def test_criterion_8_subtree_counts():
     for name, spec in (("binary", d1_lognormal_spec()),
                        ("random-N", random13_spec())):
         for (k, c1) in ((8, 2), (12, 4)):
-            mean, se, pred = cert.expected_count_check(
+            mean, se, pred = oracles.expected_count_check(
                 spec, c1, k, 2000, substream(1014, name, k * 10 + c1))
             ok = abs(mean - pred) <= 3 * se if se > 0 else mean == pred
             results.append((name, k, c1, mean, pred, ok))
@@ -182,9 +182,9 @@ def test_criterion_9_rate_shape():
     assert params.n_t == n_t
     centered = []
     for n in params.window_levels():
-        est = cert.estimate_tail_prob(spec, n, t, 200_000,
-                                      substream(1015, "rate", n),
-                                      tilt=BETA_D1)
+        est = oracles.estimate_tail_prob(spec, n, t, 200_000,
+                                         substream(1015, "rate", n),
+                                         tilt=BETA_D1)
         centered.append(math.log(est.value)
                         - (n * math.log(K_BETA_D1) - BETA_D1 * RHO_D1 * n_t
                            - 0.5 * math.log(n_t)))

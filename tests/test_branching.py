@@ -12,16 +12,18 @@ from conftest import (MEAN_D1, d1_lognormal_spec, d1_quarter_spec,
                       d2_finite_pair_spec, d2_lognormal_matrix_spec,
                       d2_rotation_spec, d3_rotation_spec, random13_spec,
                       rng_state)
+from reference_oracles import (MemoryCapError, _subtree_value, decompose_check,
+                               evaluate_Yl, evaluate_Z, grow_tree,
+                               model_to_jsonable, node_leq, node_meet,
+                               node_prefix, path_weight)
 from smoothtail import branching
 from smoothtail.artifacts import read_pool
-from smoothtail.branching import (_pool_stats, decompose_check, evaluate_Yl,
-                                  evaluate_Z, grow_tree, node_leq, node_meet,
-                                  node_prefix, path_weight, population_iterate,
+from smoothtail.branching import (_pool_stats, population_iterate,
                                   replicate_mean_se, resampled_sum,
                                   sample_fixed_point,
                                   sample_fixed_point_replicated)
-from smoothtail.cli import main, model_to_jsonable
-from smoothtail.errors import MemoryCapError, SpecError
+from smoothtail.cli import main
+from smoothtail.errors import SpecError
 from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
 from smoothtail.rng import substream
 
@@ -162,7 +164,6 @@ def test_Yl_recursion_identity():
     y4 = evaluate_Yl(tree, 4, leaves)
     root = tree.nodes[()]
     acc = root.q.astype(float).copy()
-    from smoothtail.branching import _subtree_value
     for j in range(1, root.n_children + 1):
         acc = acc + root.a[j - 1] @ _subtree_value(tree, (j,), 3, leaves)
     assert np.allclose(y4, acc, atol=1e-12)

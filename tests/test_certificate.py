@@ -9,15 +9,14 @@ import pytest
 
 from conftest import (BETA_D1, K_BETA_D1, RHO_D1, d1_lognormal_spec,
                       d2_lognormal_matrix_spec, random13_spec)
-from smoothtail.branching import grow_tree
+from reference_oracles import (build_sparse_subtree, estimate_tail_prob,
+                               expected_count_check, grow_tree, indicator_V)
 from smoothtail import certificate
 from smoothtail.certificate import (ESS_FLOOR, VERDICT_Z, EventParams,
-                                    SubtreeParams, _summarize,
-                                    build_sparse_subtree, choose_event_params,
+                                    SubtreeParams, _indicator_V_batch,
+                                    _summarize, choose_event_params,
                                     cone_family, draw_z_marks, estimate_PV,
-                                    estimate_PW, estimate_tail_prob,
-                                    expected_count_check, indicator_V,
-                                    lower_bound, verdict)
+                                    estimate_PW, lower_bound, verdict)
 from smoothtail.errors import NondegeneracyError, SpecError
 from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
 from smoothtail.rng import substream
@@ -69,6 +68,22 @@ def test_indicator_requires_marks():
     p = EventParams(t=2.0, C0=1.0, delta=0.1, rho=1.0)
     with pytest.raises(SpecError):
         indicator_V(np.array([0.0]), 3.0, np.array([]), p, 1)
+
+
+def test_batch_indicator_matches_one_path_oracle():
+    # the certificate's batched V indicator, row by row against the one-path
+    # reference, on random norm histories, final scales and Z-marks
+    rng = substream(19, "ind")
+    n, reps = 6, 4000
+    p = EventParams(t=2.0, C0=3.0, delta=0.2, rho=1.0)
+    hist = np.cumsum(rng.normal(0.0, 0.4, (reps, n + 1)), axis=1)
+    pi_u = np.exp(rng.normal(0.7, 0.6, reps))
+    z = np.exp(rng.normal(0.0, 1.0, (reps, n)))
+    got = _indicator_V_batch(hist, np.log(pi_u), np.log(np.maximum(z, 1.0)),
+                             p, n)
+    want = [indicator_V(hist[r], pi_u[r], z[r], p, n) for r in range(reps)]
+    assert got.tolist() == want
+    assert 0.05 < got.mean() < 0.95
 
 
 # ---------------------------------------------------------------------------

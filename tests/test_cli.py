@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA_D1, BETA_D1, RHO_D1
+from reference_oracles import model_to_jsonable
 from smoothtail import artifacts
 from smoothtail.branching import FixedPointPool
 from smoothtail.cli import (_load_spectral, load_config, main,
-                            model_from_jsonable, model_to_jsonable)
+                            model_from_jsonable)
 from smoothtail.errors import ConfigError
 
 D1_MODEL = {

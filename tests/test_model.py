@@ -10,13 +10,13 @@ from scipy import stats
 import reference_engine as ref
 from conftest import (BETA_D1, d1_lognormal_spec, d2_rotation_spec,
                       d3_rotation_spec, rng_state)
+from reference_oracles import exchangeify, sample_family
 from smoothtail.errors import ClassViolationError, SpecError
 from smoothtail.model import (_orbit_coverage, Branching, FiniteSupport,
                               LognormalRotation, LognormalScalarMatrix,
                               ModelSpec, QLaw, check_allowable,
-                              check_proximal, exchangeify,
-                              find_positive_product, heuristic_nonarithmetic,
-                              perron_data, sample_family, validate)
+                              check_proximal, find_positive_product,
+                              heuristic_nonarithmetic, perron_data, validate)
 from smoothtail.rng import substream
 
 

