@@ -16,7 +16,7 @@ import numpy as np
 from . import rng as rng_module
 from .errors import SpecError
 from .model import ModelSpec, check_class
-from .walks import matvec_sum, vec_norm
+from .walks import apply_batch, vec_norm
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +74,24 @@ def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
     if slots > 0:
         xs = np.take(pool, rng.integers(0, pool.shape[0], size=(size, slots)),
                      axis=0)
+        # column by column: a length-d inner axis makes numpy's loops slow
         for j in range(d):
             xs[:, :, j] *= w                      # w_k x_k, in place
         if len(dirs) == 1:
             # y = sum_k w_k x_k in child order, summed on the gathered block;
-            # then out_i += sum_j D_ij y_j, left to right as matvec_sum adds
-            # (1.0 * y is y, so the 1x1 identity is skipped)
-            y = [xs[:, 0, j] for j in range(d)]
+            # then out += D y
+            y = xs[:, 0]
             for k in range(1, slots):
                 for j in range(d):
-                    y[j] += xs[:, k, j]
-            P = dirs[0]
-            for i in range(d):
-                term = y[0] if d == 1 and P[0, 0] == 1.0 else P[i, 0] * y[0]
-                for j in range(1, d):
-                    term += P[i, j] * y[j]
-                out[:, i] += term
+                    y[:, j] += xs[:, k, j]
+            apply_batch(dirs[0], y, out=out)
         else:
-            out += matvec_sum(dirs.reshape(size, slots, d, d), xs)
+            # slot terms summed first, then added to out, which fixes the bits
+            dirs = dirs.reshape(size, slots, d, d)
+            acc = apply_batch(dirs[:, 0], xs[:, 0])
+            for k in range(1, slots):
+                apply_batch(dirs[:, k], xs[:, k], out=acc)
+            out += acc
     return out
 
 

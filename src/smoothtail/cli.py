@@ -65,7 +65,6 @@ def model_from_jsonable(doc: dict) -> ModelSpec:
             ensemble = LognormalScalarMatrix(mu=float(ens["mu"]),
                                              sigma2=float(ens["sigma2"]),
                                              matrix=[[1.0]],
-                                             family="scalar_lognormal",
                                              finite_moment_s_max=cap)
         elif fam == "lognormal_fixed_matrix":
             ensemble = LognormalScalarMatrix(mu=float(ens["mu"]),
@@ -151,6 +150,8 @@ class RunConfig:
         self.base = base
         root = Section("config", raw)
         self.seed = int(seed) if seed is not None else root.num("seed", 0, int)
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed: need 0 <= seed < 2**64, got {self.seed}")
         self.threads = (int(threads) if threads is not None
                         else root.num("threads", 1, int))
         self.out = Path(out if out is not None else raw.get("out", "."))

@@ -82,8 +82,8 @@ class MatrixEnsemble:
     """Common interface of the parametric matrix families."""
 
     d: int
-    family: str
     bounded_support: bool = True
+    finite_moment_s_max: Optional[float] = None
 
     def factors(self, rng: np.random.Generator,
                 size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,8 +113,7 @@ class MatrixEnsemble:
 
     def moment_finite(self, s: float) -> bool:
         """Whether E ||M||^s is finite (all named families: yes below cap)."""
-        cap = getattr(self, "finite_moment_s_max", None)
-        return cap is None or s <= cap
+        return self.finite_moment_s_max is None or s <= self.finite_moment_s_max
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,6 @@ class FiniteSupport(MatrixEnsemble):
 
     matrices: np.ndarray          # (K, d, d)
     probs: np.ndarray             # (K,)
-    family: str = "finite_support"
     finite_moment_s_max: Optional[float] = None
 
     def __post_init__(self):
@@ -196,7 +194,7 @@ class LognormalScalarMatrix(LognormalFamily):
     """
 
     matrix: np.ndarray
-    family: str = "lognormal_fixed_matrix"
+    family: str = "lognormal_fixed_matrix"   # callers pass it; unread
     finite_moment_s_max: Optional[float] = None
 
     def __post_init__(self):
@@ -224,7 +222,6 @@ class LognormalRotation(LognormalFamily):
     """c * R for c ~ LogNormal(mu, sigma2) and R a Haar rotation of R^d."""
 
     d: int = 2
-    family: str = "lognormal_rotation"
     finite_moment_s_max: Optional[float] = None
 
     def __post_init__(self):

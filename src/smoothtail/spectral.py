@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AssemblyError, ConvergenceError, NoRootError, NoSecondRootError, SpecError
 from .model import CLASS_NONNEG, ModelSpec
-from .walks import StepSampler, UNDERFLOW, run_walks, vec_norm, weighted_mean
+from .walks import StepSampler, UNDERFLOW, apply_batch, run_walks, vec_norm, weighted_mean
 
 DEFAULT_GRID_D2 = 256
 DEFAULT_GRID_HIGH = 512
@@ -146,20 +146,6 @@ def build_grid(spec: ModelSpec, size: Optional[int] = None) -> SphereGrid:
 # operator assembly
 # ---------------------------------------------------------------------------
 
-def _grid_products(mats: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """mats[k] @ X[g] for every draw k and grid point g, shape (K, G, d):
-    one multiply-add per term, summed over j left to right like
-    np.einsum("kij,gj->kgi", mats, X)."""
-    d = X.shape[1]
-    Y = np.empty((mats.shape[0], X.shape[0], d))
-    for i in range(d):
-        acc = Y[:, :, i]
-        np.multiply(mats[:, i, 0, None], X[None, :, 0], out=acc)
-        for j in range(1, d):
-            acc += mats[:, i, j, None] * X[None, :, j]
-    return Y
-
-
 class OperatorAssembler:
     """Assembles the grid operator at any tilt s from one cached draw set.
 
@@ -240,7 +226,7 @@ class OperatorAssembler:
     def _direction_rows(self, mats: np.ndarray):
         """Per (draw, grid point i): |M x_i|, the flat operator indices
         i*G + j of its two interpolation neighbours j, and their weights."""
-        Y = _grid_products(mats, self.grid.points)      # (K, G, d)
+        Y = apply_batch(mats[:, None], self.grid.points[None])   # (K, G, d)
         norms = vec_norm(Y, self.spec.norm)             # (K, G)
         safe = np.maximum(norms, UNDERFLOW)
         dirs = Y / safe[:, :, None]
@@ -578,7 +564,7 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
                      grid: Optional[SphereGrid] = None,
                      mc_reps: int = 1_000_000,
                      h: float = 1e-2) -> TailIndexSolution:
-    """Locate the two roots of m(s) = 1 on [0, s_max].
+    """Locate the two roots of m(s) = 1 on [0, min(s_max, finite_moment_s_max)].
 
     Brent's minimizer (golden section with parabolic steps) finds the
     minimizer s* of log m (m is log-convex) to about
@@ -590,8 +576,12 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
     ``bracket_history``.  Raises NoRootError when m(s*) >= 1 and
     NoSecondRootError when the minimizer sits on the s_max boundary.
     """
+    edge, cap = "s_max", spec.ensemble.finite_moment_s_max
+    if cap is not None and cap < s_max:
+        # E||M||^s is infinite past the cap: no root is sought there
+        edge, s_max = "finite_moment_s_max", cap
     if s_max <= 0:
-        raise SpecError("s_max must be positive")
+        raise SpecError(f"{edge} must be positive")
     if rng is None:
         raise SpecError("solve_alpha_beta needs an rng")
     grid = grid or build_grid(spec)
@@ -613,13 +603,14 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
     # when m is still decreasing there
     if s_star >= s_max - 10 * (gs_tol + _SQRT_EPS * s_max):
         raise NoSecondRootError(
-            f"m is still decreasing at s_max={s_max} (m={m(s_max):.6g}); widen s_max",
+            f"m is still decreasing at {edge}={s_max} (m={m(s_max):.6g})"
+            + ("; widen s_max" if edge == "s_max" else ""),
             m_at_s_max=m(s_max))
     if m_star >= 1.0:
         raise NoRootError(f"min m = {m_star:.6g} >= 1 at s* = {s_star:.6g}: no roots")
     if m(s_max) <= 1.0:
         raise NoSecondRootError(
-            f"m(s_max) = {m(s_max):.6g} <= 1: no second root below s_max",
+            f"m({edge}={s_max}) = {m(s_max):.6g} <= 1: no second root below {edge}",
             m_at_s_max=m(s_max))
 
     g = lambda s: m(s) - 1.0

@@ -59,44 +59,30 @@ def operator_norms(mats: np.ndarray, norm: str) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
-def matvec_sum(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum_n mats[:, n] @ xs[:, n] for (S, n, d, d) and (S, n, d) stacks.
+def apply_batch(mats: np.ndarray, xs: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """mats @ xs over broadcast leading axes: (..., d, d) and (..., d) give
+    (..., d).
 
-    Unrolled over the short axes: one vectorised multiply-add per term, the
-    inner sum over j left to right, then the outer sum over n, which is the
-    order np.einsum("snij,snj->si") adds in for d = 2, and for d = 1 with
-    n <= 2.  Elsewhere the two differ in the last few ulps.  A mats stack
-    with S = 1 applies one matrix per slot to every row.
+    One vectorised multiply-add per term, summed over j left to right, the
+    order np.einsum("...ij,...j->...i") adds in for d <= 2 (elsewhere the two
+    can differ in the last few ulps).  With out, each row's sum is formed first
+    and then added to out in place.
     """
-    size, n_max, d = xs.shape
-    out = np.zeros((size, d))
-    if n_max == 0:
+    d = xs.shape[-1]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(mats.shape[:-1], xs.shape))
+        for i in range(d):
+            acc = out[..., i]
+            np.multiply(mats[..., i, 0], xs[..., 0], out=acc)
+            for j in range(1, d):
+                acc += mats[..., i, j] * xs[..., j]
         return out
     for i in range(d):
-        for n in range(n_max):
-            term = mats[:, n, i, 0] * xs[:, n, 0]
-            for j in range(1, d):
-                term += mats[:, n, i, j] * xs[:, n, j]
-            if n == 0:
-                acc = term
-            else:
-                acc += term
-        out[:, i] = acc
-    return out
-
-
-def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[r] @ b[r] for two (R, d, d) stacks (either may have R = 1), one
-    length-R multiply-add per term, summed over j left to right like
-    np.einsum("rij,rjk->rik")."""
-    d = a.shape[-1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    for i in range(d):
-        for k in range(d):
-            acc = out[:, i, k]
-            np.multiply(a[:, i, 0], b[:, 0, k], out=acc)
-            for j in range(1, d):
-                acc += a[:, i, j] * b[:, j, k]
+        term = mats[..., i, 0] * xs[..., 0]
+        for j in range(1, d):
+            term += mats[..., i, j] * xs[..., j]
+        out[..., i] += term
     return out
 
 
@@ -263,7 +249,7 @@ def run_walks(spec: ModelSpec, u0: Optional[np.ndarray], n: int, reps: int,
     S = np.zeros(reps)
     logw = np.zeros(reps)
     if record_hist:
-        G = np.eye(d)[None]
+        G_T = np.eye(d)[None]          # G^T: row k is column k of G
         g_scale = np.zeros(reps)
         # one row per step: each write is contiguous
         opn_hist = np.zeros((n + 1, reps))
@@ -275,7 +261,7 @@ def run_walks(spec: ModelSpec, u0: Optional[np.ndarray], n: int, reps: int,
         logw += lr
         if len(dirs_T) > len(U):
             U = np.broadcast_to(U, (reps, d))
-        y = matvec_sum(dirs_T[:, None], U[:, None])
+        y = apply_batch(dirs_T, U)
         nrm = vec_norm(y, spec.norm)
         bad = nrm <= UNDERFLOW
         if bad.any():
@@ -285,9 +271,9 @@ def run_walks(spec: ModelSpec, u0: Optional[np.ndarray], n: int, reps: int,
         U = y / nrm[:, None]
         S += log_scale + np.log(nrm)
         if record_hist:
-            G = matmul_batch(dirs_T, G)
-            gn = operator_norms(G, spec.norm)
-            G /= gn[:, None, None]
+            G_T = apply_batch(dirs_T[:, None], G_T)
+            gn = operator_norms(np.swapaxes(G_T, -1, -2), spec.norm)
+            G_T /= gn[:, None, None]
             g_scale += log_scale + np.log(gn)
             opn_hist[k + 1] = g_scale
             logw_hist[k + 1] = logw

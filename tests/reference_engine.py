@@ -1,5 +1,6 @@
 """Reference engines for the replay tests: the population step with a
-y buffer and a full mat-vec, the pool statistics through np.quantile, the
+y buffer and a full mat-vec (matvec_sum, the unrolled kernel the package
+used before walks.apply_batch), the pool statistics through np.quantile, the
 orbit coverage binned one step at a time, the grid operator assembled
 from cached direction rows at every tilt, and k(s) by one power iteration
 per group operator.
@@ -24,7 +25,33 @@ from smoothtail.errors import AssemblyError, SpecError
 from smoothtail.model import ModelSpec, check_class
 from smoothtail.spectral import (SpectralResult, SphereGrid, build_grid,
                                  power_iteration)
-from smoothtail.walks import UNDERFLOW, act, matvec_sum, vec_norm
+from smoothtail.walks import UNDERFLOW, act, vec_norm
+
+
+def matvec_sum(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_n mats[:, n] @ xs[:, n] for (S, n, d, d) and (S, n, d) stacks.
+
+    Unrolled over the short axes: one vectorised multiply-add per term, the
+    inner sum over j left to right, then the outer sum over n, which is the
+    order np.einsum("snij,snj->si") adds in for d = 2, and for d = 1 with
+    n <= 2.  Elsewhere the two differ in the last few ulps.  A mats stack
+    with S = 1 applies one matrix per slot to every row.
+    """
+    size, n_max, d = xs.shape
+    out = np.zeros((size, d))
+    if n_max == 0:
+        return out
+    for i in range(d):
+        for n in range(n_max):
+            term = mats[:, n, i, 0] * xs[:, n, 0]
+            for j in range(1, d):
+                term += mats[:, n, i, j] * xs[:, n, j]
+            if n == 0:
+                acc = term
+            else:
+                acc += term
+        out[:, i] = acc
+    return out
 
 
 def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,

@@ -398,7 +398,7 @@ def model_to_jsonable(spec: ModelSpec) -> dict:
         e = {"family": "finite_support", "matrices": ens.matrices.tolist(),
              "probs": ens.probs.tolist()}
     elif isinstance(ens, LognormalScalarMatrix):
-        if ens.family == "scalar_lognormal":
+        if ens.matrix.tolist() == [[1.0]]:    # W times the 1x1 identity
             e = {"family": "scalar_lognormal", "mu": ens.mu, "sigma2": ens.sigma2}
         else:
             e = {"family": "lognormal_fixed_matrix", "mu": ens.mu,

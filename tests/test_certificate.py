@@ -465,8 +465,7 @@ def test_cone_family_coverage_error_one_sided_pool():
     from smoothtail.model import LognormalScalarMatrix
     spec = ModelSpec(dimension=1, branching=Branching(mode="fixed", n=2),
                      ensemble=LognormalScalarMatrix(
-                         mu=-1.0, sigma2=0.5, matrix=[[1.0]],
-                         family="scalar_lognormal"),
+                         mu=-1.0, sigma2=0.5, matrix=[[1.0]]),
                      q_law=QLaw(kind="deterministic", vector=[1.0]),
                      geom_class="nonnegative-C")
     object.__setattr__(spec, "geom_class", "invertible-id")

@@ -314,6 +314,30 @@ def test_solve_index_no_second_root_exit_5(tmp_path):
     assert _run(tmp_path, "solve-index", cfg) == 5
 
 
+@pytest.mark.parametrize("cap", [3.0, 4.0])
+def test_solve_index_stops_at_finite_moment_cap(tmp_path, capsys, cap):
+    # m(s) = 1 at beta = 3.108 for D1_MODEL: past a cap of 3 the moment is
+    # infinite and there is no second root; below a cap of 4 the root stays
+    model = dict(D1_MODEL)
+    model["ensemble"] = dict(model["ensemble"], finite_moment_s_max=cap)
+    sec = {"s_max": 6.0, "tol": 1e-7, "mc_reps": 100_000}
+    rc = _run(tmp_path, "solve-index", {"model": model, "seed": 7,
+                                        "solve_index": sec})
+    if cap < BETA_D1:
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "m(finite_moment_s_max=3.0)" in err and "Traceback" not in err
+        assert not (tmp_path / "out/tail_indices.json").exists()
+        return
+    assert rc == 0
+    assert _run(tmp_path, "solve-index", {"model": D1_MODEL, "seed": 7,
+                                          "solve_index": sec}, out="free") == 0
+    got, want = (json.loads((tmp_path / out / "tail_indices.json").read_text())
+                 for out in ("out", "free"))
+    for key in ("alpha", "beta", "rho"):
+        assert got[key] == pytest.approx(want[key], abs=1e-6)
+
+
 NUMERIC_BASE = {
     "tails": {"pool": "pool.bin", "beta": 3.0},
     "certificate": {"pool": "pool.bin", "beta": 3.0, "rho": 0.5,
@@ -711,6 +735,17 @@ def test_seed_flag_overrides_config(tmp_path):
     b = (tmp_path / "b/pool.bin").read_bytes()
     c = (tmp_path / "c/pool.bin").read_bytes()
     assert a != b and b == c
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_u64_exit_2(tmp_path, capsys, where, seed):
+    cfg = {"model": D1_MODEL, "seed": seed if where == "config" else 1}
+    kw = {"seed": seed} if where == "flag" else {}
+    assert _run(tmp_path, "validate", cfg, **kw) == 2
+    err = capsys.readouterr().err
+    assert f"seed: need 0 <= seed < 2**64, got {seed}" in err
+    assert "Traceback" not in err
 
 
 def test_certificate_determinism_across_workers(pipeline):

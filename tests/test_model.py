@@ -377,7 +377,6 @@ def test_norm_tied_to_class():
     with pytest.raises(SpecError):
         ModelSpec(dimension=1, branching=Branching(mode="fixed", n=2),
                   ensemble=LognormalScalarMatrix(mu=0.0, sigma2=1.0,
-                                                 matrix=[[1.0]],
-                                                 family="scalar_lognormal"),
+                                                 matrix=[[1.0]]),
                   q_law=QLaw(kind="zero"), geom_class="nonnegative-C",
                   norm="l2")

@@ -24,8 +24,7 @@ def random_n_lognormal_spec() -> ModelSpec:
     return ModelSpec(
         dimension=1,
         branching=Branching(mode="random", support=(1, 3), probs=(0.5, 0.5)),
-        ensemble=LognormalScalarMatrix(mu=-1.0, sigma2=0.5, matrix=[[1.0]],
-                                       family="scalar_lognormal"),
+        ensemble=LognormalScalarMatrix(mu=-1.0, sigma2=0.5, matrix=[[1.0]]),
         q_law=QLaw(kind="deterministic", vector=[1.0]),
         geom_class="nonnegative-C")
 

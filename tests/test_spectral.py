@@ -13,8 +13,9 @@ from conftest import (ALPHA_D1, ALPHA_ROT, BETA_D1, BETA_ROT, K1_D2, RHO_D1,
 from smoothtail.errors import NoRootError, NoSecondRootError
 from smoothtail.rng import substream
 from smoothtail.spectral import (OperatorAssembler, _brent_min, _brent_root,
-                                 _grid_products, build_grid, k_by_products,
-                                 k_grid, power_iteration, solve_alpha_beta)
+                                 build_grid, k_by_products, k_grid,
+                                 power_iteration, solve_alpha_beta)
+from smoothtail.walks import apply_batch
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +165,13 @@ def test_factored_k_matches_per_group_power_iterations(make_spec, s, mc_reps):
     assert res.iterations == want.iterations
 
 
-@pytest.mark.parametrize("make_spec", [d2_lognormal_matrix_spec,
+@pytest.mark.parametrize("make_spec", [d1_lognormal_spec,
+                                       d2_lognormal_matrix_spec,
                                        d2_finite_pair_spec, d2_rotation_spec,
                                        d3_rotation_spec])
 def test_grid_products_match_einsum_exactly(make_spec):
+    # OperatorAssembler's direction rows: every draw's D^T at every grid
+    # point through walks.apply_batch, bit for bit as np.einsum
     spec = make_spec()
     ens = spec.ensemble
     atoms = ens.atoms()
@@ -175,7 +179,7 @@ def test_grid_products_match_einsum_exactly(make_spec):
         substream(29, "o"), 1875)
     mats = np.swapaxes(mats, -1, -2)
     X = build_grid(spec, size=64).points
-    assert np.array_equal(_grid_products(mats, X),
+    assert np.array_equal(apply_batch(mats[:, None], X[None]),
                           np.einsum("kij,gj->kgi", mats, X))
 
 

@@ -11,7 +11,7 @@ from conftest import (BETA_D1, d1_lognormal_spec, d2_finite_pair_spec,
 from smoothtail.errors import SingularActionError
 from smoothtail.rng import substream
 from smoothtail import walks
-from smoothtail.spectral import k_by_products
+from smoothtail.spectral import build_grid, k_by_products
 from smoothtail.walks import (act, norms_and_iotas, operator_norms, run_walks,
                               tilted_batch, weighted_mean)
 
@@ -354,12 +354,84 @@ def _lognormal_entries(rng, shape, signed=True):
     return x * rng.choice([-1.0, 1.0], size=shape) if signed else x
 
 
+def _kernel_pairs(shape, d, rng):
+    """(apply_batch result, np.einsum result, exact) for each call of one
+    shape, in the layouts its call site passes: the walk's D^T are
+    transposed views, the pool's D_i contiguous.  Where einsum adds in
+    another order the entries are positive, which keeps the gap at
+    roundoff."""
+    swap = lambda a: np.swapaxes(a, -1, -2)
+    if shape in ("walk", "shared_walk", "partial_product"):
+        exact = d <= 2 or shape == "partial_product"
+        paths = 1 if shape == "shared_walk" else 5000
+        mats = swap(_lognormal_entries(rng, (paths, d, d), exact))
+        if shape == "partial_product":
+            # run_walks: G^T = (D^T G)^T, the rows of G^T (the columns of
+            # G) at once; then the l1 norms of G and of a column, on signed
+            # entries at every d
+            G_T = _lognormal_entries(rng, (5000, d, d), exact)
+            G = swap(walks.apply_batch(mats[:, None], G_T))
+            assert np.array_equal(walks.operator_norms(G, "l1"),
+                                  np.abs(G).sum(axis=-2).max(axis=-1))
+            assert np.array_equal(walks.vec_norm(G[..., 0], "l1"),
+                                  np.abs(G[..., 0]).sum(axis=-1))
+            yield G, np.einsum("rij,rjk->rik", mats, swap(G_T)), exact
+            return
+        # run_walks: one D^T per path, or one row for every path
+        U = _lognormal_entries(rng, (5000, d), exact)
+        yield (walks.apply_batch(mats, U),
+               np.einsum("rij,rj->ri", np.broadcast_to(mats, (5000, d, d)), U),
+               exact)
+        return
+    if shape == "pool_out":
+        # resampled_sum with a shared D: out += D y
+        P = _lognormal_entries(rng, (d, d), d <= 2)
+        y = _lognormal_entries(rng, (5000, d), d <= 2)
+        out = _lognormal_entries(rng, (5000, d), d <= 2)
+        want = out + np.einsum("ij,sj->si", P, y)
+        yield walks.apply_batch(P, y, out=out), want, d <= 2
+        return
+    # pool_slots: every slot's D_i x_i at once
+    for slots in range(4):
+        exact = d <= 2
+        mats = _lognormal_entries(rng, (5000, slots, d, d), exact)
+        xs = _lognormal_entries(rng, (5000, slots, d), exact)
+        yield (walks.apply_batch(mats, xs),
+               np.einsum("snij,snj->sni", mats, xs), exact)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["walk", "shared_walk", "partial_product",
+                                   "pool_slots", "pool_out"])
+def test_apply_batch_matches_einsum(shape, d):
+    # the call shapes of the one small-matrix kernel against np.einsum:
+    # bit for bit where the two add in the same order, else to roundoff
+    rng = substream(60, shape, d)
+    pairs = list(_kernel_pairs(shape, d, rng))
+    assert pairs
+    for got, want, exact in pairs:
+        assert got.shape == want.shape
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def _slot_sum(mats, xs):
+    """sum over n of mats[:, n] @ xs[:, n], accumulated as resampled_sum does
+    with per-slot D: slot 0 through apply_batch, the others added with out."""
+    acc = walks.apply_batch(mats[:, 0], xs[:, 0])
+    for k in range(1, mats.shape[1]):
+        walks.apply_batch(mats[:, k], xs[:, k], out=acc)
+    return acc
+
+
 @pytest.mark.parametrize("d,n_max", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
 def test_matvec_sum_matches_einsum_exactly(d, n_max):
     rng = substream(60, "matvec", 10 * d + n_max)
     mats = _lognormal_entries(rng, (5000, n_max, d, d))
     xs = _lognormal_entries(rng, (5000, n_max, d))
-    assert np.array_equal(walks.matvec_sum(mats, xs),
+    assert np.array_equal(_slot_sum(mats, xs),
                           np.einsum("snij,snj->si", mats, xs))
 
 
@@ -370,27 +442,15 @@ def test_matvec_sum_close_to_einsum(d, n_max):
     rng = substream(61, "matvec", 10 * d + n_max)
     mats = _lognormal_entries(rng, (5000, n_max, d, d), signed=False)
     xs = _lognormal_entries(rng, (5000, n_max, d), signed=False)
-    np.testing.assert_allclose(walks.matvec_sum(mats, xs),
+    np.testing.assert_allclose(_slot_sum(mats, xs),
                                np.einsum("snij,snj->si", mats, xs),
                                rtol=1e-13, atol=0)
 
 
 def test_matvec_sum_no_slots_is_zero():
-    out = walks.matvec_sum(np.zeros((4, 0, 2, 2)), np.zeros((4, 0, 2)))
-    assert np.array_equal(out, np.zeros((4, 2)))
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_matmul_batch_and_l1_norms_match_exactly(d):
-    rng = substream(62, "matmul", d)
-    a = _lognormal_entries(rng, (5000, d, d))
-    b = _lognormal_entries(rng, (5000, d, d))
-    x = _lognormal_entries(rng, (5000, d))
-    assert np.array_equal(walks.matmul_batch(a, b),
-                          np.einsum("rij,rjk->rik", a, b))
-    assert np.array_equal(walks.vec_norm(x, "l1"), np.abs(x).sum(axis=-1))
-    assert np.array_equal(walks.operator_norms(a, "l1"),
-                          np.abs(a).sum(axis=-2).max(axis=-1))
+    out = walks.apply_batch(np.zeros((4, 0, 2, 2)), np.zeros((4, 0, 2)))
+    assert out.shape == (4, 0, 2)
+    assert np.array_equal(out.sum(axis=1), np.zeros((4, 2)))
 
 
 @pytest.mark.parametrize("d", [2, 3])
