@@ -7,7 +7,6 @@ between-replicate error bars.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -208,18 +207,3 @@ def sample_fixed_point_replicated(spec: ModelSpec, generations: int,
                           degenerate=any(p.degenerate for p in parts),
                           replicate_bounds=bounds,
                           history=[p.history for p in parts])
-
-
-def replicate_mean_se(pool: FixedPointPool):
-    """(mean, se) of the pool mean using between-replicate variance."""
-    if not pool.replicate_bounds or len(pool.replicate_bounds) < 3:
-        v = pool.vectors[:, 0] if pool.d == 1 else np.linalg.norm(pool.vectors, axis=1)
-        return float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v)))
-    means = []
-    b = pool.replicate_bounds
-    for a, c in zip(b[:-1], b[1:]):
-        block = pool.vectors[a:c]
-        v = block[:, 0] if pool.d == 1 else np.linalg.norm(block, axis=1)
-        means.append(v.mean())
-    means = np.asarray(means)
-    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(len(means)))

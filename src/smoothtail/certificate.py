@@ -15,7 +15,7 @@ every low-confidence ingredient flags the report rather than stopping it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,6 +33,7 @@ ESS_FLOOR = 100            # effective contributing samples per estimate
 VERDICT_Z = 2              # a positive bound must clear this many standard errors
 SEARCH_C0 = (1.0, 3.0, 10.0, 30.0)        # the (C0, delta) search grid
 SEARCH_DELTA = (0.05, 0.1, 0.2, 0.4)
+TEST_DIRECTIONS = 720      # d >= 2 grid size of the cone-coverage check
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +239,9 @@ def _cap_centers(spec: ModelSpec, J: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _test_directions(spec: ModelSpec, size: int = 720) -> np.ndarray:
+def _test_directions(spec: ModelSpec) -> np.ndarray:
     from .spectral import build_grid
-    grid = build_grid(spec, size=size if spec.d > 1 else 2)
+    grid = build_grid(spec, size=TEST_DIRECTIONS)
     pts = grid.points
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
@@ -418,17 +419,11 @@ class CertificateReport:
     flags: list = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
-        out = {k: getattr(self, k) for k in
-               ("t", "C0", "delta", "C1", "rho", "beta", "n_t", "levels",
-                "kappa", "kappa_se", "v_sum", "v_sum_se", "w_sum", "w_sum_se",
-                "bound", "bound_se", "verdict", "t_beta_v_term",
-                "shape_actual", "shape_idealized", "fitted_D1", "flags")}
+        out = asdict(self)
         for k in ("t_beta_v_term", "fitted_D1"):
             if not math.isfinite(out[k]):
                 out[k] = None     # zero kappa, empty L_t, or t^beta overflow
         out["u"] = self.u.tolist()
-        out["per_level_V"] = self.per_level_V
-        out["per_geometry_W"] = self.per_geometry_W
         return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -55,6 +56,11 @@ def model_from_jsonable(doc: dict) -> ModelSpec:
         ens = doc["ensemble"]
         fam = ens.get("family")
         cap = ens.get("finite_moment_s_max")
+        if cap is not None:
+            cap = float(cap)
+            if not cap > 0:
+                raise ConfigError(
+                    f"finite_moment_s_max: need a positive cap, got {cap!r}")
         if fam == "finite_support":
             ensemble = FiniteSupport(matrices=np.asarray(ens["matrices"], float),
                                      probs=np.asarray(ens["probs"], float),
@@ -117,10 +123,15 @@ class Section(dict):
         self.name = name
 
     def num(self, key: str, default=None, kind=float):
-        """self[key] (default when absent) as kind; None stays None."""
+        """self[key] (default when absent) as kind; None stays None.  An
+        int key takes an integral float such as 1e5, and no other."""
         value = self.get(key, default)
         if value is None:
             return None
+        if (kind is int and isinstance(value, float) and math.isfinite(value)
+                and not value.is_integer()):
+            raise ConfigError(
+                f"{self.name}.{key}: need an integer, got {value!r}")
         try:
             return kind(value)
         except (TypeError, ValueError, OverflowError):
@@ -139,6 +150,7 @@ class Section(dict):
         if u.shape != (d,):
             raise ConfigError(
                 f"{self.name}.{key}: length {u.size}, the model dimension is {d}")
+        self.require(key, u.any(), "a nonzero direction")
         return u
 
 
@@ -310,22 +322,30 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def _load_beta(cfg: RunConfig, sec: Section) -> tuple[float, float, float]:
     """(beta, rho, k_beta) from explicit config values or a solution file;
-    a value the config or the file leaves out is None."""
+    a value the config or the file leaves out is None.  beta must be
+    positive, and so must k_beta where it is given."""
     if "beta" in sec:
-        return (sec.num("beta"), sec.num("rho", 0.0) or None,
-                sec.num("k_beta", 0.0) or None)
-    if "solution" in sec:
+        where = f"{sec.name}."
+        values = {"beta": sec.num("beta"), "rho": sec.num("rho", 0.0) or None,
+                  "k_beta": sec.num("k_beta", 0.0) or None}
+    elif "solution" in sec:
         path = cfg.resolve(sec["solution"])
+        where = f"{path}: "
         doc = artifacts.read_json(path)
         try:
-            beta = float(doc["beta"])
-            rho, k_beta = (None if doc.get(k) is None else float(doc[k])
-                           for k in ("rho", "k_beta"))
+            values = {"beta": float(doc["beta"])}
+            values.update((k, None if doc.get(k) is None else float(doc[k]))
+                          for k in ("rho", "k_beta"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: not a solve-index solution "
                               f"({type(exc).__name__}: {exc})")
-        return beta, rho, k_beta
-    raise ConfigError("need 'beta' or 'solution' in the command section")
+    else:
+        raise ConfigError("need 'beta' or 'solution' in the command section")
+    for key in ("beta", "k_beta"):
+        value = values[key]
+        if (key == "beta" or value is not None) and not (value or 0) > 0:
+            raise ConfigError(f"{where}{key}: need {key} > 0, got {value!r}")
+    return values["beta"], values["rho"], values["k_beta"]
 
 
 def _load_pool(cfg: RunConfig, sec: Section) -> branching.FixedPointPool:
@@ -393,8 +413,7 @@ def _load_spectral(cfg: RunConfig, sec: Section):
                 or nu.shape != (G,) or doc["grid_geometry"] != made.geometry):
             raise ValueError(f"need a {made.geometry} grid: points "
                              f"({G}, {cfg.spec.d}), e and nu of length {G}")
-        grid = spectral.SphereGrid(points=points, geometry=made.geometry,
-                                   norm=doc.get("norm", cfg.spec.norm))
+        grid = spectral.SphereGrid(points=points, geometry=made.geometry)
         return spectral.SpectralResult(
             s=doc["s"], k=doc["k"], e=e, nu=nu, grid=grid,
             residual=doc["residual"], iterations=doc["iterations"],

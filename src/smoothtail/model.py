@@ -10,7 +10,7 @@ oracle-checkable spectral behavior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,8 @@ CLASS_ID = "invertible-id"
 GEOM_CLASSES = (CLASS_NONNEG, CLASS_IPO, CLASS_ID)
 
 ZERO_TOL = 1e-12        # entries below this count as structural zeros
+PROXIMAL_TOL = 1e-8     # dominant-eigenvalue gap and imaginary-part margin
+RATIONAL_QMAX = 50      # largest denominator of the non-arithmeticity margin
 DET_TOL = 1e-10         # invertibility margin for declared invertible classes
 ORBIT_CHUNK = 256       # orbit-coverage steps binned per cell_index call
 
@@ -373,15 +375,15 @@ def check_class(spec: ModelSpec, mats: np.ndarray) -> None:
 # geometric condition checks
 # ---------------------------------------------------------------------------
 
-def check_allowable(m: np.ndarray, tol: float = ZERO_TOL) -> bool:
-    """No zero row and no zero column, entries below tol counting as zero."""
+def check_allowable(m: np.ndarray) -> bool:
+    """No zero row or column; entries below ZERO_TOL count as zero."""
     m = np.atleast_2d(np.abs(np.asarray(m, dtype=float)))
-    nz = m > tol
+    nz = m > ZERO_TOL
     return bool(nz.any(axis=1).all() and nz.any(axis=0).all())
 
 
-def check_proximal(m: np.ndarray, tol: float = 1e-8) -> bool:
-    """Dominant eigenvalue real, algebraically simple, separated by margin tol."""
+def check_proximal(m: np.ndarray) -> bool:
+    """Dominant eigenvalue real, algebraically simple, gap >= PROXIMAL_TOL."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape == (1, 1):
         return m[0, 0] != 0.0
@@ -394,10 +396,10 @@ def check_proximal(m: np.ndarray, tol: float = 1e-8) -> bool:
     lam = eig[order[0]]
     if mods[order[0]] == 0.0:
         return False
-    if abs(lam.imag) > tol * mods[order[0]]:
+    if abs(lam.imag) > PROXIMAL_TOL * mods[order[0]]:
         return False
     gap = (mods[order[0]] - mods[order[1]]) / mods[order[0]]
-    return bool(gap >= tol)
+    return bool(gap >= PROXIMAL_TOL)
 
 
 def perron_data(m: np.ndarray):
@@ -446,10 +448,10 @@ def find_positive_product(spec: ModelSpec, budget: int,
     return None
 
 
-def _rational_margin(r: float, qmax: int = 50) -> float:
-    """min over q <= qmax of q^2 * |r - p/q| (irrationality margin)."""
+def _rational_margin(r: float) -> float:
+    """min over q <= RATIONAL_QMAX of q^2 |r - p/q| (irrationality margin)."""
     best = math.inf
-    for q in range(1, qmax + 1):
+    for q in range(1, RATIONAL_QMAX + 1):
         p = round(r * q)
         best = min(best, q * q * abs(r - p / q))
     return best
@@ -460,7 +462,7 @@ def heuristic_nonarithmetic(spec: ModelSpec, budget: int,
     """Evidence for non-arithmeticity of log spectral radii of positive products.
 
     Samples positive products, collects log(lambda), and reports pairwise
-    ratios with their irrationality margins against rationals p/q, q <= 50.
+    ratios with their irrationality margins against p/q, q <= RATIONAL_QMAX.
     Verdict: "heuristic-pass" if some margin >= 1e-3, "inconclusive" if all
     sampled ratios sit essentially on rationals, "inapplicable" when no
     positive product is found.  Never a definite fail.
@@ -522,18 +524,11 @@ class ValidationReport:
         return any(c.verdict == "fail" for c in self.conditions.values())
 
     def to_jsonable(self) -> dict:
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
-        return {
-            "conditions": {k: {"verdict": v.verdict, "evidence": v.evidence}
-                           for k, v in self.conditions.items()},
-            "positive_product_witness": arr(self.positive_product_witness),
-            "positive_product_word_length": self.positive_product_word_length,
-            "proximality_witness": arr(self.proximality_witness),
-            "nonarithmetic_pairs": self.nonarithmetic_pairs,
-            "moment_estimates": self.moment_estimates,
-            "notes": self.notes,
-        }
+        out = asdict(self)
+        for k in ("positive_product_witness", "proximality_witness"):
+            if out[k] is not None:
+                out[k] = np.asarray(out[k]).tolist()
+        return out
 
 
 def _support_matrices(spec: ModelSpec, rng: np.random.Generator, reps: int) -> np.ndarray:
@@ -550,7 +545,7 @@ def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> fl
     from .spectral import build_grid
     from .walks import act
 
-    grid = build_grid(spec, size=64 if spec.d > 1 else 2)
+    grid = build_grid(spec, size=64)
     x = np.zeros(spec.d)
     x[0] = 1.0                          # unit under l1 and l2
     visited = np.zeros(len(grid.points), dtype=bool)

@@ -10,18 +10,21 @@ used downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import AssemblyError, ConvergenceError, NoRootError, NoSecondRootError, SpecError
 from .model import CLASS_NONNEG, ModelSpec
-from .walks import StepSampler, UNDERFLOW, apply_batch, run_walks, vec_norm, weighted_mean
+from .walks import UNDERFLOW, apply_batch, vec_norm
+from .walks import run_walks  # noqa: F401  (the benchmark tracer looks it up here)
 
 DEFAULT_GRID_D2 = 256
 DEFAULT_GRID_HIGH = 512
+MC_GROUPS = 8               # independent moment groups of a lognormal assembler
 POWER_TOL = 1e-10
+POWER_MAX_ITER = 20000
 SCATTER_CHUNK = 1 << 14     # draw x grid-point entries per scatter pass
 
 
@@ -36,7 +39,6 @@ class SphereGrid:
 
     points: np.ndarray          # (G, d)
     geometry: str               # halfline | pm1 | quarter_circle | circle | sphere | orthant
-    norm: str
 
     def __len__(self) -> int:
         return len(self.points)
@@ -117,8 +119,8 @@ def build_grid(spec: ModelSpec, size: Optional[int] = None) -> SphereGrid:
     nonneg = geom_class == CLASS_NONNEG
     if d == 1:
         if nonneg:
-            return SphereGrid(np.array([[1.0]]), "halfline", norm)
-        return SphereGrid(np.array([[1.0], [-1.0]]), "pm1", norm)
+            return SphereGrid(np.array([[1.0]]), "halfline")
+        return SphereGrid(np.array([[1.0], [-1.0]]), "pm1")
     if d == 2:
         G = size or DEFAULT_GRID_D2
         if nonneg:
@@ -128,7 +130,7 @@ def build_grid(spec: ModelSpec, size: Optional[int] = None) -> SphereGrid:
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
         pts /= vec_norm(pts, norm)[:, None]
         geometry = "quarter_circle" if nonneg else "circle"
-        return SphereGrid(pts, geometry, norm)
+        return SphereGrid(pts, geometry)
     from scipy.special import ndtri
     from scipy.stats import qmc
     G = size or DEFAULT_GRID_HIGH
@@ -139,7 +141,7 @@ def build_grid(spec: ModelSpec, size: Optional[int] = None) -> SphereGrid:
         z = np.abs(z)
     pts = z / np.maximum(vec_norm(z, norm)[:, None], UNDERFLOW)
     geometry = "orthant" if nonneg else "sphere"
-    return SphereGrid(pts, geometry, norm)
+    return SphereGrid(pts, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +159,11 @@ class OperatorAssembler:
 
     * Finite support: the atoms with their probabilities and moment 1 (one
       group, exact).
-    * Lognormal families W * D: K = min(mc_reps // groups, 4e6 // G) draws
+    * Lognormal families W * D: K = min(mc_reps // MC_GROUPS, 4e6 // G) draws
       of ``directions`` (one atom when D is fixed) at weight 1/K, and per
       group the moment E W^s, estimated by importance-stratified sampling
       (proposal normal shifted by half the exponential tilt, systematic
-      strata over ``groups`` independent uniform offsets), which keeps the
+      strata over MC_GROUPS independent uniform offsets), which keeps the
       integrand's growth bounded so the top stratum cannot dominate.
 
     When D preserves the model norm (rotations under l2), |D^T x| = 1, so
@@ -179,7 +181,7 @@ class OperatorAssembler:
     """
 
     def __init__(self, spec: ModelSpec, grid: SphereGrid, mc_reps: int,
-                 rng: np.random.Generator, groups: int = 8):
+                 rng: np.random.Generator):
         self.spec = spec
         self.grid = grid
         ens = spec.ensemble
@@ -191,14 +193,14 @@ class OperatorAssembler:
         else:
             from scipy.special import ndtri
             self.mc_reps = mc_reps
-            per = max(2, mc_reps // groups)
+            per = max(2, mc_reps // MC_GROUPS)
             # normal quantiles of the cached stratified uniforms; only the
             # tilt shift applied to them depends on s
             self._quantiles = [ndtri((np.arange(per) + rng.random()) / per)
-                               for _ in range(groups)]
+                               for _ in range(MC_GROUPS)]
             self._lognormal = ens.mu, ens.sigma
             mats = ens.directions(
-                rng, max(1, min(mc_reps // groups, 4_000_000 // len(grid))))
+                rng, max(1, min(mc_reps // MC_GROUPS, 4_000_000 // len(grid))))
             self._weights = np.full(len(mats), 1.0 / len(mats))
         mats = np.swapaxes(mats, -1, -2)
         self._rows = self._direction_op = None
@@ -271,31 +273,32 @@ class OperatorAssembler:
 # power iteration
 # ---------------------------------------------------------------------------
 
-def _dominant_pair(op: np.ndarray, tol: float, max_iter: int):
+def _dominant_pair(op: np.ndarray):
     G = op.shape[0]
     v = np.full(G, 1.0 / G)
     lam_prev = None
     lam_hist = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, POWER_MAX_ITER + 1):
         w = op @ v
         lam = float(w.sum() / v.sum())
         if lam <= 0 or not np.isfinite(lam):
             raise ConvergenceError(f"nonpositive eigenvalue iterate {lam}")
         v = w / w.sum()
         lam_hist.append(lam)
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
+        if lam_prev is not None and abs(lam - lam_prev) <= POWER_TOL * abs(lam):
             return lam, v, it
         if (it > 20 and len(lam_hist) > 4
-                and abs(lam - lam_hist[-3]) <= 1e-3 * tol * abs(lam)
-                and abs(lam - lam_prev) > 100 * tol * abs(lam)):
+                and abs(lam - lam_hist[-3]) <= 1e-3 * POWER_TOL * abs(lam)
+                and abs(lam - lam_prev) > 100 * POWER_TOL * abs(lam)):
             raise ConvergenceError("period-2 oscillation in power iteration")
         lam_prev = lam
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(
+        f"power iteration did not converge in {POWER_MAX_ITER} steps")
 
 
-def power_iteration(op: np.ndarray, tol: float = POWER_TOL,
-                    max_iter: int = 20000):
-    """(k, e, nu, iterations, residual) for a nonnegative grid operator.
+def power_iteration(op: np.ndarray):
+    """(k, e, nu, iterations, residual) for a nonnegative grid operator,
+    iterated until successive eigenvalues agree to POWER_TOL relative.
 
     e is the right eigenvector (strictly positive for primitive operators),
     nu the left probability eigenvector, normalized so sum(nu * e) = 1.
@@ -306,8 +309,8 @@ def power_iteration(op: np.ndarray, tol: float = POWER_TOL,
         return k, np.array([1.0]), np.array([1.0]), 1, 0.0
     if (op < -1e-14 * max(1.0, np.abs(op).max())).any():
         raise ConvergenceError("operator has negative entries")
-    k, e, it_e = _dominant_pair(op, tol, max_iter)
-    k2, nu, it_n = _dominant_pair(op.T, tol, max_iter)
+    k, e, it_e = _dominant_pair(op)
+    k2, nu, it_n = _dominant_pair(op.T)
     k = 0.5 * (k + k2)
     nu = nu / nu.sum()
     inner = float(nu @ e)
@@ -363,57 +366,6 @@ def k_grid(assembler: OperatorAssembler, s: float) -> SpectralResult:
 
 
 # ---------------------------------------------------------------------------
-# product-regression estimate of k(s)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ProductsEstimate:
-    """k(s) from the growth rate of E||Pi_n||^s over n."""
-
-    k: float
-    c_s: float                 # exp(intercept), the prefactor of the moment bound
-    slope: float
-    per_n: list                # rows (n, log_mean, se_of_log)
-    low_confidence: bool
-
-
-def k_by_products(spec: ModelSpec, s: float, n_list, reps: int,
-                  rng: np.random.Generator, tilt: float = 0.0,
-                  spectral: Optional[SpectralResult] = None) -> ProductsEstimate:
-    """Fit log E||Pi_n||^s against n; the slope exponentiates to k(s).
-
-    The nominal walk (tilt 0) collapses for heavy-tailed summands (relative
-    SE grows like a power of k(2s)/k(s)^2 per step); the walk at tilt s
-    keeps the same expectation, through the running log weights, with
-    exponential variance reduction.
-    """
-    n_list = sorted(set(int(n) for n in n_list))
-    if len(n_list) < 2:
-        raise SpecError("need at least two distinct path lengths")
-    n_max = max(n_list)
-    batch = run_walks(spec, None, n_max, reps, rng,
-                      sampler=StepSampler(spec, tilt, spectral),
-                      record_hist=True)
-    rows = []
-    low_conf = False
-    for n in n_list:
-        logvals = s * batch.opnorm_log_hist[:, n] + batch.log_weight_hist[:, n]
-        mean, se = weighted_mean(np.ones(reps), logvals)
-        if not (mean > 0) or not np.isfinite(mean):
-            raise AssemblyError(f"empirical moment vanished at n={n}")
-        rel = se / mean
-        if rel > 0.5:
-            low_conf = True
-        rows.append((n, math.log(mean), rel))
-    ns = np.array([r[0] for r in rows], dtype=float)
-    ys = np.array([r[1] for r in rows])
-    slope, intercept = np.polyfit(ns, ys, 1)
-    return ProductsEstimate(k=float(math.exp(slope)), c_s=float(math.exp(intercept)),
-                            slope=float(slope), per_n=rows,
-                            low_confidence=low_conf)
-
-
-# ---------------------------------------------------------------------------
 # m(s) and the tail roots
 # ---------------------------------------------------------------------------
 
@@ -434,9 +386,7 @@ class TailIndexSolution:
     bracket_history: list = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("alpha", "beta", "s_star", "m_alpha", "m_beta", "m_star",
-                 "rho", "k_beta", "k_drift", "tol", "bracket_history")}
+        return asdict(self)
 
 
 _EPS = np.finfo(float).eps

@@ -211,7 +211,6 @@ class WalkBatch:
     S: np.ndarray              # (R,) final log scales
     log_weight: np.ndarray     # (R,) log importance weights (zeros at tilt 0)
     opnorm_log_hist: Optional[np.ndarray] = None  # (R, n+1) log ||Pi*_k||
-    log_weight_hist: Optional[np.ndarray] = None  # (R, n+1) log weights after k steps
 
 
 def run_walks(spec: ModelSpec, u0: Optional[np.ndarray], n: int, reps: int,
@@ -221,9 +220,9 @@ def run_walks(spec: ModelSpec, u0: Optional[np.ndarray], n: int, reps: int,
 
     The default sampler is the tilt-0 one, i.e. the nominal walk with zero
     log weights.  u0 may be one direction, a (reps, d) array of per-path
-    starting directions, or None for e_1.  With record_hist the per-step log operator norms
-    of the partial products Pi*_k and the running log weights are kept
-    (needed by the event indicators and the moment regression).
+    starting directions, or None for e_1.  With record_hist the per-step
+    log operator norms of the partial products Pi*_k are kept (needed by
+    the event indicators).
 
     While every path has the same direction U (one start, or equal rows of
     u0) and the steps share one direction factor D^T (a fixed P, or the
@@ -253,7 +252,6 @@ def run_walks(spec: ModelSpec, u0: Optional[np.ndarray], n: int, reps: int,
         g_scale = np.zeros(reps)
         # one row per step: each write is contiguous
         opn_hist = np.zeros((n + 1, reps))
-        logw_hist = np.zeros((n + 1, reps))
     for k in range(n):
         # the step W D^T acts on the direction through D^T alone; log W
         # goes straight into the log scales
@@ -276,10 +274,8 @@ def run_walks(spec: ModelSpec, u0: Optional[np.ndarray], n: int, reps: int,
             G_T /= gn[:, None, None]
             g_scale += log_scale + np.log(gn)
             opn_hist[k + 1] = g_scale
-            logw_hist[k + 1] = logw
     return WalkBatch(U=np.broadcast_to(U, (reps, d)), S=S, log_weight=logw,
-                     opnorm_log_hist=opn_hist.T if record_hist else None,
-                     log_weight_hist=logw_hist.T if record_hist else None)
+                     opnorm_log_hist=opn_hist.T if record_hist else None)
 
 
 def tilted_batch(spec: ModelSpec, u0: Optional[np.ndarray], n: int, s: float,

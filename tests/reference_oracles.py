@@ -7,7 +7,10 @@ algebra, the branching sum Y_l, the side sums Z of the path decomposition
 
 and the sparse all-ones subtree whose expected counts weight the
 certificate's sums.  No command materializes a tree, so these live here,
-beside the tests that check the structure against them.  indicator_V and
+beside the tests that check the structure against them.  So do two checks
+of the package's estimates that no command runs: k(s) from the growth of
+E||Pi_n||^s, which cross-checks the grid operator's spectral radius, and
+the between-replicate error bar of a pool's mean.  indicator_V and
 empirical_survival are the one-path and one-curve twins of
 certificate._indicator_V_batch and tails.scaled_tail_flatness; the tests
 check the package's batched forms against them.
@@ -24,13 +27,14 @@ from typing import Optional
 
 import numpy as np
 
+from smoothtail.branching import FixedPointPool
 from smoothtail.certificate import (EventParams, ProbEstimate, SubtreeParams,
                                     _summarize)
-from smoothtail.errors import SmoothtailError, SpecError
+from smoothtail.errors import AssemblyError, SmoothtailError, SpecError
 from smoothtail.model import (FiniteSupport, LognormalScalarMatrix, ModelSpec,
                               check_class)
 from smoothtail.tails import MIN_EXCEEDANCES, _projections
-from smoothtail.walks import tilted_batch
+from smoothtail.walks import StepSampler, run_walks, tilted_batch, weighted_mean
 
 NodeId = tuple[int, ...]
 ROOT: NodeId = ()
@@ -342,8 +346,91 @@ def expected_count_check(spec: ModelSpec, C1: int, level: int, reps: int,
 
 
 # ---------------------------------------------------------------------------
-# empirical tails
+# product-regression estimate of k(s)
 # ---------------------------------------------------------------------------
+
+class RecordedRatios:
+    """Passes a sampler's steps through and keeps each step's log
+    likelihood ratios, (reps,) per step."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+        self.log_ratios = []
+
+    def tilted(self, rng, U):
+        step = self.sampler.tilted(rng, U)
+        self.log_ratios.append(step[2])
+        return step
+
+
+@dataclass
+class ProductsEstimate:
+    """k(s) from the growth rate of E||Pi_n||^s over n."""
+
+    k: float
+    c_s: float                 # exp(intercept), the prefactor of the moment bound
+    slope: float
+    per_n: list                # rows (n, log_mean, se_of_log)
+    low_confidence: bool
+
+
+def k_by_products(spec: ModelSpec, s: float, n_list, reps: int,
+                  rng: np.random.Generator, tilt: float = 0.0,
+                  spectral=None) -> ProductsEstimate:
+    """Fit log E||Pi_n||^s against n; the slope exponentiates to k(s).
+
+    The nominal walk (tilt 0) collapses for heavy-tailed summands (relative
+    SE grows like a power of k(2s)/k(s)^2 per step); the walk at tilt s
+    keeps the same expectation, through the running log weights, with
+    exponential variance reduction.  The running log weights are the
+    cumulative sums of the recorded step ratios, added in the order
+    run_walks adds them.
+    """
+    n_list = sorted(set(int(n) for n in n_list))
+    if len(n_list) < 2:
+        raise SpecError("need at least two distinct path lengths")
+    n_max = max(n_list)
+    sampler = RecordedRatios(StepSampler(spec, tilt, spectral))
+    batch = run_walks(spec, None, n_max, reps, rng, sampler=sampler,
+                      record_hist=True)
+    log_weight = np.cumsum([np.zeros(reps)] + sampler.log_ratios, axis=0)
+    rows = []
+    low_conf = False
+    for n in n_list:
+        logvals = s * batch.opnorm_log_hist[:, n] + log_weight[n]
+        mean, se = weighted_mean(np.ones(reps), logvals)
+        if not (mean > 0) or not np.isfinite(mean):
+            raise AssemblyError(f"empirical moment vanished at n={n}")
+        rel = se / mean
+        if rel > 0.5:
+            low_conf = True
+        rows.append((n, math.log(mean), rel))
+    ns = np.array([r[0] for r in rows], dtype=float)
+    ys = np.array([r[1] for r in rows])
+    slope, intercept = np.polyfit(ns, ys, 1)
+    return ProductsEstimate(k=float(math.exp(slope)), c_s=float(math.exp(intercept)),
+                            slope=float(slope), per_n=rows,
+                            low_confidence=low_conf)
+
+
+# ---------------------------------------------------------------------------
+# pools and empirical tails
+# ---------------------------------------------------------------------------
+
+def replicate_mean_se(pool: FixedPointPool):
+    """(mean, se) of the pool mean using between-replicate variance."""
+    if not pool.replicate_bounds or len(pool.replicate_bounds) < 3:
+        v = pool.vectors[:, 0] if pool.d == 1 else np.linalg.norm(pool.vectors, axis=1)
+        return float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v)))
+    means = []
+    b = pool.replicate_bounds
+    for a, c in zip(b[:-1], b[1:]):
+        block = pool.vectors[a:c]
+        v = block[:, 0] if pool.d == 1 else np.linalg.norm(block, axis=1)
+        means.append(v.mean())
+    means = np.asarray(means)
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(len(means)))
+
 
 def empirical_survival(pool_vectors: np.ndarray, u: np.ndarray,
                        t_grid: np.ndarray) -> np.ndarray:

@@ -20,8 +20,7 @@ from conftest import (ALPHA_D1, BETA_D1, K1_D2, K_BETA_D1, MEAN_D1, RHO_D1,
 import reference_oracles as oracles
 from smoothtail import certificate as cert
 from smoothtail import spectral, tails, walks
-from smoothtail.branching import (replicate_mean_se,
-                                  sample_fixed_point_replicated)
+from smoothtail.branching import sample_fixed_point_replicated
 from smoothtail.cli import main
 from smoothtail.rng import substream
 
@@ -60,8 +59,8 @@ def test_criterion_2_spectral_vs_products():
     t0 = time.monotonic()
     spec2 = d2_lognormal_matrix_spec()
     grid_k = k_at(spec2, 1.0, 100_000, substream(1002, "grid"))
-    prod_k = spectral.k_by_products(spec2, 1.0, [2, 4, 6, 8], 100_000,
-                                    substream(1003, "prod"))
+    prod_k = oracles.k_by_products(spec2, 1.0, [2, 4, 6, 8], 100_000,
+                                   substream(1003, "prod"))
     errs = {}
     for name, spec in (("d1-lognormal", d1_lognormal_spec()),
                        ("d2-lognormal-matrix", spec2),
@@ -80,9 +79,9 @@ def test_criterion_2_spectral_vs_products():
 
 
 def test_criterion_3_moment_bound_slope():
-    pe = spectral.k_by_products(d1_lognormal_spec(), BETA_D1,
-                                list(range(2, 13)), 20_000,
-                                substream(1005, "slope"), tilt=BETA_D1)
+    pe = oracles.k_by_products(d1_lognormal_spec(), BETA_D1,
+                               list(range(2, 13)), 20_000,
+                               substream(1005, "slope"), tilt=BETA_D1)
     rel = abs(pe.slope - (-math.log(2.0))) / math.log(2.0)
     _report(3, rel <= 0.05,
             f"slope {pe.slope:.6f} vs -log2 {-math.log(2):.6f} "
@@ -95,7 +94,7 @@ def test_criterion_4_fixed_point_mean():
     rngs = [substream(1006, "pool", i) for i in range(8)]
     pool = sample_fixed_point_replicated(spec, 60, 100_000,
                                          np.array([MEAN_D1]), rngs)
-    mean, se = replicate_mean_se(pool)
+    mean, se = oracles.replicate_mean_se(pool)
     elapsed = time.monotonic() - t0
     ok = abs(mean - MEAN_D1) <= 3 * se and elapsed < 300 and pool.converged
     _report(4, ok,

@@ -15,12 +15,11 @@ from conftest import (MEAN_D1, d1_lognormal_spec, d1_quarter_spec,
 from reference_oracles import (MemoryCapError, _subtree_value, decompose_check,
                                evaluate_Yl, evaluate_Z, grow_tree,
                                model_to_jsonable, node_leq, node_meet,
-                               node_prefix, path_weight)
+                               node_prefix, path_weight, replicate_mean_se)
 from smoothtail import branching
 from smoothtail.artifacts import read_pool
 from smoothtail.branching import (_pool_stats, population_iterate,
-                                  replicate_mean_se, resampled_sum,
-                                  sample_fixed_point,
+                                  resampled_sum, sample_fixed_point,
                                   sample_fixed_point_replicated)
 from smoothtail.cli import main
 from smoothtail.errors import SpecError

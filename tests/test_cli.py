@@ -11,7 +11,7 @@ from conftest import ALPHA_D1, BETA_D1, RHO_D1
 from reference_oracles import model_to_jsonable
 from smoothtail import artifacts
 from smoothtail.branching import FixedPointPool
-from smoothtail.cli import (_load_spectral, load_config, main,
+from smoothtail.cli import (Section, _load_spectral, load_config, main,
                             model_from_jsonable)
 from smoothtail.errors import ConfigError
 
@@ -54,6 +54,20 @@ def test_negative_dimension_exit_2(tmp_path):
     model = dict(D1_MODEL, dimension=-1)
     rc = _run(tmp_path, "validate", {"model": model, "seed": 1})
     assert rc == 2
+
+
+@pytest.mark.parametrize("cap, named", [
+    ("x", "could not convert string to float: 'x'"),
+    (0, "finite_moment_s_max: need a positive cap, got 0.0"),
+    (-1.5, "finite_moment_s_max: need a positive cap, got -1.5"),
+], ids=["non-numeric", "zero", "negative"])
+def test_bad_finite_moment_cap_exit_2(tmp_path, capsys, cap, named):
+    model = dict(D1_MODEL)
+    model["ensemble"] = dict(model["ensemble"], finite_moment_s_max=cap)
+    cfg = {"model": model, "seed": 1, "spectrum": {"s_grid": [1.0]}}
+    assert _run(tmp_path, "spectrum", cfg) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_missing_pool_exit_2(tmp_path):
@@ -114,12 +128,20 @@ SPECTRAL = {"s": BETA_D1, "k": 0.5, "residual": 0.0, "iterations": 1,
     ("certificate", {"sol.json": SOLUTION},
      {"solution": "sol.json", "pool": "pool_d2.bin"},
      "pool dimension 2, the model dimension is 1"),
+    ("tails", {"sol.json": dict(SOLUTION, beta=-1.0)},
+     {"solution": "sol.json"}, "sol.json: beta: need beta > 0, got -1.0"),
+    ("certificate", {"sol.json": dict(SOLUTION, beta=0.0)},
+     {"solution": "sol.json"}, "sol.json: beta: need beta > 0, got 0.0"),
+    ("certificate", {"sol.json": dict(SOLUTION, k_beta=-0.5)},
+     {"solution": "sol.json"}, "sol.json: k_beta: need k_beta > 0, got -0.5"),
 ], ids=["tails-missing-solution", "certificate-missing-solution",
         "certificate-missing-spectral", "solution-bad-json",
         "solution-without-rho", "spectral-without-points",
         "spectral-short-e", "spectral-long-nu", "spectral-points-of-d2",
         "spectral-wrong-geometry", "tails-pool-of-d2",
-        "certificate-pool-of-d2"])
+        "certificate-pool-of-d2", "tails-solution-negative-beta",
+        "certificate-solution-zero-beta",
+        "certificate-solution-negative-k_beta"])
 def test_bad_artifact_file_exit_2(tmp_path, capsys, command, files, section,
                                   named):
     pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
@@ -349,6 +371,9 @@ RANGE_BASE = {
     "validate": {"beta_hat": 3.1, "reps": 2000},
     "spectrum": {"s_grid": [1.0], "mc_reps": 1000},
     "solve_index": {"s_max": 6.0, "mc_reps": 1000},
+    "simulate": {"pool_size": 1000, "generations": 2, "replicates": 1,
+                 "x0": [1.0]},
+    "tails": {"pool": "pool.bin", "beta": 3.0},
     "certificate": {"pool": "pool.bin", "beta": 3.0, "rho": 0.5,
                     "k_beta": 0.5, "t_quantile": 0.99},
 }
@@ -375,6 +400,17 @@ RANGE_BASE = {
     ("certificate", "delta", 0.2, "C0 and delta together, or neither"),
     ("certificate", "J", 0, "J >= 1"),
     ("certificate", "J", -2, "J >= 1"),
+    ("certificate", "C1", 2.7, "an integer"),
+    ("simulate", "generations", 2.5, "an integer"),
+    ("spectrum", "mc_reps", 1000.5, "an integer"),
+    ("tails", "beta", -1.0, "beta > 0"),
+    ("tails", "beta", 0.0, "beta > 0"),
+    ("tails", "beta", None, "beta > 0"),
+    ("tails", "k_beta", -0.5, "k_beta > 0"),
+    ("certificate", "beta", -3.0, "beta > 0"),
+    ("certificate", "k_beta", -0.5, "k_beta > 0"),
+    ("tails", "u", [0.0], "a nonzero direction"),
+    ("certificate", "u", [0.0], "a nonzero direction"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, command, key, value,
                                    need):
@@ -389,6 +425,14 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, command, key, value,
     assert f"{sec}.{key}: need {need}, got {value!r}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_integer_key_takes_integral_float():
+    sec = Section("simulate", {"pool_size": 1e5, "generations": 2.0})
+    assert sec.num("pool_size", None, int) == 100_000
+    assert sec.num("generations", None, int) == 2
+    with pytest.raises(ConfigError, match=r"^simulate.x0: need an integer, got 0.5$"):
+        Section("simulate", {"x0": 0.5}).num("x0", None, int)
 
 
 @pytest.mark.parametrize("command, where, key, value", [

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import k_at
+from reference_oracles import k_by_products
 from smoothtail import spectral
 from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
 from smoothtail.rng import substream
@@ -44,8 +45,8 @@ def test_two_root_regime(solution):
 
 def test_alpha_confirmed_by_naive_products(solution):
     spec = mixed_scale_spec()
-    pe = spectral.k_by_products(spec, solution.alpha, [6, 8, 10, 12],
-                                300_000, substream(7702, "pa"))
+    pe = k_by_products(spec, solution.alpha, [6, 8, 10, 12],
+                       300_000, substream(7702, "pa"))
     rel_se = max(r[2] for r in pe.per_n)
     assert not pe.low_confidence
     assert abs(2 * pe.k - 1.0) < 3 * rel_se + 0.01
@@ -55,13 +56,13 @@ def test_beta_confirmed_by_tilted_products(solution):
     spec = mixed_scale_spec()
     res = k_at(spec, solution.beta, 0, substream(7703, "k"))
     # naive products collapse at beta and must say so
-    naive = spectral.k_by_products(spec, solution.beta, [6, 8, 10, 12],
-                                   50_000, substream(7704, "pn"))
+    naive = k_by_products(spec, solution.beta, [6, 8, 10, 12],
+                          50_000, substream(7704, "pn"))
     assert naive.low_confidence
     # the tilted route at depths past the mixing transient recovers m = 1
-    pe = spectral.k_by_products(spec, solution.beta, [16, 20, 24, 28],
-                                100_000, substream(7705, "pt"),
-                                tilt=solution.beta, spectral=res)
+    pe = k_by_products(spec, solution.beta, [16, 20, 24, 28],
+                       100_000, substream(7705, "pt"),
+                       tilt=solution.beta, spectral=res)
     rel_se = max(r[2] for r in pe.per_n)
     assert not pe.low_confidence
     assert abs(2 * pe.k - 1.0) < 3 * rel_se + 0.01

@@ -20,11 +20,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "smoothtail"
 # (module, name) -> why the definition stays although no command reaches it
 ALLOWED = {
     ("cli", "main"): "the console entry point",
-    ("spectral", "k_by_products"):
-        "the products check of k(s); the benchmark tracer wraps the "
-        "run_walks it calls, and this is spectral's only use of it",
-    ("branching", "replicate_mean_se"):
-        "the between-replicate error bar of a pool's mean",
 }
 
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA_D1, BETA_D1, K_BETA_D1, MEAN_D1, RHO_D1
+from reference_oracles import replicate_mean_se
 from smoothtail import certificate as cert
 from smoothtail import spectral, tails
-from smoothtail.branching import (replicate_mean_se,
-                                  sample_fixed_point_replicated)
+from smoothtail.branching import sample_fixed_point_replicated
 from smoothtail.model import Branching, LognormalScalarMatrix, ModelSpec, QLaw
 from smoothtail.rng import substream
 

@@ -10,11 +10,12 @@ from conftest import (ALPHA_D1, ALPHA_ROT, BETA_D1, BETA_ROT, K1_D2, RHO_D1,
                       RHO_ROT, d1_lognormal_spec, d1_quarter_spec,
                       d2_finite_pair_spec, d2_lognormal_matrix_spec,
                       d2_rotation_spec, d3_rotation_spec, k_at)
+from reference_oracles import k_by_products
 from smoothtail.errors import NoRootError, NoSecondRootError
 from smoothtail.rng import substream
 from smoothtail.spectral import (OperatorAssembler, _brent_min, _brent_root,
-                                 build_grid, k_by_products, k_grid,
-                                 power_iteration, solve_alpha_beta)
+                                 build_grid, k_grid, power_iteration,
+                                 solve_alpha_beta)
 from smoothtail.walks import apply_batch
 
 

@@ -8,10 +8,11 @@ from scipy import stats
 
 from conftest import (BETA_D1, d1_lognormal_spec, d2_finite_pair_spec,
                       d2_lognormal_matrix_spec, d2_rotation_spec, k_at)
+from reference_oracles import RecordedRatios, k_by_products
 from smoothtail.errors import SingularActionError
 from smoothtail.rng import substream
 from smoothtail import walks
-from smoothtail.spectral import build_grid, k_by_products
+from smoothtail.spectral import build_grid
 from smoothtail.walks import (act, norms_and_iotas, operator_norms, run_walks,
                               tilted_batch, weighted_mean)
 
@@ -307,6 +308,21 @@ def test_pi_norm_moment_beta_tilted_exact():
     assert log_mean == pytest.approx(-10 * math.log(2.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("make_spec, s", [
+    (d1_lognormal_spec, BETA_D1), (d2_lognormal_matrix_spec, 2.0),
+    (d2_finite_pair_spec, 1.5)], ids=["d1", "w-p", "finite-support"])
+def test_recorded_ratios_sum_to_the_walk_log_weight(make_spec, s):
+    # the products oracle's running log weights are the cumulative sums of
+    # the recorded step ratios: at the last step they are the walk's own
+    spec = make_spec()
+    sampler = RecordedRatios(walks.StepSampler(spec, s))
+    batch = run_walks(spec, None, 9, 500, substream(20, "r"), sampler=sampler)
+    assert len(sampler.log_ratios) == 9
+    assert np.array_equal(np.cumsum(sampler.log_ratios, axis=0)[-1],
+                          batch.log_weight)
+    assert batch.log_weight.any()
+
+
 def test_tilted_with_eigenfunction_unbiased():
     # with a grid eigenfunction driving the proposal, weighted averages
     # still reproduce nominal expectations exactly (ratios are exact)
@@ -562,10 +578,9 @@ def test_default_sampler_is_tilt_zero_bit_for_bit(make_spec):
                         sampler=None, record_hist=True)
     zero = tilted_batch(spec, u0, 12, 0.0, None, 2000, substream(70, "w"),
                         record_hist=True)
-    for name in ("U", "S", "log_weight", "opnorm_log_hist",
-                 "log_weight_hist"):
+    for name in ("U", "S", "log_weight", "opnorm_log_hist"):
         assert np.array_equal(getattr(nominal, name), getattr(zero, name))
-    assert not nominal.log_weight_hist.any()
+    assert not nominal.log_weight.any()
 
 
 def test_default_start_is_e1_bit_for_bit():
@@ -574,8 +589,7 @@ def test_default_start_is_e1_bit_for_bit():
                                   sampler=walks.StepSampler(spec, BETA_D1),
                                   record_hist=True)
             for u0 in (None, np.array([1.0, 0.0]))}
-    for name in ("U", "S", "log_weight", "opnorm_log_hist",
-                 "log_weight_hist"):
+    for name in ("U", "S", "log_weight", "opnorm_log_hist"):
         assert np.array_equal(getattr(walk[True], name),
                               getattr(walk[False], name))
 
@@ -597,7 +611,7 @@ class PerPathFactor:
         return log_scale, np.broadcast_to(dirs_T, (len(U),) + dirs_T.shape[1:]), lr
 
 
-WALK_FIELDS = ("U", "S", "log_weight", "opnorm_log_hist", "log_weight_hist")
+WALK_FIELDS = ("U", "S", "log_weight", "opnorm_log_hist")
 
 
 @pytest.mark.parametrize("make_spec", [d1_lognormal_spec,
