@@ -17,6 +17,8 @@ from .errors import SpecError
 from .model import ModelSpec, check_class
 from .walks import apply_batch, vec_norm
 
+BLOCK_ROWS = 1 << 15    # rows of sum A_i X_i + Q formed at a time
+
 
 # ---------------------------------------------------------------------------
 # population dynamics
@@ -44,15 +46,24 @@ class FixedPointPool:
 
 
 def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
-                  rng: np.random.Generator, skip: int = 0) -> np.ndarray:
+                  rng: np.random.Generator, skip: int = 0,
+                  norm: Optional[str] = None) -> np.ndarray:
     """size draws of sum_{skip < i <= N} A_i X_i + Q, (size, d), from fresh
     innovations (N, (A_i), Q) with the X_i resampled uniformly with
-    replacement from pool.
+    replacement from pool; with norm ("l1" or "l2"), the norm of each draw,
+    (size,).
 
     skip = 0 is one population-dynamics step; skip = 1 leaves out the first
     child, which gives the side sums Z of the path decomposition.  Draw
     order: N, the A_i (scales of the slots past N zeroed), Q, then the pool
     indices.
+
+    N, the A_i and Q (as indices into its atoms) are drawn at full size; the
+    pool indices are drawn, and the sums formed (and reduced to their
+    norms), BLOCK_ROWS rows at a time.  A generator gives the same values
+    and ends in the same state whether a draw is taken at once or in
+    consecutive pieces, so the result does not depend on the block size,
+    and no more than one block of resampled children is ever held.
 
     Each A_i = W_i D_i is kept as its two factors: the scales multiply the
     resampled X_i, and a fixed D is applied once to their sum,
@@ -69,29 +80,46 @@ def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
         w = np.exp(log_w, out=log_w).reshape(size, slots)
         if n is not None and n.min() < skip + slots:
             w *= np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None]
-    out = spec.q_law.draw(rng, size, d)
-    if slots > 0:
-        xs = np.take(pool, rng.integers(0, pool.shape[0], size=(size, slots)),
-                     axis=0)
-        # column by column: a length-d inner axis makes numpy's loops slow
-        for j in range(d):
-            xs[:, :, j] *= w                      # w_k x_k, in place
-        if len(dirs) == 1:
-            # y = sum_k w_k x_k in child order, summed on the gathered block;
-            # then out += D y
-            y = xs[:, 0]
-            for k in range(1, slots):
-                for j in range(d):
-                    y[:, j] += xs[:, k, j]
-            apply_batch(dirs[0], y, out=out)
-        else:
-            # slot terms summed first, then added to out, which fixes the bits
+        if len(dirs) > 1:
             dirs = dirs.reshape(size, slots, d, d)
-            acc = apply_batch(dirs[:, 0], xs[:, 0])
-            for k in range(1, slots):
-                apply_batch(dirs[:, k], xs[:, k], out=acc)
-            out += acc
+    q_idx = spec.q_law.atom_indices(rng, size)
+    out = np.empty((size, d) if norm is None else size)
+    for a in range(0, size, BLOCK_ROWS):
+        b = min(a + BLOCK_ROWS, size)
+        blk = spec.q_law.values(None if q_idx is None else q_idx[a:b], b - a, d)
+        if slots > 0:
+            _add_children(blk, pool, w[a:b],
+                          dirs if dirs.ndim == 3 else dirs[a:b], rng)
+        out[a:b] = blk if norm is None else vec_norm(blk, norm)
     return out
+
+
+def _add_children(out: np.ndarray, pool: np.ndarray, w: np.ndarray,
+                  dirs: np.ndarray, rng: np.random.Generator) -> None:
+    """out += sum_k w_k D_k X_k over the slots k of each row, with the X_k
+    resampled from pool; dirs is one shared (1, d, d) D or (rows, slots,
+    d, d)."""
+    rows, slots = w.shape
+    d = out.shape[1]
+    xs = np.take(pool, rng.integers(0, pool.shape[0], size=(rows, slots)),
+                 axis=0)
+    # column by column: a length-d inner axis makes numpy's loops slow
+    for j in range(d):
+        xs[:, :, j] *= w                          # w_k x_k, in place
+    if dirs.ndim == 3:
+        # y = sum_k w_k x_k in child order, summed on the gathered block;
+        # then out += D y
+        y = xs[:, 0]
+        for k in range(1, slots):
+            for j in range(d):
+                y[:, j] += xs[:, k, j]
+        apply_batch(dirs[0], y, out=out)
+    else:
+        # slot terms summed first, then added to out, which fixes the bits
+        acc = apply_batch(dirs[:, 0], xs[:, 0])
+        for k in range(1, slots):
+            apply_batch(dirs[:, k], xs[:, k], out=acc)
+        out += acc
 
 
 def population_iterate(spec: ModelSpec, pool: np.ndarray,

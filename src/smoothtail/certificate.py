@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .branching import resampled_sum
+from .branching import BLOCK_ROWS, resampled_sum
 from .errors import CoverageError, NondegeneracyError, SpecError
 from .model import CLASS_NONNEG, ModelSpec
 from .rng import parallel_map, spawn
@@ -33,7 +33,8 @@ ESS_FLOOR = 100            # effective contributing samples per estimate
 VERDICT_Z = 2              # a positive bound must clear this many standard errors
 SEARCH_C0 = (1.0, 3.0, 10.0, 30.0)        # the (C0, delta) search grid
 SEARCH_DELTA = (0.05, 0.1, 0.2, 0.4)
-TEST_DIRECTIONS = 720      # d >= 2 grid size of the cone-coverage check
+TEST_DIRECTIONS = 720      # cone-coverage check grid: equal angles at d = 2
+TEST_DIRECTIONS_SOBOL = 1024   # and Sobol points at d >= 3 (balanced at 2^k)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +104,14 @@ class SubtreeParams:
 # events
 # ---------------------------------------------------------------------------
 
-def _indicator_V_batch(opnorm_log_hist: np.ndarray, S_final: np.ndarray,
-                       z_log: np.ndarray, params: EventParams,
-                       n: int) -> np.ndarray:
-    """Vectorized V indicator over a batch (z_log = log(|Z| v 1), shape (R, n))."""
+def _indicator_V_batch(lhs: np.ndarray, S_final: np.ndarray,
+                       params: EventParams) -> np.ndarray:
+    """Vectorized V indicator over a batch of paths of length n, given
+    lhs = log ||Pi*_k|| + log(|Z_k| v 1) for k < n, shape (R, n)."""
+    n = lhs.shape[1]
     ks = np.arange(n)
     rhs = math.log(params.C0 * params.t) - (n - ks) * params.delta
     ok_scale = S_final >= math.log(params.t)
-    lhs = opnorm_log_hist[:, :n] + z_log
     return ok_scale & (lhs <= rhs[None, :]).all(axis=1)
 
 
@@ -119,8 +120,8 @@ def draw_z_marks(spec: ModelSpec, pool_vectors: np.ndarray, count: int,
     """|Z| draws for Z = sum_{i=2}^N A_i X_i + Q: a population-dynamics
     innovation without its first child, with X_i resampled from a converged
     pool (the only available sampler for the fixed-point law)."""
-    return vec_norm(resampled_sum(spec, np.atleast_2d(pool_vectors), count,
-                                  rng, skip=1), spec.norm)
+    return resampled_sum(spec, np.atleast_2d(pool_vectors), count, rng,
+                         skip=1, norm=spec.norm)
 
 
 @dataclass
@@ -152,12 +153,17 @@ def _draw_V(spec: ModelSpec, n: int, reps: int, rng: np.random.Generator,
             tilt: float, spectral, pool_vectors: np.ndarray,
             u: Optional[np.ndarray]):
     """The draws behind a P(V_{n,t}) estimate: reps paths of length n at the
-    given tilt with their history, then their n Z-marks each, as
-    (batch, log(|Z| v 1)).  Only the indicator depends on (C0, delta)."""
+    given tilt with their history, then their n Z-marks each, as the paths'
+    (S, log weight) and the (reps, n) left side log ||Pi*_k|| + log(|Z_k| v 1)
+    of the indicator, formed in place on the marks.  Only the indicator
+    depends on (C0, delta)."""
     batch = tilted_batch(spec, u, n, tilt, spectral, reps, rng,
                          record_hist=True)
-    z = draw_z_marks(spec, pool_vectors, reps * n, rng).reshape(reps, n)
-    return batch, np.log(np.maximum(z, 1.0))
+    lhs = draw_z_marks(spec, pool_vectors, reps * n, rng).reshape(reps, n)
+    np.maximum(lhs, 1.0, out=lhs)
+    np.log(lhs, out=lhs)
+    lhs += batch.opnorm_log_hist[:, :n]
+    return batch.S, batch.log_weight, lhs
 
 
 def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
@@ -166,9 +172,9 @@ def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
                 u: Optional[np.ndarray] = None) -> ProbEstimate:
     """P(V_{n,t}) by Monte Carlo at the given tilt (0 is the nominal walk,
     beta the certificate's) with Z-marks from a pool; u defaults to e_1."""
-    batch, z_log = _draw_V(spec, n, reps, rng, tilt, spectral, pool_vectors, u)
-    ind = _indicator_V_batch(batch.opnorm_log_hist, batch.S, z_log, params, n)
-    return _summarize(ind, batch.log_weight)
+    S, log_weight, lhs = _draw_V(spec, n, reps, rng, tilt, spectral,
+                                 pool_vectors, u)
+    return _summarize(_indicator_V_batch(lhs, S, params), log_weight)
 
 
 def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
@@ -241,7 +247,8 @@ def _cap_centers(spec: ModelSpec, J: int) -> np.ndarray:
 
 def _test_directions(spec: ModelSpec) -> np.ndarray:
     from .spectral import build_grid
-    grid = build_grid(spec, size=TEST_DIRECTIONS)
+    grid = build_grid(spec, size=TEST_DIRECTIONS if spec.d == 2
+                      else TEST_DIRECTIONS_SOBOL)
     pts = grid.points
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
@@ -269,12 +276,18 @@ def cone_family(pool_vectors: np.ndarray, J: int, eparams: EventParams,
     centers = _cap_centers(spec, J)
     Jfull = len(centers)
     norms_model = vec_norm(pool_vectors, spec.norm)
-    norms_l2 = np.linalg.norm(pool_vectors, axis=1)
-    ok = norms_l2 > 0
-    dirs = np.zeros_like(pool_vectors)
-    dirs[ok] = pool_vectors[ok] / norms_l2[ok, None]
-    assign = np.argmax(dirs @ centers.T, axis=1)
-    assign[~ok] = -1
+    ok = np.empty(n, dtype=bool)
+    assign = np.empty(n, dtype=np.intp)
+    # nearest center by inner product, BLOCK_ROWS members at a time
+    for a in range(0, n, BLOCK_ROWS):
+        x = pool_vectors[a:a + BLOCK_ROWS]
+        norms_l2 = np.linalg.norm(x, axis=1)
+        ok_b = np.greater(norms_l2, 0, out=ok[a:a + BLOCK_ROWS])
+        dirs = np.zeros_like(x)
+        dirs[ok_b] = x[ok_b] / norms_l2[ok_b, None]
+        assign_b = np.argmax(dirs @ centers.T, axis=1,
+                             out=assign[a:a + BLOCK_ROWS])
+        assign_b[~ok_b] = -1
     test_dirs = _test_directions(spec)
     test_angles = _angles_to(centers, test_dirs)
     r_assign = float(test_angles.min(axis=1).max())
@@ -368,10 +381,8 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
     best = None
     for params in cells:
         centered = []
-        for n, (batch, z_log) in zip(levels, draws):
-            ind = _indicator_V_batch(batch.opnorm_log_hist, batch.S, z_log,
-                                     params, n)
-            est = _summarize(ind, batch.log_weight)
+        for n, (S, log_weight, lhs) in zip(levels, draws):
+            est = _summarize(_indicator_V_batch(lhs, S, params), log_weight)
             if est.hits == 0 or est.value <= 0:
                 break
             centered.append(math.log(est.value) - n * math.log(k_beta))

@@ -124,7 +124,8 @@ class Section(dict):
 
     def num(self, key: str, default=None, kind=float):
         """self[key] (default when absent) as kind; None stays None.  An
-        int key takes an integral float such as 1e5, and no other."""
+        int key takes an integral float such as 1e5, and no other; a float,
+        or each float of a list, must be finite."""
         value = self.get(key, default)
         if value is None:
             return None
@@ -133,10 +134,14 @@ class Section(dict):
             raise ConfigError(
                 f"{self.name}.{key}: need an integer, got {value!r}")
         try:
-            return kind(value)
+            out = kind(value)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(
                 f"{self.name}.{key}: non-numeric value {value!r}") from None
+        if kind is not int:
+            # json reads NaN and Infinity, which no key takes
+            self.require(key, np.isfinite(out).all(), "finite values")
+        return out
 
     def require(self, key: str, ok: bool, need: str) -> None:
         """Reject self[key] unless ok, naming what the key needs."""

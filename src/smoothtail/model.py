@@ -298,13 +298,25 @@ class QLaw:
             return bool((self.vector == 0).all())
         return bool((self.vectors == 0).all())
 
-    def draw(self, rng: np.random.Generator, size: int, d: int) -> np.ndarray:
+    def atom_indices(self, rng: np.random.Generator,
+                     size: int) -> Optional[np.ndarray]:
+        """size draws as indices into vectors; None for a zero or fixed Q,
+        which draws nothing."""
+        if self.kind != "finite_support":
+            return None
+        return rng.choice(len(self.probs), size=size, p=self.probs)
+
+    def values(self, idx: Optional[np.ndarray], size: int,
+               d: int) -> np.ndarray:
+        """The (size, d) draws whose atom indices are idx."""
         if self.kind == "zero":
             return np.zeros((size, d))
         if self.kind == "deterministic":
             return np.tile(self.vector, (size, 1))
-        idx = rng.choice(len(self.probs), size=size, p=self.probs)
         return self.vectors[idx]
+
+    def draw(self, rng: np.random.Generator, size: int, d: int) -> np.ndarray:
+        return self.values(self.atom_indices(rng, size), size, d)
 
 
 # ---------------------------------------------------------------------------

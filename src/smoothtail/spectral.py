@@ -231,9 +231,11 @@ class OperatorAssembler:
         Y = apply_batch(mats[:, None], self.grid.points[None])   # (K, G, d)
         norms = vec_norm(Y, self.spec.norm)             # (K, G)
         safe = np.maximum(norms, UNDERFLOW)
-        dirs = Y / safe[:, :, None]
+        # Y becomes the directions, column by column
+        for j in range(Y.shape[-1]):
+            Y[..., j] /= safe
         K, G = norms.shape
-        idx, w = self.grid.interp_rows(dirs.reshape(K * G, -1))
+        idx, w = self.grid.interp_rows(Y.reshape(K * G, -1))
         flat = np.arange(G)[None, :, None] * G + idx.reshape(K, G, 2)
         return norms, flat, w.reshape(K, G, 2)
 
@@ -250,9 +252,10 @@ class OperatorAssembler:
         mu, sigma = self._lognormal
         t = s * sigma
         tau = 0.5 * t
-        z = tau + quantiles
-        return float(math.exp(s * mu + 0.5 * tau * tau)
-                     * np.exp((t - tau) * z).mean())
+        z = np.add(quantiles, tau)                     # in one buffer
+        z *= t - tau
+        np.exp(z, out=z)
+        return float(math.exp(s * mu + 0.5 * tau * tau) * z.mean())
 
     def assemble_groups(self, s: float) -> tuple[np.ndarray, np.ndarray]:
         """(moments, op): per-group E W^s (np.ones(1) for finite support)

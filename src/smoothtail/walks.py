@@ -266,7 +266,10 @@ def run_walks(spec: ModelSpec, u0: Optional[np.ndarray], n: int, reps: int,
             n_bad = int(np.broadcast_to(bad, (reps,)).sum())
             raise SingularActionError(
                 f"{n_bad} of {reps} paths hit a singular action at step {k + 1}")
-        U = y / nrm[:, None]
+        # column by column: a length-d inner axis makes numpy's loops slow
+        for j in range(d):
+            y[:, j] /= nrm
+        U = y
         S += log_scale + np.log(nrm)
         if record_hist:
             G_T = apply_batch(dirs_T[:, None], G_T)

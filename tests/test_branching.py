@@ -1,6 +1,7 @@
 """Tree algebra, the Y/Z recursions, the decomposition identity, and pools."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,13 +19,16 @@ from reference_oracles import (MemoryCapError, _subtree_value, decompose_check,
                                node_prefix, path_weight, replicate_mean_se)
 from smoothtail import branching
 from smoothtail.artifacts import read_pool
-from smoothtail.branching import (_pool_stats, population_iterate,
-                                  resampled_sum, sample_fixed_point,
+from smoothtail.branching import (BLOCK_ROWS, _pool_stats,
+                                  population_iterate, resampled_sum,
+                                  sample_fixed_point,
                                   sample_fixed_point_replicated)
+from smoothtail.certificate import draw_z_marks
 from smoothtail.cli import main
 from smoothtail.errors import SpecError
 from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
 from smoothtail.rng import substream
+from smoothtail.walks import vec_norm
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +331,53 @@ def test_resampled_sum_replays_the_reference_engine(make_spec, q_kind, skip):
         assert got.shape == (size, spec.d)
         assert np.array_equal(got, want)
         assert rng_state(rng) == rng_state(rng_ref)
+
+
+@pytest.mark.parametrize("make_spec", [
+    d2_lognormal_matrix_spec,
+    d2_rotation_spec,
+    d2_finite_pair_spec,
+    lambda: _random13(d2_lognormal_matrix_spec()),
+    lambda: _with_q(d2_lognormal_matrix_spec(), "finite-support"),
+], ids=["w-p", "c-r", "finite-support", "w-p-random-n13", "w-p-finite-q"])
+def test_blocked_engine_replays_the_reference_engine(make_spec):
+    # a count over several row blocks, not a multiple of the block size: the
+    # pool step and the Z-marks (reduced block by block to their norms) are
+    # the reference engine's bit for bit, with the generator left as it is
+    spec = make_spec()
+    pool = np.exp(substream(73, "pool").standard_normal((700, spec.d)))
+    size = 2 * BLOCK_ROWS + 1234
+    for skip in (0, 1):
+        rng, rng_ref = substream(74, "blocks", skip), substream(74, "blocks", skip)
+        got = resampled_sum(spec, pool, size, rng, skip=skip)
+        assert np.array_equal(got, ref.resampled_sum(spec, pool, size, rng_ref,
+                                                     skip=skip))
+        assert rng_state(rng) == rng_state(rng_ref)
+    rng, rng_ref = substream(75, "z"), substream(75, "z")
+    marks = draw_z_marks(spec, pool, size, rng)
+    want = vec_norm(ref.resampled_sum(spec, pool, size, rng_ref, skip=1),
+                    spec.norm)
+    assert np.array_equal(marks, want)
+    assert rng_state(rng) == rng_state(rng_ref)
+
+
+def test_z_marks_working_set_per_mark():
+    # the marks are reduced to norms one row block at a time, so the traced
+    # peak is the scales and the norms (8 bytes a mark each) plus one block;
+    # forming every (count, d) sum first took about 56 bytes a mark
+    spec = d2_lognormal_matrix_spec()
+    pool = np.exp(substream(76, "pool").standard_normal((20_000, 2)))
+    count = 400_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        marks = draw_z_marks(spec, pool, count, substream(77, "z"))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert marks.shape == (count,)
+    assert peak < 32 * count
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

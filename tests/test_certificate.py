@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -79,8 +80,8 @@ def test_batch_indicator_matches_one_path_oracle():
     hist = np.cumsum(rng.normal(0.0, 0.4, (reps, n + 1)), axis=1)
     pi_u = np.exp(rng.normal(0.7, 0.6, reps))
     z = np.exp(rng.normal(0.0, 1.0, (reps, n)))
-    got = _indicator_V_batch(hist, np.log(pi_u), np.log(np.maximum(z, 1.0)),
-                             p, n)
+    got = _indicator_V_batch(hist[:, :n] + np.log(np.maximum(z, 1.0)),
+                             np.log(pi_u), p)
     want = [indicator_V(hist[r], pi_u[r], z[r], p, n) for r in range(reps)]
     assert got.tolist() == want
     assert 0.05 < got.mean() < 0.95
@@ -325,6 +326,41 @@ def test_cone_family_d2(d2_pool_for_cones):
     assert fam.retained.any()
     # every retained cap's mass stays above the floor
     assert (fam.masses[fam.retained] >= fam.kappa).all()
+
+
+def test_cone_family_blocks_match_one_pass(monkeypatch, d2_pool_for_cones):
+    # caps assigned in row blocks give the masses, eps and kappa of one pass
+    # over the whole pool, bit for bit; members of norm 0 sit mid-block
+    spec, pool = d2_pool_for_cones
+    pool = np.vstack([pool, np.zeros((5, 2)), pool[::-1]])
+    assert len(pool) > 3 * certificate.BLOCK_ROWS
+    ep = EventParams(t=5.0, C0=0.5, delta=0.5, rho=0.5)
+    blocked = cone_family(pool, 8, ep, spec)
+    monkeypatch.setattr(certificate, "BLOCK_ROWS", len(pool))
+    whole = cone_family(pool, 8, ep, spec)
+    for name in ("retained", "masses", "masses_se"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+    assert (blocked.eps, blocked.kappa, blocked.kappa_se,
+            blocked.coverage_angle) == (whole.eps, whole.kappa,
+                                        whole.kappa_se, whole.coverage_angle)
+
+
+def test_cone_family_d3_checks_coverage_on_balanced_sobol_points():
+    # the d >= 3 coverage check takes a power-of-2 Sobol set, for which
+    # scipy does not warn that the points lose their balance
+    from smoothtail.model import LognormalScalarMatrix
+    spec = ModelSpec(dimension=3, branching=Branching(mode="fixed", n=2),
+                     ensemble=LognormalScalarMatrix(
+                         mu=-2.0, sigma2=0.25, matrix=np.ones((3, 3)) + np.eye(3)),
+                     q_law=QLaw(kind="deterministic", vector=[1.0, 1.0, 1.0]),
+                     geom_class="nonnegative-C")
+    pool = 50.0 * np.exp(substream(20, "pool3").standard_normal((20_000, 3)))
+    ep = EventParams(t=100.0, C0=1.0, delta=0.4, rho=0.5)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="The balance properties")
+        fam = cone_family(pool, 8, ep, spec)
+    assert fam.kappa > 0 and 0 < fam.eps < 1 / 3
+    assert fam.coverage_angle < math.pi / 2
 
 
 @pytest.fixture(scope="module")
@@ -603,7 +639,9 @@ def test_search_scores_every_cell_on_one_draw_per_level(monkeypatch, d1_pool):
 
     def counting_marks(spec, pool_vectors, count, rng):
         z = z_marks(spec, pool_vectors, count, rng)
-        marks_drawn.append(z)
+        # a copy: the search turns the marks into the indicator's left side
+        # in place
+        marks_drawn.append(z.copy())
         return z
 
     monkeypatch.setattr(certificate, "tilted_batch", counting_batch)

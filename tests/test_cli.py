@@ -411,6 +411,12 @@ RANGE_BASE = {
     ("certificate", "k_beta", -0.5, "k_beta > 0"),
     ("tails", "u", [0.0], "a nonzero direction"),
     ("certificate", "u", [0.0], "a nonzero direction"),
+    # json reads NaN and Infinity
+    ("tails", "u", [math.nan], "finite values"),
+    ("certificate", "u", [math.nan], "finite values"),
+    ("certificate", "t", math.nan, "finite values"),
+    ("certificate", "t", math.inf, "finite values"),
+    ("certificate", "C0", math.nan, "finite values"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, command, key, value,
                                    need):
