@@ -24,6 +24,7 @@ from .branching import BLOCK_ROWS, resampled_sum
 from .errors import CoverageError, NondegeneracyError, SpecError
 from .model import CLASS_NONNEG, ModelSpec
 from .rng import parallel_map, spawn
+from .spectral import OperatorAssembler, build_grid, k_grid
 from .walks import (StepSampler, effective_sample_size, run_walks,
                     tilted_batch, vec_norm, weighted_mean)
 
@@ -49,15 +50,14 @@ class EventParams:
     C0: float
     delta: float
     rho: float
-    min_recommended_nt: int = MIN_NT_RECOMMENDED
     flags: list = field(default_factory=list)
 
     def __post_init__(self):
         if min(self.t, self.C0, self.delta, self.rho) <= 0:
             raise SpecError("t, C0, delta, rho must all be positive")
-        if self.n_t < self.min_recommended_nt:
+        if self.n_t < MIN_NT_RECOMMENDED:
             self.flags.append(
-                f"n_t = {self.n_t} below recommended {self.min_recommended_nt}")
+                f"n_t = {self.n_t} below recommended {MIN_NT_RECOMMENDED}")
 
     @property
     def n_t(self) -> int:
@@ -239,14 +239,12 @@ def _cap_centers(spec: ModelSpec, J: int) -> np.ndarray:
         else:
             theta = (np.arange(J) + 0.5) * (2 * math.pi) / J
         return np.column_stack([np.cos(theta), np.sin(theta)])
-    from .spectral import build_grid
     grid = build_grid(spec, size=J)
     pts = grid.points
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def _test_directions(spec: ModelSpec) -> np.ndarray:
-    from .spectral import build_grid
     grid = build_grid(spec, size=TEST_DIRECTIONS if spec.d == 2
                       else TEST_DIRECTIONS_SOBOL)
     pts = grid.points
@@ -360,8 +358,7 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
                         rng: np.random.Generator,
                         pool_vectors: np.ndarray, beta: float,
                         spectral=None, u: Optional[np.ndarray] = None,
-                        reps: int = 20_000,
-                        min_recommended_nt: int = MIN_NT_RECOMMENDED) -> EventParams:
+                        reps: int = 20_000) -> EventParams:
     """Grid search for (C0, delta) maximizing P(V) stability over the window.
 
     Score: all window levels must have hits; among those, minimize the range
@@ -372,8 +369,7 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
     The chosen values travel inside EventParams and are recorded in every
     report.
     """
-    cells = [EventParams(t=t, C0=C0, delta=delta, rho=rho,
-                         min_recommended_nt=min_recommended_nt)
+    cells = [EventParams(t=t, C0=C0, delta=delta, rho=rho)
              for C0 in SEARCH_C0 for delta in SEARCH_DELTA]
     levels = cells[0].window_levels()
     draws = [_draw_V(spec, n, reps, rng, beta, spectral, pool_vectors, u)
@@ -433,7 +429,7 @@ class CertificateReport:
         out = asdict(self)
         for k in ("t_beta_v_term", "fitted_D1"):
             if not math.isfinite(out[k]):
-                out[k] = None     # zero kappa, empty L_t, or t^beta overflow
+                out[k] = None     # empty L_t, or t^beta overflow
         out["u"] = self.u.tolist()
         return out
 
@@ -462,32 +458,31 @@ def verdict(levels: list, bound: float, bound_se: float,
 def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
                 beta: float, k_beta: float, C1: int,
                 pool_vectors: np.ndarray, rng: np.random.Generator,
-                spectral=None, C0: Optional[float] = None,
-                delta: Optional[float] = None, J: int = 8,
-                reps_v: int = 100_000, reps_w: int = 10_000,
+                C0: Optional[float] = None, delta: Optional[float] = None,
+                J: int = 8, reps_v: int = 100_000, reps_w: int = 10_000,
                 reps_search: int = 20_000,
-                min_recommended_nt: int = MIN_NT_RECOMMENDED,
-                threads: int = 1,
-                force_kappa_zero: bool = False) -> CertificateReport:
+                threads: int = 1) -> CertificateReport:
     """Evaluate kappa * sum P(V) - sum P(W) over the sparse subtree.
 
     The sum over the subtree uses expected node counts times per-level
     probabilities (P(V_i) depends only on |i| by exchangeability); pair
     sums are grouped by (p, q, m) with expected ordered-pair counts
-    (E N)^{p+q-m-2 C1}.  Every estimate draws from its own pre-derived
-    substream, so results do not depend on the worker count.  With
-    force_kappa_zero the cone floor is taken as exactly 0 (no standard
-    error), which leaves the bound -sum P(W).
+    (E N)^{p+q-m-2 C1}.  The walks are tilted at beta, by e_beta for finite
+    support: the exact grid operator works it out from the atoms and draws
+    nothing from rng.  Every estimate draws from its own pre-derived
+    substream, so results do not depend on the worker count.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    spectral = None
+    if spec.ensemble.atoms() is not None:
+        spectral = k_grid(OperatorAssembler(spec, build_grid(spec), 0, rng),
+                          beta)
     if C0 is None or delta is None:
         eparams = choose_event_params(spec, t, rho, k_beta, rng, pool_vectors,
                                       beta, spectral=spectral, u=u,
-                                      reps=reps_search,
-                                      min_recommended_nt=min_recommended_nt)
+                                      reps=reps_search)
     else:
-        eparams = EventParams(t=t, C0=C0, delta=delta, rho=rho,
-                              min_recommended_nt=min_recommended_nt)
+        eparams = EventParams(t=t, C0=C0, delta=delta, rho=rho)
     if eparams.n_t < MIN_NT_HARD:
         raise SpecError(
             f"n_t = {eparams.n_t} < {MIN_NT_HARD}: no usable level window at t={t}")
@@ -545,11 +540,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
                          "prob": est.value, "se": est.se,
                          "hits": est.hits, "ess": est.ess,
                          "method": "tilted", "upper_95": est.upper_95})
-    if force_kappa_zero:
-        kappa, kappa_se = 0.0, 0.0
-        flags.append("kappa forced to zero")
-    else:
-        kappa, kappa_se = cones.kappa, cones.kappa_se
+    kappa, kappa_se = cones.kappa, cones.kappa_se
     v_term = kappa * v_sum
     bound = v_term - w_sum
     bound_se = math.sqrt(kappa ** 2 * v_var + w_var
@@ -562,8 +553,8 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     shape_actual = (len(levels) * k_beta ** C1 / math.sqrt(n_t)) if levels else 0.0
     shape_ideal = k_beta ** C1 / (2 * C1)
     t_beta_v = t ** beta * v_term if beta * math.log(t) < 700 else math.inf
-    fitted = t_beta_v / (kappa * shape_actual) if kappa > 0 and shape_actual > 0 \
-        else float("nan")
+    fitted = (t_beta_v / (kappa * shape_actual) if shape_actual > 0
+              else float("nan"))
     return CertificateReport(
         t=t, u=u, C0=eparams.C0, delta=eparams.delta, C1=C1, rho=rho,
         beta=beta, n_t=n_t, levels=levels, kappa=kappa,

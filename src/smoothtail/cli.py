@@ -41,8 +41,22 @@ EXIT_WINDOW = 7
 # model (de)serialization
 # ---------------------------------------------------------------------------
 
+def _reject_non_finite(value, where: str) -> None:
+    """Refuse NaN or Infinity (json reads both) anywhere in a JSON value,
+    naming the innermost key that holds it."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}")
+        return
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"{where}: need finite values, got {value!r}") from None
+
+
 def model_from_jsonable(doc: dict) -> ModelSpec:
     """Build a ModelSpec from the documented JSON schema."""
+    _reject_non_finite(doc, "model")
     try:
         dim = int(doc["dimension"])
         br = doc["branching"]
@@ -116,11 +130,29 @@ def _floats(values) -> list[float]:
 
 
 class Section(dict):
-    """One config section, named in the errors its values raise."""
+    """One config section, named in the errors its values raise, with the
+    keys a command has read from it."""
 
     def __init__(self, name: str, values: dict):
         super().__init__(values)
         self.name = name
+        self.read: set = set()
+
+    def __getitem__(self, key: str):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key: str, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def reject_unread(self) -> None:
+        """Refuse the first key no read so far has asked for: a typo, a key
+        of another command, or the second of two alternatives such as
+        beta and solution."""
+        for key in self:
+            if key not in self.read:
+                raise ConfigError(f"{self.name}.{key}: unknown key")
 
     def num(self, key: str, default=None, kind=float):
         """self[key] (default when absent) as kind; None stays None.  An
@@ -228,8 +260,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     eps, reps = sec.num("eps", 0.1), sec.num("reps", 20_000, int)
     sec.require("eps", eps > 0, "eps > 0")
     sec.require("reps", reps >= 1, "reps >= 1")
-    report = validate(cfg.spec, beta_hat=sec.num("beta_hat", 1.0), eps=eps,
-                      reps=reps, rng=rng)
+    beta_hat = sec.num("beta_hat", 1.0)
+    sec.reject_unread()
+    report = validate(cfg.spec, beta_hat=beta_hat, eps=eps, reps=reps, rng=rng)
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "validation.json", report.to_jsonable(), fp)
     return EXIT_VALIDATION if report.hard_fail() else EXIT_OK
@@ -251,6 +284,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     s_grid = sec.num("s_grid", [0.0, 0.5, 1.0], _floats)
     json_s = sec.num("json_s", s_grid, _floats)
     grid_size, mc_reps = _spectral_settings(sec, 200_000)
+    sec.reject_unread()
     grid = spectral.build_grid(cfg.spec, size=grid_size)
     # one draw set for every s: k(s) does not depend on the rest of s_grid
     assembler = spectral.OperatorAssembler(cfg.spec, grid, mc_reps,
@@ -289,10 +323,11 @@ def cmd_solve_index(cfg: RunConfig) -> int:
     tol, h = sec.num("tol", 1e-6), sec.num("h", 1e-2)
     sec.require("tol", tol > 0, "tol > 0")
     sec.require("h", h > 0, "h > 0")
+    s_max = sec.num("s_max", 8.0)
+    sec.reject_unread()
     grid = spectral.build_grid(cfg.spec, size=grid_size)
-    sol = spectral.solve_alpha_beta(
-        cfg.spec, s_max=sec.num("s_max", 8.0), tol=tol, rng=rng, grid=grid,
-        mc_reps=mc_reps, h=h)
+    sol = spectral.solve_alpha_beta(cfg.spec, s_max=s_max, tol=tol, rng=rng,
+                                    grid=grid, mc_reps=mc_reps, h=h)
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "tail_indices.json", sol.to_jsonable(), fp)
     return EXIT_OK
@@ -306,13 +341,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     replicates = sec.num("replicates", 8, int)
     drift_tol = sec.num("drift_tol", 0.02)
     x0 = np.asarray(sec.num("x0", [0.0] * cfg.spec.d, _floats))
+    write_csv = sec.get("write_csv")
+    sec.reject_unread()
     rngs = [substream(cfg.seed, "simulate", i) for i in range(replicates)]
     pool = branching.sample_fixed_point_replicated(
         cfg.spec, generations, pool_size, x0, rngs, drift_tol=drift_tol,
         fingerprint=fp, threads=cfg.threads)
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_pool(cfg.out / "pool.bin", pool, fp)
-    if sec.get("write_csv"):
+    if write_csv:
         artifacts.write_pool_csv(cfg.out / "pool.csv", pool, fp)
     rows = []
     for r, hist in enumerate(pool.history):
@@ -387,6 +424,7 @@ def cmd_tails(cfg: RunConfig) -> int:
     sec.require("ratio_max", ratio_max > 1, "ratio_max > 1")
     beta = _load_beta(cfg, sec)[0]
     u = sec.direction("u", cfg.spec.d)
+    sec.reject_unread()
     rng = substream(cfg.seed, "tails")
     report = tails.tail_report(
         pool.vectors, u, beta, rng=rng, window_quantiles=tuple(window),
@@ -402,30 +440,6 @@ def cmd_tails(cfg: RunConfig) -> int:
     artifacts.write_csv(cfg.out / "tail_report.csv",
                         ["t", "survival", "scaled", "se"], rows, fp)
     return EXIT_OK
-
-
-def _load_spectral(cfg: RunConfig, sec: Section):
-    if "spectral" not in sec:
-        return None
-    path = cfg.resolve(sec["spectral"])
-    doc = artifacts.read_json(path)
-    try:
-        points, e, nu = (np.asarray(doc[k], float)
-                         for k in ("points", "e", "nu"))
-        made = spectral.build_grid(cfg.spec, size=len(points))
-        G = len(made.points)
-        if (points.shape != (G, cfg.spec.d) or e.shape != (G,)
-                or nu.shape != (G,) or doc["grid_geometry"] != made.geometry):
-            raise ValueError(f"need a {made.geometry} grid: points "
-                             f"({G}, {cfg.spec.d}), e and nu of length {G}")
-        grid = spectral.SphereGrid(points=points, geometry=made.geometry)
-        return spectral.SpectralResult(
-            s=doc["s"], k=doc["k"], e=e, nu=nu, grid=grid,
-            residual=doc["residual"], iterations=doc["iterations"],
-            mc_reps=doc["mc_reps"], k_se=doc.get("k_se", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a spectrum artifact "
-                          f"({type(exc).__name__}: {exc})")
 
 
 def cmd_certificate(cfg: RunConfig) -> int:
@@ -446,6 +460,7 @@ def cmd_certificate(cfg: RunConfig) -> int:
         sec.require(key, n >= 1, f"{key} >= 1")
     J = sec.num("J", 8, int)
     sec.require("J", J >= 1, "J >= 1")
+    C1 = sec.num("C1", 2, int)
     if "t" in sec:
         t = sec.num("t")
     elif "t_quantile" in sec:
@@ -454,16 +469,11 @@ def cmd_certificate(cfg: RunConfig) -> int:
         t = float(np.quantile(pool.vectors @ u, q))
     else:
         raise ConfigError("certificate needs 't' or 't_quantile'")
+    sec.reject_unread()
     rng = substream(cfg.seed, "certificate")
     report = certificate.lower_bound(
-        cfg.spec, u, t, rho, beta, k_beta,
-        C1=sec.num("C1", 2, int), pool_vectors=pool.vectors, rng=rng,
-        spectral=_load_spectral(cfg, sec), C0=C0, delta=delta,
-        J=J, **reps,
-        min_recommended_nt=sec.num("min_recommended_nt",
-                                   certificate.MIN_NT_RECOMMENDED, int),
-        threads=cfg.threads,
-        force_kappa_zero=bool(sec.get("force_kappa_zero", False)))
+        cfg.spec, u, t, rho, beta, k_beta, C1=C1, pool_vectors=pool.vectors,
+        rng=rng, C0=C0, delta=delta, J=J, **reps, threads=cfg.threads)
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "certificate.json", report.to_jsonable(), fp)
     artifacts.write_csv(cfg.out / "v_estimates.csv",

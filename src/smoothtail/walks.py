@@ -134,9 +134,8 @@ class StepSampler:
 
     * s = 0: the nominal law mu itself, with zero log ratios (the nominal
       walk is the tilt-0 walk);
-    * finite support: exact enumeration of the tilted probabilities
-      (with e_s interpolated from the grid of spectral, a SpectralResult,
-      or e_s = 1 without one);
+    * finite support: exact enumeration of p_k |M_k U|^s e_s(M_k . U), e_s
+      read off spectral (a SpectralResult at s) or 1 without one;
     * lognormal families W * D: conjugate lognormal tilt of the scale W,
       the direction factor D left nominal (for a fixed D the move is
       deterministic, so |D^T U|^s e_s(D^T . U) cancels; for rotations
@@ -177,12 +176,10 @@ class StepSampler:
         y = np.einsum("kij,rj->rki", mats_T, U)            # (R,K,d)
         nrm = vec_norm(y, self.spec.norm)                  # (R,K)
         np.clip(nrm, UNDERFLOW, None, out=nrm)
+        w = probs[None, :] * nrm ** self.s                 # (R,K)
         if self.spectral is not None:
             dirs = y / nrm[:, :, None]
-            evals = self.spectral.e_interp(dirs.reshape(R * K, -1)).reshape(R, K)
-        else:
-            evals = np.ones((R, K))
-        w = probs[None, :] * nrm ** self.s * evals         # (R,K)
+            w *= self.spectral.e_interp(dirs.reshape(R * K, -1)).reshape(R, K)
         tot = w.sum(axis=1, keepdims=True)
         q = w / tot
         u = rng.random(R)

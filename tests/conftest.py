@@ -76,6 +76,20 @@ def d2_finite_pair_spec() -> ModelSpec:
         geom_class="nonnegative-C")
 
 
+def d2_finite_three_spec() -> ModelSpec:
+    # three atoms with a non-constant eigenfunction e_beta:
+    # alpha = 0.801, beta = 2.577, rho = 0.437
+    mats = np.array([[[0.15, 0.15], [0.0, 0.15]], [[0.25, 0.0], [0.25, 0.25]],
+                     [[1.2, 0.6], [0.6, 1.2]]])
+    return ModelSpec(
+        dimension=2,
+        branching=Branching(mode="fixed", n=2),
+        ensemble=FiniteSupport(matrices=mats,
+                               probs=np.array([0.45, 0.45, 0.1])),
+        q_law=QLaw(kind="deterministic", vector=[1.0, 1.0]),
+        geom_class="nonnegative-C")
+
+
 def d2_rotation_spec() -> ModelSpec:
     return ModelSpec(
         dimension=2,

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import (BETA_D1, K_BETA_D1, RHO_D1, d1_lognormal_spec,
-                      d2_lognormal_matrix_spec, random13_spec)
+                      d2_finite_three_spec, d2_lognormal_matrix_spec, k_at,
+                      random13_spec)
 from reference_oracles import (build_sparse_subtree, estimate_tail_prob,
                                expected_count_check, grow_tree, indicator_V)
-from smoothtail import certificate
+from smoothtail import certificate, walks
 from smoothtail.certificate import (ESS_FLOOR, VERDICT_Z, EventParams,
                                     SubtreeParams, _indicator_V_batch,
                                     _summarize, choose_event_params,
@@ -397,15 +398,24 @@ def test_lower_bound_consistency(d1_pool):
     assert rep.verdict in ("positive", "not positive at these parameters")
 
 
-def test_lower_bound_zero_kappa_formula(d1_pool):
-    # with kappa = 0 the bound degenerates to -sum P(W) <= 0
+def test_lower_bound_report_identities(d1_pool):
+    # the report's bound, its standard error and t^beta times the V term
+    # follow from its own ingredients
     spec = d1_lognormal_spec()
     x = d1_pool.vectors
     t = float(np.quantile(x[:, 0], 0.999))
     rep = lower_bound(spec, np.array([1.0]), t, RHO_D1, BETA_D1, K_BETA_D1,
                       C1=2, pool_vectors=x, rng=substream(20, "lb"),
                       C0=10.0, delta=0.2, reps_v=20_000, reps_w=5_000)
-    assert 0.0 * rep.v_sum - rep.w_sum <= 0.0
+    assert rep.kappa > 0 and rep.levels
+    assert rep.bound == rep.kappa * rep.v_sum - rep.w_sum
+    assert rep.bound_se == pytest.approx(math.sqrt(
+        (rep.kappa * rep.v_sum_se) ** 2 + rep.w_sum_se ** 2
+        + (rep.v_sum * rep.kappa_se) ** 2), rel=1e-12)
+    assert rep.t_beta_v_term == pytest.approx(
+        t ** BETA_D1 * rep.kappa * rep.v_sum, rel=1e-12)
+    assert rep.fitted_D1 == pytest.approx(
+        rep.t_beta_v_term / (rep.kappa * rep.shape_actual), rel=1e-12)
 
 
 def test_lower_bound_empty_level_set_is_vacuous(d1_pool):
@@ -416,7 +426,7 @@ def test_lower_bound_empty_level_set_is_vacuous(d1_pool):
     rep = lower_bound(spec, np.array([1.0]), t, RHO_D1, BETA_D1, K_BETA_D1,
                       C1=5, pool_vectors=d1_pool.vectors,
                       rng=substream(24, "lb"), C0=10.0, delta=0.2,
-                      reps_v=1_000, reps_w=1_000, min_recommended_nt=4)
+                      reps_v=1_000, reps_w=1_000)
     assert rep.n_t == 4 and rep.levels == []
     assert rep.verdict == "vacuous"
     assert rep.bound == 0.0 and math.copysign(1.0, rep.bound) == 1.0
@@ -460,8 +470,7 @@ def test_lower_bound_below_direct_union(d1_pool):
     C0, delta, C1 = 30.0, 0.1, 1
     rep = lower_bound(spec, np.array([1.0]), t, rho, beta, K_BETA_D1, C1=C1,
                       pool_vectors=d1_pool.vectors, rng=substream(21, "lb"),
-                      C0=C0, delta=delta, reps_v=200_000, reps_w=50_000,
-                      min_recommended_nt=4)
+                      C0=C0, delta=delta, reps_v=200_000, reps_w=50_000)
     assert rep.levels == [2]
     # union over W = {(1,1), (2,1)} simulated on the joint tree
     R = 2_000_000
@@ -592,6 +601,31 @@ def test_lower_bound_hands_the_verdict_its_bound_and_flags(monkeypatch, d1_pool)
     assert (bound, bound_se) == (rep.bound, rep.bound_se)
     assert n_flagged == sum(r["ess"] < ESS_FLOOR for r in
                             rep.per_level_V + rep.per_geometry_W)
+
+
+def test_lower_bound_tilts_finite_support_walks_by_e_beta(monkeypatch):
+    # the certificate works out e_beta from the model and hands it to
+    # every tilted walk, V and W alike
+    spec = d2_finite_three_spec()
+    beta, rho = 2.577, 0.437
+    seen = []
+
+    class Recording(walks.StepSampler):
+        def __init__(self, spec, s=0.0, spectral=None):
+            seen.append((s, spectral))
+            super().__init__(spec, s, spectral)
+
+    monkeypatch.setattr(walks, "StepSampler", Recording)
+    monkeypatch.setattr(certificate, "StepSampler", Recording)
+    x = 1.0 + substream(29, "pool").pareto(1.0, size=(20_000, 2))
+    rep = lower_bound(spec, np.array([1.0, 0.0]), math.exp(8 * rho), rho,
+                      beta, 0.5, C1=2, pool_vectors=x, rng=substream(30, "lb"),
+                      C0=10.0, delta=0.2, reps_v=500, reps_w=200)
+    want = k_at(spec, beta, 0, substream(31, "k")).e
+    assert rep.levels and len(seen) == len(rep.levels) + len(rep.per_geometry_W)
+    for s, res in seen:
+        assert s == beta and res.s == beta
+        assert np.array_equal(res.e, want)
 
 
 # ---------------------------------------------------------------------------

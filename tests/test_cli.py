@@ -7,12 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALPHA_D1, BETA_D1, RHO_D1
+from conftest import ALPHA_D1, BETA_D1, RHO_D1, d2_finite_three_spec
 from reference_oracles import model_to_jsonable
 from smoothtail import artifacts
 from smoothtail.branching import FixedPointPool
-from smoothtail.cli import (Section, _load_spectral, load_config, main,
-                            model_from_jsonable)
+from smoothtail.cli import Section, main, model_from_jsonable
 from smoothtail.errors import ConfigError
 
 D1_MODEL = {
@@ -91,38 +90,14 @@ def test_truncated_pool_exit_2(tmp_path, capsys):
 
 
 SOLUTION = {"beta": BETA_D1, "rho": RHO_D1, "k_beta": 0.5}
-# a well-formed spectral file for D1_MODEL, whose grid is one point
-SPECTRAL = {"s": BETA_D1, "k": 0.5, "residual": 0.0, "iterations": 1,
-            "mc_reps": 1, "grid_geometry": "halfline", "points": [[1.0]],
-            "e": [1.0], "nu": [1.0]}
 
 
 @pytest.mark.parametrize("command, files, section, named", [
     ("tails", {}, {"solution": "sol.json"}, "sol.json"),
     ("certificate", {}, {"solution": "sol.json"}, "sol.json"),
-    ("certificate", {"sol.json": SOLUTION},
-     {"solution": "sol.json", "spectral": "spec.json"}, "spec.json"),
     ("tails", {"sol.json": "{ not json"}, {"solution": "sol.json"}, "sol.json"),
     ("certificate", {"sol.json": {"beta": BETA_D1}}, {"solution": "sol.json"},
      "certificate needs rho and k_beta"),
-    ("certificate", {"sol.json": SOLUTION, "spec.json": {"s": BETA_D1}},
-     {"solution": "sol.json", "spectral": "spec.json"}, "spec.json"),
-    ("certificate", {"sol.json": SOLUTION,
-                     "spec.json": dict(SPECTRAL, e=[])},
-     {"solution": "sol.json", "spectral": "spec.json"},
-     "need a halfline grid: points (1, 1), e and nu of length 1"),
-    ("certificate", {"sol.json": SOLUTION,
-                     "spec.json": dict(SPECTRAL, nu=[1.0, 1.0])},
-     {"solution": "sol.json", "spectral": "spec.json"},
-     "need a halfline grid"),
-    ("certificate", {"sol.json": SOLUTION,
-                     "spec.json": dict(SPECTRAL, points=[[1.0, 0.0]])},
-     {"solution": "sol.json", "spectral": "spec.json"},
-     "need a halfline grid"),
-    ("certificate", {"sol.json": SOLUTION,
-                     "spec.json": dict(SPECTRAL, grid_geometry="circle")},
-     {"solution": "sol.json", "spectral": "spec.json"},
-     "need a halfline grid"),
     ("tails", {}, {"beta": 3.0, "pool": "pool_d2.bin"},
      "pool dimension 2, the model dimension is 1"),
     ("certificate", {"sol.json": SOLUTION},
@@ -135,10 +110,7 @@ SPECTRAL = {"s": BETA_D1, "k": 0.5, "residual": 0.0, "iterations": 1,
     ("certificate", {"sol.json": dict(SOLUTION, k_beta=-0.5)},
      {"solution": "sol.json"}, "sol.json: k_beta: need k_beta > 0, got -0.5"),
 ], ids=["tails-missing-solution", "certificate-missing-solution",
-        "certificate-missing-spectral", "solution-bad-json",
-        "solution-without-rho", "spectral-without-points",
-        "spectral-short-e", "spectral-long-nu", "spectral-points-of-d2",
-        "spectral-wrong-geometry", "tails-pool-of-d2",
+        "solution-bad-json", "solution-without-rho", "tails-pool-of-d2",
         "certificate-pool-of-d2", "tails-solution-negative-beta",
         "certificate-solution-zero-beta",
         "certificate-solution-negative-k_beta"])
@@ -153,7 +125,9 @@ def test_bad_artifact_file_exit_2(tmp_path, capsys, command, files, section,
     for name, doc in files.items():
         text = doc if isinstance(doc, str) else json.dumps(doc)
         (tmp_path / name).write_text(text)
-    sec = {"pool": "pool.bin", "t": 10.0, **section}
+    sec = {"pool": "pool.bin", **section}
+    if command == "certificate":
+        sec["t"] = 10.0
     cfg = {"model": D1_MODEL, "seed": 1, command: sec}
     assert _run(tmp_path, command, cfg) == 2
     assert named in capsys.readouterr().err
@@ -379,6 +353,16 @@ RANGE_BASE = {
 }
 
 
+# the model each "model." row edits, where D1_MODEL lacks the key
+RANGE_MODEL = {
+    "model.ensemble.matrix": dict(D1_MODEL, ensemble={
+        "family": "lognormal_fixed_matrix", "mu": -1.0, "sigma2": 0.5,
+        "matrix": [[1.0]]}),
+    "model.ensemble.probs": dict(D1_MODEL, ensemble={
+        "family": "finite_support", "matrices": [[[0.5]]], "probs": [1.0]}),
+}
+
+
 @pytest.mark.parametrize("command, key, value, need", [
     ("validate", "reps", 0, "reps >= 1"),
     ("validate", "reps", -3, "reps >= 1"),
@@ -417,6 +401,12 @@ RANGE_BASE = {
     ("certificate", "t", math.nan, "finite values"),
     ("certificate", "t", math.inf, "finite values"),
     ("certificate", "C0", math.nan, "finite values"),
+    # a "model." key is a path into the model document
+    ("spectrum", "model.ensemble.mu", math.nan, "finite values"),
+    ("validate", "model.ensemble.sigma2", math.inf, "finite values"),
+    ("validate", "model.ensemble.matrix", [[math.nan]], "finite values"),
+    ("spectrum", "model.q_law.vector", [math.nan], "finite values"),
+    ("spectrum", "model.ensemble.probs", [math.nan], "finite values"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, command, key, value,
                                    need):
@@ -424,11 +414,19 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, command, key, value,
                           generation=1, converged=True)
     artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
     sec = command.replace("-", "_")
-    cfg = {"model": D1_MODEL, "seed": 1, sec: dict(RANGE_BASE[sec])}
-    cfg[sec][key] = value
+    cfg = {"model": json.loads(json.dumps(RANGE_MODEL.get(key, D1_MODEL))),
+           "seed": 1, sec: dict(RANGE_BASE[sec])}
+    if key == "t":
+        del cfg[sec]["t_quantile"]      # the certificate reads one of the two
+    where = key if key.startswith("model.") else f"{sec}.{key}"
+    *path, last = where.split(".")
+    target = cfg
+    for part in path:
+        target = target[part]
+    target[last] = value
     assert _run(tmp_path, command, cfg) == 2
     err = capsys.readouterr().err
-    assert f"{sec}.{key}: need {need}, got {value!r}" in err
+    assert f"{where}: need {need}, got {value!r}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -598,57 +596,55 @@ def test_certificate_pipeline(pipeline):
     assert v_lines[1].startswith("level,")
 
 
-def test_certificate_kappa_zero(pipeline):
-    cfg = {
-        "model": D1_MODEL, "seed": 11,
-        "certificate": {"pool": "out/pool.bin",
-                        "solution": "out/tail_indices.json",
-                        "t_quantile": 0.999, "C1": 2, "C0": 10.0,
-                        "delta": 0.2, "reps_v": 10_000, "reps_w": 2_000,
-                        "force_kappa_zero": True},
-    }
-    cfg_path = pipeline / "cfg_cert0.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["certificate", "--config", str(cfg_path),
-                 "--out", str(pipeline / "outk0")]) == 0
-    text = (pipeline / "outk0/certificate.json").read_text()
-
-    def reject(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    doc = json.loads(text, parse_constant=reject)
-    # with kappa zero fitted_D1 is 0/0: null, not NaN
-    assert doc["fitted_D1"] is None
-    assert doc["bound"] <= 0
-    assert doc["verdict"] == "not positive at these parameters"
-    # every kappa-dependent field follows the forced kappa, not the cones'
-    assert doc["kappa"] == 0.0 and doc["kappa_se"] == 0.0
-    assert doc["bound"] == -doc["w_sum"]
-    assert doc["bound_se"] == doc["w_sum_se"]
-    assert doc["t_beta_v_term"] == 0.0
-    assert "kappa forced to zero" in doc["flags"]
-    assert sum(f.startswith("not positive: ") for f in doc["flags"]) == 1
-
-
-def test_certificate_kappa_zero_keeps_vacuous(pipeline):
+def test_certificate_vacuous_report_is_strict_json(pipeline):
     # no multiple of C1 = 9 lies in the level window at this t, so L_t is
-    # empty; forcing kappa to zero must not turn "vacuous" into a finding
+    # empty: the verdict is "vacuous", and fitted_D1 (0/0) is written null
     cfg = {
         "model": D1_MODEL, "seed": 11,
         "certificate": {"pool": "out/pool.bin",
                         "solution": "out/tail_indices.json",
                         "t_quantile": 0.999, "C1": 9, "C0": 10.0,
-                        "delta": 0.2, "reps_v": 1_000, "reps_w": 1_000,
-                        "force_kappa_zero": True},
+                        "delta": 0.2, "reps_v": 1_000, "reps_w": 1_000},
     }
     cfg_path = pipeline / "cfg_cert_vacuous.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["certificate", "--config", str(cfg_path),
-                 "--out", str(pipeline / "outk0v")]) == 0
-    doc = json.loads((pipeline / "outk0v/certificate.json").read_text())
+                 "--out", str(pipeline / "outv")]) == 0
+    text = (pipeline / "outv/certificate.json").read_text()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(text, parse_constant=reject)
     assert doc["levels"] == [] and doc["verdict"] == "vacuous"
+    assert doc["fitted_D1"] is None and doc["kappa"] > 0
     # +0.0, as lower_bound wrote it, not -0.0
     assert math.copysign(1.0, doc["bound"]) == 1.0 and doc["bound"] == 0.0
+
+
+@pytest.mark.parametrize("command, extra, refused", [
+    ("certificate", {"spectral": "spectral_s0.json"}, "spectral"),
+    ("certificate", {"force_kappa_zero": True}, "force_kappa_zero"),
+    ("certificate", {"min_recommended_nt": 4}, "min_recommended_nt"),
+    ("spectrum", {"mc_repz": 1000}, "mc_repz"),
+    ("simulate", {"beta": 3.0}, "beta"),
+    ("tails", {"t": 10.0}, "t"),
+    ("tails", {"solution": "sol.json"}, "solution"),        # beta is read
+    ("certificate", {"t": 10.0}, "t_quantile"),             # t is read
+], ids=["spectral", "force_kappa_zero", "min_recommended_nt", "typo",
+        "key-of-tails", "key-of-certificate", "beta-and-solution",
+        "t-and-t_quantile"])
+def test_unread_key_exit_2(tmp_path, capsys, command, extra, refused):
+    pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
+                          generation=1, converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    _write(tmp_path, "sol.json", SOLUTION)
+    sec = command.replace("-", "_")
+    cfg = {"model": D1_MODEL, "seed": 1, sec: dict(RANGE_BASE[sec], **extra)}
+    assert _run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert f"{sec}.{refused}: unknown key" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -719,28 +715,50 @@ def test_tails_exponential_pool_not_supported(tmp_path):
     assert doc["verdict"] == "positivity not supported at this window"
 
 
-def test_certificate_loads_spectral_artifact(pipeline):
-    # spectrum at beta feeds its eigenfunction into the certificate proposals
-    sol = json.loads((pipeline / "out/tail_indices.json").read_text())
-    cfg_s = {"model": D1_MODEL, "seed": 11,
-             "spectrum": {"s_grid": [sol["beta"]], "mc_reps": 100_000}}
-    cfg_path = pipeline / "cfg_spec_beta.json"
-    cfg_path.write_text(json.dumps(cfg_s))
-    assert main(["spectrum", "--config", str(cfg_path),
-                 "--out", str(pipeline / "outb")]) == 0
-    cfg_c = {"model": D1_MODEL, "seed": 11,
-             "certificate": {"pool": "out/pool.bin",
-                             "solution": "out/tail_indices.json",
-                             "spectral": "outb/spectral_s0.json",
-                             "t_quantile": 0.999, "C1": 2, "C0": 10.0,
-                             "delta": 0.2, "reps_v": 20_000,
-                             "reps_w": 4_000}}
-    cfg_path2 = pipeline / "cfg_cert_spec.json"
-    cfg_path2.write_text(json.dumps(cfg_c))
-    assert main(["certificate", "--config", str(cfg_path2),
-                 "--out", str(pipeline / "outc")]) == 0
-    doc = json.loads((pipeline / "outc/certificate.json").read_text())
-    assert doc["verdict"] in ("positive", "not positive at these parameters")
+def test_certificate_finite_support_determinism_across_workers(tmp_path):
+    # the certificate works out e_beta from the model; the walks tilted by
+    # it give the same bytes at any worker count
+    cfg = {
+        "model": model_to_jsonable(d2_finite_three_spec()), "seed": 6,
+        "simulate": {"pool_size": 20_000, "generations": 25,
+                     "replicates": 2, "x0": [1.0, 1.0]},
+        "certificate": {"pool": "out/pool.bin", "beta": 2.577, "rho": 0.437,
+                        "k_beta": 0.5, "t": math.exp(8 * 0.437), "C1": 2,
+                        "C0": 10.0, "delta": 0.2, "reps_v": 4_000,
+                        "reps_w": 1_000},
+    }
+    assert _run(tmp_path, "simulate", cfg) == 0
+    blobs = {}
+    for threads in (1, 2):
+        out = f"cert_w{threads}"
+        assert _run(tmp_path, "certificate", cfg, out=out,
+                    threads=threads) == 0
+        blobs[threads] = [(tmp_path / out / n).read_bytes()
+                          for n in ("certificate.json", "v_estimates.csv",
+                                    "w_estimates.csv")]
+    assert blobs[1] == blobs[2]
+    doc = json.loads(blobs[1][0])
+    assert doc["levels"] == [6] and all(r["hits"] > 0 for r in doc["per_level_V"])
+
+
+@pytest.mark.parametrize("command", ["spectrum", "certificate"])
+def test_atoms_that_break_the_grid_operator_exit_4(tmp_path, capsys, command):
+    # a zero atom annihilates the whole grid: no operator, so no e_beta
+    model = {"dimension": 2, "branching": {"mode": "fixed", "n": 2},
+             "ensemble": {"family": "finite_support",
+                          "matrices": [[[0.0, 0.0], [0.0, 0.0]],
+                                       [[2.0, 1.0], [1.0, 2.0]]],
+                          "probs": [0.5, 0.5]},
+             "q_law": {"kind": "deterministic", "vector": [1.0, 1.0]},
+             "class": "nonnegative-C"}
+    pool = FixedPointPool(vectors=np.ones((100, 2)), generation=1,
+                          converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    cfg = {"model": model, "seed": 1, "spectrum": {"s_grid": [1.0]},
+           "certificate": {"pool": "pool.bin", "beta": 1.5, "rho": 0.5,
+                           "k_beta": 0.5, "t": 100.0}}
+    assert _run(tmp_path, command, cfg) == 4
+    assert "annihilates part of the sphere grid" in capsys.readouterr().err
 
 
 def test_every_artifact_carries_fingerprint_and_version(tmp_path):
@@ -843,20 +861,6 @@ def test_d2_model_through_cli(tmp_path):
     sol = json.loads((tmp_path / "out/tail_indices.json").read_text())
     assert sol["alpha"] == pytest.approx(ALPHA_D1, abs=0.01)
     assert sol["beta"] == pytest.approx(BETA_D1, abs=0.02)
-
-
-def test_certificate_reads_d2_spectrum_output(tmp_path):
-    # the spectral-file checks accept what spectrum writes on a d = 2 grid
-    cfg = {"model": D2_MODEL, "seed": 5,
-           "spectrum": {"s_grid": [1.0], "mc_reps": 2000, "grid_size": 16},
-           "certificate": {"spectral": "out/spectral_s0.json"}}
-    assert _run(tmp_path, "spectrum", cfg) == 0
-    run = load_config(str(tmp_path / "cfg_spectrum.json"))
-    res = _load_spectral(run, run.section("certificate"))
-    doc = json.loads((tmp_path / "out/spectral_s0.json").read_text())
-    assert res.grid.geometry == "quarter_circle"
-    assert res.grid.points.shape == (16, 2)
-    assert res.e.tolist() == doc["e"] and res.nu.tolist() == doc["nu"]
 
 
 # ---------------------------------------------------------------------------

@@ -102,11 +102,10 @@ def test_d2_certificate_consistency(d2_pool, d2_solution):
     x = d2_pool.vectors
     proj = x @ u
     t = float(np.quantile(proj, 0.999))
-    res_beta = k_at(spec, d2_solution.beta, 100_000, substream(9005, "kb"))
     rep = cert.lower_bound(spec, u, t, d2_solution.rho, d2_solution.beta,
                            d2_solution.k_beta, C1=2, pool_vectors=x,
-                           rng=substream(9006, "lb"), spectral=res_beta,
-                           C0=10.0, delta=0.2, reps_v=40_000, reps_w=6_000)
+                           rng=substream(9006, "lb"), C0=10.0, delta=0.2,
+                           reps_v=40_000, reps_w=6_000)
     emp = float((proj > t).mean())
     emp_se = math.sqrt(emp * (1 - emp) / len(proj))
     assert rep.bound <= emp + 3 * emp_se

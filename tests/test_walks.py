@@ -7,7 +7,8 @@ import pytest
 from scipy import stats
 
 from conftest import (BETA_D1, d1_lognormal_spec, d2_finite_pair_spec,
-                      d2_lognormal_matrix_spec, d2_rotation_spec, k_at)
+                      d2_finite_three_spec, d2_lognormal_matrix_spec,
+                      d2_rotation_spec, k_at, rng_state)
 from reference_oracles import RecordedRatios, k_by_products
 from smoothtail.errors import SingularActionError
 from smoothtail.rng import substream
@@ -276,6 +277,33 @@ def test_tilted_finite_support_exact_ratios():
     est = (w * first).sum() / len(w)
     se = (w * first).std(ddof=1) / math.sqrt(len(w))
     assert abs(est - 0.5) < 4 * se
+
+
+def test_tilted_finite_support_picks_by_the_h_transform_kernel():
+    # at one direction U the sampler picks atom k with probability
+    # proportional to p_k |M_k U|^beta e_beta(M_k . U), M_k = A_k^T
+    spec = d2_finite_three_spec()
+    beta = 2.577
+    rng = substream(43, "e")
+    before = rng_state(rng)
+    res = k_at(spec, beta, 0, rng)          # exact: the atoms draw nothing
+    assert rng_state(rng) == before
+    assert np.ptp(res.e) > 0.1 * res.e.max()
+    U = np.array([0.3, 0.7])
+    mats, probs = spec.ensemble.atoms()
+    kernel = []
+    for A, p in zip(mats, probs):
+        y = A.T @ U
+        size = abs(y).sum()
+        kernel.append(p * size ** beta * res.e_interp(y[None] / size)[0])
+    kernel = np.array(kernel) / sum(kernel)
+    _, picked, log_ratio = walks.StepSampler(spec, beta, res).tilted(
+        substream(44, "pick"), np.tile(U, (400, 1)))
+    k = np.array([next(j for j, A in enumerate(mats) if (A.T == M).all())
+                  for M in picked])
+    assert len(set(k)) == 3
+    np.testing.assert_allclose(probs[k] * np.exp(-log_ratio), kernel[k],
+                               rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
