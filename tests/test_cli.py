@@ -596,9 +596,45 @@ def test_certificate_pipeline(pipeline):
     assert v_lines[1].startswith("level,")
 
 
-def test_certificate_vacuous_report_is_strict_json(pipeline):
+def test_certificate_kappa_zero(pipeline):
+    # kappa is the smallest mass over the cones that hold any, so it is
+    # never zero: every kappa-dependent field of the report follows the
+    # cones' kappa, and a config that still asks to force it exits 2
+    cert = {"pool": "out/pool.bin", "solution": "out/tail_indices.json",
+            "t_quantile": 0.999, "C1": 2, "C0": 10.0, "delta": 0.2,
+            "reps_v": 10_000, "reps_w": 2_000}
+    cfg_path = pipeline / "cfg_cert0.json"
+    cfg_path.write_text(json.dumps({"model": D1_MODEL, "seed": 11,
+                                    "certificate": cert}))
+    assert main(["certificate", "--config", str(cfg_path),
+                 "--out", str(pipeline / "outk0")]) == 0
+    text = (pipeline / "outk0/certificate.json").read_text()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(text, parse_constant=reject)
+    sol = json.loads((pipeline / "out/tail_indices.json").read_text())
+    assert doc["kappa"] > 0 and doc["levels"]
+    assert doc["bound"] == doc["kappa"] * doc["v_sum"] - doc["w_sum"]
+    assert doc["bound_se"] == pytest.approx(math.sqrt(
+        (doc["kappa"] * doc["v_sum_se"]) ** 2 + doc["w_sum_se"] ** 2
+        + (doc["v_sum"] * doc["kappa_se"]) ** 2), rel=1e-12)
+    assert doc["t_beta_v_term"] == pytest.approx(
+        doc["t"] ** sol["beta"] * doc["kappa"] * doc["v_sum"], rel=1e-12)
+    assert math.isfinite(doc["fitted_D1"])
+    cfg_path.write_text(json.dumps({
+        "model": D1_MODEL, "seed": 11,
+        "certificate": dict(cert, force_kappa_zero=True)}))
+    assert main(["certificate", "--config", str(cfg_path),
+                 "--out", str(pipeline / "outk0_forced")]) == 2
+    assert not (pipeline / "outk0_forced").exists()
+
+
+def test_certificate_kappa_zero_keeps_vacuous(pipeline):
     # no multiple of C1 = 9 lies in the level window at this t, so L_t is
-    # empty: the verdict is "vacuous", and fitted_D1 (0/0) is written null
+    # empty: the verdict stays "vacuous" with the cones' kappa > 0, and
+    # fitted_D1 (0/0) is written null, not NaN
     cfg = {
         "model": D1_MODEL, "seed": 11,
         "certificate": {"pool": "out/pool.bin",
