@@ -256,6 +256,25 @@ def _angles_to(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return np.arccos(cosangle)          # (n_dirs, J)
 
 
+def _cap_geometry(spec: ModelSpec, J: int):
+    """The cap centers and eps_for(retained): the inner-product constant of
+    a retained set of caps (None where they cannot cover the test
+    directions) with the set's coverage radius phi."""
+    centers = _cap_centers(spec, J)
+    test_angles = _angles_to(centers, _test_directions(spec))
+    r_assign = float(test_angles.min(axis=1).max())
+    norm_factor = float(spec.d) if spec.norm == "l1" else 1.0
+
+    def eps_for(retained_mask):
+        phi = float(test_angles[:, retained_mask].min(axis=1).max())
+        ang = r_assign + phi
+        if ang >= math.pi / 2 - 1e-9:
+            return None, phi
+        return math.cos(ang) / norm_factor, phi
+
+    return centers, eps_for
+
+
 def cone_family(pool_vectors: np.ndarray, J: int, eparams: EventParams,
                 spec: ModelSpec) -> ConeFamily:
     """Directional caps with per-cap exceedance mass and the floor kappa.
@@ -271,7 +290,7 @@ def cone_family(pool_vectors: np.ndarray, J: int, eparams: EventParams,
     n, d = pool_vectors.shape
     if d != spec.d:
         raise SpecError("pool dimension mismatch")
-    centers = _cap_centers(spec, J)
+    centers, eps_for = _cap_geometry(spec, J)
     Jfull = len(centers)
     norms_model = vec_norm(pool_vectors, spec.norm)
     ok = np.empty(n, dtype=bool)
@@ -286,18 +305,6 @@ def cone_family(pool_vectors: np.ndarray, J: int, eparams: EventParams,
         assign_b = np.argmax(dirs @ centers.T, axis=1,
                              out=assign[a:a + BLOCK_ROWS])
         assign_b[~ok_b] = -1
-    test_dirs = _test_directions(spec)
-    test_angles = _angles_to(centers, test_dirs)
-    r_assign = float(test_angles.min(axis=1).max())
-    norm_factor = float(d) if spec.norm == "l1" else 1.0
-
-    def eps_for(retained_mask):
-        phi = float(test_angles[:, retained_mask].min(axis=1).max())
-        ang = r_assign + phi
-        if ang >= math.pi / 2 - 1e-9:
-            return None, phi
-        return math.cos(ang) / norm_factor, phi
-
     retained = np.ones(Jfull, dtype=bool)
     eps, phi = eps_for(retained)
     if eps is None:
@@ -358,9 +365,12 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
                         rng: np.random.Generator,
                         pool_vectors: np.ndarray, beta: float,
                         spectral=None, u: Optional[np.ndarray] = None,
-                        reps: int = 20_000) -> EventParams:
+                        reps: int = 20_000, J: int = 8) -> EventParams:
     """Grid search for (C0, delta) maximizing P(V) stability over the window.
 
+    A cell whose cone threshold D / eps lies at or beyond the largest pool
+    norm is skipped: the J-cap cone family would find no mass beyond it
+    (eps of the full cap set is the largest any retained set reaches).
     Score: all window levels must have hits; among those, minimize the range
     of log P(V_n) - n log k(beta) (the rate-shape residual), tie-breaking
     toward larger mean mass.  The window depends on t and rho alone, so
@@ -371,6 +381,16 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
     """
     cells = [EventParams(t=t, C0=C0, delta=delta, rho=rho)
              for C0 in SEARCH_C0 for delta in SEARCH_DELTA]
+    centers, eps_for = _cap_geometry(spec, J)
+    eps, _ = eps_for(np.ones(len(centers), dtype=bool))
+    if eps is not None:
+        reach = float(vec_norm(pool_vectors, spec.norm).max())
+        cells = [c for c in cells if c.D / eps < reach]
+        if not cells:
+            raise SpecError(
+                f"no (C0, delta) cell at t = {t:.6g} has pool mass beyond its "
+                f"cone threshold D/eps (largest pool norm {reach:.6g}); "
+                "lower t or enlarge the pool")
     levels = cells[0].window_levels()
     draws = [_draw_V(spec, n, reps, rng, beta, spectral, pool_vectors, u)
              for n in levels]
@@ -427,9 +447,6 @@ class CertificateReport:
 
     def to_jsonable(self) -> dict:
         out = asdict(self)
-        for k in ("t_beta_v_term", "fitted_D1"):
-            if not math.isfinite(out[k]):
-                out[k] = None     # empty L_t, or t^beta overflow
         out["u"] = self.u.tolist()
         return out
 
@@ -480,7 +497,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     if C0 is None or delta is None:
         eparams = choose_event_params(spec, t, rho, k_beta, rng, pool_vectors,
                                       beta, spectral=spectral, u=u,
-                                      reps=reps_search)
+                                      reps=reps_search, J=J)
     else:
         eparams = EventParams(t=t, C0=C0, delta=delta, rho=rho)
     if eparams.n_t < MIN_NT_HARD:

@@ -387,31 +387,59 @@ def check_class(spec: ModelSpec, mats: np.ndarray) -> None:
 # geometric condition checks
 # ---------------------------------------------------------------------------
 
-def check_allowable(m: np.ndarray) -> bool:
-    """No zero row or column; entries below ZERO_TOL count as zero."""
-    m = np.atleast_2d(np.abs(np.asarray(m, dtype=float)))
-    nz = m > ZERO_TOL
-    return bool(nz.any(axis=1).all() and nz.any(axis=0).all())
+def check_allowable(mats: np.ndarray) -> bool:
+    """No zero row or column in a matrix, or in any matrix of a (..., d, d)
+    stack; entries below ZERO_TOL count as zero."""
+    nz = np.abs(np.atleast_2d(np.asarray(mats, dtype=float))) > ZERO_TOL
+    return bool(nz.any(axis=-1).all() and nz.any(axis=-2).all())
 
 
-def check_proximal(m: np.ndarray) -> bool:
-    """Dominant eigenvalue real, algebraically simple, gap >= PROXIMAL_TOL."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape == (1, 1):
-        return m[0, 0] != 0.0
+def check_proximal(eig: np.ndarray):
+    """Dominant eigenvalue real, algebraically simple, gap >= PROXIMAL_TOL,
+    read off one matrix's eigenvalues along the last axis (a stack's give
+    one verdict per matrix).  For d = 1 the test is eig != 0."""
+    eig = np.asarray(eig)
+    if eig.shape[-1] == 1:
+        return eig[..., 0] != 0.0
+    mods = np.abs(eig)
+    top = np.argmax(mods, axis=-1)[..., None]
+    lam = np.take_along_axis(eig, top, axis=-1)[..., 0]
+    ranked = np.sort(mods, axis=-1)
+    first, second = ranked[..., -1], ranked[..., -2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gap = (first - second) / first
+    return ((first != 0.0) & (np.abs(lam.imag) <= PROXIMAL_TOL * first)
+            & (gap >= PROXIMAL_TOL))
+
+
+def _eigvals(m: np.ndarray) -> np.ndarray:
     try:
-        eig = np.linalg.eigvals(m)
+        return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise EigenDiagnosticError(f"eigenvalue solver failed: {exc}") from exc
-    mods = np.abs(eig)
-    order = np.argsort(mods)[::-1]
-    lam = eig[order[0]]
-    if mods[order[0]] == 0.0:
-        return False
-    if abs(lam.imag) > PROXIMAL_TOL * mods[order[0]]:
-        return False
-    gap = (mods[order[0]] - mods[order[1]]) / mods[order[0]]
-    return bool(gap >= PROXIMAL_TOL)
+
+
+def first_proximal(mats: np.ndarray) -> Optional[int]:
+    """Index of the first proximal matrix of an (n, d, d) stack, or None.
+
+    The eigenvalues come from one batched call.  If the solver fails on the
+    stack, each matrix is tried alone and one it fails on is skipped.
+    """
+    if mats.shape[-1] == 1:
+        eigs = mats[:, 0]                # a 1 x 1 matrix is its eigenvalue
+    else:
+        try:
+            eigs = _eigvals(mats)
+        except EigenDiagnosticError:
+            for i, m in enumerate(mats):
+                try:
+                    if check_proximal(_eigvals(m)):
+                        return i
+                except EigenDiagnosticError:
+                    continue
+            return None
+    hits = np.flatnonzero(check_proximal(eigs))
+    return int(hits[0]) if len(hits) else None
 
 
 def perron_data(m: np.ndarray):
@@ -536,11 +564,7 @@ class ValidationReport:
         return any(c.verdict == "fail" for c in self.conditions.values())
 
     def to_jsonable(self) -> dict:
-        out = asdict(self)
-        for k in ("positive_product_witness", "proximality_witness"):
-            if out[k] is not None:
-                out[k] = np.asarray(out[k]).tolist()
-        return out
+        return asdict(self)
 
 
 def _support_matrices(spec: ModelSpec, rng: np.random.Generator, reps: int) -> np.ndarray:
@@ -577,6 +601,24 @@ def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> fl
     return float(visited.mean())
 
 
+def _scaled_norms_and_iotas(spec: ModelSpec, rng: np.random.Generator,
+                            n: int) -> tuple[np.ndarray, np.ndarray]:
+    """||A*|| and iota(A*) of n draws A = W D, as W ||D*|| and W iota(D*).
+
+    The generator is used as draw uses it.  A direction factor that
+    preserves the model norm has both equal to 1 and is not decomposed; a
+    fixed D is decomposed once, a D drawn per sample per draw.
+    """
+    from .walks import norms_and_iotas
+
+    log_w, dirs = spec.ensemble.factors(rng, n)
+    w = np.exp(log_w)
+    if spec.ensemble.preserves_norm(spec.norm):
+        return w, w
+    opn, io = norms_and_iotas(np.swapaxes(dirs, -1, -2), spec.norm)
+    return w * opn, w * io
+
+
 def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
              rng: np.random.Generator) -> ValidationReport:
     """Run every class-applicable condition check and estimate the moment bounds.
@@ -588,7 +630,7 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
     """
     if beta_hat <= 0:
         raise SpecError("validate requires beta_hat > 0")
-    from .walks import norms_and_iotas, vec_norm
+    from .walks import vec_norm
 
     conditions: dict[str, ConditionVerdict] = {}
     notes: list[str] = []
@@ -599,9 +641,8 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
 
     if spec.geom_class == CLASS_NONNEG:
         mats = _support_matrices(spec, rng, min(reps, 256))
-        allow_ok = all(check_allowable(m) for m in mats)
         conditions["allowable"] = ConditionVerdict(
-            "pass" if allow_ok else "fail",
+            "pass" if check_allowable(mats) else "fail",
             {"checked": int(len(mats))})
         found = find_positive_product(spec, budget=max(reps, 256), rng=rng)
         if found is not None:
@@ -619,25 +660,19 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
         mats = _support_matrices(spec, rng, min(reps, 256))
         inv_ok = spec.ensemble.support_invertible()
         conditions["invertible"] = ConditionVerdict("pass" if inv_ok else "fail")
-        for m in mats:
-            try:
-                if check_proximal(m):
-                    prox_witness = m
-                    break
-            except EigenDiagnosticError:
-                continue
-        if prox_witness is None:
+        i = first_proximal(mats)
+        if i is not None:
+            prox_witness = mats[i]
+        else:
             # products may be proximal even if single draws are not
-            prod = np.eye(spec.d)
+            prods, prod = [], np.eye(spec.d)
             for m in mats[:64]:
                 prod = m @ prod
                 prod = prod / max(np.abs(prod).max(), 1e-300)
-                try:
-                    if check_proximal(prod):
-                        prox_witness = prod
-                        break
-                except EigenDiagnosticError:
-                    continue
+                prods.append(prod)
+            i = first_proximal(np.array(prods))
+            if i is not None:
+                prox_witness = prods[i]
         conditions["proximal"] = ConditionVerdict(
             "pass" if prox_witness is not None else "inconclusive",
             {"witness_found": prox_witness is not None})
@@ -659,17 +694,19 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
     s = beta_hat + eps
     q = spec.q_law.draw(rng, max(reps, 2), spec.d)
     qs = vec_norm(q, spec.norm) ** s
-    mats_T = np.swapaxes(spec.ensemble.draw(rng, max(reps, 2)), -1, -2)
-    opn, io = norms_and_iotas(mats_T, spec.norm)
+    opn, io = _scaled_norms_and_iotas(spec, rng, max(reps, 2))
     with np.errstate(divide="ignore"):
         vals = opn ** s * io ** (-eps)
     vals[io <= 0] = np.inf          # non-allowable draw: the moment diverges
+    moment = float(vals.mean())
+    moment_se = (float(vals.std(ddof=1) / math.sqrt(len(vals)))
+                 if math.isfinite(moment) else math.nan)
     moment_estimates = {
         "s": s, "eps": eps,
         "E|Q|^s": float(qs.mean()),
         "E|Q|^s_se": float(qs.std(ddof=1) / math.sqrt(len(qs))),
-        "E||A*||^s iota^-eps": float(vals.mean()),
-        "E||A*||^s iota^-eps_se": float(vals.std(ddof=1) / math.sqrt(len(vals))),
+        "E||A*||^s iota^-eps": moment,
+        "E||A*||^s iota^-eps_se": moment_se,
     }
     return ValidationReport(conditions, pos_witness, pos_len, prox_witness,
                             na_pairs, moment_estimates, notes)

@@ -2,8 +2,9 @@
 y buffer and a full mat-vec (matvec_sum, the unrolled kernel the package
 used before walks.apply_batch), the pool statistics through np.quantile, the
 orbit coverage binned one step at a time, the grid operator assembled
-from cached direction rows at every tilt, and k(s) by one power iteration
-per group operator.
+from cached direction rows at every tilt, k(s) by one power iteration
+per group operator, the proximality search with one eigenvalue call per
+matrix, and the moment draws' norms taken of the multiplied-out W D.
 
 The engines in src/ must replay the first three bit for bit from the same
 generator state; test_branching.py and test_model.py compare the outputs
@@ -25,7 +26,7 @@ from smoothtail.errors import AssemblyError, SpecError
 from smoothtail.model import ModelSpec, check_class
 from smoothtail.spectral import (SpectralResult, SphereGrid, build_grid,
                                  power_iteration)
-from smoothtail.walks import UNDERFLOW, act, vec_norm
+from smoothtail.walks import UNDERFLOW, act, norms_and_iotas, vec_norm
 
 
 def matvec_sum(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -230,3 +231,40 @@ def k_grid(spec: ModelSpec, s: float, grid: Optional[SphereGrid] = None,
     return SpectralResult(s=s, k=k, e=e, nu=nu, grid=assembler.grid,
                           residual=residual, iterations=iters,
                           mc_reps=assembler.mc_reps, k_se=k_se)
+
+
+def proximal_matrix(m: np.ndarray) -> bool:
+    """Dominant eigenvalue real, simple, gap >= PROXIMAL_TOL, from one
+    eigenvalue call on the matrix; a 1 x 1 matrix is proximal iff nonzero."""
+    from smoothtail.model import PROXIMAL_TOL
+    if m.shape == (1, 1):
+        return m[0, 0] != 0.0
+    eig = np.linalg.eigvals(m)
+    mods = np.abs(eig)
+    order = np.argsort(mods)[::-1]
+    lam = eig[order[0]]
+    if mods[order[0]] == 0.0:
+        return False
+    if abs(lam.imag) > PROXIMAL_TOL * mods[order[0]]:
+        return False
+    gap = (mods[order[0]] - mods[order[1]]) / mods[order[0]]
+    return bool(gap >= PROXIMAL_TOL)
+
+
+def first_proximal(mats: np.ndarray) -> Optional[int]:
+    """The first index of a stack whose matrix is proximal, one matrix at a
+    time, skipping a matrix the eigenvalue solver fails on."""
+    for i, m in enumerate(mats):
+        try:
+            if proximal_matrix(m):
+                return i
+        except np.linalg.LinAlgError:
+            continue
+    return None
+
+
+def moment_norms_and_iotas(spec: ModelSpec, rng: np.random.Generator,
+                           n: int):
+    """||A*|| and iota(A*) of n draws, taken of the multiplied-out W D."""
+    mats_T = np.swapaxes(spec.ensemble.draw(rng, n), -1, -2)
+    return norms_and_iotas(mats_T, spec.norm)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,53 @@ def test_validate_hard_fail_exit_3(tmp_path):
     }
     cfg = {"model": model, "seed": 3, "validate": {"reps": 500}}
     assert _run(tmp_path, "validate", cfg) == 3
+
+
+def _strict_json(path: Path) -> dict:
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_validate_infinite_moment_is_written_null(tmp_path):
+    # the zero row of the first atom makes iota(A*) = 0 on half the draws:
+    # the moment is infinite and its standard error undefined, both null
+    model = {
+        "dimension": 2,
+        "branching": {"mode": "fixed", "n": 2},
+        "ensemble": {"family": "finite_support",
+                     "matrices": [[[0.3, 0.3], [0.0, 0.0]],
+                                  [[0.5, 0.2], [0.2, 0.5]]],
+                     "probs": [0.5, 0.5]},
+        "q_law": {"kind": "deterministic", "vector": [1.0, 1.0]},
+        "class": "nonnegative-C",
+    }
+    cfg = {"model": model, "seed": 3, "validate": {"reps": 2000}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(tmp_path, "validate", cfg) == 3
+    doc = _strict_json(tmp_path / "out/validation.json")
+    assert doc["conditions"]["allowable"]["verdict"] == "fail"
+    moments = doc["moment_estimates"]
+    assert moments["E||A*||^s iota^-eps"] is None
+    assert moments["E||A*||^s iota^-eps_se"] is None
+    assert math.isfinite(moments["E|Q|^s"])
+
+
+def test_json_reports_write_non_finite_floats_null(tmp_path):
+    payload = {"inf": math.inf, "nan": np.float64("nan"),
+               "array": np.array([1.5, -np.inf, np.nan]),
+               "nested": [{"x": (0.1, float("-inf"))}],
+               "finite": np.float64(0.38124450766320006), "n": np.int64(3)}
+    path = tmp_path / "r.json"
+    artifacts.write_json(path, payload, "0" * 16)
+    doc = _strict_json(path)
+    assert doc["inf"] is None and doc["nan"] is None
+    assert doc["array"] == [1.5, None, None]
+    assert doc["nested"] == [{"x": [0.1, None]}]
+    assert doc["finite"] == 0.38124450766320006 and doc["n"] == 3
+    assert '"finite": 0.38124450766320006' in path.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +823,42 @@ def test_certificate_finite_support_determinism_across_workers(tmp_path):
     assert blobs[1] == blobs[2]
     doc = json.loads(blobs[1][0])
     assert doc["levels"] == [6] and all(r["hits"] > 0 for r in doc["per_level_V"])
+
+
+def test_certificate_search_skips_cells_without_pool_mass(tmp_path):
+    # at this t the largest cells' cone threshold D/eps lies beyond every
+    # pool norm; the search used to pick (C0, delta) = (30, 0.05), whose
+    # D/eps = 1256 no member reaches, and the cone family then failed
+    cfg = {
+        "model": model_to_jsonable(d2_finite_three_spec()), "seed": 6101,
+        "simulate": {"pool_size": 100_000, "generations": 40,
+                     "replicates": 4},
+        "solve_index": {},
+        "certificate": {"pool": "out/pool.bin",
+                        "solution": "out/tail_indices.json",
+                        "t_quantile": 0.999, "u": [1.0, 0.0],
+                        "reps_v": 4_000, "reps_w": 1_000},
+    }
+    assert _run(tmp_path, "solve-index", cfg) == 0
+    assert _run(tmp_path, "simulate", cfg) == 0
+    assert _run(tmp_path, "certificate", cfg, out="cert") == 0
+    doc = json.loads((tmp_path / "cert/certificate.json").read_text())
+    assert (doc["C0"], doc["delta"]) == (30.0, 0.1)
+    assert doc["kappa"] > 0
+
+
+def test_certificate_search_without_feasible_cells_exit_2(tmp_path, capsys):
+    # every pool member has l1 norm 2, below the smallest cell's D/eps
+    pool = FixedPointPool(vectors=np.ones((1000, 2)), generation=1,
+                          converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    cfg = {"model": model_to_jsonable(d2_finite_three_spec()), "seed": 1,
+           "certificate": {"pool": "pool.bin", "beta": 2.577, "rho": 0.437,
+                           "k_beta": 0.5, "t": 40.0}}
+    assert _run(tmp_path, "certificate", cfg) == 2
+    err = capsys.readouterr().err
+    assert "no (C0, delta) cell at t = 40" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "certificate"])

@@ -8,14 +8,16 @@ import pytest
 from scipy import stats
 
 import reference_engine as ref
-from conftest import (BETA_D1, d1_lognormal_spec, d2_rotation_spec,
+from conftest import (BETA_D1, d1_lognormal_spec, d2_finite_three_spec,
+                      d2_lognormal_matrix_spec, d2_rotation_spec,
                       d3_rotation_spec, rng_state)
 from reference_oracles import exchangeify, sample_family
 from smoothtail.errors import ClassViolationError, SpecError
-from smoothtail.model import (_orbit_coverage, Branching, FiniteSupport,
-                              LognormalRotation, LognormalScalarMatrix,
-                              ModelSpec, QLaw, check_allowable,
-                              check_proximal, find_positive_product,
+from smoothtail.model import (_orbit_coverage, _scaled_norms_and_iotas,
+                              Branching, FiniteSupport, LognormalRotation,
+                              LognormalScalarMatrix, ModelSpec, QLaw,
+                              check_allowable, check_proximal,
+                              find_positive_product, first_proximal,
                               heuristic_nonarithmetic, perron_data, validate)
 from smoothtail.rng import substream
 
@@ -198,17 +200,17 @@ def test_positive_product_word_length_two():
 # ---------------------------------------------------------------------------
 
 def test_proximal_diagonal():
-    assert check_proximal(np.diag([2.0, 1.0]))
+    assert check_proximal(np.linalg.eigvals(np.diag([2.0, 1.0])))
 
 
 def test_proximal_rotation_false():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert not check_proximal(rot)
+    assert not check_proximal(np.linalg.eigvals(rot))
 
 
 def test_proximal_positive_matrix():
     m = np.array([[1.0, 1.0], [1.0, 2.0]])
-    assert check_proximal(m)
+    assert check_proximal(np.linalg.eigvals(m))
     lam, v = perron_data(m)
     assert lam == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-12)
     assert v.min() > 0
@@ -319,6 +321,130 @@ def test_validate_requires_positive_beta():
     with pytest.raises(SpecError):
         validate(d1_lognormal_spec(), beta_hat=0.0, eps=0.1, reps=10,
                  rng=substream(17, "v"))
+
+
+# ---------------------------------------------------------------------------
+# validate on stacks: batched proximality and factor moments
+# ---------------------------------------------------------------------------
+
+def _invertible_wp_spec(matrix=((1.0, 1.0), (1.0, 2.0))):
+    return ModelSpec(dimension=2, branching=Branching(mode="fixed", n=2),
+                     ensemble=LognormalScalarMatrix(mu=-1.0, sigma2=0.25,
+                                                    matrix=matrix),
+                     q_law=QLaw(kind="deterministic", vector=[1.0, 0.0]),
+                     geom_class="invertible-ipo")
+
+
+def _turns_then_diagonal_spec():
+    # two scaled rotations, never proximal, then a proximal diagonal atom
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    mats = np.array([turn, 0.5 * turn, np.diag([2.0, 1.0])])
+    return ModelSpec(dimension=2, branching=Branching(mode="fixed", n=2),
+                     ensemble=FiniteSupport(matrices=mats,
+                                            probs=np.full(3, 1.0 / 3.0)),
+                     q_law=QLaw(kind="deterministic", vector=[1.0, 0.0]),
+                     geom_class="invertible-ipo")
+
+
+def _rotations_then_wp():
+    rot = d2_rotation_spec().ensemble.draw(substream(40, "r"), 5)
+    wp = _invertible_wp_spec().ensemble.draw(substream(40, "wp"), 20)
+    return np.concatenate([rot, wp])
+
+
+@pytest.mark.parametrize("make_stack, want", [
+    (lambda: d2_rotation_spec().ensemble.draw(substream(41, "r"), 256), None),
+    (_rotations_then_wp, 5),
+    (lambda: _turns_then_diagonal_spec().ensemble.atoms()[0], 2),
+], ids=["c-r-none", "w-p-after-five-rotations", "finite-support-atom-2"])
+def test_batched_proximal_witness_is_the_per_matrix_loops(make_stack, want):
+    mats = make_stack()
+    assert first_proximal(mats) == ref.first_proximal(mats) == want
+    verdicts = check_proximal(np.linalg.eigvals(mats))
+    assert verdicts.tolist() == [ref.proximal_matrix(m) for m in mats]
+
+
+def test_validate_witness_is_the_first_proximal_draw():
+    spec = _turns_then_diagonal_spec()
+    report = validate(spec, beta_hat=1.0, eps=0.1, reps=500,
+                      rng=substream(42, "v"))
+    assert report.conditions["proximal"].verdict == "pass"
+    assert np.array_equal(report.proximality_witness, np.diag([2.0, 1.0]))
+    spec = _invertible_wp_spec()
+    report = validate(spec, beta_hat=1.0, eps=0.1, reps=500,
+                      rng=substream(43, "v"))
+    first = spec.ensemble.draw(substream(43, "v"), 1)[0]
+    assert np.array_equal(report.proximality_witness, first)
+
+
+def test_batched_proximal_falls_back_to_the_loop(monkeypatch):
+    eigvals = np.linalg.eigvals
+    calls = []
+
+    def stack_fails(a):
+        calls.append(np.ndim(a))
+        if np.ndim(a) > 2:
+            raise np.linalg.LinAlgError("stack refused")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", stack_fails)
+    mats = _rotations_then_wp()
+    assert first_proximal(mats) == 5
+    # one refused stack call, then one call per matrix up to the witness
+    assert calls == [3] + [2] * 6
+
+    def every_call_fails(a):
+        raise np.linalg.LinAlgError("no eigenvalues")
+
+    monkeypatch.setattr(np.linalg, "eigvals", every_call_fails)
+    assert first_proximal(mats) is None
+    report = validate(_turns_then_diagonal_spec(), beta_hat=1.0, eps=0.1,
+                      reps=500, rng=substream(44, "v"))
+    assert report.conditions["proximal"].verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("make_spec, exact", [
+    (d1_lognormal_spec, True),
+    (d2_lognormal_matrix_spec, True),
+    (d2_finite_three_spec, True),
+    (d2_rotation_spec, False),
+    (d3_rotation_spec, False),
+    (lambda: _invertible_wp_spec(((1.0, 0.3), (0.2, 0.9))), False),
+], ids=["d1-scalar", "w-p-l1", "finite-support", "c-r-d2", "c-r-d3",
+        "w-p-l2"])
+def test_factor_moments_match_the_multiplied_out_norms(make_spec, exact):
+    spec = make_spec()
+    rng, rng_ref = substream(45, "m"), substream(45, "m")
+    opn, io = _scaled_norms_and_iotas(spec, rng, 5000)
+    opn_ref, io_ref = ref.moment_norms_and_iotas(spec, rng_ref, 5000)
+    assert rng_state(rng) == rng_state(rng_ref)
+    if exact:
+        assert np.array_equal(opn, opn_ref) and np.array_equal(io, io_ref)
+    else:
+        np.testing.assert_allclose(opn, opn_ref, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(io, io_ref, rtol=1e-14, atol=0)
+
+
+def test_validate_rotation_takes_no_svd_and_two_eigvals_calls(monkeypatch):
+    counts = {"svd": 0, "eigvals": 0}
+    for name in counts:
+        def counting(*args, _fn=getattr(np.linalg, name), _name=name,
+                     **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    report = validate(d2_rotation_spec(), beta_hat=1.0, eps=0.1, reps=2000,
+                      rng=substream(46, "v"))
+    assert report.proximality_witness is None
+    assert counts == {"svd": 0, "eigvals": 2}
+
+
+def test_allowable_checks_a_stack_in_one_call():
+    mats = np.array([np.eye(2), [[1.0, 1.0], [1.0, 0.0]]])
+    assert check_allowable(mats)
+    bad = np.concatenate([mats, [[[0.3, 0.3], [0.0, 0.0]]]])
+    assert not check_allowable(bad)
+    assert check_allowable(bad) == all(check_allowable(m) for m in bad)
 
 
 # ---------------------------------------------------------------------------

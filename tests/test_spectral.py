@@ -61,15 +61,22 @@ def test_d1_grid_lookups_nearest_neighbour(geom_class, geometry):
                      q_law=QLaw(kind="zero"), geom_class=geom_class)
     grid = build_grid(spec)
     assert grid.geometry == geometry
-    dirs = np.array([[1.0], [-1.0], [0.0], [-0.0]])
+    dirs = np.concatenate([[[1.0], [-1.0], [0.0], [-0.0], [np.nan],
+                            [1e-310], [-1e-310]],
+                           substream(3, "d1").standard_normal((1000, 1))])
+    n = len(dirs)
     # the closed forms: the one point of the half line, and on {+1, -1}
-    # index 1 exactly for negative directions (0 and -0.0 map to index 0)
-    want = (np.zeros(4, dtype=np.int64) if geometry == "halfline"
+    # index 1 exactly for negative directions (+-0 and NaN map to index 0)
+    want = (np.zeros(n, dtype=np.int64) if geometry == "halfline"
             else (dirs[:, 0] < 0).astype(np.int64))
+    # which is the max-inner-product search over the grid points
+    with np.errstate(invalid="ignore"):
+        unit = dirs / np.maximum(np.abs(dirs), 1e-300)
+        assert np.array_equal(np.argmax(unit @ grid.points.T, axis=1), want)
     assert np.array_equal(grid.cell_index(dirs), want)
     idx, w = grid.interp_rows(dirs)
     assert np.array_equal(idx, np.column_stack([want, want]))
-    assert np.array_equal(w, np.column_stack([np.ones(4), np.zeros(4)]))
+    assert np.array_equal(w, np.column_stack([np.ones(n), np.zeros(n)]))
 
 
 # ---------------------------------------------------------------------------
