@@ -2,14 +2,15 @@
 
 Every file carries the run's config fingerprint and the package version.
 Floats are serialized with repr (shortest round-trip), so identical runs
-produce byte-identical files; JSON reports write a non-finite float as null.
+produce byte-identical files.  JSON reports are strict JSON: a non-finite
+float makes write_json raise, so a report writes null itself wherever a
+non-finite value is expected.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from pathlib import Path
 
@@ -40,32 +41,11 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _finite_or_null(obj):
-    """obj with every non-finite float, array entries included, as None."""
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _finite_or_null(obj.tolist())
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else None
-    return obj
-
-
-def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False,
-                      default=_json_default)
-
-
 def write_json(path: Path, payload: dict, fp: str) -> None:
-    """A strict JSON report: NaN and infinities are written null."""
     doc = {"meta": {"version": VERSION_STRING, "fingerprint": fp}}
     doc.update(payload)
-    try:
-        text = _dumps(doc)
-    except ValueError:          # a non-finite float somewhere in doc
-        text = _dumps(_finite_or_null(doc))
+    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False,
+                      default=_json_default)
     Path(path).write_text(text + "\n")
 
 

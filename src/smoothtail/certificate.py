@@ -365,7 +365,7 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
                         rng: np.random.Generator,
                         pool_vectors: np.ndarray, beta: float,
                         spectral=None, u: Optional[np.ndarray] = None,
-                        reps: int = 20_000, J: int = 8) -> EventParams:
+                        reps: int = 20_000, *, J: int) -> EventParams:
     """Grid search for (C0, delta) maximizing P(V) stability over the window.
 
     A cell whose cone threshold D / eps lies at or beyond the largest pool
@@ -447,6 +447,9 @@ class CertificateReport:
 
     def to_jsonable(self) -> dict:
         out = asdict(self)
+        for k in ("t_beta_v_term", "fitted_D1"):
+            if not math.isfinite(out[k]):
+                out[k] = None     # empty L_t, or t^beta overflow
         out["u"] = self.u.tolist()
         return out
 

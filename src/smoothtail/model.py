@@ -699,8 +699,10 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
         vals = opn ** s * io ** (-eps)
     vals[io <= 0] = np.inf          # non-allowable draw: the moment diverges
     moment = float(vals.mean())
-    moment_se = (float(vals.std(ddof=1) / math.sqrt(len(vals)))
-                 if math.isfinite(moment) else math.nan)
+    if math.isfinite(moment):
+        moment_se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
+    else:               # a diverging moment has no estimate: both null
+        moment = moment_se = None
     moment_estimates = {
         "s": s, "eps": eps,
         "E|Q|^s": float(qs.mean()),

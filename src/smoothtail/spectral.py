@@ -95,12 +95,6 @@ class SphereGrid:
             step = 2 * math.pi / G
             t = np.mod(self._angles(dirs), 2 * math.pi) / step
             return np.rint(t).astype(np.int64) % G
-        # on d = 1 the nearest of +1 (index 0) and -1 is read off the sign;
-        # +-0 and NaN go to index 0, as in the inner-product search
-        if self.geometry == "halfline":
-            return np.zeros(dirs.shape[0], dtype=np.int64)
-        if self.geometry == "pm1":
-            return (dirs[:, 0] < 0).astype(np.int64)
         # chunked max-inner-product search
         out = np.empty(dirs.shape[0], dtype=np.int64)
         unit = dirs / np.maximum(

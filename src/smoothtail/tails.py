@@ -234,7 +234,9 @@ class TailReport:
             "flatness": {
                 "scaled_min": self.flatness.scaled_min,
                 "scaled_max": self.flatness.scaled_max,
-                "ratio": self.flatness.ratio,
+                # s_min = 0, or s_max / s_min overflowing: written null
+                "ratio": (self.flatness.ratio
+                          if math.isfinite(self.flatness.ratio) else None),
                 "min_lower_95": self.flatness.min_lower_95,
                 "supported": self.flatness.supported,
                 "ratio_max_allowed": self.flatness.ratio_max_allowed,

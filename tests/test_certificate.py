@@ -682,7 +682,7 @@ def test_search_scores_every_cell_on_one_draw_per_level(monkeypatch, d1_pool):
     monkeypatch.setattr(certificate, "draw_z_marks", counting_marks)
     chosen = choose_event_params(spec, t, RHO_D1, K_BETA_D1,
                                  substream(27, "search"), x, BETA_D1,
-                                 u=np.array([1.0]), reps=reps)
+                                 u=np.array([1.0]), reps=reps, J=8)
     levels = chosen.window_levels()
     assert len(levels) >= 2
     # exactly one tilted walk batch and one Z-mark array per window level

@@ -235,19 +235,16 @@ def test_validate_infinite_moment_is_written_null(tmp_path):
     assert math.isfinite(moments["E|Q|^s"])
 
 
-def test_json_reports_write_non_finite_floats_null(tmp_path):
-    payload = {"inf": math.inf, "nan": np.float64("nan"),
-               "array": np.array([1.5, -np.inf, np.nan]),
-               "nested": [{"x": (0.1, float("-inf"))}],
-               "finite": np.float64(0.38124450766320006), "n": np.int64(3)}
+@pytest.mark.parametrize("value", [math.inf, np.float64("nan"),
+                                   np.array([1.5, -np.inf]),
+                                   [{"x": (0.1, float("-inf"))}]],
+                         ids=["inf", "np-nan", "array", "nested"])
+def test_json_reports_refuse_non_finite_floats(tmp_path, value):
+    # a non-finite value no report nulls itself is a fault: no file is left
     path = tmp_path / "r.json"
-    artifacts.write_json(path, payload, "0" * 16)
-    doc = _strict_json(path)
-    assert doc["inf"] is None and doc["nan"] is None
-    assert doc["array"] == [1.5, None, None]
-    assert doc["nested"] == [{"x": [0.1, None]}]
-    assert doc["finite"] == 0.38124450766320006 and doc["n"] == 3
-    assert '"finite": 0.38124450766320006' in path.read_text()
+    with pytest.raises(ValueError):
+        artifacts.write_json(path, {"value": value}, "0" * 16)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Survival curves, Hill recovery on synthetic laws, flatness verdicts."""
 
+import json
 import math
 
 import numpy as np
@@ -139,6 +140,28 @@ def test_tail_report_reference_pool(d1_pool):
     assert abs(best.index - BETA_D1) <= 0.4
     # log-log slope near -beta
     assert report.loglog_slope == pytest.approx(-BETA_D1, abs=0.6)
+
+
+def test_tail_report_writes_an_infinite_flatness_ratio_null(tmp_path):
+    # at beta = 600 the scaled tail t^beta P(X > t) spans more than the
+    # float range over the window, so s_max / s_min overflows to inf; the
+    # report writes the ratio null and stays strict JSON
+    from smoothtail import artifacts
+    x = substream(12, "p").pareto(2.0, (200_000, 1)) + 1.0
+    x /= np.quantile(x, 0.999)
+    report = tail_report(x, np.array([1.0]), 600.0, rng=substream(12, "r"),
+                         n_boot=20)
+    assert report.flatness.ratio == math.inf
+    assert not report.flatness.supported
+    path = tmp_path / "tail_report.json"
+    artifacts.write_json(path, report.to_jsonable(), "0" * 16)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert doc["flatness"]["ratio"] is None
+    assert 0 < doc["flatness"]["scaled_min"] < doc["flatness"]["scaled_max"]
 
 
 def test_profile_constant_under_model_symmetry():
