@@ -22,8 +22,9 @@ import numpy as np
 
 from . import artifacts, branching, certificate, spectral, tails
 from .errors import (AssemblyError, ConfigError, ConvergenceError,
-                     DegeneratePoolError, NoRootError, NoSecondRootError,
-                     SmoothtailError, SpecError, WindowError)
+                     CoverageError, DegeneratePoolError, NondegeneracyError,
+                     NoRootError, NoSecondRootError, SmoothtailError,
+                     SpecError, WindowError)
 from .model import (Branching, FiniteSupport, LognormalRotation,
                     LognormalScalarMatrix, ModelSpec, QLaw, validate)
 from .rng import parallel_map, substream
@@ -301,11 +302,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     rows = []
     for s, res in zip(s_grid, results):
         if res is None:
-            rows.append((s, "NA", "NA", "NA"))
+            rows.append((s, "NA", "NA"))
         else:
-            rows.append((s, res.k, en * res.k, res.k_se))
+            rows.append((s, res.k, en * res.k))
     cfg.out.mkdir(parents=True, exist_ok=True)
-    artifacts.write_csv(cfg.out / "spectrum.csv", ["s", "k", "m", "se"], rows, fp)
+    artifacts.write_csv(cfg.out / "spectrum.csv", ["s", "k", "m"], rows, fp)
     for i, (s, res) in enumerate(zip(s_grid, results)):
         if res is None or s not in json_s:
             continue
@@ -529,6 +530,9 @@ def main(argv=None) -> int:
         return EXIT_NO_SECOND_ROOT
     except DegeneratePoolError as exc:
         print(f"degenerate pool: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except (CoverageError, NondegeneracyError) as exc:
+        print(f"degenerate cone family: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except WindowError as exc:
         print(f"tail window: {exc}", file=sys.stderr)

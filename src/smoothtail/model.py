@@ -27,7 +27,7 @@ ZERO_TOL = 1e-12        # entries below this count as structural zeros
 PROXIMAL_TOL = 1e-8     # dominant-eigenvalue gap and imaginary-part margin
 RATIONAL_QMAX = 50      # largest denominator of the non-arithmeticity margin
 DET_TOL = 1e-10         # invertibility margin for declared invertible classes
-ORBIT_CHUNK = 256       # orbit-coverage steps binned per cell_index call
+ORBIT_CHUNK = 256       # orbit-coverage steps drawn and binned at a time
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,10 @@ class MatrixEnsemble:
         """i.i.d. draws w * D, shape (size, d, d)."""
         log_w, dirs = self.factors(rng, size)
         return np.exp(log_w)[:, None, None] * dirs
+
+    def log_scalar_moment(self, s: float) -> float:
+        """log E W^s: 0 for a family that draws no scale (W = 1)."""
+        return 0.0
 
     def atoms(self):
         """(matrices, probs) for finite-support families, else None."""
@@ -575,9 +579,8 @@ def _support_matrices(spec: ModelSpec, rng: np.random.Generator, reps: int) -> n
 
 
 def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> float:
-    """Fraction of sphere-grid cells visited by the projective orbit, binned
-    ORBIT_CHUNK steps at a time until every cell is visited; the matrices
-    are drawn first, so the early stop leaves the generator state as is."""
+    """Fraction of sphere-grid cells visited by the projective orbit, drawn
+    and binned ORBIT_CHUNK steps at a time until every cell is visited."""
     from .spectral import build_grid
     from .walks import act
 
@@ -585,10 +588,9 @@ def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> fl
     x = np.zeros(spec.d)
     x[0] = 1.0                          # unit under l1 and l2
     visited = np.zeros(len(grid.points), dtype=bool)
-    mats = spec.ensemble.draw(rng, steps)
     for a in range(0, steps, ORBIT_CHUNK):
         orbit = []
-        for m in mats[a:a + ORBIT_CHUNK]:
+        for m in spec.ensemble.draw(rng, min(ORBIT_CHUNK, steps - a)):
             try:
                 x = act(m.T, x, spec.norm)
             except SingularActionError:

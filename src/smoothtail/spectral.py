@@ -22,7 +22,6 @@ from .walks import run_walks  # noqa: F401  (the benchmark tracer looks it up he
 
 DEFAULT_GRID_D2 = 256
 DEFAULT_GRID_HIGH = 512
-MC_GROUPS = 8               # independent moment groups of a lognormal assembler
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 20000
 SCATTER_CHUNK = 1 << 14     # draw x grid-point entries per scatter pass
@@ -155,29 +154,24 @@ class OperatorAssembler:
     scaled by an independent scalar W: the operator at tilt s is the
     moment E W^s times one direction operator, which scatters each atom's
     |D^T x_i|^s times its interpolation weights into row i.  The factors
-    stay apart, so k(s) is the mean moment times one spectral radius.
+    stay apart, so k(s) is E W^s times one spectral radius, and E W^s is
+    exact: ``log_scalar_moment`` (0 for finite support, where W = 1).
 
-    * Finite support: the atoms with their probabilities and moment 1 (one
-      group, exact).
-    * Lognormal families W * D: K = min(mc_reps // MC_GROUPS, 4e6 // G) draws
-      of ``directions`` (one atom when D is fixed) at weight 1/K, and per
-      group the moment E W^s, estimated by importance-stratified sampling
-      (proposal normal shifted by half the exponential tilt, systematic
-      strata over MC_GROUPS independent uniform offsets), which keeps the
-      integrand's growth bounded so the top stratum cannot dominate.
+    * Finite support: the atoms with their probabilities.
+    * Lognormal families W * D: K = min(mc_reps // 8, 4e6 // G) draws of
+      ``directions`` (one atom when D is fixed) at weight 1/K.
 
     When D preserves the model norm (rotations under l2), |D^T x| = 1, so
     the direction operator has the same value at every s: it is built once
-    here as a dense G x G matrix, scattered SCATTER_CHUNK entries at a time,
-    and each s costs one scalar moment per group.  Every row of it sums to 1,
-    so k(s) is the mean moment and K only sets the resolution of e_s and nu_s.
-    Other families keep the direction rows (|D^T x_i|, scatter indices,
-    weights) and scatter |D^T x_i|^s at each s.
+    here as a dense G x G matrix, scattered SCATTER_CHUNK entries at a time.
+    Every row of it sums to 1, so k(s) is E W^s and K only sets the
+    resolution of e_s and nu_s.  Other families keep the direction rows
+    (|D^T x_i|, scatter indices, weights) and scatter |D^T x_i|^s at each s.
 
     Common random numbers across rows and across s values: the root finder
-    and finite differences then act on a smooth deterministic surrogate of
-    m(s).  Everything that does not depend on s (the direction operator or
-    rows, normal quantiles) is computed once here; later calls only read.
+    and finite differences then act on a smooth deterministic function of
+    s.  Everything that does not depend on s (the direction operator or
+    rows) is computed once here; later calls only read.
     """
 
     def __init__(self, spec: ModelSpec, grid: SphereGrid, mc_reps: int,
@@ -189,18 +183,11 @@ class OperatorAssembler:
         if atoms is not None:
             mats, self._weights = atoms
             self.mc_reps = 0
-            self._quantiles = None
         else:
-            from scipy.special import ndtri
             self.mc_reps = mc_reps
-            per = max(2, mc_reps // MC_GROUPS)
-            # normal quantiles of the cached stratified uniforms; only the
-            # tilt shift applied to them depends on s
-            self._quantiles = [ndtri((np.arange(per) + rng.random()) / per)
-                               for _ in range(MC_GROUPS)]
-            self._lognormal = ens.mu, ens.sigma
+            # // 8: the configs' mc_reps were sized for 8 moment groups
             mats = ens.directions(
-                rng, max(1, min(mc_reps // MC_GROUPS, 4_000_000 // len(grid))))
+                rng, max(1, min(mc_reps // 8, 4_000_000 // len(grid))))
             self._weights = np.full(len(mats), 1.0 / len(mats))
         mats = np.swapaxes(mats, -1, -2)
         self._rows = self._direction_op = None
@@ -245,31 +232,16 @@ class OperatorAssembler:
         return np.bincount(flat.ravel(), weights=vals.ravel(),
                            minlength=G * G).reshape(G, G)
 
-    def _scalar_moment(self, s: float, quantiles: np.ndarray) -> float:
-        """Unbiased E W^s from the quantiles of stratified uniforms via
-        half-tilt importance sampling: z ~ N(tau, 1) with tau = s*sigma/2,
-        weight e^{(t-tau)z+tau^2/2}."""
-        mu, sigma = self._lognormal
-        t = s * sigma
-        tau = 0.5 * t
-        z = np.add(quantiles, tau)                     # in one buffer
-        z *= t - tau
-        np.exp(z, out=z)
-        return float(math.exp(s * mu + 0.5 * tau * tau) * z.mean())
-
-    def assemble_groups(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """(moments, op): per-group E W^s (np.ones(1) for finite support)
-        and the direction operator at s, shared and read-only."""
+    def assemble_groups(self, s: float) -> tuple[float, np.ndarray]:
+        """(moment, op): the exact E W^s and the direction operator at s,
+        shared and read-only.  The benchmark tracer wraps it by this name."""
         op = self._direction_op
         if op is None:
             norms, flat, w = self._rows
             op = self._scatter(
                 self._weights[:, None, None] * (norms ** s)[:, :, None] * w,
                 flat)
-        if self._quantiles is None:
-            return np.ones(1), op
-        return np.array([self._scalar_moment(s, q)
-                         for q in self._quantiles]), op
+        return math.exp(self.spec.ensemble.log_scalar_moment(s)), op
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +308,13 @@ class SpectralResult:
     residual: float
     iterations: int
     mc_reps: int
-    k_se: float = 0.0
 
     def e_interp(self, dirs: np.ndarray) -> np.ndarray:
         return self.grid.interp_values(self.e, dirs)
 
     def to_jsonable(self) -> dict:
         return {
-            "s": self.s, "k": self.k, "k_se": self.k_se,
+            "s": self.s, "k": self.k,
             "residual": self.residual, "iterations": self.iterations,
             "mc_reps": self.mc_reps,
             "grid_geometry": self.grid.geometry,
@@ -354,18 +325,14 @@ class SpectralResult:
 
 
 def k_grid(assembler: OperatorAssembler, s: float) -> SpectralResult:
-    """k(s): the mean group moment times the direction operator's spectral
-    radius, with the moments' standard error scaled the same way."""
+    """k(s): the exact E W^s times the direction operator's spectral radius."""
     if not assembler.spec.ensemble.moment_finite(s):
         raise AssemblyError(f"family declares E||M||^s infinite at s={s}")
-    moments, op = assembler.assemble_groups(s)
+    moment, op = assembler.assemble_groups(s)
     k_op, e, nu, iters, residual = power_iteration(op)
-    k_se = (float(np.std(moments, ddof=1) / math.sqrt(len(moments))) * k_op
-            if len(moments) > 1 else 0.0)
-    return SpectralResult(s=s, k=float(moments.mean()) * k_op, e=e, nu=nu,
+    return SpectralResult(s=s, k=moment * k_op, e=e, nu=nu,
                           grid=assembler.grid, residual=residual,
-                          iterations=iters, mc_reps=assembler.mc_reps,
-                          k_se=k_se)
+                          iterations=iters, mc_reps=assembler.mc_reps)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +511,8 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
 
     def m(s: float) -> float:
         if s not in cache:
-            moments, op = assembler.assemble_groups(s)
-            cache[s] = en * float(moments.mean()) * power_iteration(op)[0]
+            moment, op = assembler.assemble_groups(s)
+            cache[s] = en * moment * power_iteration(op)[0]
         return cache[s]
 
     history: list = []

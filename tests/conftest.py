@@ -66,6 +66,19 @@ def d2_lognormal_matrix_spec() -> ModelSpec:
         geom_class="nonnegative-C")
 
 
+def d2_contracting_matrix_spec() -> ModelSpec:
+    # W * P with log E W^s = -(1 + log LAMBDA_P) s + s^2/4: k(s) = E W^s
+    # LAMBDA_P^s, so m(s) = 2 exp(-s + s^2/4) and the roots are the d=1 ones
+    return ModelSpec(
+        dimension=2,
+        branching=Branching(mode="fixed", n=2),
+        ensemble=LognormalScalarMatrix(mu=-1.0 - math.log(LAMBDA_P),
+                                       sigma2=0.5,
+                                       matrix=[[1.0, 1.0], [1.0, 2.0]]),
+        q_law=QLaw(kind="deterministic", vector=[1.0, 1.0]),
+        geom_class="nonnegative-C")
+
+
 def d2_finite_pair_spec() -> ModelSpec:
     mats = np.array([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
     return ModelSpec(

@@ -3,7 +3,7 @@ y buffer and a full mat-vec (matvec_sum, the unrolled kernel the package
 used before walks.apply_batch), the pool statistics through np.quantile, the
 orbit coverage binned one step at a time, the grid operator assembled
 from cached direction rows at every tilt, k(s) by one power iteration
-per group operator, the proximality search with one eigenvalue call per
+on that operator, the proximality search with one eigenvalue call per
 matrix, and the moment draws' norms taken of the multiplied-out W D.
 
 The engines in src/ must replay the first three bit for bit from the same
@@ -11,8 +11,8 @@ generator state; test_branching.py and test_model.py compare the outputs
 with np.array_equal and the final generator states exactly.  The operator
 of a norm-preserving family is built once in src/, without the factor
 |D^T x|^s = (1 +- 3e-16)^s, so test_spectral.py compares it with the
-reference entrywise to rounding, and its factored k(s) and standard error
-with this k_grid to a relative 1e-9.
+reference entrywise to rounding, and its factored k(s) with this k_grid
+to a relative 1e-9.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from smoothtail.errors import AssemblyError, SpecError
-from smoothtail.model import ModelSpec, check_class
+from smoothtail.model import ORBIT_CHUNK, ModelSpec, check_class
 from smoothtail.spectral import (SpectralResult, SphereGrid, build_grid,
                                  power_iteration)
 from smoothtail.walks import UNDERFLOW, act, norms_and_iotas, vec_norm
@@ -120,30 +120,35 @@ def _pool_stats(pool: np.ndarray):
     return mean, np.quantile(proj, _DECILES)
 
 
-def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> float:
-    """Fraction of sphere-grid cells visited by the projective orbit."""
+def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int,
+                    chunk: int = ORBIT_CHUNK) -> float:
+    """Fraction of sphere-grid cells visited by the projective orbit, with
+    the matrices drawn chunk at a time until every cell is visited (chunk =
+    steps draws them all up front)."""
     grid = build_grid(spec, size=64 if spec.d > 1 else 2)
     x = np.zeros(spec.d)
     x[0] = 1.0
     x = x / vec_norm(x, spec.norm)
     visited = np.zeros(len(grid.points), dtype=bool)
-    mats = spec.ensemble.draw(rng, steps)
-    for m in mats:
-        try:
-            x = act(m.T, x, spec.norm)
-        except Exception:
-            continue
-        visited[grid.cell_index(x[None, :])[0]] = True
+    for a in range(0, steps, chunk):
+        if visited.all():
+            break
+        for m in spec.ensemble.draw(rng, min(chunk, steps - a)):
+            try:
+                x = act(m.T, x, spec.norm)
+            except Exception:
+                continue
+            visited[grid.cell_index(x[None, :])[0]] = True
     return float(visited.mean())
 
 
 class OperatorAssembler:
     """The grid operator at any tilt s from one cached draw set: each
     draw's |D^T x_i|, scatter indices and interpolation weights are kept,
-    and |D^T x_i|^s is scattered at every s."""
+    and the exact E W^s times |D^T x_i|^s is scattered at every s."""
 
     def __init__(self, spec: ModelSpec, grid: SphereGrid, mc_reps: int,
-                 rng: np.random.Generator, groups: int = 8):
+                 rng: np.random.Generator):
         self.spec = spec
         self.grid = grid
         ens = spec.ensemble
@@ -151,18 +156,10 @@ class OperatorAssembler:
         if atoms is not None:
             mats, self._weights = atoms
             self.mc_reps = 0
-            self._quantiles = None
         else:
-            from scipy.special import ndtri
             self.mc_reps = mc_reps
-            per = max(2, mc_reps // groups)
-            # normal quantiles of the cached stratified uniforms; only the
-            # tilt shift applied to them depends on s
-            self._quantiles = [ndtri((np.arange(per) + rng.random()) / per)
-                               for _ in range(groups)]
-            self._lognormal = ens.mu, ens.sigma
             mats = ens.directions(
-                rng, max(1, min(mc_reps // groups, 4_000_000 // len(grid))))
+                rng, max(1, min(mc_reps // 8, 4_000_000 // len(grid))))
             self._weights = np.full(len(mats), 1.0 / len(mats))
         self._rows = self._direction_rows(np.swapaxes(mats, -1, -2))
         if (self._rows[0] <= UNDERFLOW).any():
@@ -191,24 +188,12 @@ class OperatorAssembler:
         return np.bincount(flat.ravel(), weights=vals.ravel(),
                            minlength=G * G).reshape(G, G)
 
-    def _scalar_moment(self, s: float, quantiles: np.ndarray) -> float:
-        """Unbiased E W^s from the quantiles of stratified uniforms via
-        half-tilt importance sampling: z ~ N(tau, 1) with tau = s*sigma/2,
-        weight e^{(t-tau)z+tau^2/2}."""
-        mu, sigma = self._lognormal
-        t = s * sigma
-        tau = 0.5 * t
-        z = tau + quantiles
-        return float(math.exp(s * mu + 0.5 * tau * tau)
-                     * np.exp((t - tau) * z).mean())
-
-    def assemble_groups(self, s: float) -> list[np.ndarray]:
-        """Independent-group operators (group spread feeds the k standard error)."""
+    def assemble(self, s: float) -> np.ndarray:
+        """The grid operator at s: exp(log_scalar_moment(s)) times the
+        direction operator scattered from the cached rows."""
         norms, flat, w = self._rows
         base = self._scatter(norms ** s, flat, w, self._weights)
-        if self._quantiles is None:
-            return [base]
-        return [self._scalar_moment(s, q) * base for q in self._quantiles]
+        return math.exp(self.spec.ensemble.log_scalar_moment(s)) * base
 
 
 def k_grid(spec: ModelSpec, s: float, grid: Optional[SphereGrid] = None,
@@ -220,17 +205,10 @@ def k_grid(spec: ModelSpec, s: float, grid: Optional[SphereGrid] = None,
     assembler = OperatorAssembler(spec, grid or build_grid(spec), mc_reps, rng)
     if not spec.ensemble.moment_finite(s):
         raise AssemblyError(f"family declares E||M||^s infinite at s={s}")
-    group_ops = assembler.assemble_groups(s)
-    op = sum(group_ops) / len(group_ops)
-    k, e, nu, iters, residual = power_iteration(op)
-    if len(group_ops) > 1:
-        ks = [power_iteration(g)[0] for g in group_ops]
-        k_se = float(np.std(ks, ddof=1) / math.sqrt(len(ks)))
-    else:
-        k_se = 0.0
+    k, e, nu, iters, residual = power_iteration(assembler.assemble(s))
     return SpectralResult(s=s, k=k, e=e, nu=nu, grid=assembler.grid,
                           residual=residual, iterations=iters,
-                          mc_reps=assembler.mc_reps, k_se=k_se)
+                          mc_reps=assembler.mc_reps)
 
 
 def proximal_matrix(m: np.ndarray) -> bool:

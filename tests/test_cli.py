@@ -259,7 +259,7 @@ def test_spectrum_values_and_na(tmp_path):
     assert _run(tmp_path, "spectrum", cfg) == 0
     lines = (tmp_path / "out/spectrum.csv").read_text().strip().splitlines()
     assert lines[0].startswith("# smoothtail-")
-    assert lines[1] == "s,k,m,se"
+    assert lines[1] == "s,k,m"
     row0 = lines[2].split(",")
     assert float(row0[1]) == pytest.approx(1.0, abs=1e-3)
     row1 = lines[3].split(",")
@@ -855,6 +855,27 @@ def test_certificate_search_without_feasible_cells_exit_2(tmp_path, capsys):
     assert _run(tmp_path, "certificate", cfg) == 2
     err = capsys.readouterr().err
     assert "no (C0, delta) cell at t = 40" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("geom_class, top, C0, named", [
+    ("nonnegative-C", 2.0, 10.0, "no pool mass beyond D/eps"),
+    ("invertible-id", 200.0, 0.1, "caps with positive mass cannot cover"),
+], ids=["no-mass-beyond-threshold", "caps-cannot-cover"])
+def test_certificate_cone_failure_exit_6(tmp_path, capsys, geom_class, top,
+                                         C0, named):
+    # at C0 = 10 every member lies below D/eps = 56; at C0 = 0.1 members lie
+    # beyond it, but all along +e1, so no cap with mass covers -e1
+    pool = FixedPointPool(vectors=np.linspace(1.0, top, 1000)[:, None],
+                          generation=1, converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    cfg = {"model": dict(D1_MODEL, **{"class": geom_class}), "seed": 1,
+           "certificate": {"pool": "pool.bin", "beta": 3.66, "rho": 0.55,
+                           "k_beta": 0.5, "t": 100.0, "C0": C0,
+                           "delta": 0.2, "reps_v": 100, "reps_w": 100}}
+    assert _run(tmp_path, "certificate", cfg) == 6
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

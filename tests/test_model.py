@@ -317,6 +317,41 @@ def test_orbit_coverage_replays_the_per_step_loop(make_spec):
         assert cov == 4 / 64
 
 
+@pytest.mark.parametrize("make_spec, verdict", [
+    (d2_rotation_spec, "declared"),
+    (lambda: _invertible_wp_spec(), "inconclusive"),
+], ids=["c-r", "w-p"])
+def test_chunked_orbit_keeps_coverage_and_verdict(monkeypatch, make_spec,
+                                                  verdict):
+    # c*R visits every cell within a few chunks and stops drawing there; the
+    # orbit of W*P is P^T's, whatever W, and never covers the circle.  Either
+    # way the coverage is the one of all 20,000 matrices drawn up front.
+    spec = make_spec()
+    cov = _orbit_coverage(spec, substream(47, "o"), 20_000)
+    assert cov == ref._orbit_coverage(spec, substream(47, "o"), 20_000,
+                                      chunk=20_000)
+    drawn = []
+    draw = type(spec.ensemble).draw
+
+    def counted(self, rng, size):
+        drawn.append(size)
+        return draw(self, rng, size)
+
+    monkeypatch.setattr(type(spec.ensemble), "draw", counted)
+    report = validate(spec, beta_hat=1.0, eps=0.1, reps=20_000,
+                      rng=substream(48, "v"))
+    for name in ("strong_irreducibility", "no_invariant_cone"):
+        assert report.conditions[name].verdict == verdict
+    # the 256 support draws, then the orbit's
+    orbit = sum(drawn) - 256
+    if verdict == "declared":
+        assert report.conditions["strong_irreducibility"].evidence[
+            "orbit_coverage"] == 1.0
+        assert orbit <= 4 * 256
+    else:
+        assert orbit == 20_000
+
+
 def test_validate_requires_positive_beta():
     with pytest.raises(SpecError):
         validate(d1_lognormal_spec(), beta_hat=0.0, eps=0.1, reps=10,
