@@ -1,12 +1,14 @@
 """Monte Carlo tail-positivity certificate.
 
 Estimates every ingredient of the union lower bound for P(<u, X> > t):
-cone mass kappa, one-path event probabilities P(V_{n,t}) over the level
-window around n_t = ceil(log t / rho), two-path overlap probabilities
-P(W) grouped by (p, q, m) geometry, and expected node counts of the sparse
+the exceedance mass m_j of each directional cap, one-path event
+probabilities P(V_{n,t}) over the level window around
+n_t = ceil(log t / rho) weighed by the mass m(U) of the cap each path's
+final direction lands in, two-path overlap probabilities P(W) grouped by
+(p, q, m) geometry, and expected node counts of the sparse
 all-ones-suffix subtree.  The assembled statistic
 
-    kappa * sum_{i in W} P(V_{i,t})  -  sum_{pairs} P(W_{i,i',t})
+    sum_{i in W} E[1{V_{i,t}} m(U_i)]  -  sum_{pairs} P(W_{i,i',t})
 
 is a statistical lower bound: a negative value is a valid outcome, and
 every low-confidence ingredient flags the report rather than stopping it.
@@ -132,6 +134,10 @@ class ProbEstimate:
     ess: float
     flagged: bool = False
     upper_95: Optional[float] = None   # one-sided bound when hits == 0
+    # a V estimate's cap-weighted term E[1{V} m(U)] (see estimate_PV)
+    weighted: Optional[float] = None
+    weighted_se: Optional[float] = None
+    cap_rates: Optional[np.ndarray] = None
 
 
 def _summarize(ind: np.ndarray, log_weight: np.ndarray) -> ProbEstimate:
@@ -155,26 +161,42 @@ def _draw_V(spec: ModelSpec, n: int, reps: int, rng: np.random.Generator,
     """The draws behind a P(V_{n,t}) estimate: reps paths of length n at the
     given tilt with their history, then their n Z-marks each, as the paths'
     (S, log weight) and the (reps, n) left side log ||Pi*_k|| + log(|Z_k| v 1)
-    of the indicator, formed in place on the marks.  Only the indicator
-    depends on (C0, delta)."""
+    of the indicator, formed in place on the marks, with the paths' final
+    directions U between them.  Only the indicator depends on (C0, delta)."""
     batch = tilted_batch(spec, u, n, tilt, spectral, reps, rng,
                          record_hist=True)
     lhs = draw_z_marks(spec, pool_vectors, reps * n, rng).reshape(reps, n)
     np.maximum(lhs, 1.0, out=lhs)
     np.log(lhs, out=lhs)
     lhs += batch.opnorm_log_hist[:, :n]
-    return batch.S, batch.log_weight, lhs
+    return batch.S, batch.log_weight, batch.U, lhs
 
 
 def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
                 rng: np.random.Generator, *, tilt: float,
                 pool_vectors: np.ndarray, spectral=None,
-                u: Optional[np.ndarray] = None) -> ProbEstimate:
+                u: Optional[np.ndarray] = None,
+                cones: Optional[ConeFamily] = None) -> ProbEstimate:
     """P(V_{n,t}) by Monte Carlo at the given tilt (0 is the nominal walk,
-    beta the certificate's) with Z-marks from a pool; u defaults to e_1."""
-    S, log_weight, lhs = _draw_V(spec, n, reps, rng, tilt, spectral,
-                                 pool_vectors, u)
-    return _summarize(_indicator_V_batch(lhs, S, params), log_weight)
+    beta the certificate's) with Z-marks from a pool; u defaults to e_1.
+
+    With cones, the same draws also give E[1{V} m(U)], each hit weighed by
+    the mass of the cap its final direction U lands in: its rate per cap
+    (cap_rates), their sum weighed by the masses (weighted) and that sum's
+    walk standard error (weighted_se)."""
+    S, log_weight, U, lhs = _draw_V(spec, n, reps, rng, tilt, spectral,
+                                    pool_vectors, u)
+    ind = _indicator_V_batch(lhs, S, params)
+    est = _summarize(ind, log_weight)
+    if cones is not None:
+        cap = np.full(reps, -1)
+        cap[ind] = _nearest_cap(U[ind], cones.centers)
+        est.cap_rates = np.array([weighted_mean(cap == j, log_weight)[0]
+                                  for j in range(len(cones.masses))])
+        est.weighted = float(cones.masses @ est.cap_rates)
+        m_U = np.where(ind, cones.masses[cap], 0.0)
+        est.weighted_se = float(weighted_mean(m_U, log_weight)[1])
+    return est
 
 
 def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
@@ -214,17 +236,17 @@ def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
 
 @dataclass
 class ConeFamily:
-    """Caps with a common inner-product constant and the mass floor kappa."""
+    """Every cap with its exceedance mass, and the floor kappa: the smallest
+    positive mass."""
 
     centers: np.ndarray            # (J, d) unit directions (l2)
-    retained: np.ndarray           # (J,) bool
     eps: float                     # inner-product constant for the model norm
     D: float
     masses: np.ndarray             # (J,) exceedance mass per cap
     masses_se: np.ndarray
     kappa: float
     kappa_se: float
-    coverage_angle: float
+    coverage_angle: float          # r: no direction is farther from its center
 
 
 def _cap_centers(spec: ModelSpec, J: int) -> np.ndarray:
@@ -251,110 +273,57 @@ def _test_directions(spec: ModelSpec) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _angles_to(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    cosangle = np.clip(dirs @ centers.T, -1.0, 1.0)
-    return np.arccos(cosangle)          # (n_dirs, J)
-
-
 def _cap_geometry(spec: ModelSpec, J: int):
-    """The cap centers and eps_for(retained): the inner-product constant of
-    a retained set of caps (None where they cannot cover the test
-    directions) with the set's coverage radius phi."""
+    """The cap centers, eps = cos(2r) / c and the assignment radius r, the
+    largest angle from a test direction to its nearest center.  A walk
+    direction and a pool member in the same cap are at most 2r apart, and c
+    (= d for the l1 cone, 1 for l2) converts the l2 inner product to the
+    model norm."""
     centers = _cap_centers(spec, J)
-    test_angles = _angles_to(centers, _test_directions(spec))
-    r_assign = float(test_angles.min(axis=1).max())
+    cosangle = np.clip(_test_directions(spec) @ centers.T, -1.0, 1.0)
+    r = float(np.arccos(cosangle).min(axis=1).max())
+    if 2 * r >= math.pi / 2 - 1e-9:
+        raise CoverageError(
+            "cap geometry cannot cover the sphere; increase J or widen apertures")
     norm_factor = float(spec.d) if spec.norm == "l1" else 1.0
+    return centers, math.cos(2 * r) / norm_factor, r
 
-    def eps_for(retained_mask):
-        phi = float(test_angles[:, retained_mask].min(axis=1).max())
-        ang = r_assign + phi
-        if ang >= math.pi / 2 - 1e-9:
-            return None, phi
-        return math.cos(ang) / norm_factor, phi
 
-    return centers, eps_for
+def _nearest_cap(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The cap of each row of x: the center with the largest inner product,
+    which is the nearest in angle whatever the row's length, formed
+    BLOCK_ROWS rows at a time."""
+    out = np.empty(len(x), dtype=np.intp)
+    for a in range(0, len(x), BLOCK_ROWS):
+        np.argmax(x[a:a + BLOCK_ROWS] @ centers.T, axis=1,
+                  out=out[a:a + BLOCK_ROWS])
+    return out
 
 
 def cone_family(pool_vectors: np.ndarray, J: int, eparams: EventParams,
                 spec: ModelSpec) -> ConeFamily:
-    """Directional caps with per-cap exceedance mass and the floor kappa.
-
-    Pool directions are assigned to their nearest cap center; caps without
-    exceedance mass are dropped greedily while the retained set still covers
-    every test direction within a quarter turn.  The inner-product constant
-    eps = cos(r + phi) / c uses the assignment radius r, the coverage radius
-    phi of the retained centers, and the norm-equivalence factor c (= d for
-    the l1 cone, 1 for l2).
-    """
+    """Every cap with its exceedance mass m_j: the share of pool members of
+    model norm beyond D / eps whose nearest center is cap j's.  A member x
+    there and a direction U in the same cap have <U, x> > D, so a V path
+    ending at U gains m(U), the mass of U's cap."""
     pool_vectors = np.atleast_2d(np.asarray(pool_vectors, dtype=float))
     n, d = pool_vectors.shape
     if d != spec.d:
         raise SpecError("pool dimension mismatch")
-    centers, eps_for = _cap_geometry(spec, J)
-    Jfull = len(centers)
-    norms_model = vec_norm(pool_vectors, spec.norm)
-    ok = np.empty(n, dtype=bool)
-    assign = np.empty(n, dtype=np.intp)
-    # nearest center by inner product, BLOCK_ROWS members at a time
-    for a in range(0, n, BLOCK_ROWS):
-        x = pool_vectors[a:a + BLOCK_ROWS]
-        norms_l2 = np.linalg.norm(x, axis=1)
-        ok_b = np.greater(norms_l2, 0, out=ok[a:a + BLOCK_ROWS])
-        dirs = np.zeros_like(x)
-        dirs[ok_b] = x[ok_b] / norms_l2[ok_b, None]
-        assign_b = np.argmax(dirs @ centers.T, axis=1,
-                             out=assign[a:a + BLOCK_ROWS])
-        assign_b[~ok_b] = -1
-    retained = np.ones(Jfull, dtype=bool)
-    eps, phi = eps_for(retained)
-    if eps is None:
-        raise CoverageError(
-            "cap geometry cannot cover the sphere; increase J or widen apertures")
-
-    def masses_for(eps_val):
-        thresh = eparams.D / eps_val
-        exceed = ok & (norms_model > thresh)
-        mass = np.bincount(assign[exceed], minlength=Jfull) / n
-        return mass, np.sqrt(np.maximum(mass * (1 - mass), 0.0) / n)
-
-    masses, masses_se = masses_for(eps)
-    retained = masses > 0
-    if not retained.any():
+    centers, eps, r = _cap_geometry(spec, J)
+    exceed = vec_norm(pool_vectors, spec.norm) > eparams.D / eps
+    masses = np.bincount(_nearest_cap(pool_vectors[exceed], centers),
+                         minlength=len(centers)) / n
+    if not masses.any():
         raise NondegeneracyError(
             f"no pool mass beyond D/eps = {eparams.D / eps:.6g}: pool degenerate "
             "or D too large")
-    eps2, phi = eps_for(retained)
-    if eps2 is None:
-        raise CoverageError(
-            "caps with positive mass cannot cover all directions; increase J "
-            "or enlarge the pool")
-    eps = eps2
-    masses, masses_se = masses_for(eps)
-    retained = masses > 0
-    if not retained.any():
-        raise NondegeneracyError("mass vanished after coverage adjustment")
-    # drop unneeded low-mass caps greedily to raise the floor
-    order = np.argsort(masses)
-    for j in order:
-        if not retained[j]:
-            continue
-        trial = retained.copy()
-        trial[j] = False
-        if not trial.any():
-            break
-        eps_t, phi_t = eps_for(trial)
-        if eps_t is None:
-            continue
-        m_t, se_t = masses_for(eps_t)
-        if (m_t[trial] > 0).all():
-            retained = trial
-            eps, phi = eps_t, phi_t
-            masses, masses_se = m_t, se_t
-    kappa = float(masses[retained].min())
-    kappa_se = float(masses_se[retained][np.argmin(masses[retained])])
-    return ConeFamily(centers=centers, retained=retained, eps=eps,
-                      D=eparams.D, masses=masses, masses_se=masses_se,
-                      kappa=kappa, kappa_se=kappa_se, coverage_angle=phi)
+    masses_se = np.sqrt(masses * (1 - masses) / n)
+    held = np.flatnonzero(masses)
+    floor = held[np.argmin(masses[held])]
+    return ConeFamily(centers=centers, eps=eps, D=eparams.D, masses=masses,
+                      masses_se=masses_se, kappa=float(masses[floor]),
+                      kappa_se=float(masses_se[floor]), coverage_angle=r)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +338,8 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
     """Grid search for (C0, delta) maximizing P(V) stability over the window.
 
     A cell whose cone threshold D / eps lies at or beyond the largest pool
-    norm is skipped: the J-cap cone family would find no mass beyond it
-    (eps of the full cap set is the largest any retained set reaches).
+    norm is skipped: the J-cap cone family, with this eps, would find no
+    mass beyond it, and finds some in every cell that is kept.
     Score: all window levels must have hits; among those, minimize the range
     of log P(V_n) - n log k(beta) (the rate-shape residual), tie-breaking
     toward larger mean mass.  The window depends on t and rho alone, so
@@ -381,23 +350,21 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
     """
     cells = [EventParams(t=t, C0=C0, delta=delta, rho=rho)
              for C0 in SEARCH_C0 for delta in SEARCH_DELTA]
-    centers, eps_for = _cap_geometry(spec, J)
-    eps, _ = eps_for(np.ones(len(centers), dtype=bool))
-    if eps is not None:
-        reach = float(vec_norm(pool_vectors, spec.norm).max())
-        cells = [c for c in cells if c.D / eps < reach]
-        if not cells:
-            raise SpecError(
-                f"no (C0, delta) cell at t = {t:.6g} has pool mass beyond its "
-                f"cone threshold D/eps (largest pool norm {reach:.6g}); "
-                "lower t or enlarge the pool")
+    _, eps, _ = _cap_geometry(spec, J)
+    reach = float(vec_norm(pool_vectors, spec.norm).max())
+    cells = [c for c in cells if c.D / eps < reach]
+    if not cells:
+        raise SpecError(
+            f"no (C0, delta) cell at t = {t:.6g} has pool mass beyond its "
+            f"cone threshold D/eps (largest pool norm {reach:.6g}); "
+            "lower t or enlarge the pool")
     levels = cells[0].window_levels()
     draws = [_draw_V(spec, n, reps, rng, beta, spectral, pool_vectors, u)
              for n in levels]
     best = None
     for params in cells:
         centered = []
-        for n, (S, log_weight, lhs) in zip(levels, draws):
+        for n, (S, log_weight, _, lhs) in zip(levels, draws):
             est = _summarize(_indicator_V_batch(lhs, S, params), log_weight)
             if est.hits == 0 or est.value <= 0:
                 break
@@ -428,16 +395,20 @@ class CertificateReport:
     beta: float
     n_t: int
     levels: list
-    kappa: float
+    kappa: float              # smallest positive cap mass: the floor of m(U)
     kappa_se: float
+    eps: float
+    cap_masses: list
     v_sum: float              # sum over the sparse subtree of P(V)
     v_sum_se: float
+    v_term: float             # sum over the sparse subtree of E[1{V} m(U)]
+    v_term_se: float
     w_sum: float
     w_sum_se: float
     bound: float
     bound_se: float
     verdict: str              # "positive" | "not positive at these parameters" | "vacuous"
-    t_beta_v_term: float      # t^beta * kappa * v_sum
+    t_beta_v_term: float      # t^beta * v_term
     shape_actual: float       # #L_t k(beta)^C1 / sqrt(n_t)
     shape_idealized: float    # k(beta)^C1 / (2 C1)
     fitted_D1: float
@@ -482,11 +453,13 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
                 J: int = 8, reps_v: int = 100_000, reps_w: int = 10_000,
                 reps_search: int = 20_000,
                 threads: int = 1) -> CertificateReport:
-    """Evaluate kappa * sum P(V) - sum P(W) over the sparse subtree.
+    """Evaluate sum E[1{V} m(U)] - sum P(W) over the sparse subtree.
 
     The sum over the subtree uses expected node counts times per-level
-    probabilities (P(V_i) depends only on |i| by exchangeability); pair
-    sums are grouped by (p, q, m) with expected ordered-pair counts
+    estimates (E[1{V_i} m(U_i)] depends only on |i| by exchangeability).
+    Its variance adds the walks' to sum_j (sum_l coef_l rate_lj)^2 se_j^2
+    for the cap masses m_j, which leaves out their (negative) covariances.
+    Pair sums are grouped by (p, q, m) with expected ordered-pair counts
     (E N)^{p+q-m-2 C1}.  The walks are tilted at beta, by e_beta for finite
     support: the exact grid operator works it out from the atoms and draws
     nothing from rng.  Every estimate draws from its own pre-derived
@@ -522,7 +495,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     def v_task(i: int) -> ProbEstimate:
         return estimate_PV(spec, levels[i], eparams, reps_v, v_streams[i],
                            tilt=beta, pool_vectors=pool_vectors,
-                           spectral=spectral, u=u)
+                           spectral=spectral, u=u, cones=cones)
 
     def w_task(i: int) -> ProbEstimate:
         p, q, m = geoms[i]
@@ -535,15 +508,20 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     per_level = []
     v_sum = 0.0
     v_var = 0.0
+    walk_var = 0.0
+    cap_totals = np.zeros(len(cones.masses))   # sum_l coef_l rate_lj
     for ell, est in zip(levels, v_results):
         coef = en ** (ell - C1)
         v_sum += coef * est.value
         v_var += (coef * est.se) ** 2
+        cap_totals += coef * est.cap_rates
+        walk_var += (coef * est.weighted_se) ** 2
         if est.flagged:
             flags.append(f"V estimate at level {ell} flagged (ess={est.ess:.1f})")
         per_level.append({"level": ell, "count": coef, "p": est.value,
                           "se": est.se, "hits": est.hits, "ess": est.ess,
-                          "method": "tilted"})
+                          "method": "tilted", "weighted": est.weighted,
+                          "weighted_se": est.weighted_se})
     per_geom = []
     w_sum = 0.0
     w_var = 0.0
@@ -560,11 +538,10 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
                          "prob": est.value, "se": est.se,
                          "hits": est.hits, "ess": est.ess,
                          "method": "tilted", "upper_95": est.upper_95})
-    kappa, kappa_se = cones.kappa, cones.kappa_se
-    v_term = kappa * v_sum
+    v_term = float(cones.masses @ cap_totals)
+    v_term_var = walk_var + float(((cap_totals * cones.masses_se) ** 2).sum())
     bound = v_term - w_sum
-    bound_se = math.sqrt(kappa ** 2 * v_var + w_var
-                         + (v_sum * kappa_se) ** 2)
+    bound_se = math.sqrt(v_term_var + w_var)
     n_flagged = sum(est.flagged for est in v_results + w_results)
     outcome, reason = verdict(levels, bound, bound_se, n_flagged)
     if reason is not None:
@@ -572,16 +549,18 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     n_t = eparams.n_t
     shape_actual = (len(levels) * k_beta ** C1 / math.sqrt(n_t)) if levels else 0.0
     shape_ideal = k_beta ** C1 / (2 * C1)
-    t_beta_v = t ** beta * v_term if beta * math.log(t) < 700 else math.inf
-    fitted = (t_beta_v / (kappa * shape_actual) if shape_actual > 0
+    t_beta = t ** beta if beta * math.log(t) < 700 else math.inf
+    fitted = (t_beta * v_sum / shape_actual if shape_actual > 0
               else float("nan"))
     return CertificateReport(
         t=t, u=u, C0=eparams.C0, delta=eparams.delta, C1=C1, rho=rho,
-        beta=beta, n_t=n_t, levels=levels, kappa=kappa,
-        kappa_se=kappa_se, v_sum=v_sum, v_sum_se=math.sqrt(v_var),
-        w_sum=w_sum, w_sum_se=math.sqrt(w_var), bound=bound,
-        bound_se=bound_se, verdict=outcome,
-        t_beta_v_term=t_beta_v,
+        beta=beta, n_t=n_t, levels=levels, kappa=cones.kappa,
+        kappa_se=cones.kappa_se, eps=cones.eps,
+        cap_masses=cones.masses.tolist(), v_sum=v_sum,
+        v_sum_se=math.sqrt(v_var), v_term=v_term,
+        v_term_se=math.sqrt(v_term_var), w_sum=w_sum,
+        w_sum_se=math.sqrt(w_var), bound=bound, bound_se=bound_se,
+        verdict=outcome, t_beta_v_term=t_beta * v_term,
         shape_actual=shape_actual, shape_idealized=shape_ideal,
         fitted_D1=fitted, per_level_V=per_level, per_geometry_W=per_geom,
         flags=flags)

@@ -21,21 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts, branching, certificate, spectral, tails
-from .errors import (AssemblyError, ConfigError, ConvergenceError,
-                     CoverageError, DegeneratePoolError, NondegeneracyError,
-                     NoRootError, NoSecondRootError, SmoothtailError,
-                     SpecError, WindowError)
+from .errors import ConfigError, DegeneratePoolError, SmoothtailError
 from .model import (Branching, FiniteSupport, LognormalRotation,
                     LognormalScalarMatrix, ModelSpec, QLaw, validate)
 from .rng import parallel_map, substream
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
-EXIT_SPECTRAL = 4
-EXIT_NO_SECOND_ROOT = 5
-EXIT_DEGENERATE = 6
-EXIT_WINDOW = 7
 
 
 # ---------------------------------------------------------------------------
@@ -55,20 +47,27 @@ def _reject_non_finite(value, where: str) -> None:
         raise ConfigError(f"{where}: need finite values, got {value!r}") from None
 
 
+def _object(value, where: str) -> dict:
+    """value, which the schema requires to be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: need a JSON object, got {value!r}")
+    return value
+
+
 def model_from_jsonable(doc: dict) -> ModelSpec:
     """Build a ModelSpec from the documented JSON schema."""
     _reject_non_finite(doc, "model")
     try:
         dim = int(doc["dimension"])
-        br = doc["branching"]
+        br = _object(doc["branching"], "model.branching")
         if br.get("mode") == "fixed":
             branch = Branching(mode="fixed", n=int(br["n"]))
         else:
-            pmf = br.get("pmf", {})
+            pmf = _object(br.get("pmf", {}), "model.branching.pmf")
             support = tuple(int(k) for k in pmf.keys())
             probs = tuple(float(v) for v in pmf.values())
             branch = Branching(mode="random", support=support, probs=probs)
-        ens = doc["ensemble"]
+        ens = _object(doc["ensemble"], "model.ensemble")
         fam = ens.get("family")
         cap = ens.get("finite_moment_s_max")
         if cap is not None:
@@ -98,7 +97,7 @@ def model_from_jsonable(doc: dict) -> ModelSpec:
                                          finite_moment_s_max=cap)
         else:
             raise ConfigError(f"unknown ensemble family {fam!r}")
-        q = doc.get("q_law", {"kind": "zero"})
+        q = _object(doc.get("q_law", {"kind": "zero"}), "model.q_law")
         kind = q.get("kind")
         if kind == "zero":
             q_law = QLaw(kind="zero")
@@ -479,9 +478,10 @@ def cmd_certificate(cfg: RunConfig) -> int:
     artifacts.write_json(cfg.out / "certificate.json", report.to_jsonable(), fp)
     artifacts.write_csv(cfg.out / "v_estimates.csv",
                         ["level", "count", "estimate", "se", "hits", "ess",
-                         "method"],
+                         "method", "weighted", "weighted_se"],
                         [(r["level"], r["count"], r["p"], r["se"], r["hits"],
-                          r["ess"], r["method"]) for r in report.per_level_V],
+                          r["ess"], r["method"], r["weighted"],
+                          r["weighted_se"]) for r in report.per_level_V],
                         fp)
     artifacts.write_csv(cfg.out / "w_estimates.csv",
                         ["p", "q", "m", "count", "estimate", "se", "hits",
@@ -519,27 +519,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed=args.seed, threads=args.threads,
                           out=args.out)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, SpecError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (AssemblyError, ConvergenceError) as exc:
-        print(f"spectral failure: {exc}", file=sys.stderr)
-        return EXIT_SPECTRAL
-    except (NoRootError, NoSecondRootError) as exc:
-        print(f"root finding: {exc}", file=sys.stderr)
-        return EXIT_NO_SECOND_ROOT
-    except DegeneratePoolError as exc:
-        print(f"degenerate pool: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (CoverageError, NondegeneracyError) as exc:
-        print(f"degenerate cone family: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except WindowError as exc:
-        print(f"tail window: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
     except SmoothtailError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -182,9 +182,7 @@ class OperatorAssembler:
         atoms = ens.atoms()
         if atoms is not None:
             mats, self._weights = atoms
-            self.mc_reps = 0
         else:
-            self.mc_reps = mc_reps
             # // 8: the configs' mc_reps were sized for 8 moment groups
             mats = ens.directions(
                 rng, max(1, min(mc_reps // 8, 4_000_000 // len(grid))))
@@ -307,7 +305,7 @@ class SpectralResult:
     grid: SphereGrid
     residual: float
     iterations: int
-    mc_reps: int
+    direction_draws: int     # atoms of the direction law: 1 for a fixed D
 
     def e_interp(self, dirs: np.ndarray) -> np.ndarray:
         return self.grid.interp_values(self.e, dirs)
@@ -316,7 +314,7 @@ class SpectralResult:
         return {
             "s": self.s, "k": self.k,
             "residual": self.residual, "iterations": self.iterations,
-            "mc_reps": self.mc_reps,
+            "direction_draws": self.direction_draws,
             "grid_geometry": self.grid.geometry,
             "grid_size": len(self.grid),
             "e": self.e.tolist(), "nu": self.nu.tolist(),
@@ -332,7 +330,8 @@ def k_grid(assembler: OperatorAssembler, s: float) -> SpectralResult:
     k_op, e, nu, iters, residual = power_iteration(op)
     return SpectralResult(s=s, k=moment * k_op, e=e, nu=nu,
                           grid=assembler.grid, residual=residual,
-                          iterations=iters, mc_reps=assembler.mc_reps)
+                          iterations=iters,
+                          direction_draws=len(assembler._weights))
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,7 @@ class OperatorAssembler:
         atoms = ens.atoms()
         if atoms is not None:
             mats, self._weights = atoms
-            self.mc_reps = 0
         else:
-            self.mc_reps = mc_reps
             mats = ens.directions(
                 rng, max(1, min(mc_reps // 8, 4_000_000 // len(grid))))
             self._weights = np.full(len(mats), 1.0 / len(mats))
@@ -208,7 +206,7 @@ def k_grid(spec: ModelSpec, s: float, grid: Optional[SphereGrid] = None,
     k, e, nu, iters, residual = power_iteration(assembler.assemble(s))
     return SpectralResult(s=s, k=k, e=e, nu=nu, grid=assembler.grid,
                           residual=residual, iterations=iters,
-                          mc_reps=assembler.mc_reps)
+                          direction_draws=len(assembler._weights))
 
 
 def proximal_matrix(m: np.ndarray) -> bool:

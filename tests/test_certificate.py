@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (BETA_D1, K_BETA_D1, RHO_D1, d1_lognormal_spec,
-                      d2_finite_three_spec, d2_lognormal_matrix_spec, k_at,
+from conftest import (BETA_D1, BETA_ROT, K_BETA_D1, RHO_D1, RHO_ROT,
+                      d1_lognormal_spec, d2_finite_three_spec,
+                      d2_lognormal_matrix_spec, d2_rotation_spec, k_at,
                       random13_spec)
 from reference_oracles import (build_sparse_subtree, estimate_tail_prob,
                                expected_count_check, grow_tree, indicator_V)
@@ -297,7 +298,9 @@ def test_cone_family_symmetric_d1():
     assert fam.eps == pytest.approx(1.0)
     p_direct = float((np.abs(z) > ep.D).mean()) / 2
     assert fam.kappa == pytest.approx(p_direct, rel=0.2)
-    assert fam.retained.sum() == 2
+    # both caps are kept, and together they hold every member beyond D
+    assert len(fam.masses) == 2 and (fam.masses > 0).all()
+    assert fam.masses.sum() == pytest.approx(2 * p_direct, rel=1e-12)
 
 
 def test_cone_family_class_C_coverage(d1_pool):
@@ -324,22 +327,32 @@ def test_cone_family_d2(d2_pool_for_cones):
     assert fam.kappa > 0
     assert fam.eps > 0
     assert fam.coverage_angle < math.pi / 2
-    assert fam.retained.any()
-    # every retained cap's mass stays above the floor
-    assert (fam.masses[fam.retained] >= fam.kappa).all()
+    # every cap is kept: kappa is the smallest mass any of them holds, and
+    # eps = cos(2r) / d from the assignment radius r of all 8 centers
+    assert len(fam.masses) == 8
+    assert fam.kappa == fam.masses[fam.masses > 0].min()
+    # (up to the spacing of the quarter-turn test directions)
+    assert fam.coverage_angle == pytest.approx(
+        math.pi / 32, abs=math.pi / 2 / certificate.TEST_DIRECTIONS)
+    assert fam.eps == pytest.approx(math.cos(2 * fam.coverage_angle) / 2,
+                                    rel=1e-12)
 
 
 def test_cone_family_blocks_match_one_pass(monkeypatch, d2_pool_for_cones):
     # caps assigned in row blocks give the masses, eps and kappa of one pass
-    # over the whole pool, bit for bit; members of norm 0 sit mid-block
+    # over the whole pool, bit for bit; members of norm 0 sit mid-pool, and
+    # the members beyond D/eps fill more than two blocks
     spec, pool = d2_pool_for_cones
     pool = np.vstack([pool, np.zeros((5, 2)), pool[::-1]])
     assert len(pool) > 3 * certificate.BLOCK_ROWS
     ep = EventParams(t=5.0, C0=0.5, delta=0.5, rho=0.5)
+    eps = certificate._cap_geometry(spec, 8)[1]
+    assert (vec_norm(pool, spec.norm) > ep.D / eps).sum() \
+        > 2 * certificate.BLOCK_ROWS
     blocked = cone_family(pool, 8, ep, spec)
     monkeypatch.setattr(certificate, "BLOCK_ROWS", len(pool))
     whole = cone_family(pool, 8, ep, spec)
-    for name in ("retained", "masses", "masses_se"):
+    for name in ("masses", "masses_se"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name))
     assert (blocked.eps, blocked.kappa, blocked.kappa_se,
             blocked.coverage_angle) == (whole.eps, whole.kappa,
@@ -416,6 +429,66 @@ def test_lower_bound_report_identities(d1_pool):
         t ** BETA_D1 * rep.kappa * rep.v_sum, rel=1e-12)
     assert rep.fitted_D1 == pytest.approx(
         rep.t_beta_v_term / (rep.kappa * rep.shape_actual), rel=1e-12)
+
+
+def test_lower_bound_one_cap_v_term_is_kappa_times_v_sum(d1_pool):
+    # d=1 nonnegative has one cap, so every V path lands in it: m(U) is
+    # kappa, and the cap-weighted term is the floor's kappa * v_sum
+    spec = d1_lognormal_spec()
+    x = d1_pool.vectors
+    t = float(np.quantile(x[:, 0], 0.999))
+    rep = lower_bound(spec, np.array([1.0]), t, RHO_D1, BETA_D1, K_BETA_D1,
+                      C1=2, pool_vectors=x, rng=substream(25, "lb"),
+                      C0=10.0, delta=0.2, reps_v=20_000, reps_w=2_000)
+    assert len(rep.cap_masses) == 1 and rep.cap_masses[0] == rep.kappa
+    assert rep.v_term == pytest.approx(rep.kappa * rep.v_sum, rel=1e-12)
+    assert rep.bound == rep.v_term - rep.w_sum
+    for row in rep.per_level_V:
+        assert row["weighted"] == pytest.approx(rep.kappa * row["p"],
+                                                rel=1e-12)
+        assert row["weighted_se"] == pytest.approx(rep.kappa * row["se"],
+                                                   rel=1e-12)
+
+
+def test_lower_bound_se_is_walk_plus_cap_mass_variance(monkeypatch):
+    # bound_se^2 = sum_l (coef_l weighted_se_l)^2
+    #            + sum_j (sum_l coef_l rate_lj)^2 se_j^2 + w_sum_se^2
+    # on the rotation model, whose V paths end in every cap
+    spec = d2_rotation_spec()
+    pool = 10.0 * substream(26, "pool").standard_normal((20_000, 2))
+    cones, v_ests = [], []
+    cone_fn, pv_fn = certificate.cone_family, certificate.estimate_PV
+
+    def keep_cones(*args, **kw):
+        cones.append(cone_fn(*args, **kw))
+        return cones[-1]
+
+    def keep_pv(*args, **kw):
+        v_ests.append(pv_fn(*args, **kw))
+        return v_ests[-1]
+
+    monkeypatch.setattr(certificate, "cone_family", keep_cones)
+    monkeypatch.setattr(certificate, "estimate_PV", keep_pv)
+    rep = lower_bound(spec, np.array([1.0, 0.0]), 1000.0, RHO_ROT, BETA_ROT,
+                      0.5, C1=1, pool_vectors=pool, rng=substream(26, "lb"),
+                      C0=3.0, delta=0.4, reps_v=4_000, reps_w=500)
+    (fam,) = cones
+    assert rep.levels == [6, 7] and len(v_ests) == 2
+    coefs = [2.0 ** (ell - 1) for ell in rep.levels]
+    totals = sum(c * est.cap_rates for c, est in zip(coefs, v_ests))
+    assert (totals > 0).all() and rep.cap_masses == fam.masses.tolist()
+    for est in v_ests:
+        assert est.weighted == pytest.approx(fam.masses @ est.cap_rates,
+                                             rel=1e-12)
+    assert rep.v_term == pytest.approx(fam.masses @ totals, rel=1e-12)
+    walk_var = sum((c * est.weighted_se) ** 2 for c, est in zip(coefs, v_ests))
+    cap_var = float(((totals * fam.masses_se) ** 2).sum())
+    assert cap_var > 0
+    assert rep.v_term_se == pytest.approx(math.sqrt(walk_var + cap_var),
+                                          rel=1e-12)
+    assert rep.bound_se == pytest.approx(
+        math.sqrt(walk_var + cap_var + rep.w_sum_se ** 2), rel=1e-12)
+    assert rep.bound == rep.v_term - rep.w_sum
 
 
 def test_lower_bound_empty_level_set_is_vacuous(d1_pool):
@@ -503,10 +576,9 @@ def test_lower_bound_below_direct_union(d1_pool):
     assert rep.bound <= p_union + 3 * se_union + 3 * rep.bound_se
 
 
-def test_cone_family_coverage_error_one_sided_pool():
-    # a full-sphere model whose pool never points negative: the positive cap
-    # alone cannot cover the -e1 direction
-    from smoothtail.errors import CoverageError
+def test_cone_family_one_sided_pool_keeps_the_empty_cap():
+    # a full-sphere model whose pool never points negative: both caps are
+    # kept, the -e1 cap with mass 0, and a V path that ends there adds 0
     from smoothtail.model import LognormalScalarMatrix
     spec = ModelSpec(dimension=1, branching=Branching(mode="fixed", n=2),
                      ensemble=LognormalScalarMatrix(
@@ -517,8 +589,22 @@ def test_cone_family_coverage_error_one_sided_pool():
     object.__setattr__(spec, "norm", "l2")
     pool = np.abs(substream(23, "c").standard_normal((50_000, 1))) * 30.0
     ep = EventParams(t=10.0, C0=1.0, delta=0.5, rho=1.0)
-    with pytest.raises(CoverageError):
-        cone_family(pool, 2, ep, spec)
+    fam = cone_family(pool, 2, ep, spec)
+    assert fam.eps == 1.0
+    assert fam.masses[0] > 0 and fam.masses[1] == 0.0
+    assert fam.kappa == fam.masses[0]
+    # positive scales keep a path's direction: from -e1 every path ends on
+    # the empty cap, from +e1 on the one with mass
+    loose = EventParams(t=10.0, C0=100.0, delta=0.5, rho=1.0)
+    for u, cap in ((-1.0, 1), (1.0, 0)):
+        est = estimate_PV(spec, 3, loose, 4_000, substream(24, "c"),
+                          tilt=BETA_D1, pool_vectors=pool,
+                          u=np.array([u]), cones=fam)
+        assert est.hits > 0
+        assert est.cap_rates[cap] == est.value
+        assert est.cap_rates[1 - cap] == 0.0
+        assert est.weighted == fam.masses[cap] * est.value
+    assert est.weighted > 0
 
 
 def test_summarize_flags_and_upper_bound():

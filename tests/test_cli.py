@@ -247,6 +247,20 @@ def test_json_reports_refuse_non_finite_floats(tmp_path, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("branching", {"mode": "random", "pmf": [[2, 1.0]]},
+     "model.branching.pmf: need a JSON object"),
+    ("ensemble", "scalar_lognormal", "model.ensemble: need a JSON object"),
+    ("q_law", [], "model.q_law: need a JSON object"),
+], ids=["branching.pmf", "ensemble", "q_law"])
+def test_model_sub_document_of_wrong_type_exit_2(tmp_path, capsys, key, value,
+                                                 named):
+    model = dict(D1_MODEL, **{key: value})
+    assert _run(tmp_path, "validate", {"model": model, "seed": 1}) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # spectrum / solve-index
 # ---------------------------------------------------------------------------
@@ -324,6 +338,23 @@ def test_spectrum_json_s_scalar(tmp_path):
     assert _run(tmp_path, "spectrum", cfg) == 0
     assert sorted(p.name for p in (tmp_path / "out").glob("spectral_s*")) \
         == ["spectral_s1.json"]
+
+
+@pytest.mark.parametrize("model, mc_reps, draws", [
+    (D1_MODEL, 200_000, 1),
+    (model_to_jsonable(d2_finite_three_spec()), 200_000, 3),
+    (ROT_MODEL, 8_000, 1_000),
+], ids=["fixed-D", "finite-support", "c*R"])
+def test_spectral_json_records_the_direction_draws(tmp_path, model, mc_reps,
+                                                   draws):
+    # a fixed D draws nothing whatever mc_reps says, finite support reads
+    # its atoms, and rotations draw mc_reps // 8 of them
+    cfg = {"model": model, "seed": 8,
+           "spectrum": {"s_grid": [1.0], "mc_reps": mc_reps,
+                        "grid_size": 32}}
+    assert _run(tmp_path, "spectrum", cfg) == 0
+    doc = json.loads((tmp_path / "out/spectral_s0.json").read_text())
+    assert doc["direction_draws"] == draws and "mc_reps" not in doc
 
 
 def test_solve_index_reference(tmp_path):
@@ -860,12 +891,10 @@ def test_certificate_search_without_feasible_cells_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("geom_class, top, C0, named", [
     ("nonnegative-C", 2.0, 10.0, "no pool mass beyond D/eps"),
-    ("invertible-id", 200.0, 0.1, "caps with positive mass cannot cover"),
-], ids=["no-mass-beyond-threshold", "caps-cannot-cover"])
+], ids=["no-mass-beyond-threshold"])
 def test_certificate_cone_failure_exit_6(tmp_path, capsys, geom_class, top,
                                          C0, named):
-    # at C0 = 10 every member lies below D/eps = 56; at C0 = 0.1 members lie
-    # beyond it, but all along +e1, so no cap with mass covers -e1
+    # at C0 = 10 every member lies below D/eps = 56
     pool = FixedPointPool(vectors=np.linspace(1.0, top, 1000)[:, None],
                           generation=1, converged=True)
     artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
@@ -877,6 +906,40 @@ def test_certificate_cone_failure_exit_6(tmp_path, capsys, geom_class, top,
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_certificate_cap_geometry_failure_exit_6(tmp_path, capsys):
+    # three caps around the circle: a direction and a member in one cap can
+    # lie 120 degrees apart, so no eps > 0 exists
+    pool = FixedPointPool(vectors=np.full((1000, 2), 50.0), generation=1,
+                          converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    cfg = {"model": ROT_MODEL, "seed": 1,
+           "certificate": {"pool": "pool.bin", "beta": 7.24, "rho": 0.81,
+                           "k_beta": 0.5, "t": 100.0, "J": 3, "C0": 1.0,
+                           "delta": 0.2, "reps_v": 100, "reps_w": 100}}
+    assert _run(tmp_path, "certificate", cfg) == 6
+    err = capsys.readouterr().err
+    assert "cap geometry cannot cover" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [6, 6101])
+def test_certificate_keeps_every_cap_on_the_three_atom_pool(tmp_path, seed):
+    # the search keeps only cells with a member beyond D/eps, and the cone
+    # family keeps every cap with that same eps, so the chosen cell has
+    # mass (dropping the empty caps shrank eps until none was left)
+    cfg = {"model": model_to_jsonable(d2_finite_three_spec()), "seed": seed,
+           "simulate": {"pool_size": 20_000, "replicates": 2,
+                        "generations": 25, "x0": [1.0, 1.0]},
+           "certificate": {"pool": "out/pool.bin", "beta": 2.577,
+                           "rho": 0.437, "k_beta": 0.5, "t_quantile": 0.999,
+                           "u": [1.0, 0.0], "reps_search": 4_000}}
+    assert _run(tmp_path, "simulate", cfg) == 0
+    assert _run(tmp_path, "certificate", cfg) == 0
+    doc = _strict_json(tmp_path / "out/certificate.json")
+    assert len(doc["cap_masses"]) == 8 and doc["kappa"] > 0
+    assert doc["bound"] == doc["v_term"] - doc["w_sum"]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "certificate"])
