@@ -22,11 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .branching import BLOCK_ROWS, resampled_sum
+from .branching import resampled_sum
 from .errors import CoverageError, NondegeneracyError, SpecError
-from .model import CLASS_NONNEG, ModelSpec
+from .model import ModelSpec
 from .rng import parallel_map, spawn
-from .spectral import OperatorAssembler, build_grid, k_grid
+from .spectral import (COVER_TEST_POINTS, OperatorAssembler, SphereGrid,
+                       build_grid, k_grid)
 from .walks import (StepSampler, effective_sample_size, run_walks,
                     tilted_batch, vec_norm, weighted_mean)
 
@@ -36,8 +37,6 @@ ESS_FLOOR = 100            # effective contributing samples per estimate
 VERDICT_Z = 2              # a positive bound must clear this many standard errors
 SEARCH_C0 = (1.0, 3.0, 10.0, 30.0)        # the (C0, delta) search grid
 SEARCH_DELTA = (0.05, 0.1, 0.2, 0.4)
-TEST_DIRECTIONS = 720      # cone-coverage check grid: equal angles at d = 2
-TEST_DIRECTIONS_SOBOL = 1024   # and Sobol points at d >= 3 (balanced at 2^k)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
     est = _summarize(ind, log_weight)
     if cones is not None:
         cap = np.full(reps, -1)
-        cap[ind] = _nearest_cap(U[ind], cones.centers)
+        cap[ind] = cones.caps.cell_index(U[ind])
         est.cap_rates = np.array([weighted_mean(cap == j, log_weight)[0]
                                   for j in range(len(cones.masses))])
         est.weighted = float(cones.masses @ est.cap_rates)
@@ -239,81 +238,42 @@ class ConeFamily:
     """Every cap with its exceedance mass, and the floor kappa: the smallest
     positive mass."""
 
-    centers: np.ndarray            # (J, d) unit directions (l2)
+    caps: SphereGrid               # cap j is the cell of grid point j
     eps: float                     # inner-product constant for the model norm
-    D: float
     masses: np.ndarray             # (J,) exceedance mass per cap
     masses_se: np.ndarray
     kappa: float
     kappa_se: float
-    coverage_angle: float          # r: no direction is farther from its center
-
-
-def _cap_centers(spec: ModelSpec, J: int) -> np.ndarray:
-    d = spec.d
-    if d == 1:
-        if spec.geom_class == CLASS_NONNEG:
-            return np.array([[1.0]])
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        if spec.geom_class == CLASS_NONNEG:
-            theta = (np.arange(J) + 0.5) * (math.pi / 2) / J
-        else:
-            theta = (np.arange(J) + 0.5) * (2 * math.pi) / J
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    grid = build_grid(spec, size=J)
-    pts = grid.points
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def _test_directions(spec: ModelSpec) -> np.ndarray:
-    grid = build_grid(spec, size=TEST_DIRECTIONS if spec.d == 2
-                      else TEST_DIRECTIONS_SOBOL)
-    pts = grid.points
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def _cap_geometry(spec: ModelSpec, J: int):
-    """The cap centers, eps = cos(2r) / c and the assignment radius r, the
-    largest angle from a test direction to its nearest center.  A walk
-    direction and a pool member in the same cap are at most 2r apart, and c
-    (= d for the l1 cone, 1 for l2) converts the l2 inner product to the
-    model norm."""
-    centers = _cap_centers(spec, J)
-    cosangle = np.clip(_test_directions(spec) @ centers.T, -1.0, 1.0)
-    r = float(np.arccos(cosangle).min(axis=1).max())
+    """The caps, the cells of build_grid(spec, size=J), and eps = cos(2r) / c
+    for their covering radius r.  A walk direction and a pool member in the
+    same cap are at most 2r apart, and c (= d for the l1 cone, 1 for l2)
+    converts the l2 inner product to the model norm."""
+    caps = build_grid(spec, size=J)
+    r = caps.covering_radius()
     if 2 * r >= math.pi / 2 - 1e-9:
         raise CoverageError(
             "cap geometry cannot cover the sphere; increase J or widen apertures")
     norm_factor = float(spec.d) if spec.norm == "l1" else 1.0
-    return centers, math.cos(2 * r) / norm_factor, r
-
-
-def _nearest_cap(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """The cap of each row of x: the center with the largest inner product,
-    which is the nearest in angle whatever the row's length, formed
-    BLOCK_ROWS rows at a time."""
-    out = np.empty(len(x), dtype=np.intp)
-    for a in range(0, len(x), BLOCK_ROWS):
-        np.argmax(x[a:a + BLOCK_ROWS] @ centers.T, axis=1,
-                  out=out[a:a + BLOCK_ROWS])
-    return out
+    return caps, math.cos(2 * r) / norm_factor
 
 
 def cone_family(pool_vectors: np.ndarray, J: int, eparams: EventParams,
                 spec: ModelSpec) -> ConeFamily:
     """Every cap with its exceedance mass m_j: the share of pool members of
-    model norm beyond D / eps whose nearest center is cap j's.  A member x
+    model norm beyond D / eps whose nearest cap grid point is j.  A member x
     there and a direction U in the same cap have <U, x> > D, so a V path
     ending at U gains m(U), the mass of U's cap."""
     pool_vectors = np.atleast_2d(np.asarray(pool_vectors, dtype=float))
     n, d = pool_vectors.shape
     if d != spec.d:
         raise SpecError("pool dimension mismatch")
-    centers, eps, r = _cap_geometry(spec, J)
+    caps, eps = _cap_geometry(spec, J)
     exceed = vec_norm(pool_vectors, spec.norm) > eparams.D / eps
-    masses = np.bincount(_nearest_cap(pool_vectors[exceed], centers),
-                         minlength=len(centers)) / n
+    masses = np.bincount(caps.cell_index(pool_vectors[exceed]),
+                         minlength=len(caps)) / n
     if not masses.any():
         raise NondegeneracyError(
             f"no pool mass beyond D/eps = {eparams.D / eps:.6g}: pool degenerate "
@@ -321,9 +281,9 @@ def cone_family(pool_vectors: np.ndarray, J: int, eparams: EventParams,
     masses_se = np.sqrt(masses * (1 - masses) / n)
     held = np.flatnonzero(masses)
     floor = held[np.argmin(masses[held])]
-    return ConeFamily(centers=centers, eps=eps, D=eparams.D, masses=masses,
-                      masses_se=masses_se, kappa=float(masses[floor]),
-                      kappa_se=float(masses_se[floor]), coverage_angle=r)
+    return ConeFamily(caps=caps, eps=eps, masses=masses, masses_se=masses_se,
+                      kappa=float(masses[floor]),
+                      kappa_se=float(masses_se[floor]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +310,7 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
     """
     cells = [EventParams(t=t, C0=C0, delta=delta, rho=rho)
              for C0 in SEARCH_C0 for delta in SEARCH_DELTA]
-    _, eps, _ = _cap_geometry(spec, J)
+    _, eps = _cap_geometry(spec, J)
     reach = float(vec_norm(pool_vectors, spec.norm).max())
     cells = [c for c in cells if c.D / eps < reach]
     if not cells:
@@ -482,6 +442,9 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     sparams = SubtreeParams(C1=C1)
     levels = sparams.levels(eparams)
     flags = list(eparams.flags)
+    if spec.d >= 3:
+        flags.append(f"cap radius sampled over {COVER_TEST_POINTS} directions "
+                     "(d >= 3): eps may overstate the cone constant")
     if not levels:
         flags.append(f"L_t empty for C1={C1} in window {eparams.window}")
     en = spec.mean_children()

@@ -58,10 +58,6 @@ class NoSecondRootError(SmoothtailError):
     exit_code = 5
     label = "root finding"
 
-    def __init__(self, message, m_at_s_max=None):
-        super().__init__(message)
-        self.m_at_s_max = m_at_s_max
-
 
 class DegeneratePoolError(SmoothtailError):
     """The fixed-point pool collapsed to a point mass."""
@@ -75,10 +71,6 @@ class WindowError(SmoothtailError):
 
     exit_code = 7
     label = "tail window"
-
-    def __init__(self, message, max_usable_t=None):
-        super().__init__(message)
-        self.max_usable_t = max_usable_t
 
 
 class CoverageError(SmoothtailError):

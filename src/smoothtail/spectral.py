@@ -25,6 +25,7 @@ DEFAULT_GRID_HIGH = 512
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 20000
 SCATTER_CHUNK = 1 << 14     # draw x grid-point entries per scatter pass
+COVER_TEST_POINTS = 1024    # d >= 3 covering-radius directions (Sobol, 2^k)
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +45,15 @@ class SphereGrid:
 
     # -- interpolation --------------------------------------------------------
 
-    def _angles(self, dirs: np.ndarray) -> np.ndarray:
-        return np.arctan2(dirs[:, 1], dirs[:, 0])
+    def _cell_coords(self, dirs: np.ndarray) -> np.ndarray:
+        """Each d = 2 direction's angle in grid steps from the first point
+        (the quarter circle's points sit mid-step, the circle's start at 0)."""
+        G = len(self.points)
+        if self.geometry == "quarter_circle":
+            step = (math.pi / 2) / G
+            return np.arctan2(abs(dirs[:, 1]), abs(dirs[:, 0])) / step - 0.5
+        step = 2 * math.pi / G
+        return np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * math.pi) / step
 
     def interp_rows(self, dirs: np.ndarray):
         """(idx (n,2), w (n,2)): sparse interpolation rows for directions.
@@ -57,23 +65,17 @@ class SphereGrid:
         n = dirs.shape[0]
         G = len(self.points)
         if self.geometry == "quarter_circle":
-            step = (math.pi / 2) / G
-            t = self._angles(np.abs(dirs)) / step - 0.5
-            t = np.clip(t, 0.0, G - 1.0)
-            j0 = np.floor(t).astype(np.int64)
-            j0 = np.minimum(j0, G - 2)
+            t = np.clip(self._cell_coords(dirs), 0.0, G - 1.0)
+            j0 = np.minimum(np.floor(t).astype(np.int64), G - 2)
             frac = t - j0
-            idx = np.column_stack([j0, j0 + 1])
-            w = np.column_stack([1.0 - frac, frac])
-            return idx, w
+            return (np.column_stack([j0, j0 + 1]),
+                    np.column_stack([1.0 - frac, frac]))
         if self.geometry == "circle":
-            step = 2 * math.pi / G
-            t = np.mod(self._angles(dirs), 2 * math.pi) / step
+            t = self._cell_coords(dirs)
             j0 = np.floor(t).astype(np.int64) % G
             frac = t - np.floor(t)
-            idx = np.column_stack([j0, (j0 + 1) % G])
-            w = np.column_stack([1.0 - frac, frac])
-            return idx, w
+            return (np.column_stack([j0, (j0 + 1) % G]),
+                    np.column_stack([1.0 - frac, frac]))
         # nearest neighbor on the d = 1 and high-dimensional grids
         j = self.cell_index(dirs)
         return np.column_stack([j, j]), np.column_stack([np.ones(n), np.zeros(n)])
@@ -83,17 +85,15 @@ class SphereGrid:
         return (values[idx] * w).sum(axis=1)
 
     def cell_index(self, dirs: np.ndarray) -> np.ndarray:
-        """Nearest grid cell per direction (used for orbit coverage counts)."""
+        """Nearest grid point per direction, the one of largest inner product
+        with the direction (orbit coverage counts, the certificate's caps)."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         G = len(self.points)
         if self.geometry == "quarter_circle":
-            step = (math.pi / 2) / G
-            t = self._angles(np.abs(dirs)) / step - 0.5
-            return np.clip(np.rint(t), 0, G - 1).astype(np.int64)
+            t = np.rint(self._cell_coords(dirs))
+            return np.clip(t, 0, G - 1).astype(np.int64)
         if self.geometry == "circle":
-            step = 2 * math.pi / G
-            t = np.mod(self._angles(dirs), 2 * math.pi) / step
-            return np.rint(t).astype(np.int64) % G
+            return np.rint(self._cell_coords(dirs)).astype(np.int64) % G
         # chunked max-inner-product search
         out = np.empty(dirs.shape[0], dtype=np.int64)
         unit = dirs / np.maximum(
@@ -105,6 +105,37 @@ class SphereGrid:
             b = min(a + chunk, dirs.shape[0])
             out[a:b] = np.argmax(unit[a:b] @ pts.T, axis=1)
         return out
+
+    def covering_radius(self) -> float:
+        """r: the largest angle from a direction of the grid's part of the
+        sphere to its nearest grid point.  Exact at d <= 2: 0 on the d = 1
+        grids, half a step pi / (4G) on the quarter circle and pi / G on the
+        circle.  At d >= 3 the largest angle over COVER_TEST_POINTS
+        fixed-seed Sobol directions, which can fall short of the true r."""
+        G = len(self.points)
+        if self.geometry in ("halfline", "pm1"):
+            return 0.0
+        if self.geometry == "quarter_circle":
+            return math.pi / (4 * G)
+        if self.geometry == "circle":
+            return math.pi / G
+        test = _sobol_normals(self.points.shape[1], COVER_TEST_POINTS,
+                              self.geometry == "orthant")
+        test /= np.linalg.norm(test, axis=1, keepdims=True)
+        pts = self.points / np.linalg.norm(self.points, axis=1, keepdims=True)
+        cos_nearest = (test @ pts.T).max(axis=1)
+        return float(np.arccos(np.clip(cos_nearest, -1.0, 1.0)).max())
+
+
+def _sobol_normals(d: int, G: int, nonneg: bool) -> np.ndarray:
+    """G fixed-seed scrambled Sobol points pushed through the normal quantile
+    map, folded onto the orthant for the nonnegative class: directions once
+    normalized."""
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+    sob = qmc.Sobol(d, scramble=True, seed=20240 + d)
+    z = ndtri(np.clip(sob.random(G), 1e-12, 1 - 1e-12))
+    return np.abs(z) if nonneg else z
 
 
 def build_grid(spec: ModelSpec, size: Optional[int] = None) -> SphereGrid:
@@ -130,14 +161,7 @@ def build_grid(spec: ModelSpec, size: Optional[int] = None) -> SphereGrid:
         pts /= vec_norm(pts, norm)[:, None]
         geometry = "quarter_circle" if nonneg else "circle"
         return SphereGrid(pts, geometry)
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-    G = size or DEFAULT_GRID_HIGH
-    sob = qmc.Sobol(d, scramble=True, seed=20240 + d)
-    u = sob.random(G)
-    z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    if nonneg:
-        z = np.abs(z)
+    z = _sobol_normals(d, size or DEFAULT_GRID_HIGH, nonneg)
     pts = z / np.maximum(vec_norm(z, norm)[:, None], UNDERFLOW)
     geometry = "orthant" if nonneg else "sphere"
     return SphereGrid(pts, geometry)
@@ -523,14 +547,12 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
     if s_star >= s_max - 10 * (gs_tol + _SQRT_EPS * s_max):
         raise NoSecondRootError(
             f"m is still decreasing at {edge}={s_max} (m={m(s_max):.6g})"
-            + ("; widen s_max" if edge == "s_max" else ""),
-            m_at_s_max=m(s_max))
+            + ("; widen s_max" if edge == "s_max" else ""))
     if m_star >= 1.0:
         raise NoRootError(f"min m = {m_star:.6g} >= 1 at s* = {s_star:.6g}: no roots")
     if m(s_max) <= 1.0:
         raise NoSecondRootError(
-            f"m({edge}={s_max}) = {m(s_max):.6g} <= 1: no second root below {edge}",
-            m_at_s_max=m(s_max))
+            f"m({edge}={s_max}) = {m(s_max):.6g} <= 1: no second root below {edge}")
 
     g = lambda s: m(s) - 1.0
     lo_alpha = max(1e-12, 1e-9 * s_max)

@@ -186,8 +186,7 @@ def scaled_tail_flatness(pool_vectors: np.ndarray, u: np.ndarray, beta: float,
         raise WindowError(
             f"only {n_above} exceedances at t_hi={t_hi:.6g}; "
             f"largest usable t_hi is {usable:.6g}" if usable is not None else
-            f"pool of {n} cannot resolve any window",
-            max_usable_t=usable)
+            f"pool of {n} cannot resolve any window")
     t_grid = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), n_points))
     counts = n - np.searchsorted(proj, t_grid, side="right")
     surv = counts / n

@@ -10,8 +10,8 @@ import pytest
 
 from conftest import (BETA_D1, BETA_ROT, K_BETA_D1, RHO_D1, RHO_ROT,
                       d1_lognormal_spec, d2_finite_three_spec,
-                      d2_lognormal_matrix_spec, d2_rotation_spec, k_at,
-                      random13_spec)
+                      d2_lognormal_matrix_spec, d2_rotation_spec,
+                      d3_rotation_spec, k_at, random13_spec)
 from reference_oracles import (build_sparse_subtree, estimate_tail_prob,
                                expected_count_check, grow_tree, indicator_V)
 from smoothtail import certificate, walks
@@ -20,7 +20,7 @@ from smoothtail.certificate import (ESS_FLOOR, VERDICT_Z, EventParams,
                                     _summarize, choose_event_params,
                                     cone_family, draw_z_marks, estimate_PV,
                                     estimate_PW, lower_bound, verdict)
-from smoothtail.errors import NondegeneracyError, SpecError
+from smoothtail.errors import CoverageError, NondegeneracyError, SpecError
 from smoothtail.model import Branching, FiniteSupport, ModelSpec, QLaw
 from smoothtail.rng import substream
 from smoothtail.walks import vec_norm
@@ -325,42 +325,40 @@ def test_cone_family_d2(d2_pool_for_cones):
     ep = EventParams(t=5.0, C0=0.5, delta=0.5, rho=0.5)
     fam = cone_family(pool, 8, ep, spec)
     assert fam.kappa > 0
-    assert fam.eps > 0
-    assert fam.coverage_angle < math.pi / 2
     # every cap is kept: kappa is the smallest mass any of them holds, and
-    # eps = cos(2r) / d from the assignment radius r of all 8 centers
-    assert len(fam.masses) == 8
+    # eps = cos(2r) / d for the exact covering radius r = pi / 32 of the 8
+    # quarter-circle cells
+    assert len(fam.masses) == 8 and fam.caps.geometry == "quarter_circle"
     assert fam.kappa == fam.masses[fam.masses > 0].min()
-    # (up to the spacing of the quarter-turn test directions)
-    assert fam.coverage_angle == pytest.approx(
-        math.pi / 32, abs=math.pi / 2 / certificate.TEST_DIRECTIONS)
-    assert fam.eps == pytest.approx(math.cos(2 * fam.coverage_angle) / 2,
-                                    rel=1e-12)
+    assert fam.caps.covering_radius() == math.pi / 32
+    assert fam.eps == pytest.approx(math.cos(math.pi / 16) / 2, rel=1e-15)
+    # each member beyond D / eps counts in the cap of its nearest grid point
+    exceed = pool[vec_norm(pool, spec.norm) > ep.D / fam.eps]
+    unit = fam.caps.points / np.linalg.norm(fam.caps.points, axis=1,
+                                            keepdims=True)
+    nearest = np.argmax(exceed @ unit.T, axis=1)
+    assert np.array_equal(fam.masses,
+                          np.bincount(nearest, minlength=8) / len(pool))
 
 
-def test_cone_family_blocks_match_one_pass(monkeypatch, d2_pool_for_cones):
-    # caps assigned in row blocks give the masses, eps and kappa of one pass
-    # over the whole pool, bit for bit; members of norm 0 sit mid-pool, and
-    # the members beyond D/eps fill more than two blocks
-    spec, pool = d2_pool_for_cones
-    pool = np.vstack([pool, np.zeros((5, 2)), pool[::-1]])
-    assert len(pool) > 3 * certificate.BLOCK_ROWS
-    ep = EventParams(t=5.0, C0=0.5, delta=0.5, rho=0.5)
-    eps = certificate._cap_geometry(spec, 8)[1]
-    assert (vec_norm(pool, spec.norm) > ep.D / eps).sum() \
-        > 2 * certificate.BLOCK_ROWS
-    blocked = cone_family(pool, 8, ep, spec)
-    monkeypatch.setattr(certificate, "BLOCK_ROWS", len(pool))
-    whole = cone_family(pool, 8, ep, spec)
-    for name in ("masses", "masses_se"):
-        assert np.array_equal(getattr(blocked, name), getattr(whole, name))
-    assert (blocked.eps, blocked.kappa, blocked.kappa_se,
-            blocked.coverage_angle) == (whole.eps, whole.kappa,
-                                        whole.kappa_se, whole.coverage_angle)
+@pytest.mark.parametrize("make_spec, J", [(d2_lognormal_matrix_spec, 1),
+                                          (d2_rotation_spec, 4)])
+def test_cap_geometry_caps_a_right_angle_apart_cannot_cover(make_spec, J):
+    # one quarter-circle cap, or four circle caps, leave a direction pi / 4
+    # from its cap's center: two directions in one cap may be orthogonal
+    with pytest.raises(CoverageError):
+        certificate._cap_geometry(make_spec(), J)
+
+
+def test_cap_geometry_circle_eps():
+    # eight circle caps (l2 cone): r = pi / 8 and eps = cos(pi / 4)
+    caps, eps = certificate._cap_geometry(d2_rotation_spec(), 8)
+    assert caps.geometry == "circle" and len(caps) == 8
+    assert eps == math.cos(math.pi / 4)
 
 
 def test_cone_family_d3_checks_coverage_on_balanced_sobol_points():
-    # the d >= 3 coverage check takes a power-of-2 Sobol set, for which
+    # the d >= 3 covering radius takes a power-of-2 Sobol set, for which
     # scipy does not warn that the points lose their balance
     from smoothtail.model import LognormalScalarMatrix
     spec = ModelSpec(dimension=3, branching=Branching(mode="fixed", n=2),
@@ -373,8 +371,10 @@ def test_cone_family_d3_checks_coverage_on_balanced_sobol_points():
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message="The balance properties")
         fam = cone_family(pool, 8, ep, spec)
-    assert fam.kappa > 0 and 0 < fam.eps < 1 / 3
-    assert fam.coverage_angle < math.pi / 2
+        r = fam.caps.covering_radius()
+    assert fam.caps.geometry == "orthant" and len(fam.caps) == 8
+    assert fam.kappa > 0 and 0 < r < math.pi / 4
+    assert fam.eps == math.cos(2 * r) / 3
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +489,21 @@ def test_lower_bound_se_is_walk_plus_cap_mass_variance(monkeypatch):
     assert rep.bound_se == pytest.approx(
         math.sqrt(walk_var + cap_var + rep.w_sum_se ** 2), rel=1e-12)
     assert rep.bound == rep.v_term - rep.w_sum
+
+
+@pytest.mark.parametrize("make_spec", [d2_rotation_spec, d3_rotation_spec])
+def test_lower_bound_flags_the_sampled_cap_radius_at_d3(make_spec):
+    # at d >= 3 the covering radius is a maximum over Sobol directions, which
+    # can fall short of the true one and so overstate eps
+    spec = make_spec()
+    pool = 10.0 * substream(27, "pool").standard_normal((20_000, spec.d))
+    u = np.eye(spec.d)[0]
+    rep = lower_bound(spec, u, 1000.0, RHO_ROT, BETA_ROT, 0.5, C1=1,
+                      pool_vectors=pool, rng=substream(27, "lb"), C0=3.0,
+                      delta=0.4, J=64, reps_v=500, reps_w=100)
+    flag = ("cap radius sampled over 1024 directions (d >= 3): eps may "
+            "overstate the cone constant")
+    assert (flag in rep.flags) == (spec.d >= 3)
 
 
 def test_lower_bound_empty_level_set_is_vacuous(d1_pool):

@@ -80,6 +80,74 @@ def test_d1_grid_lookups_nearest_neighbour(geom_class, geometry):
     assert np.array_equal(w, np.column_stack([np.ones(n), np.zeros(n)]))
 
 
+def _geometry_spec(d, geom_class):
+    from smoothtail.model import (Branching, LognormalScalarMatrix,
+                                  ModelSpec, QLaw)
+    return ModelSpec(dimension=d, branching=Branching(mode="fixed", n=2),
+                     ensemble=LognormalScalarMatrix(
+                         mu=-1.0, sigma2=0.5, matrix=np.ones((d, d)) + np.eye(d)),
+                     q_law=QLaw(kind="zero"), geom_class=geom_class)
+
+
+def _random_directions(n, d, nonneg, seed):
+    z = substream(seed, "dirs").standard_normal((n, d))
+    z = np.abs(z) if nonneg else z
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _unit_points(grid):
+    return grid.points / np.linalg.norm(grid.points, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("geom_class, geometry", [
+    ("nonnegative-C", "quarter_circle"), ("invertible-ipo", "circle")])
+def test_covering_radius_d2_is_exact(geom_class, geometry, J):
+    # pi / (4J) on the quarter circle, pi / J on the circle: 1e5 random
+    # directions come within 1e-3 of it and never beyond it
+    grid = build_grid(_geometry_spec(2, geom_class), size=J)
+    assert grid.geometry == geometry and len(grid) == J
+    r = grid.covering_radius()
+    assert r == (math.pi / (4 * J) if geometry == "quarter_circle"
+                 else math.pi / J)
+    dirs = _random_directions(100_000, 2, geometry == "quarter_circle", 30 + J)
+    cos_nearest = np.clip((dirs @ _unit_points(grid).T).max(axis=1), -1, 1)
+    brute = float(np.arccos(cos_nearest).max())
+    assert brute <= r
+    assert r - brute <= 1e-3
+
+
+@pytest.mark.parametrize("geom_class", ["nonnegative-C", "invertible-ipo"])
+def test_covering_radius_d1_is_zero(geom_class):
+    assert build_grid(_geometry_spec(1, geom_class)).covering_radius() == 0.0
+
+
+@pytest.mark.parametrize("d, geom_class, geometry", [
+    (1, "nonnegative-C", "halfline"), (1, "invertible-ipo", "pm1"),
+    (2, "nonnegative-C", "quarter_circle"), (2, "invertible-ipo", "circle"),
+    (3, "nonnegative-C", "orthant"), (3, "invertible-ipo", "sphere")])
+def test_cell_index_is_the_largest_inner_product_point(d, geom_class, geometry):
+    grid = build_grid(_geometry_spec(d, geom_class), size=8)
+    assert grid.geometry == geometry
+    dirs = _random_directions(100_000, d, geometry in ("halfline",
+                              "quarter_circle", "orthant"), 40 + d)
+    inner = dirs @ _unit_points(grid).T
+    top = np.sort(inner, axis=1)
+    # exact ties (within rounding) may go either way
+    clear = (top[:, -1] - top[:, -2] > 1e-9) if len(grid) > 1 \
+        else np.ones(len(dirs), dtype=bool)
+    assert clear.mean() > 0.99
+    assert np.array_equal(grid.cell_index(dirs[clear]),
+                          np.argmax(inner[clear], axis=1))
+
+
+def test_cell_index_spans_several_chunks():
+    # 2e6 // 2 rows per chunk on {+1, -1}: two chunks, the last one partial
+    grid = build_grid(_geometry_spec(1, "invertible-ipo"))
+    x = substream(50, "chunks").standard_normal((1_000_000 + 1234, 1))
+    assert np.array_equal(grid.cell_index(x), (x[:, 0] < 0).astype(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # operator and power iteration
 # ---------------------------------------------------------------------------
@@ -369,7 +437,8 @@ def test_solve_no_second_root():
     with pytest.raises(NoSecondRootError) as exc:
         solve_alpha_beta(spec, s_max=4.0, tol=1e-6, rng=substream(17, "s"),
                          mc_reps=1000)
-    assert exc.value.m_at_s_max is not None
+    # the message carries m at the bracket's end, 2 * 4^-4
+    assert "m is still decreasing at s_max=4.0 (m=0.0078125)" in str(exc.value)
 
 
 def test_drift_reference():

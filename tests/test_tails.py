@@ -10,7 +10,8 @@ from conftest import BETA_D1
 from reference_oracles import directional_profile, empirical_survival
 from smoothtail.errors import SpecError, WindowError
 from smoothtail.rng import substream
-from smoothtail.tails import hill, scaled_tail_flatness, tail_report
+from smoothtail.tails import (MIN_EXCEEDANCES, hill, scaled_tail_flatness,
+                              tail_report)
 
 
 def _pareto(theta, n, seed, xm=1.0):
@@ -100,7 +101,9 @@ def test_flatness_unresolvable_window():
     with pytest.raises(WindowError) as exc:
         scaled_tail_flatness(x[:, None], [1.0], 2.0, 1.5, x.max() * 2,
                              substream(8, "b"))
-    assert exc.value.max_usable_t is not None
+    # the message names the largest t_hi the pool resolves
+    usable = np.sort(x)[-(MIN_EXCEEDANCES + 1)]
+    assert f"largest usable t_hi is {usable:.6g}" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
