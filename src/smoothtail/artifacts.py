@@ -99,7 +99,7 @@ def read_pool(path: Path) -> FixedPointPool:
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size or raw[:8] != POOL_MAGIC:
         raise ConfigError(f"{path}: not a pool file")
-    (magic, fmt, d, count, gen, conv, degen, _pad, fp,
+    (magic, fmt, d, count, gen, conv, degen, _pad, _fp,
      _ver) = _HEADER.unpack_from(raw)
     payload = len(raw) - _HEADER.size
     if payload != count * d * 8:
@@ -110,8 +110,7 @@ def read_pool(path: Path) -> FixedPointPool:
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size,
                          count=count * d).reshape(count, d)
     return FixedPointPool(vectors=data.copy(), generation=gen,
-                          spec_fingerprint=fp.decode(), converged=bool(conv),
-                          degenerate=bool(degen))
+                          converged=bool(conv), degenerate=bool(degen))
 
 
 def write_pool_csv(path: Path, pool: FixedPointPool, fp: str) -> None:

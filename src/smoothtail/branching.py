@@ -14,10 +14,11 @@ import numpy as np
 
 from . import rng as rng_module
 from .errors import SpecError
-from .model import ModelSpec, check_class
+from .model import ModelSpec
 from .walks import apply_batch, vec_norm
 
 BLOCK_ROWS = 1 << 15    # rows of sum A_i X_i + Q formed at a time
+DRIFT_TOL = 0.02        # relative decile drift a calm generation stays under
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +31,6 @@ class FixedPointPool:
 
     vectors: np.ndarray               # (n, d)
     generation: int
-    spec_fingerprint: str = ""
     converged: bool = False
     degenerate: bool = False
     replicate_bounds: Optional[list[int]] = None
@@ -76,7 +76,6 @@ def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
     slots = max(n_max - skip, 0) if size else 0
     if slots > 0:
         log_w, dirs = spec.ensemble.factors(rng, size * slots)
-        check_class(spec, dirs)
         w = np.exp(log_w, out=log_w).reshape(size, slots)
         if n is not None and n.min() < skip + slots:
             w *= np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None]
@@ -161,13 +160,12 @@ def _pool_stats(pool: np.ndarray):
 
 
 def sample_fixed_point(spec: ModelSpec, generations: int, pool_size: int,
-                       x0: np.ndarray, rng: np.random.Generator,
-                       drift_tol: float = 0.02,
-                       fingerprint: str = "") -> FixedPointPool:
+                       x0: np.ndarray,
+                       rng: np.random.Generator) -> FixedPointPool:
     """Iterate population dynamics from the point mass at x0.
 
     Convergence is declared when the relative decile drift between
-    successive generations stays below drift_tol for 3 generations in a
+    successive generations stays below DRIFT_TOL for 3 generations in a
     row; a pool that collapses to a point is flagged degenerate.
     """
     if generations < 1:
@@ -177,8 +175,7 @@ def sample_fixed_point(spec: ModelSpec, generations: int, pool_size: int,
         raise SpecError(f"x0 must have shape ({spec.d},)")
     if spec.q_law.is_zero() and not x0.any():
         pool = np.zeros((pool_size, spec.d))
-        return FixedPointPool(vectors=pool, generation=0, degenerate=True,
-                              spec_fingerprint=fingerprint)
+        return FixedPointPool(vectors=pool, generation=0, degenerate=True)
     pool = np.broadcast_to(x0, (pool_size, spec.d)).copy()
     history = []
     prev_dec = None
@@ -190,7 +187,7 @@ def sample_fixed_point(spec: ModelSpec, generations: int, pool_size: int,
         history.append((g, mean, dec.tolist()))
         if prev_dec is not None:
             drift = np.max(np.abs(dec - prev_dec) / (1.0 + np.abs(dec)))
-            calm = calm + 1 if drift < drift_tol else 0
+            calm = calm + 1 if drift < DRIFT_TOL else 0
             if calm >= 3 and not converged:
                 converged = True
         prev_dec = dec
@@ -198,15 +195,13 @@ def sample_fixed_point(spec: ModelSpec, generations: int, pool_size: int,
     center = float(np.abs(pool).mean())
     degenerate = spread <= 1e-12 * (1.0 + center)
     return FixedPointPool(vectors=pool, generation=generations,
-                          spec_fingerprint=fingerprint, converged=converged,
-                          degenerate=degenerate, history=history)
+                          converged=converged, degenerate=degenerate,
+                          history=history)
 
 
 def sample_fixed_point_replicated(spec: ModelSpec, generations: int,
                                   pool_size: int, x0: np.ndarray,
                                   rngs: list[np.random.Generator],
-                                  drift_tol: float = 0.02,
-                                  fingerprint: str = "",
                                   threads: int = 1) -> FixedPointPool:
     """Independent replicate pools concatenated, for honest standard errors.
 
@@ -222,15 +217,14 @@ def sample_fixed_point_replicated(spec: ModelSpec, generations: int,
     sizes = [per] * (n_rep - 1) + [pool_size - per * (n_rep - 1)]
 
     def task(r: int) -> FixedPointPool:
-        return sample_fixed_point(spec, generations, sizes[r], x0, rngs[r],
-                                  drift_tol=drift_tol, fingerprint=fingerprint)
+        return sample_fixed_point(spec, generations, sizes[r], x0, rngs[r])
 
     # looked up on the rng module at call time, so a wrapper installed there
     # (perfbench's tracer) also sees this fan-out
     parts = rng_module.parallel_map(task, n_rep, threads)
     bounds = [per * r for r in range(n_rep)] + [pool_size]
     return FixedPointPool(vectors=np.vstack([p.vectors for p in parts]),
-                          generation=generations, spec_fingerprint=fingerprint,
+                          generation=generations,
                           converged=all(p.converged for p in parts),
                           degenerate=any(p.degenerate for p in parts),
                           replicate_bounds=bounds,

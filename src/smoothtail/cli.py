@@ -339,14 +339,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     pool_size = sec.num("pool_size", 100_000, int)
     generations = sec.num("generations", 60, int)
     replicates = sec.num("replicates", 8, int)
-    drift_tol = sec.num("drift_tol", 0.02)
     x0 = np.asarray(sec.num("x0", [0.0] * cfg.spec.d, _floats))
     write_csv = sec.get("write_csv")
     sec.reject_unread()
     rngs = [substream(cfg.seed, "simulate", i) for i in range(replicates)]
     pool = branching.sample_fixed_point_replicated(
-        cfg.spec, generations, pool_size, x0, rngs, drift_tol=drift_tol,
-        fingerprint=fp, threads=cfg.threads)
+        cfg.spec, generations, pool_size, x0, rngs, threads=cfg.threads)
     cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_pool(cfg.out / "pool.bin", pool, fp)
     if write_csv:
@@ -435,7 +433,8 @@ def cmd_tails(cfg: RunConfig) -> int:
     doc["verdict"] = ("positivity supported" if report.flatness.supported
                       else "positivity not supported at this window")
     artifacts.write_json(cfg.out / "tail_report.json", doc, fp)
-    rows = list(zip(report.t_grid, report.survival, report.scaled,
+    flat = report.flatness
+    rows = list(zip(flat.t_grid, flat.survival, flat.scaled,
                     report.survival_se))
     artifacts.write_csv(cfg.out / "tail_report.csv",
                         ["t", "survival", "scaled", "se"], rows, fp)

@@ -19,10 +19,6 @@ class SpecError(SmoothtailError, ValueError):
     label = "config error"
 
 
-class ClassViolationError(SmoothtailError):
-    """A sampled matrix contradicts the declared geometric class."""
-
-
 class SingularActionError(SmoothtailError):
     """|m x| fell below the underflow threshold in the projective action."""
 

@@ -15,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ClassViolationError, EigenDiagnosticError,
-                     SingularActionError, SpecError)
+from .errors import EigenDiagnosticError, SingularActionError, SpecError
 
 CLASS_NONNEG = "nonnegative-C"
 CLASS_IPO = "invertible-ipo"
@@ -371,20 +370,6 @@ class ModelSpec:
 
     def mean_children(self) -> float:
         return self.branching.mean()
-
-
-def check_class(spec: ModelSpec, mats: np.ndarray) -> None:
-    """Abort if sampled matrices contradict the declared class."""
-    mats = np.asarray(mats, dtype=float).reshape(-1, spec.d, spec.d)
-    if spec.geom_class == CLASS_NONNEG:
-        if (mats < -ZERO_TOL).any():
-            raise ClassViolationError("negative entry sampled under nonnegative class")
-    elif not spec.ensemble.support_invertible():
-        # an invertible support (rotations, an invertible fixed P, finite
-        # support with invertible atoms) makes every draw invertible
-        dets = np.abs(np.linalg.det(mats))
-        if (dets <= 0).any():
-            raise ClassViolationError("singular matrix sampled under invertible class")
 
 
 # ---------------------------------------------------------------------------

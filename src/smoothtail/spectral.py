@@ -263,7 +263,13 @@ class OperatorAssembler:
             op = self._scatter(
                 self._weights[:, None, None] * (norms ** s)[:, :, None] * w,
                 flat)
-        return math.exp(self.spec.ensemble.log_scalar_moment(s)), op
+        log_moment = self.spec.ensemble.log_scalar_moment(s)
+        try:
+            return math.exp(log_moment), op
+        except OverflowError:
+            raise AssemblyError(
+                f"E W^s overflows at s={s:.6g} (log E W^s = {log_moment:.6g}); "
+                "lower s_max, h or the s_grid") from None
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,6 @@ FLATNESS_RATIO_MAX = 4.0
 MIN_EXCEEDANCES = 50
 
 
-def _projections(pool_vectors: np.ndarray, u: np.ndarray) -> np.ndarray:
-    pool_vectors = np.atleast_2d(np.asarray(pool_vectors, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return pool_vectors @ u
-
-
 # ---------------------------------------------------------------------------
 # Hill estimator
 # ---------------------------------------------------------------------------
@@ -44,16 +38,6 @@ class HillEstimate:
     ci_low: float
     ci_high: float
     k: int                      # number of order statistics used
-    threshold: float
-    n_boot: int
-
-
-def _hill_from_sorted(xs: np.ndarray, k: int) -> float:
-    # xs ascending, uses top k above xs[-k-1]
-    top = xs[-k:]
-    x_k = xs[-k - 1]
-    h = np.mean(np.log(top) - math.log(x_k))
-    return 1.0 / h
 
 
 def _top_counts(rng: np.random.Generator, n: int, lo: int) -> np.ndarray:
@@ -97,7 +81,8 @@ def _resampled_hill(logs: np.ndarray, rng: np.random.Generator, k: int,
 
 def hill(samples: np.ndarray, k_frac: float, rng: np.random.Generator,
          n_boot: int = BOOTSTRAP_DEFAULT) -> HillEstimate:
-    """Hill tail-index estimate on the top k_frac order statistics.
+    """Hill tail-index estimate on the top k_frac order statistics of an
+    ascending positive sample.
 
     Bootstrap CI (percentile, 95%) from n_boot resamples of the full
     sample.  Each resample draws only the top window of min(n, 2k + 64)
@@ -107,24 +92,21 @@ def hill(samples: np.ndarray, k_frac: float, rng: np.random.Generator,
     window holds k or fewer draws, the rest of the resample is drawn and
     counted in full at O(n).
     """
-    x = np.asarray(samples, dtype=float)
-    x = x[x > 0]
-    n = len(x)
+    xs = np.asarray(samples, dtype=float)
+    n = len(xs)
     k = int(n * k_frac)
     if k < 100:
         raise SpecError(f"only {k} exceedances at k_frac={k_frac}; need >= 100")
-    xs = np.sort(x)
     if xs[-k - 1] <= 0 or xs[-k - 1] == xs[-1]:
         raise SpecError("degenerate upper order statistics (no positive log spacings)")
-    est = _hill_from_sorted(xs, k)
+    est = 1.0 / np.mean(np.log(xs[-k:]) - math.log(xs[-k - 1]))
     logs = np.log(xs)
     window = min(n, 2 * k + 64)
     boots = np.empty(n_boot)
     for b in range(n_boot):
         boots[b] = _resampled_hill(logs, rng, k, window)
     lo, hi = np.percentile(boots[np.isfinite(boots)], [2.5, 97.5])
-    return HillEstimate(index=float(est), ci_low=float(lo), ci_high=float(hi),
-                        k=k, threshold=float(xs[-k - 1]), n_boot=n_boot)
+    return HillEstimate(float(est), float(lo), float(hi), k)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +124,6 @@ class FlatnessSummary:
     min_lower_95: float         # one-sided bootstrap lower bound for the min
     supported: bool
     ratio_max_allowed: float
-    beta: float
 
 
 def _bootstrap_scaled_mins(proj_sorted: np.ndarray, t_grid: np.ndarray,
@@ -166,11 +147,12 @@ def _bootstrap_scaled_mins(proj_sorted: np.ndarray, t_grid: np.ndarray,
     return mins
 
 
-def scaled_tail_flatness(pool_vectors: np.ndarray, u: np.ndarray, beta: float,
-                         t_lo: float, t_hi: float, rng: np.random.Generator,
+def scaled_tail_flatness(proj: np.ndarray, beta: float, t_lo: float,
+                         t_hi: float, rng: np.random.Generator,
                          n_points: int = 25, n_boot: int = BOOTSTRAP_DEFAULT,
                          ratio_max: float = FLATNESS_RATIO_MAX) -> FlatnessSummary:
-    """t^beta-scaled survival over a log-spaced window, with verdict.
+    """t^beta-scaled survival of the ascending projections proj over a
+    log-spaced window, with verdict.
 
     Positivity is supported when the bootstrap 95% lower bound of the
     window minimum is strictly positive and the max/min ratio stays under
@@ -178,7 +160,6 @@ def scaled_tail_flatness(pool_vectors: np.ndarray, u: np.ndarray, beta: float,
     """
     if not (0 < t_lo < t_hi):
         raise SpecError("need 0 < t_lo < t_hi")
-    proj = np.sort(_projections(pool_vectors, u))
     n = len(proj)
     n_above = n - np.searchsorted(proj, t_hi, side="right")
     if n_above < MIN_EXCEEDANCES:
@@ -199,7 +180,7 @@ def scaled_tail_flatness(pool_vectors: np.ndarray, u: np.ndarray, beta: float,
     return FlatnessSummary(t_grid=t_grid, survival=surv, scaled=scaled,
                            scaled_min=s_min, scaled_max=s_max, ratio=ratio,
                            min_lower_95=min_lb, supported=supported,
-                           ratio_max_allowed=ratio_max, beta=beta)
+                           ratio_max_allowed=ratio_max)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +193,6 @@ class TailReport:
 
     u: np.ndarray
     beta: float
-    t_grid: np.ndarray
-    survival: np.ndarray
-    scaled: np.ndarray
     survival_se: np.ndarray
     hill_by_fraction: dict          # k_frac -> HillEstimate
     flatness: FlatnessSummary
@@ -249,22 +227,24 @@ def tail_report(pool_vectors: np.ndarray, u: np.ndarray, beta: float,
                 k_fracs=(0.01, 0.005, 0.002),
                 n_points: int = 25, n_boot: int = BOOTSTRAP_DEFAULT,
                 ratio_max: float = FLATNESS_RATIO_MAX) -> TailReport:
-    """Assemble the survival/Hill/flatness report over a quantile window."""
-    proj = _projections(pool_vectors, u)
-    pos = proj[proj > 0]
+    """Assemble the survival/Hill/flatness report over a quantile window.
+    The pool is projected onto u and sorted once: the flatness curve reads
+    the ascending projections, and Hill their positive slice."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    proj = np.sort(np.atleast_2d(np.asarray(pool_vectors, dtype=float)) @ u)
+    pos = proj[np.searchsorted(proj, 0.0, side="right"):]
     if len(pos) < 10 * MIN_EXCEEDANCES:
         raise WindowError("too few positive projections for a tail report")
-    t_lo, t_hi = np.quantile(proj, window_quantiles[0]), np.quantile(
-        proj, window_quantiles[1])
-    n_above = int((proj > t_hi).sum())
-    if n_above < MIN_EXCEEDANCES and len(proj) > MIN_EXCEEDANCES:
-        t_hi = float(np.sort(proj)[-(MIN_EXCEEDANCES + 1)])
+    t_lo, t_hi = np.quantile(proj, window_quantiles)
+    n = len(proj)
+    if n - np.searchsorted(proj, t_hi, side="right") < MIN_EXCEEDANCES:
+        t_hi = proj[-(MIN_EXCEEDANCES + 1)]
+    t_lo, t_hi = float(t_lo), float(t_hi)
     if not (t_lo > 0 and t_hi > t_lo):
         raise WindowError("window quantiles are not resolvable or not positive")
-    flat = scaled_tail_flatness(pool_vectors, u, beta, float(t_lo), float(t_hi),
-                                rng=rng, n_points=n_points, n_boot=n_boot,
+    flat = scaled_tail_flatness(proj, beta, t_lo, t_hi, rng=rng,
+                                n_points=n_points, n_boot=n_boot,
                                 ratio_max=ratio_max)
-    n = len(proj)
     surv_se = np.sqrt(np.maximum(flat.survival * (1 - flat.survival), 0.0) / n)
     hills = {}
     for kf in k_fracs:
@@ -275,8 +255,6 @@ def tail_report(pool_vectors: np.ndarray, u: np.ndarray, beta: float,
     good = flat.survival > 0
     slope = float(np.polyfit(np.log(flat.t_grid[good]),
                              np.log(flat.survival[good]), 1)[0])
-    return TailReport(u=np.atleast_1d(np.asarray(u, dtype=float)), beta=beta,
-                      t_grid=flat.t_grid, survival=flat.survival,
-                      scaled=flat.scaled, survival_se=surv_se,
+    return TailReport(u=u, beta=beta, survival_se=surv_se,
                       hill_by_fraction=hills, flatness=flat,
-                      loglog_slope=slope, window=(float(t_lo), float(t_hi)))
+                      loglog_slope=slope, window=(t_lo, t_hi))

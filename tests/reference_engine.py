@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from smoothtail.errors import AssemblyError, SpecError
-from smoothtail.model import ORBIT_CHUNK, ModelSpec, check_class
+from smoothtail.model import ORBIT_CHUNK, ModelSpec
 from smoothtail.spectral import (SpectralResult, SphereGrid, build_grid,
                                  power_iteration)
 from smoothtail.walks import UNDERFLOW, act, norms_and_iotas, vec_norm
@@ -75,7 +75,6 @@ def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
     slots = max(int(n.max()) - skip, 0) if size else 0
     if slots > 0:
         log_w, dirs = spec.ensemble.factors(rng, size * slots)
-        check_class(spec, dirs)
         w = np.exp(log_w).reshape(size, slots)
         if n.min() < skip + slots:
             w = w * (np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None])

@@ -31,9 +31,8 @@ from smoothtail.branching import FixedPointPool
 from smoothtail.certificate import (EventParams, ProbEstimate, SubtreeParams,
                                     _summarize)
 from smoothtail.errors import AssemblyError, SmoothtailError, SpecError
-from smoothtail.model import (FiniteSupport, LognormalScalarMatrix, ModelSpec,
-                              check_class)
-from smoothtail.tails import MIN_EXCEEDANCES, _projections
+from smoothtail.model import FiniteSupport, LognormalScalarMatrix, ModelSpec
+from smoothtail.tails import MIN_EXCEEDANCES
 from smoothtail.walks import StepSampler, run_walks, tilted_batch, weighted_mean
 
 NodeId = tuple[int, ...]
@@ -99,7 +98,6 @@ def sample_family(spec: ModelSpec, rng: np.random.Generator):
     n = spec.branching.sample(rng, 1)[0]
     if n > 0:
         mats = spec.ensemble.draw(rng, n)
-        check_class(spec, mats)
         a_list = [mats[i] for i in range(n)]
     else:
         a_list = []
@@ -435,7 +433,8 @@ def replicate_mean_se(pool: FixedPointPool):
 def empirical_survival(pool_vectors: np.ndarray, u: np.ndarray,
                        t_grid: np.ndarray) -> np.ndarray:
     """P_hat(<u, X> > t) for each t in t_grid."""
-    proj = np.sort(_projections(pool_vectors, u))
+    proj = np.sort(np.asarray(pool_vectors, dtype=float)
+                   @ np.asarray(u, dtype=float))
     n = len(proj)
     if n == 0:
         raise SpecError("pool must be nonempty")
@@ -465,7 +464,7 @@ def directional_profile(pool_vectors: np.ndarray, u_list, t: float,
     n = np.atleast_2d(pool_vectors).shape[0]
     for u in u_list:
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        proj = _projections(pool_vectors, u)
+        proj = np.asarray(pool_vectors, dtype=float) @ u
         cnt = int((proj > t).sum())
         p = cnt / n
         se = math.sqrt(max(p * (1 - p), 0.0) / n)

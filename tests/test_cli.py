@@ -386,6 +386,23 @@ def test_solve_index_no_second_root_exit_5(tmp_path):
     assert _run(tmp_path, "solve-index", cfg) == 5
 
 
+@pytest.mark.parametrize("command, section, s_first", [
+    ("spectrum", {"s_grid": [60.0]}, "s=60 "),
+    ("solve-index", {"s_max": 100.0}, "s=61.8034 "),
+    ("solve-index", {"s_max": 6.0, "h": 1e3}, "s=1003.11 "),
+], ids=["spectrum-s60", "solve-s_max100", "solve-h1e3"])
+def test_overflowing_scalar_moment_exit_4(tmp_path, capsys, command, section,
+                                          s_first):
+    # log E W^s = -s + s^2/4 for D1_MODEL passes the float range (709.78)
+    # at s = 55.3
+    cfg = {"model": D1_MODEL, "seed": 1,
+           command.replace("-", "_"): dict(section, mc_reps=1000)}
+    assert _run(tmp_path, command, cfg) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("spectral failure: E W^s overflows at " + s_first)
+    assert "lower s_max, h or the s_grid" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cap", [3.0, 4.0])
 def test_solve_index_stops_at_finite_moment_cap(tmp_path, capsys, cap):
     # m(s) = 1 at beta = 3.108 for D1_MODEL: past a cap of 3 the moment is
@@ -740,11 +757,12 @@ def test_certificate_kappa_zero_keeps_vacuous(pipeline):
     ("certificate", {"min_recommended_nt": 4}, "min_recommended_nt"),
     ("spectrum", {"mc_repz": 1000}, "mc_repz"),
     ("simulate", {"beta": 3.0}, "beta"),
+    ("simulate", {"drift_tol": 0.05}, "drift_tol"),         # a constant now
     ("tails", {"t": 10.0}, "t"),
     ("tails", {"solution": "sol.json"}, "solution"),        # beta is read
     ("certificate", {"t": 10.0}, "t_quantile"),             # t is read
 ], ids=["spectral", "force_kappa_zero", "min_recommended_nt", "typo",
-        "key-of-tails", "key-of-certificate", "beta-and-solution",
+        "key-of-tails", "drift_tol", "key-of-certificate", "beta-and-solution",
         "t-and-t_quantile"])
 def test_unread_key_exit_2(tmp_path, capsys, command, extra, refused):
     pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],

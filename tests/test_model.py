@@ -12,7 +12,7 @@ from conftest import (BETA_D1, d1_lognormal_spec, d2_finite_three_spec,
                       d2_lognormal_matrix_spec, d2_rotation_spec,
                       d3_rotation_spec, rng_state)
 from reference_oracles import exchangeify, sample_family
-from smoothtail.errors import ClassViolationError, SpecError
+from smoothtail.errors import SpecError
 from smoothtail.model import (_orbit_coverage, _scaled_norms_and_iotas,
                               Branching, FiniteSupport, LognormalRotation,
                               LognormalScalarMatrix, ModelSpec, QLaw,
@@ -502,24 +502,6 @@ def test_singular_matrix_rejected_for_invertible_class():
                       matrices=np.array([[[1.0, 0.0], [0.0, 0.0]]]),
                       probs=np.array([1.0])),
                   q_law=QLaw(kind="zero"), geom_class="invertible-ipo")
-
-
-def test_singular_atom_sampled_under_invertible_class_raises():
-    # ModelSpec refuses such a support; swapped in past that check, the
-    # per-draw determinant still catches the sampled singular atom
-    from smoothtail.branching import population_iterate
-    spec = ModelSpec(dimension=2, branching=Branching(mode="fixed", n=2),
-                     ensemble=FiniteSupport(
-                         matrices=np.array([[[1.0, 0.0], [0.0, 2.0]]]),
-                         probs=np.array([1.0])),
-                     q_law=QLaw(kind="zero"), geom_class="invertible-ipo")
-    singular = FiniteSupport(
-        matrices=np.array([[[1.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, 0.0]]]),
-        probs=np.array([0.5, 0.5]))
-    assert not singular.support_invertible()
-    object.__setattr__(spec, "ensemble", singular)
-    with pytest.raises(ClassViolationError):
-        population_iterate(spec, np.ones((64, 2)), substream(67, "singular"))
 
 
 def test_branching_invariants():

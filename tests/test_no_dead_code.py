@@ -1,4 +1,5 @@
-"""Every top-level definition in src/smoothtail/ is reachable from a command.
+"""Every top-level definition in src/smoothtail/ is reachable from a command,
+and every dataclass field there is read.
 
 The package's entry points are cli.main (which dispatches the six
 commands) and the names __init__ exports.  A definition counts as reached
@@ -10,6 +11,12 @@ check can miss dead code, but it cannot flag live code.
 
 A reference oracle that no command runs belongs in tests/, beside the tests
 that check the package against it (see tests/reference_oracles.py).
+
+A dataclass field counts as read when src/ reads an attribute of its name,
+or when its dataclass is written whole by ``asdict(self)``, or is named in
+the annotation of a field of one that is (asdict recurses into it).  Names
+are matched as above, so a field that shares its name with a read one
+(``TailReport.beta`` and ``FlatnessSummary.beta``) passes unread.
 """
 
 import ast
@@ -20,6 +27,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "smoothtail"
 # (module, name) -> why the definition stays although no command reaches it
 ALLOWED = {
     ("cli", "main"): "the console entry point",
+}
+
+# (class, field) -> why the field stays although src/ never reads it
+ALLOWED_FIELDS = {
+    ("LognormalScalarMatrix", "family"):
+        "perfbench/tests/test_perfbench.py passes it; it goes with the next "
+        "benchmark change",
+    ("FixedPointPool", "replicate_bounds"):
+        "the replicate error bars write it into pool format v2 (ROADMAP "
+        "item 7)",
 }
 
 
@@ -93,3 +110,70 @@ def test_allowlist_names_existing_definitions():
         tree = ast.parse((SRC / f"{module}.py").read_text())
         assert any(name in _defined_names(node) for node in tree.body), \
             f"{module}.{name} is allowed but not defined"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(src: Path = SRC) -> dict[str, dict[str, set[str]]]:
+    """class -> field -> the names its annotation uses, per dataclass."""
+    out = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                out[node.name] = {
+                    st.target.id: _named(st.annotation) for st in node.body
+                    if isinstance(st, ast.AnnAssign)
+                    and isinstance(st.target, ast.Name)}
+    return out
+
+
+def unread_fields(src: Path = SRC, allowed=ALLOWED_FIELDS) -> list[str]:
+    """class.field of every dataclass field that src/ never reads, less
+    the allowed ones."""
+    classes = _dataclass_fields(src)
+    read, whole = set(), []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and node.name in classes \
+                    and any(isinstance(c, ast.Call)
+                            and getattr(c.func, "id", None) == "asdict"
+                            for c in ast.walk(node)):
+                whole.append(node.name)
+    written = set()
+    while whole:
+        name = whole.pop()
+        if name not in written:
+            written.add(name)
+            for used in classes[name].values():
+                whole.extend(used & classes.keys())
+    return sorted(f"{cls}.{f}" for cls, fields in classes.items()
+                  for f in fields
+                  if cls not in written and f not in read
+                  and (cls, f) not in allowed)
+
+
+def test_every_dataclass_field_is_read():
+    unread = unread_fields()
+    assert not unread, ("dataclass fields src/ never reads (delete them, or "
+                        "allow them with a reason): " + ", ".join(unread))
+
+
+def test_field_allowlist_names_existing_unread_fields():
+    classes = _dataclass_fields()
+    for cls, name in ALLOWED_FIELDS:
+        assert name in classes.get(cls, {}), \
+            f"{cls}.{name} is allowed but not a dataclass field"
+    flagged = unread_fields(allowed={})
+    stale = [f"{c}.{n}" for c, n in ALLOWED_FIELDS
+             if f"{c}.{n}" not in flagged]
+    assert not stale, "allowed but read, drop from ALLOWED_FIELDS: " + \
+        ", ".join(stale)

@@ -34,8 +34,9 @@ def test_flatness_survival_matches_oracle():
     rng = substream(12, "d2")
     pool = np.abs(rng.standard_t(df=3, size=(200_000, 2)))
     u = np.array([0.6, 0.8])
-    t_lo, t_hi = np.quantile(pool @ u, [0.99, 0.999])
-    out = scaled_tail_flatness(pool, u, 3.0, t_lo, t_hi, substream(13, "b"))
+    proj = np.sort(pool @ u)
+    t_lo, t_hi = np.quantile(proj, [0.99, 0.999])
+    out = scaled_tail_flatness(proj, 3.0, t_lo, t_hi, substream(13, "b"))
     assert np.array_equal(out.survival,
                           empirical_survival(pool, u, out.t_grid))
 
@@ -54,7 +55,7 @@ def test_survival_monotone():
 
 @pytest.mark.parametrize("theta", [1.0, 2.5, 4.0])
 def test_hill_recovers_pareto_index(theta):
-    x = _pareto(theta, 100_000, int(theta * 10))
+    x = np.sort(_pareto(theta, 100_000, int(theta * 10)))
     est = hill(x, 0.01, rng=substream(2, "boot"))
     assert est.ci_low <= theta <= est.ci_high
     assert est.index == pytest.approx(theta, rel=0.15)
@@ -67,7 +68,7 @@ def test_hill_constant_samples_error():
 
 def test_hill_insufficient_exceedances():
     with pytest.raises(SpecError):
-        hill(_pareto(2.0, 500, 3), 0.01, substream(4, "boot"))
+        hill(np.sort(_pareto(2.0, 500, 3)), 0.01, substream(4, "boot"))
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +77,9 @@ def test_hill_insufficient_exceedances():
 
 def test_flatness_pareto_supported():
     theta, xm = 2.5, 1.0
-    x = _pareto(theta, 1_000_000, 4, xm)
+    x = np.sort(_pareto(theta, 1_000_000, 4, xm))
     t_lo, t_hi = np.quantile(x, 0.99), np.quantile(x, 0.9999)
-    out = scaled_tail_flatness(x[:, None], [1.0], theta, t_lo, t_hi,
-                               rng=substream(5, "b"))
+    out = scaled_tail_flatness(x, theta, t_lo, t_hi, rng=substream(5, "b"))
     assert out.supported
     assert out.min_lower_95 > 0
     # scaled values sit near the exact constant x_m^theta
@@ -88,21 +88,19 @@ def test_flatness_pareto_supported():
 
 
 def test_flatness_exponential_not_supported():
-    x = -np.log(substream(6, "e").random(1_000_000))
+    x = np.sort(-np.log(substream(6, "e").random(1_000_000)))
     t_lo, t_hi = np.quantile(x, 0.99), np.quantile(x, 0.9999)
-    out = scaled_tail_flatness(x[:, None], [1.0], 3.0, t_lo, t_hi,
-                               rng=substream(7, "b"))
+    out = scaled_tail_flatness(x, 3.0, t_lo, t_hi, rng=substream(7, "b"))
     assert not out.supported
     assert out.ratio > out.ratio_max_allowed
 
 
 def test_flatness_unresolvable_window():
-    x = _pareto(2.0, 2000, 8)
+    x = np.sort(_pareto(2.0, 2000, 8))
     with pytest.raises(WindowError) as exc:
-        scaled_tail_flatness(x[:, None], [1.0], 2.0, 1.5, x.max() * 2,
-                             substream(8, "b"))
+        scaled_tail_flatness(x, 2.0, 1.5, x[-1] * 2, substream(8, "b"))
     # the message names the largest t_hi the pool resolves
-    usable = np.sort(x)[-(MIN_EXCEEDANCES + 1)]
+    usable = x[-(MIN_EXCEEDANCES + 1)]
     assert f"largest usable t_hi is {usable:.6g}" in str(exc.value)
 
 
@@ -136,13 +134,26 @@ def test_tail_report_reference_pool(d1_pool):
                          rng=substream(11, "r"),
                          window_quantiles=(0.99, 0.9995))
     assert report.flatness.min_lower_95 > 0
-    assert (np.diff(report.survival) <= 0).all()
+    assert (np.diff(report.flatness.survival) <= 0).all()
     # Hill and the spectral root agree loosely (within 0.4)
     best = min(report.hill_by_fraction.values(),
                key=lambda h: abs(h.index - BETA_D1))
     assert abs(best.index - BETA_D1) <= 0.4
     # log-log slope near -beta
     assert report.loglog_slope == pytest.approx(-BETA_D1, abs=0.6)
+
+
+def test_tail_report_lowers_t_hi_to_keep_the_exceedance_floor():
+    # the 0.99995 quantile of 2e5 draws leaves 10 above it, fewer than
+    # MIN_EXCEEDANCES, so t_hi falls to the 51st-largest projection
+    x = _pareto(2.0, 200_000, 14)
+    report = tail_report(x[:, None], np.array([1.0]), 2.0,
+                         rng=substream(14, "r"),
+                         window_quantiles=(0.99, 0.99995), n_boot=20)
+    usable = np.sort(x)[-(MIN_EXCEEDANCES + 1)]
+    assert report.window[1] == usable
+    # the grid ends at exp(log(t_hi)), t_hi up to rounding
+    assert report.flatness.t_grid[-1] == pytest.approx(usable, rel=1e-14)
 
 
 def test_tail_report_writes_an_infinite_flatness_ratio_null(tmp_path):
@@ -240,10 +251,10 @@ def _replayed_resample(rng, n, lo, rest_rng, k=None):
 
 
 def test_hill_bootstrap_matches_full_count():
-    x = _pareto(2.0, 30_000, 70)
+    x = np.sort(_pareto(2.0, 30_000, 70))
     k_frac, n_boot = 0.01, 60
     est = hill(x, k_frac, rng=substream(71, "boot"), n_boot=n_boot)
-    logs = np.log(np.sort(x))
+    logs = np.log(x)
     n, k = len(x), est.k
     window = min(n, 2 * k + 64)
     rng, rest = substream(71, "boot"), substream(71, "rest")
