@@ -5,6 +5,12 @@ Floats are serialized with repr (shortest round-trip), so identical runs
 produce byte-identical files.  JSON reports are strict JSON: a non-finite
 float makes write_json raise, so a report writes null itself wherever a
 non-finite value is expected.
+
+Each write makes a new file: the old name is unlinked and the bytes go into
+a newly created inode.  Truncating a file whose previous contents are still
+being written back can wait for that writeback (on ext4, and so can
+renaming a file over it); a new file has nothing to wait for.  A hard link
+or symlink at an artifact path is therefore replaced, not written through.
 """
 
 from __future__ import annotations
@@ -41,12 +47,22 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _write_new(path: Path, *chunks) -> None:
+    """Write the byte chunks (bytes or C-contiguous buffers) into a new file
+    at path, unlinking whatever the name pointed to before."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    with open(path, "xb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+
+
 def write_json(path: Path, payload: dict, fp: str) -> None:
     doc = {"meta": {"version": VERSION_STRING, "fingerprint": fp}}
     doc.update(payload)
     text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False,
                       default=_json_default)
-    Path(path).write_text(text + "\n")
+    _write_new(path, (text + "\n").encode())
 
 
 def read_json(path: Path) -> dict:
@@ -70,7 +86,7 @@ def write_csv(path: Path, columns: list[str], rows, fp: str) -> None:
     lines = [f"# {VERSION_STRING} fingerprint={fp}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_new(path, ("\n".join(lines) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +106,7 @@ def write_pool(path: Path, pool: FixedPointPool, fp: str) -> None:
                           int(pool.degenerate), 0,
                           fp[:16].encode().ljust(16, b"0"),
                           VERSION_STRING[:24].encode().ljust(24, b"\0"))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(vec.tobytes())
+    _write_new(path, header, vec)
 
 
 def read_pool(path: Path) -> FixedPointPool:

@@ -415,8 +415,11 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
                 threads: int = 1) -> CertificateReport:
     """Evaluate sum E[1{V} m(U)] - sum P(W) over the sparse subtree.
 
-    The sum over the subtree uses expected node counts times per-level
-    estimates (E[1{V_i} m(U_i)] depends only on |i| by exchangeability).
+    The event <u, X> > t is <u/|u|, X> > t/|u| in the model norm, so the
+    walks start at u/|u| and the events are set at t/|u|; the report keeps
+    u and t as given.  The sum over the subtree uses expected node counts
+    (E N)^{l - C1} P(N >= 1)^{C1} times per-level estimates
+    (E[1{V_i} m(U_i)] depends only on |i| by exchangeability).
     Its variance adds the walks' to sum_j (sum_l coef_l rate_lj)^2 se_j^2
     for the cap masses m_j, which leaves out their (negative) covariances.
     Pair sums are grouped by (p, q, m) with expected ordered-pair counts
@@ -426,16 +429,20 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     substream, so results do not depend on the worker count.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    u_len = float(vec_norm(u, spec.norm))
+    if not u_len > 0:
+        raise SpecError("u must be nonzero")
+    unit, t_unit = u / u_len, t / u_len
     spectral = None
     if spec.ensemble.atoms() is not None:
         spectral = k_grid(OperatorAssembler(spec, build_grid(spec), 0, rng),
                           beta)
     if C0 is None or delta is None:
-        eparams = choose_event_params(spec, t, rho, k_beta, rng, pool_vectors,
-                                      beta, spectral=spectral, u=u,
-                                      reps=reps_search, J=J)
+        eparams = choose_event_params(spec, t_unit, rho, k_beta, rng,
+                                      pool_vectors, beta, spectral=spectral,
+                                      u=unit, reps=reps_search, J=J)
     else:
-        eparams = EventParams(t=t, C0=C0, delta=delta, rho=rho)
+        eparams = EventParams(t=t_unit, C0=C0, delta=delta, rho=rho)
     if eparams.n_t < MIN_NT_HARD:
         raise SpecError(
             f"n_t = {eparams.n_t} < {MIN_NT_HARD}: no usable level window at t={t}")
@@ -448,6 +455,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     if not levels:
         flags.append(f"L_t empty for C1={C1} in window {eparams.window}")
     en = spec.mean_children()
+    thin = spec.branching.p_child() ** C1
     cones = cone_family(pool_vectors, J, eparams, spec)
     geoms = [(p, q, m)
              for p in levels for q in levels if q <= p
@@ -458,12 +466,12 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     def v_task(i: int) -> ProbEstimate:
         return estimate_PV(spec, levels[i], eparams, reps_v, v_streams[i],
                            tilt=beta, pool_vectors=pool_vectors,
-                           spectral=spectral, u=u, cones=cones)
+                           spectral=spectral, u=unit, cones=cones)
 
     def w_task(i: int) -> ProbEstimate:
         p, q, m = geoms[i]
         return estimate_PW(spec, p, q, m, eparams, reps_w, w_streams[i],
-                           tilt=beta, spectral=spectral, u=u)
+                           tilt=beta, spectral=spectral, u=unit)
 
     v_results = parallel_map(v_task, len(levels), threads)
     w_results = parallel_map(w_task, len(geoms), threads)
@@ -474,7 +482,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     walk_var = 0.0
     cap_totals = np.zeros(len(cones.masses))   # sum_l coef_l rate_lj
     for ell, est in zip(levels, v_results):
-        coef = en ** (ell - C1)
+        coef = en ** (ell - C1) * thin
         v_sum += coef * est.value
         v_var += (coef * est.se) ** 2
         cap_totals += coef * est.cap_rates

@@ -68,6 +68,12 @@ class Branching:
             return float(self.n)
         return float(sum(k * p for k, p in zip(self.support, self.probs)))
 
+    def p_child(self) -> float:
+        """P(N >= 1): the chance that a node has a first child."""
+        if self.mode == "fixed":
+            return 1.0
+        return 1.0 - sum(p for k, p in zip(self.support, self.probs) if k == 0)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.mode == "fixed":
             return np.full(size, self.n, dtype=np.int64)

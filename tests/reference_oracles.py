@@ -307,7 +307,7 @@ def build_sparse_subtree(tree, sparams: SubtreeParams,
 
 def expected_count_check(spec: ModelSpec, C1: int, level: int, reps: int,
                          rng: np.random.Generator):
-    """(empirical mean count, se, predicted (E N)^{level - C1}).
+    """(empirical mean count, se, predicted (E N)^{level - C1} P(N >= 1)^{C1}).
 
     Simulates the exact marginal law of the sparse-subtree count at one
     level: a branching population to level - C1, then C1 thinning steps
@@ -329,17 +329,17 @@ def expected_count_check(spec: ModelSpec, C1: int, level: int, reps: int,
         if total == 0:
             break
         draws = support[rng.choice(len(support), size=total, p=probs)]
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        sums = np.add.reduceat(draws, bounds[:-1])
-        sums[counts == 0] = 0
-        counts = sums
+        # children per replicate: differences of the running total of draws
+        # at the replicates' boundaries (a replicate may have died out)
+        running = np.concatenate([[0], np.cumsum(draws)])
+        counts = np.diff(running[np.concatenate([[0], np.cumsum(counts)])])
     for _ in range(C1):
         if p_child1 >= 1.0:
             break
         counts = rng.binomial(counts, p_child1)
     mean = float(counts.mean())
     se = float(counts.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    predicted = spec.mean_children() ** (level - C1)
+    predicted = spec.mean_children() ** (level - C1) * p_child1 ** C1
     return mean, se, predicted
 
 

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import (BETA_D1, BETA_ROT, K_BETA_D1, RHO_D1, RHO_ROT,
-                      d1_lognormal_spec, d2_finite_three_spec,
+                      d1_lognormal_spec, d2_contracting_matrix_spec,
+                      d2_finite_three_spec,
                       d2_lognormal_matrix_spec, d2_rotation_spec,
                       d3_rotation_spec, k_at, random13_spec)
 from reference_oracles import (build_sparse_subtree, estimate_tail_prob,
                                expected_count_check, grow_tree, indicator_V)
 from smoothtail import certificate, walks
+from smoothtail.branching import sample_fixed_point
 from smoothtail.certificate import (ESS_FLOOR, VERDICT_Z, EventParams,
                                     SubtreeParams, _indicator_V_batch,
                                     _summarize, choose_event_params,
@@ -280,6 +282,46 @@ def test_expected_count_random_n():
     assert abs(mean - pred) < 3 * se
 
 
+def _childless_spec() -> ModelSpec:
+    # N in {0, 3} with probabilities (1/4, 3/4): E N = 9/4, P(N >= 1) = 3/4
+    return ModelSpec(dimension=1,
+                     branching=Branching(mode="random", support=(0, 3),
+                                         probs=(0.25, 0.75)),
+                     ensemble=FiniteSupport(matrices=np.array([[[0.25]]]),
+                                            probs=np.array([1.0])),
+                     q_law=QLaw(kind="deterministic", vector=[1.0]),
+                     geom_class="nonnegative-C")
+
+
+@pytest.mark.parametrize("level,C1", [(8, 2), (12, 4)])
+def test_expected_count_thinned_by_p_child(level, C1):
+    # a node of the sparse subtree needs its C1 last ancestors to have a
+    # first child, so its expected count is (E N)^(l - C1) P(N >= 1)^C1
+    spec = _childless_spec()
+    mean, se, pred = expected_count_check(spec, C1, level, 2000,
+                                          substream(16, "c0", level))
+    assert spec.branching.p_child() == 0.75
+    assert pred == pytest.approx(2.25 ** (level - C1) * 0.75 ** C1, rel=1e-12)
+    assert abs(mean - pred) < 3 * se
+    # the unthinned count is far outside the simulation's error
+    assert abs(mean - 2.25 ** (level - C1)) > 10 * se
+
+
+def test_lower_bound_counts_are_thinned_by_p_child(d1_pool):
+    # the V coefficients are the expected sparse-subtree counts; the pool
+    # only has to give the caps some mass
+    spec = _childless_spec()
+    x = d1_pool.vectors
+    t = float(np.quantile(x[:, 0], 0.999))
+    rep = lower_bound(spec, np.array([1.0]), t, RHO_D1, BETA_D1, K_BETA_D1,
+                      C1=2, pool_vectors=x, rng=substream(26, "lb"),
+                      C0=10.0, delta=0.2, reps_v=1_000, reps_w=100)
+    assert rep.levels
+    for row in rep.per_level_V:
+        assert row["count"] == pytest.approx(
+            2.25 ** (row["level"] - 2) * 0.75 ** 2, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # cones
 # ---------------------------------------------------------------------------
@@ -429,6 +471,29 @@ def test_lower_bound_report_identities(d1_pool):
         t ** BETA_D1 * rep.kappa * rep.v_sum, rel=1e-12)
     assert rep.fitted_D1 == pytest.approx(
         rep.t_beta_v_term / (rep.kappa * rep.shape_actual), rel=1e-12)
+
+
+@pytest.mark.parametrize("C0,delta", [(10.0, 0.2), (None, None)])
+def test_lower_bound_depends_on_u_and_t_through_t_over_u(C0, delta):
+    # <c u, X> > c t is the event <u, X> > t: scaling both by c = 2 or 1/2
+    # (exact in floating point) gives the same bound and V term, and the
+    # report keeps the u and t it was given
+    spec = d2_contracting_matrix_spec()
+    pool = sample_fixed_point(spec, 30, 50_000, np.array([1.0, 1.0]),
+                              substream(27, "pool")).vectors
+    u = np.array([1.0, 0.5])
+    t = float(np.quantile(pool @ u, 0.999))
+    reps = {c: lower_bound(spec, c * u, c * t, RHO_D1, BETA_D1, K_BETA_D1,
+                           C1=1, pool_vectors=pool, rng=substream(27, "lb"),
+                           C0=C0, delta=delta, reps_v=5_000, reps_w=1_000,
+                           reps_search=2_000)
+            for c in (1.0, 2.0, 0.5)}
+    assert reps[1.0].levels and reps[1.0].v_term > 0
+    for c, rep in reps.items():
+        assert rep.t == c * t and np.array_equal(rep.u, c * u)
+        assert rep.n_t == reps[1.0].n_t
+        assert rep.bound == reps[1.0].bound
+        assert rep.v_term == reps[1.0].v_term
 
 
 def test_lower_bound_one_cap_v_term_is_kappa_times_v_sum(d1_pool):

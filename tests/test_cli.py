@@ -1,7 +1,9 @@
 """CLI exit codes, file artifacts, and byte-level determinism."""
 
+import hashlib
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -806,6 +808,63 @@ def test_rerun_identical_bytes(tmp_path):
     assert _run(tmp_path, "spectrum", cfg, out="b") == 0
     assert (tmp_path / "a/spectrum.csv").read_bytes() == \
         (tmp_path / "b/spectrum.csv").read_bytes()
+
+
+_WRITERS = {
+    "json": lambda path, x: artifacts.write_json(path, {"x": x}, "fp"),
+    "csv": lambda path, x: artifacts.write_csv(path, ["x"], [(x,)], "fp"),
+    "pool": lambda path, x: artifacts.write_pool(
+        path, FixedPointPool(vectors=np.full((3, 1), x), generation=1,
+                             converged=True), "fp"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_artifact_write_makes_a_new_file(tmp_path, kind):
+    # a write unlinks the old name and creates a new file: a hard link to
+    # the old file keeps its bytes, and a symlink is replaced, not followed
+    write = _WRITERS[kind]
+    path = tmp_path / "artifact"
+    write(path, 1.0)
+    first = path.read_bytes()
+    os.link(path, tmp_path / "link")
+    write(path, 2.0)
+    assert (tmp_path / "link").read_bytes() == first
+    write(tmp_path / "fresh", 2.0)
+    assert path.read_bytes() == (tmp_path / "fresh").read_bytes() != first
+    target = tmp_path / "target"
+    target.write_bytes(b"left alone")
+    path.unlink()
+    path.symlink_to(target)
+    write(path, 2.0)
+    assert not path.is_symlink() and path.is_file()
+    assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
+    assert target.read_bytes() == b"left alone"
+
+
+def test_rerun_writes_each_artifact_as_a_new_file(tmp_path):
+    cfg = {"model": D1_MODEL, "seed": 123,
+           "solve_index": {"s_max": 6.0, "mc_reps": 100_000},
+           "simulate": {"pool_size": 2000, "generations": 5, "replicates": 2,
+                        "x0": [1.0]}}
+    out, keep = tmp_path / "out", tmp_path / "keep"
+    runs = []
+    for rerun in range(2):
+        for command in ("solve-index", "simulate"):
+            assert _run(tmp_path, command, cfg) == 0
+        runs.append({p.name: (hashlib.sha256(p.read_bytes()).hexdigest(),
+                              p.stat().st_ino) for p in out.iterdir()})
+        if not rerun:
+            # the links keep the first files' inodes from being reused
+            keep.mkdir()
+            for name in runs[0]:
+                os.link(out / name, keep / name)
+    assert sorted(runs[0]) == ["convergence.csv", "pool.bin",
+                               "tail_indices.json"]
+    for name, (digest, ino) in runs[0].items():
+        assert runs[1][name][0] == digest, name
+        assert runs[1][name][1] != ino, name
+        assert (keep / name).stat().st_ino == ino, name
 
 
 def test_pool_file_roundtrip(tmp_path):
