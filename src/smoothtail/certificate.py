@@ -385,12 +385,12 @@ class CertificateReport:
         return out
 
 
-def verdict(levels: list, bound: float, bound_se: float,
-            n_flagged: int) -> tuple[str, Optional[str]]:
+def verdict(levels: list, bound: float, bound_se: float, n_flagged: int,
+            sampled_radius: bool = False) -> tuple[str, Optional[str]]:
     """The certificate's verdict on a bound summed over the levels L_t, and
     the reason when it is not positive.  Positive needs the bound to clear
-    VERDICT_Z standard errors with no V or W estimate under the ESS floor
-    (n_flagged counts those)."""
+    VERDICT_Z standard errors, no V or W estimate under the ESS floor
+    (n_flagged counts those) and an exact cap radius (not sampled, d <= 2)."""
     if not levels:
         # no level to sum over: the bound is 0 by construction, not evidence
         return "vacuous", None
@@ -400,6 +400,8 @@ def verdict(levels: list, bound: float, bound_se: float,
                        f"bound_se {bound_se:.3g}")
     if n_flagged:
         reasons.append(f"{n_flagged} V/W estimates below the ESS floor")
+    if sampled_radius:
+        reasons.append("cap radius sampled, not exact (d >= 3)")
     if not reasons:
         return "positive", None
     return ("not positive at these parameters",
@@ -428,6 +430,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     nothing from rng.  Every estimate draws from its own pre-derived
     substream, so results do not depend on the worker count.
     """
+    sparams = SubtreeParams(C1=C1)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     u_len = float(vec_norm(u, spec.norm))
     if not u_len > 0:
@@ -446,7 +449,6 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     if eparams.n_t < MIN_NT_HARD:
         raise SpecError(
             f"n_t = {eparams.n_t} < {MIN_NT_HARD}: no usable level window at t={t}")
-    sparams = SubtreeParams(C1=C1)
     levels = sparams.levels(eparams)
     flags = list(eparams.flags)
     if spec.d >= 3:
@@ -514,7 +516,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     bound = v_term - w_sum
     bound_se = math.sqrt(v_term_var + w_var)
     n_flagged = sum(est.flagged for est in v_results + w_results)
-    outcome, reason = verdict(levels, bound, bound_se, n_flagged)
+    outcome, reason = verdict(levels, bound, bound_se, n_flagged, spec.d >= 3)
     if reason is not None:
         flags.append(reason)
     n_t = eparams.n_t

@@ -108,6 +108,11 @@ class MatrixEnsemble:
         """log E W^s: 0 for a family that draws no scale (W = 1)."""
         return 0.0
 
+    def cone_moment(self, s: float, eps: float, norm: str) -> float:
+        """E ||A*||^s iota(A*)^-eps in the given norm, from the law; inf
+        where an atom of positive probability has iota = 0 or it overflows."""
+        raise NotImplementedError
+
     def atoms(self):
         """(matrices, probs) for finite-support families, else None."""
         return None
@@ -154,6 +159,16 @@ class FiniteSupport(MatrixEnsemble):
 
     def atoms(self):
         return self.matrices, self.probs
+
+    def cone_moment(self, s, eps, norm):
+        from .walks import norms_and_iotas
+
+        held = self.probs > 0
+        opn, io = norms_and_iotas(np.swapaxes(self.matrices[held], -1, -2),
+                                  norm)
+        if (io <= 0).any():
+            return math.inf
+        return float(self.probs[held] @ (opn ** s * io ** -eps))
 
     def support_nonnegative(self):
         return bool((self.matrices >= -ZERO_TOL).all())
@@ -219,6 +234,12 @@ class LognormalScalarMatrix(LognormalFamily):
     def directions(self, rng, size):
         return self.matrix[None, :, :]
 
+    def cone_moment(self, s, eps, norm):
+        # A = W P has ||A*|| = W ||P*|| and iota(A*) = W iota(P*)
+        fixed = FiniteSupport(matrices=self.matrix[None], probs=np.ones(1))
+        return (float(np.exp(self.log_scalar_moment(s - eps)))
+                * fixed.cone_moment(s, eps, norm))
+
     def support_nonnegative(self):
         return bool((self.matrix >= -ZERO_TOL).all())
 
@@ -262,6 +283,10 @@ class LognormalRotation(LognormalFamily):
 
     def preserves_norm(self, norm):
         return norm == "l2"
+
+    def cone_moment(self, s, eps, norm):
+        # ||R*|| = iota(R*) = 1 under l2, the only norm of its classes
+        return float(np.exp(self.log_scalar_moment(s - eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +349,16 @@ class QLaw:
             return np.tile(self.vector, (size, 1))
         return self.vectors[idx]
 
-    def draw(self, rng: np.random.Generator, size: int, d: int) -> np.ndarray:
-        return self.values(self.atom_indices(rng, size), size, d)
+    def moment(self, s: float, norm: str) -> float:
+        """E|Q|^s in the given norm; inf where it overflows."""
+        from .walks import vec_norm
+
+        if self.kind == "zero":
+            return 0.0
+        if self.kind == "deterministic":
+            return float(vec_norm(self.vector, norm) ** s)
+        held = self.probs > 0
+        return float(self.probs[held] @ vec_norm(self.vectors[held], norm) ** s)
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +578,14 @@ class ConditionVerdict:
 
 @dataclass
 class ValidationReport:
-    """Per-condition verdicts with witnesses and empirical moment estimates."""
+    """Per-condition verdicts with witnesses and the exact moment bounds."""
 
     conditions: dict[str, ConditionVerdict]
     positive_product_witness: Optional[np.ndarray]
     positive_product_word_length: Optional[int]
     proximality_witness: Optional[np.ndarray]
     nonarithmetic_pairs: list
-    moment_estimates: dict
+    moments: dict
     notes: list[str]
 
     def hard_fail(self) -> bool:
@@ -560,13 +593,6 @@ class ValidationReport:
 
     def to_jsonable(self) -> dict:
         return asdict(self)
-
-
-def _support_matrices(spec: ModelSpec, rng: np.random.Generator, reps: int) -> np.ndarray:
-    atoms = spec.ensemble.atoms()
-    if atoms is not None:
-        return atoms[0]
-    return spec.ensemble.draw(rng, reps)
 
 
 def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> float:
@@ -594,46 +620,29 @@ def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> fl
     return float(visited.mean())
 
 
-def _scaled_norms_and_iotas(spec: ModelSpec, rng: np.random.Generator,
-                            n: int) -> tuple[np.ndarray, np.ndarray]:
-    """||A*|| and iota(A*) of n draws A = W D, as W ||D*|| and W iota(D*).
-
-    The generator is used as draw uses it.  A direction factor that
-    preserves the model norm has both equal to 1 and is not decomposed; a
-    fixed D is decomposed once, a D drawn per sample per draw.
-    """
-    from .walks import norms_and_iotas
-
-    log_w, dirs = spec.ensemble.factors(rng, n)
-    w = np.exp(log_w)
-    if spec.ensemble.preserves_norm(spec.norm):
-        return w, w
-    opn, io = norms_and_iotas(np.swapaxes(dirs, -1, -2), spec.norm)
-    return w * opn, w * io
-
-
 def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
              rng: np.random.Generator) -> ValidationReport:
-    """Run every class-applicable condition check and estimate the moment bounds.
+    """Run every class-applicable condition check and compute the moment bounds.
 
     Strong irreducibility, cone absence, and the density condition cannot be
     decided from samples; they are reported as declared-by-user with orbit
-    coverage evidence.  Moment conditions are Monte Carlo estimates with
-    standard errors.
+    coverage evidence.  reps sizes the support, positive-product and orbit
+    draws.  The moment conditions E|Q|^s and E||A*||^s iota(A*)^-eps, s =
+    beta_hat + eps, are exact and draw nothing; each is None where the
+    family declares E||M||^s infinite, an atom has iota = 0, or it overflows.
     """
     if beta_hat <= 0:
         raise SpecError("validate requires beta_hat > 0")
-    from .walks import vec_norm
 
     conditions: dict[str, ConditionVerdict] = {}
     notes: list[str] = []
-    pos_witness = None
-    pos_len = None
-    prox_witness = None
+    pos_witness = pos_len = prox_witness = None
     na_pairs: list = []
 
+    atoms = spec.ensemble.atoms()
+    mats = (spec.ensemble.draw(rng, min(reps, 256)) if atoms is None
+            else atoms[0])
     if spec.geom_class == CLASS_NONNEG:
-        mats = _support_matrices(spec, rng, min(reps, 256))
         conditions["allowable"] = ConditionVerdict(
             "pass" if check_allowable(mats) else "fail",
             {"checked": int(len(mats))})
@@ -650,7 +659,6 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
         conditions["nonarithmetic"] = ConditionVerdict(
             na["verdict"], {"n_pairs": len(na_pairs)})
     else:
-        mats = _support_matrices(spec, rng, min(reps, 256))
         inv_ok = spec.ensemble.support_invertible()
         conditions["invertible"] = ConditionVerdict("pass" if inv_ok else "fail")
         i = first_proximal(mats)
@@ -683,25 +691,14 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
             "fixed-N with unbounded ensemble support: boundedness caveat, "
             "results rely on random-N-style independence of the innovations")
 
-    # empirical moment estimates E|Q|^(b+e), E||A*||^(b+e) iota(A*)^(-e)
     s = beta_hat + eps
-    q = spec.q_law.draw(rng, max(reps, 2), spec.d)
-    qs = vec_norm(q, spec.norm) ** s
-    opn, io = _scaled_norms_and_iotas(spec, rng, max(reps, 2))
-    with np.errstate(divide="ignore"):
-        vals = opn ** s * io ** (-eps)
-    vals[io <= 0] = np.inf          # non-allowable draw: the moment diverges
-    moment = float(vals.mean())
-    if math.isfinite(moment):
-        moment_se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    else:               # a diverging moment has no estimate: both null
-        moment = moment_se = None
-    moment_estimates = {
-        "s": s, "eps": eps,
-        "E|Q|^s": float(qs.mean()),
-        "E|Q|^s_se": float(qs.std(ddof=1) / math.sqrt(len(qs))),
-        "E||A*||^s iota^-eps": moment,
-        "E||A*||^s iota^-eps_se": moment_se,
-    }
+    moments = {"s": s, "eps": eps}
+    with np.errstate(over="ignore"):
+        for key, value in (
+                ("E|Q|^s", spec.q_law.moment(s, spec.norm)),
+                ("E||A*||^s iota^-eps",
+                 spec.ensemble.cone_moment(s, eps, spec.norm)
+                 if spec.ensemble.moment_finite(s) else math.inf)):
+            moments[key] = value if math.isfinite(value) else None
     return ValidationReport(conditions, pos_witness, pos_len, prox_witness,
-                            na_pairs, moment_estimates, notes)
+                            na_pairs, moments, notes)

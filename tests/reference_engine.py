@@ -4,7 +4,7 @@ used before walks.apply_batch), the pool statistics through np.quantile, the
 orbit coverage binned one step at a time, the grid operator assembled
 from cached direction rows at every tilt, k(s) by one power iteration
 on that operator, the proximality search with one eigenvalue call per
-matrix, and the moment draws' norms taken of the multiplied-out W D.
+matrix, and the draws of Q as atom indices, then their vectors.
 
 The engines in src/ must replay the first three bit for bit from the same
 generator state; test_branching.py and test_model.py compare the outputs
@@ -23,10 +23,10 @@ from typing import Optional
 import numpy as np
 
 from smoothtail.errors import AssemblyError, SpecError
-from smoothtail.model import ORBIT_CHUNK, ModelSpec
+from smoothtail.model import ORBIT_CHUNK, ModelSpec, QLaw
 from smoothtail.spectral import (SpectralResult, SphereGrid, build_grid,
                                  power_iteration)
-from smoothtail.walks import UNDERFLOW, act, norms_and_iotas, vec_norm
+from smoothtail.walks import UNDERFLOW, act, vec_norm
 
 
 def matvec_sum(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
         w = np.exp(log_w).reshape(size, slots)
         if n.min() < skip + slots:
             w = w * (np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None])
-    out = spec.q_law.draw(rng, size, d).astype(float, copy=False)
+    out = draw_q(spec.q_law, rng, size, d).astype(float, copy=False)
     if slots > 0:
         xs = np.take(pool, rng.integers(0, pool.shape[0], size=(size, slots)),
                      axis=0)
@@ -238,8 +238,8 @@ def first_proximal(mats: np.ndarray) -> Optional[int]:
     return None
 
 
-def moment_norms_and_iotas(spec: ModelSpec, rng: np.random.Generator,
-                           n: int):
-    """||A*|| and iota(A*) of n draws, taken of the multiplied-out W D."""
-    mats_T = np.swapaxes(spec.ensemble.draw(rng, n), -1, -2)
-    return norms_and_iotas(mats_T, spec.norm)
+def draw_q(q_law: QLaw, rng: np.random.Generator, size: int,
+           d: int) -> np.ndarray:
+    """size draws of Q, (size, d): the atom indices (none for a zero or
+    fixed Q), then their vectors."""
+    return q_law.values(q_law.atom_indices(rng, size), size, d)

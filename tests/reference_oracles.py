@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+import reference_engine as ref
 from smoothtail.branching import FixedPointPool
 from smoothtail.certificate import (EventParams, ProbEstimate, SubtreeParams,
                                     _summarize)
@@ -101,7 +102,7 @@ def sample_family(spec: ModelSpec, rng: np.random.Generator):
         a_list = [mats[i] for i in range(n)]
     else:
         a_list = []
-    q = spec.q_law.draw(rng, 1, spec.d)[0]
+    q = ref.draw_q(spec.q_law, rng, 1, spec.d)[0]
     if spec.branching.mode == "fixed":
         a_list, q = exchangeify(a_list, q, rng)
     return q, a_list, int(n)

@@ -283,7 +283,7 @@ def test_resampled_sum_matches_full_stack(make_spec, skip):
     n = spec.branching.sample(rng, size)
     slots = int(n.max()) - skip
     mats = spec.ensemble.draw(rng, size * slots).reshape(size, slots, d, d)
-    want = spec.q_law.draw(rng, size, d).astype(float)
+    want = ref.draw_q(spec.q_law, rng, size, d).astype(float)
     idx = rng.integers(0, len(pool), size=(size, slots))
     active = np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None]
     want += np.einsum("snij,snj->si", mats * active[:, :, None, None],

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference_engine as ref
 from conftest import (BETA_D1, BETA_ROT, K_BETA_D1, RHO_D1, RHO_ROT,
                       d1_lognormal_spec, d2_contracting_matrix_spec,
                       d2_finite_three_spec,
@@ -197,7 +198,7 @@ def _replayed_z_marks(spec, pool, count, rng):
     d = spec.d
     nvals = spec.branching.sample(rng, count)
     slots = int(max(nvals.max() - 1, 0))
-    out = spec.q_law.draw(rng, count, d).astype(float)
+    out = ref.draw_q(spec.q_law, rng, count, d).astype(float)
     if slots > 0:
         log_w, dirs = spec.ensemble.factors(rng, count * slots)
         assert dirs.shape == (1, d, d)
@@ -587,6 +588,18 @@ def test_lower_bound_empty_level_set_is_vacuous(d1_pool):
     assert any(f.startswith("L_t empty for C1=5") for f in rep.flags)
 
 
+def test_lower_bound_refuses_c1_below_1_before_the_search(monkeypatch,
+                                                         d1_pool):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the (C0, delta) search ran")
+
+    monkeypatch.setattr(certificate, "choose_event_params", no_search)
+    with pytest.raises(SpecError, match="C1"):
+        lower_bound(d1_lognormal_spec(), np.array([1.0]), 10.0, RHO_D1,
+                    BETA_D1, K_BETA_D1, C1=0, pool_vectors=d1_pool.vectors,
+                    rng=substream(28, "lb"))
+
+
 def test_lower_bound_flags_low_ess_w_with_hits(d1_pool):
     # with 60 paths per geometry no W estimate can reach the ESS floor, so
     # every one is flagged, including those that did hit
@@ -742,6 +755,11 @@ def test_verdict_rule():
         "not positive at these parameters",
         "not positive: bound 0 not above 2 x bound_se 1; "
         "1 V/W estimates below the ESS floor")
+    # a sampled cap radius (d >= 3), even on a bound clear of its error bar
+    assert verdict([4], 1.0, 0.01, 0, sampled_radius=True) == (
+        "not positive at these parameters",
+        "not positive: cap radius sampled, not exact (d >= 3)")
+    assert verdict([], 1.0, 0.01, 0, sampled_radius=True) == ("vacuous", None)
 
 
 def test_lower_bound_hands_the_verdict_its_bound_and_flags(monkeypatch, d1_pool):
@@ -755,8 +773,9 @@ def test_lower_bound_hands_the_verdict_its_bound_and_flags(monkeypatch, d1_pool)
               reps_w=2_000)
     seen = []
 
-    def fake_verdict(levels, bound, bound_se, n_flagged):
+    def fake_verdict(levels, bound, bound_se, n_flagged, sampled_radius):
         seen.append((bound, bound_se, n_flagged))
+        assert not sampled_radius          # d = 1: the radius is exact
         return verdict(levels, 1.0, 0.0, 0)
 
     monkeypatch.setattr(certificate, "verdict", fake_verdict)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALPHA_D1, BETA_D1, RHO_D1, d2_finite_three_spec
+from conftest import (ALPHA_D1, BETA_D1, RHO_D1, d2_finite_three_spec,
+                      d2_lognormal_matrix_spec)
 from reference_oracles import model_to_jsonable
 from smoothtail import artifacts
 from smoothtail.branching import FixedPointPool
@@ -213,8 +214,8 @@ def _strict_json(path: Path) -> dict:
 
 
 def test_validate_infinite_moment_is_written_null(tmp_path):
-    # the zero row of the first atom makes iota(A*) = 0 on half the draws:
-    # the moment is infinite and its standard error undefined, both null
+    # the zero row of the first atom, held with probability 1/2, makes
+    # iota(A*) = 0: the moment is infinite and written null
     model = {
         "dimension": 2,
         "branching": {"mode": "fixed", "n": 2},
@@ -231,10 +232,33 @@ def test_validate_infinite_moment_is_written_null(tmp_path):
         assert _run(tmp_path, "validate", cfg) == 3
     doc = _strict_json(tmp_path / "out/validation.json")
     assert doc["conditions"]["allowable"]["verdict"] == "fail"
-    moments = doc["moment_estimates"]
+    moments = doc["moments"]
     assert moments["E||A*||^s iota^-eps"] is None
-    assert moments["E||A*||^s iota^-eps_se"] is None
     assert math.isfinite(moments["E|Q|^s"])
+    assert not any(key.endswith("_se") for key in moments)
+
+
+@pytest.mark.parametrize("model, section, nulls", [
+    # E W^s and |Q|^s = 2^s both overflow at s = 2000.1
+    (model_to_jsonable(d2_lognormal_matrix_spec()), {"beta_hat": 2000},
+     {"E|Q|^s", "E||A*||^s iota^-eps"}),
+    # the family declares E||M||^s infinite past s = 2, and s = 3.2
+    ({"dimension": 1, "branching": {"mode": "fixed", "n": 2},
+      "ensemble": {"family": "scalar_lognormal", "mu": -1.0, "sigma2": 0.5,
+                   "finite_moment_s_max": 2.0},
+      "q_law": {"kind": "deterministic", "vector": [1.0]},
+      "class": "nonnegative-C"},
+     {"beta_hat": 3.1}, {"E||A*||^s iota^-eps"}),
+], ids=["overflow", "declared-cap"])
+def test_validate_unbounded_moments_are_written_null(tmp_path, model,
+                                                     section, nulls):
+    cfg = {"model": model, "seed": 3, "validate": dict(section, reps=500)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(tmp_path, "validate", cfg) == 0
+    moments = _strict_json(tmp_path / "out/validation.json")["moments"]
+    for key in ("E|Q|^s", "E||A*||^s iota^-eps"):
+        assert (moments[key] is None) == (key in nulls)
 
 
 @pytest.mark.parametrize("value", [math.inf, np.float64("nan"),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from conftest import (BETA_D1, d1_lognormal_spec, d2_finite_three_spec,
                       d3_rotation_spec, rng_state)
 from reference_oracles import exchangeify, sample_family
 from smoothtail.errors import SpecError
-from smoothtail.model import (_orbit_coverage, _scaled_norms_and_iotas,
-                              Branching, FiniteSupport, LognormalRotation,
-                              LognormalScalarMatrix, ModelSpec, QLaw,
+from smoothtail.model import (_orbit_coverage, Branching, FiniteSupport,
+                              LognormalRotation, LognormalScalarMatrix,
+                              ModelSpec, QLaw,
                               check_allowable, check_proximal,
                               find_positive_product, first_proximal,
                               heuristic_nonarithmetic, perron_data, validate)
 from smoothtail.rng import substream
+from smoothtail.walks import norms_and_iotas, vec_norm
 
 
 def _const_spec(value=0.25, n=2):
@@ -259,12 +261,12 @@ def test_validate_d1_lognormal():
     assert report.conditions["positive_product"].verdict == "pass"
     assert report.conditions["nonarithmetic"].verdict == "heuristic-pass"
     assert not report.hard_fail()
-    # closed form: E A^(beta + eps) = exp(-(s) + s^2/4), s = beta + 0.1
-    s = BETA_D1 + 0.1
-    exact = math.exp(-s + 0.25 * s * s)
-    est = report.moment_estimates["E||A*||^s iota^-eps"]
-    # heavy-tailed summand: just demand the right order of magnitude
-    assert 0.2 * exact < est < 5 * exact
+    # ||A*||^s iota(A*)^-eps = W^(s - eps) = W^beta_hat, and
+    # E W^b = exp(-b + b^2/4)
+    exact = math.exp(-BETA_D1 + 0.25 * BETA_D1 ** 2)
+    assert report.moments["E||A*||^s iota^-eps"] == pytest.approx(exact,
+                                                                  rel=1e-12)
+    assert report.moments["E|Q|^s"] == 1.0
     assert report.notes  # boundedness caveat for fixed-N lognormal
 
 
@@ -438,26 +440,49 @@ def test_batched_proximal_falls_back_to_the_loop(monkeypatch):
     assert report.conditions["proximal"].verdict == "inconclusive"
 
 
-@pytest.mark.parametrize("make_spec, exact", [
-    (d1_lognormal_spec, True),
-    (d2_lognormal_matrix_spec, True),
-    (d2_finite_three_spec, True),
-    (d2_rotation_spec, False),
-    (d3_rotation_spec, False),
-    (lambda: _invertible_wp_spec(((1.0, 0.3), (0.2, 0.9))), False),
+@pytest.mark.parametrize("make_spec, q_law", [
+    (d1_lognormal_spec, None),
+    (d2_lognormal_matrix_spec, QLaw(kind="zero")),
+    (d2_finite_three_spec,
+     QLaw(kind="finite_support", vectors=[[1.0, 0.5], [0.0, 2.0]],
+          probs=[0.3, 0.7])),
+    (d2_rotation_spec, None),
+    (d3_rotation_spec,
+     QLaw(kind="finite_support",
+          vectors=[[1.0, 2.0, 2.0], [0.0, 0.0, 1.0], [3.0, 0.0, 0.0]],
+          probs=[0.2, 0.5, 0.3])),
+    (lambda: _invertible_wp_spec(((1.0, 0.3), (0.2, 0.9))), None),
 ], ids=["d1-scalar", "w-p-l1", "finite-support", "c-r-d2", "c-r-d3",
         "w-p-l2"])
-def test_factor_moments_match_the_multiplied_out_norms(make_spec, exact):
+def test_exact_moments_match_the_multiplied_out_draws(make_spec, q_law):
+    # validate's closed forms against a long Monte Carlo over the draws
+    # A = W D, multiplied out, and Q, within 4 standard errors
     spec = make_spec()
-    rng, rng_ref = substream(45, "m"), substream(45, "m")
-    opn, io = _scaled_norms_and_iotas(spec, rng, 5000)
-    opn_ref, io_ref = ref.moment_norms_and_iotas(spec, rng_ref, 5000)
-    assert rng_state(rng) == rng_state(rng_ref)
-    if exact:
-        assert np.array_equal(opn, opn_ref) and np.array_equal(io, io_ref)
-    else:
-        np.testing.assert_allclose(opn, opn_ref, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(io, io_ref, rtol=1e-14, atol=0)
+    if q_law is not None:
+        spec = replace(spec, q_law=q_law)
+    eps, n = 0.1, 200_000
+    s = 1.0 + eps
+    rng = substream(45, "m")
+    opn, io = norms_and_iotas(
+        np.swapaxes(spec.ensemble.draw(rng, n), -1, -2), spec.norm)
+    q = ref.draw_q(spec.q_law, rng, n, spec.d)
+    for exact, vals in (
+            (spec.ensemble.cone_moment(s, eps, spec.norm),
+             opn ** s * io ** -eps),
+            (spec.q_law.moment(s, spec.norm), vec_norm(q, spec.norm) ** s)):
+        se = vals.std(ddof=1) / math.sqrt(n)
+        # a constant summand has se 0 and a mean off by rounding
+        assert abs(vals.mean() - exact) <= 4 * se + 1e-12 * exact
+
+
+def test_cone_moment_is_infinite_only_on_a_held_atom_with_iota_zero():
+    # the zero row of the first atom gives iota(A*) = 0 under l1
+    mats = np.array([[[0.3, 0.3], [0.0, 0.0]], [[0.5, 0.2], [0.2, 0.5]]])
+    held = FiniteSupport(matrices=mats, probs=np.array([0.5, 0.5]))
+    assert held.cone_moment(1.1, 0.1, "l1") == math.inf
+    dropped = FiniteSupport(matrices=mats, probs=np.array([0.0, 1.0]))
+    assert dropped.cone_moment(1.1, 0.1, "l1") == pytest.approx(
+        0.7 ** 1.1 * 0.7 ** -0.1, rel=1e-12)
 
 
 def test_validate_rotation_takes_no_svd_and_two_eigvals_calls(monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import reference_engine as ref
 from conftest import (BETA_D1, d1_lognormal_spec, d2_finite_pair_spec,
                       d2_finite_three_spec, d2_lognormal_matrix_spec,
                       d2_rotation_spec, k_at, rng_state)
@@ -535,7 +536,7 @@ def test_masked_slots_under_random_n():
     rng = substream(63, "innov")
     n = spec.branching.sample(rng, 3000)
     log_w, dirs = spec.ensemble.factors(rng, 3000 * 3)
-    want = spec.q_law.draw(rng, 3000, 2).astype(float)
+    want = ref.draw_q(spec.q_law, rng, 3000, 2).astype(float)
     idx = rng.integers(0, len(pool), size=(3000, 3))
     active = np.arange(1, 4)[None, :] <= n[:, None]
     assert n.max() == 3 and not active.all()
