@@ -595,6 +595,29 @@ class ValidationReport:
         return asdict(self)
 
 
+def _orbit_chunk(mats_t: np.ndarray, x: np.ndarray, norm: str):
+    """The projective orbit of x under one chunk of steps, x_k = M_k . x_(k-1),
+    from running products M_k ... M_1 formed in log2(len) doubling passes and
+    rescaled by their largest entry after each.  None where a row, or the step
+    M_k x_(k-1) out of it, is non-finite or of norm <= UNDERFLOW: the per-step
+    loop then decides which steps are singular."""
+    from .walks import UNDERFLOW, apply_batch, vec_norm
+
+    with np.errstate(all="ignore"):
+        prods = mats_t / np.abs(mats_t).max(axis=(1, 2), keepdims=True)
+        shift = 1
+        while shift < len(prods):
+            prods[shift:] = prods[shift:] @ prods[:-shift]
+            prods /= np.abs(prods).max(axis=(1, 2), keepdims=True)
+            shift *= 2
+        orbit = apply_batch(prods, x)
+        orbit /= vec_norm(orbit, norm)[:, None]
+        steps = apply_batch(mats_t, np.vstack([x, orbit[:-1]]))
+        ok = (np.isfinite(orbit).all()
+              and (vec_norm(steps, norm) > UNDERFLOW).all())
+    return orbit if ok else None
+
+
 def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> float:
     """Fraction of sphere-grid cells visited by the projective orbit, drawn
     and binned ORBIT_CHUNK steps at a time until every cell is visited."""
@@ -606,15 +629,20 @@ def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> fl
     x[0] = 1.0                          # unit under l1 and l2
     visited = np.zeros(len(grid.points), dtype=bool)
     for a in range(0, steps, ORBIT_CHUNK):
-        orbit = []
-        for m in spec.ensemble.draw(rng, min(ORBIT_CHUNK, steps - a)):
-            try:
-                x = act(m.T, x, spec.norm)
-            except SingularActionError:
-                continue
-            orbit.append(x)
-        if orbit:
+        mats_t = np.swapaxes(
+            spec.ensemble.draw(rng, min(ORBIT_CHUNK, steps - a)), 1, 2)
+        orbit = _orbit_chunk(mats_t, x, spec.norm)
+        if orbit is None:
+            orbit = []
+            for m in mats_t:
+                try:
+                    x = act(m, x, spec.norm)
+                except SingularActionError:
+                    continue
+                orbit.append(x)
+        if len(orbit):
             visited[grid.cell_index(np.array(orbit))] = True
+            x = orbit[-1]
         if visited.all():
             break
     return float(visited.mean())

@@ -42,8 +42,8 @@ def k_at(spec: ModelSpec, s: float, mc_reps: int, rng: np.random.Generator,
 
 
 def rng_state(rng: np.random.Generator) -> str:
-    """A generator's full state; Philox keeps its counter and key as arrays,
-    whose repr is exact."""
+    """A generator's full state; SFC64 keeps its four state words as an
+    array, whose repr is exact."""
     return repr(rng.bit_generator.state)
 
 

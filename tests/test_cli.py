@@ -1025,22 +1025,41 @@ def test_certificate_cap_geometry_failure_exit_6(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("seed", [6, 6101])
+def _three_atom_cfg(seed):
+    return {"model": model_to_jsonable(d2_finite_three_spec()), "seed": seed,
+            "simulate": {"pool_size": 20_000, "replicates": 2,
+                         "generations": 25, "x0": [1.0, 1.0]},
+            "certificate": {"pool": "out/pool.bin", "beta": 2.577,
+                            "rho": 0.437, "k_beta": 0.5, "t_quantile": 0.999,
+                            "u": [1.0, 0.0], "reps_search": 4_000}}
+
+
+@pytest.mark.parametrize("seed", [6, 6102])
 def test_certificate_keeps_every_cap_on_the_three_atom_pool(tmp_path, seed):
     # the search keeps only cells with a member beyond D/eps, and the cone
     # family keeps every cap with that same eps, so the chosen cell has
     # mass (dropping the empty caps shrank eps until none was left)
-    cfg = {"model": model_to_jsonable(d2_finite_three_spec()), "seed": seed,
-           "simulate": {"pool_size": 20_000, "replicates": 2,
-                        "generations": 25, "x0": [1.0, 1.0]},
-           "certificate": {"pool": "out/pool.bin", "beta": 2.577,
-                           "rho": 0.437, "k_beta": 0.5, "t_quantile": 0.999,
-                           "u": [1.0, 0.0], "reps_search": 4_000}}
+    cfg = _three_atom_cfg(seed)
     assert _run(tmp_path, "simulate", cfg) == 0
     assert _run(tmp_path, "certificate", cfg) == 0
     doc = _strict_json(tmp_path / "out/certificate.json")
     assert len(doc["cap_masses"]) == 8 and doc["kappa"] > 0
     assert doc["bound"] == doc["v_term"] - doc["w_sum"]
+
+
+def test_three_atom_search_without_v_hits_exits_2(tmp_path, capsys):
+    # at seed 6101 no search cell has a V hit at the first window level (nor
+    # at reps_search 16,000): the search stops with a config error and
+    # writes no certificate
+    cfg = _three_atom_cfg(6101)
+    assert _run(tmp_path, "simulate", cfg) == 0
+    capsys.readouterr()
+    assert _run(tmp_path, "certificate", cfg) == 2
+    err = capsys.readouterr().err
+    assert ("no (C0, delta) combination produced positive V estimates at "
+            "all window levels") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out/certificate.json").exists()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "certificate"])

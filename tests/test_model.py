@@ -189,12 +189,18 @@ def test_positive_product_word_length_two():
                      ensemble=FiniteSupport(matrices=mats,
                                             probs=np.array([0.5, 0.5])),
                      q_law=QLaw(kind="zero"), geom_class="nonnegative-C")
-    # the two generators are triangular; any mixed word of length 2 is positive
+    # the two generators are triangular: a word is positive from its first
+    # letter that differs from letter 0 on (B A^k = [[1, k], [1, k + 1]]),
+    # so the length is that letter's index plus 1, read off a replay
     found = find_positive_product(spec, 2000, substream(10, "p"))
     assert found is not None
     witness, length = found
     assert witness.min() > 0
-    assert length == 2
+    replay = substream(10, "p")
+    letters = [spec.ensemble.draw(replay, 1)[0] for _ in range(64)]
+    first_change = next(i for i, m in enumerate(letters)
+                        if not np.array_equal(m, letters[0]))
+    assert length == first_change + 1
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +309,24 @@ def _quarter_turn_spec():
                      geom_class="invertible-ipo")
 
 
+def _singular_steps_spec():
+    # M^T maps e2 to 0, so some steps are singular and skipped: the batched
+    # chunks fall back to the per-step loop
+    mats = np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+                     [[2.0, 1.0], [1.0, 1.0]]])
+    return ModelSpec(dimension=2, branching=Branching(mode="fixed", n=2),
+                     ensemble=FiniteSupport(matrices=mats,
+                                            probs=np.array([0.4, 0.3, 0.3])),
+                     q_law=QLaw(kind="deterministic", vector=[1.0, 0.0]),
+                     geom_class="nonnegative-C")
+
+
 @pytest.mark.parametrize("make_spec", [
     d2_rotation_spec,
     d3_rotation_spec,
     _quarter_turn_spec,
-], ids=["c-r-d2", "c-r-d3", "orbit-misses-cells"])
+    _singular_steps_spec,
+], ids=["c-r-d2", "c-r-d3", "orbit-misses-cells", "singular-steps"])
 def test_orbit_coverage_replays_the_per_step_loop(make_spec):
     spec = make_spec()
     for steps in (1, 256, 1000):
