@@ -115,6 +115,9 @@ def read_pool(path: Path) -> FixedPointPool:
         raise ConfigError(f"{path}: not a pool file")
     (magic, fmt, d, count, gen, conv, degen, _pad, _fp,
      _ver) = _HEADER.unpack_from(raw)
+    if fmt != 1:
+        raise ConfigError(f"{path}: pool format {fmt}; this version reads "
+                          "format 1")
     payload = len(raw) - _HEADER.size
     if payload != count * d * 8:
         raise ConfigError(

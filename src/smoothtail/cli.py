@@ -175,6 +175,13 @@ class Section(dict):
             self.require(key, np.isfinite(out).all(), "finite values")
         return out
 
+    def typed(self, key: str, kind: type, need: str, default=None):
+        """self[key] (default when absent), refused unless a kind: a path
+        is a str and a switch a bool."""
+        value = self.get(key, default)
+        self.require(key, isinstance(value, kind), need)
+        return value
+
     def require(self, key: str, ok: bool, need: str) -> None:
         """Reject self[key] unless ok, naming what the key needs."""
         if not ok:
@@ -203,7 +210,8 @@ class RunConfig:
             raise ConfigError(f"seed: need 0 <= seed < 2**64, got {self.seed}")
         self.threads = (int(threads) if threads is not None
                         else root.num("threads", 1, int))
-        self.out = Path(out if out is not None else raw.get("out", "."))
+        self.out = Path(out if out is not None
+                        else root.typed("out", str, "a path string", "."))
         model_doc = raw.get("model")
         if model_doc is None:
             raise ConfigError("config field 'model' is required")
@@ -340,7 +348,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     generations = sec.num("generations", 60, int)
     replicates = sec.num("replicates", 8, int)
     x0 = np.asarray(sec.num("x0", [0.0] * cfg.spec.d, _floats))
-    write_csv = sec.get("write_csv")
+    write_csv = sec.typed("write_csv", bool, "true or false", False)
     sec.reject_unread()
     rngs = [substream(cfg.seed, "simulate", i) for i in range(replicates)]
     pool = branching.sample_fixed_point_replicated(
@@ -369,7 +377,7 @@ def _load_beta(cfg: RunConfig, sec: Section) -> tuple[float, float, float]:
         values = {"beta": sec.num("beta"), "rho": sec.num("rho", 0.0) or None,
                   "k_beta": sec.num("k_beta", 0.0) or None}
     elif "solution" in sec:
-        path = cfg.resolve(sec["solution"])
+        path = cfg.resolve(sec.typed("solution", str, "a path string"))
         where = f"{path}: "
         doc = artifacts.read_json(path)
         try:
@@ -392,7 +400,7 @@ def _load_pool(cfg: RunConfig, sec: Section) -> branching.FixedPointPool:
     """The pool file named in sec, checked against the model's dimension."""
     if "pool" not in sec:
         raise ConfigError(f"{sec.name} needs a 'pool' file path")
-    path = cfg.resolve(sec["pool"])
+    path = cfg.resolve(sec.typed("pool", str, "a path string"))
     if not path.exists():
         raise ConfigError(f"pool file not found: {path}")
     pool = artifacts.read_pool(path)

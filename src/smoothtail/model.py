@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EigenDiagnosticError, SingularActionError, SpecError
+from .errors import EigenDiagnosticError, SpecError
 
 CLASS_NONNEG = "nonnegative-C"
 CLASS_IPO = "invertible-ipo"
@@ -100,7 +100,8 @@ class MatrixEnsemble:
         raise NotImplementedError
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """i.i.d. draws w * D, shape (size, d, d)."""
+        """i.i.d. draws w * D, shape (size, d, d), consuming rng as factors
+        does.  No engine multiplies them out: each reads factors."""
         log_w, dirs = self.factors(rng, size)
         return np.exp(log_w)[:, None, None] * dirs
 
@@ -487,8 +488,10 @@ def find_positive_product(spec: ModelSpec, budget: int,
                           rng: np.random.Generator):
     """Search for a strictly positive product of sampled ensemble matrices.
 
-    Multiplies fresh draws (renormalized in transit to dodge overflow),
-    restarting when the word gets long.  Returns (witness, word_length) or
+    Multiplies the direction factors of fresh draws, rescaled to a largest
+    entry of 1 after each, and carries sum log W plus the rescalings as one
+    log scale; restarts when the word gets long.  Returns (witness,
+    log_scale, word_length), the product being exp(log_scale) * witness, or
     None if the budget is exhausted.  Absence is a value, not an error.
     """
     if spec.geom_class != CLASS_NONNEG:
@@ -498,19 +501,17 @@ def find_positive_product(spec: ModelSpec, budget: int,
     prod = np.eye(spec.d)
     log_scale = 0.0
     for _ in range(budget):
-        m = spec.ensemble.draw(rng, 1)[0]
-        prod = m @ prod
+        log_w, dirs = spec.ensemble.factors(rng, 1)
+        prod = dirs[0] @ prod
         word += 1
         nrm = np.abs(prod).max()
-        if nrm == 0.0 or not np.isfinite(nrm):
+        if nrm == 0.0:
             prod, word, log_scale = np.eye(spec.d), 0, 0.0
             continue
         prod = prod / nrm
-        log_scale += math.log(nrm)
+        log_scale += float(log_w[0]) + math.log(nrm)
         if (prod > ZERO_TOL).all():
-            if abs(log_scale) < 600.0:
-                return prod * math.exp(log_scale), word
-            return prod, word
+            return prod, log_scale, word
         if word >= max_word:
             prod, word, log_scale = np.eye(spec.d), 0, 0.0
     return None
@@ -533,7 +534,8 @@ def heuristic_nonarithmetic(spec: ModelSpec, budget: int,
     ratios with their irrationality margins against p/q, q <= RATIONAL_QMAX.
     Verdict: "heuristic-pass" if some margin >= 1e-3, "inconclusive" if all
     sampled ratios sit essentially on rationals, "inapplicable" when no
-    positive product is found.  Never a definite fail.
+    positive product is found.  Never a definite fail.  log(lambda) is
+    log lambda(witness) plus the witness's log scale, so W never overflows.
     """
     if spec.geom_class != CLASS_NONNEG:
         raise SpecError("non-arithmeticity heuristic applies to the nonnegative class")
@@ -544,10 +546,10 @@ def heuristic_nonarithmetic(spec: ModelSpec, budget: int,
         seen += min(64, budget - seen)
         if found is None:
             continue
-        witness, _ = found
+        witness, log_scale, _ = found
         lam, _v = perron_data(witness)
         if lam > 0:
-            logs.append(math.log(lam))
+            logs.append(math.log(lam) + log_scale)
     if len(logs) < 2:
         return {"verdict": "inapplicable", "pairs": []}
     pairs = []
@@ -595,54 +597,38 @@ class ValidationReport:
         return asdict(self)
 
 
-def _orbit_chunk(mats_t: np.ndarray, x: np.ndarray, norm: str):
-    """The projective orbit of x under one chunk of steps, x_k = M_k . x_(k-1),
-    from running products M_k ... M_1 formed in log2(len) doubling passes and
-    rescaled by their largest entry after each.  None where a row, or the step
-    M_k x_(k-1) out of it, is non-finite or of norm <= UNDERFLOW: the per-step
-    loop then decides which steps are singular."""
-    from .walks import UNDERFLOW, apply_batch, vec_norm
-
-    with np.errstate(all="ignore"):
-        prods = mats_t / np.abs(mats_t).max(axis=(1, 2), keepdims=True)
-        shift = 1
-        while shift < len(prods):
-            prods[shift:] = prods[shift:] @ prods[:-shift]
-            prods /= np.abs(prods).max(axis=(1, 2), keepdims=True)
-            shift *= 2
-        orbit = apply_batch(prods, x)
-        orbit /= vec_norm(orbit, norm)[:, None]
-        steps = apply_batch(mats_t, np.vstack([x, orbit[:-1]]))
-        ok = (np.isfinite(orbit).all()
-              and (vec_norm(steps, norm) > UNDERFLOW).all())
-    return orbit if ok else None
+def _prefix_products(mats: np.ndarray) -> np.ndarray:
+    """Running products M_k ... M_1 of an (n, d, d) stack of invertible
+    matrices, formed in log2(n) doubling passes and rescaled by their
+    largest entry after each."""
+    prods = mats / np.abs(mats).max(axis=(1, 2), keepdims=True)
+    shift = 1
+    while shift < len(prods):
+        prods[shift:] = prods[shift:] @ prods[:-shift]
+        prods /= np.abs(prods).max(axis=(1, 2), keepdims=True)
+        shift *= 2
+    return prods
 
 
 def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int) -> float:
-    """Fraction of sphere-grid cells visited by the projective orbit, drawn
-    and binned ORBIT_CHUNK steps at a time until every cell is visited."""
+    """Fraction of sphere-grid cells visited by the projective orbit
+    x_k = D_k^T . x_(k-1) of the direction factors, drawn and binned
+    ORBIT_CHUNK steps at a time until every cell is visited."""
     from .spectral import build_grid
-    from .walks import act
+    from .walks import apply_batch, vec_norm
 
     grid = build_grid(spec, size=64)
     x = np.zeros(spec.d)
     x[0] = 1.0                          # unit under l1 and l2
     visited = np.zeros(len(grid.points), dtype=bool)
     for a in range(0, steps, ORBIT_CHUNK):
-        mats_t = np.swapaxes(
-            spec.ensemble.draw(rng, min(ORBIT_CHUNK, steps - a)), 1, 2)
-        orbit = _orbit_chunk(mats_t, x, spec.norm)
-        if orbit is None:
-            orbit = []
-            for m in mats_t:
-                try:
-                    x = act(m, x, spec.norm)
-                except SingularActionError:
-                    continue
-                orbit.append(x)
-        if len(orbit):
-            visited[grid.cell_index(np.array(orbit))] = True
-            x = orbit[-1]
+        n = min(ORBIT_CHUNK, steps - a)
+        dirs_t = np.swapaxes(spec.ensemble.factors(rng, n)[1], 1, 2)
+        orbit = apply_batch(
+            _prefix_products(np.broadcast_to(dirs_t, (n, spec.d, spec.d))), x)
+        orbit /= vec_norm(orbit, spec.norm)[:, None]
+        visited[grid.cell_index(orbit)] = True
+        x = orbit[-1]
         if visited.all():
             break
     return float(visited.mean())
@@ -655,9 +641,12 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
     Strong irreducibility, cone absence, and the density condition cannot be
     decided from samples; they are reported as declared-by-user with orbit
     coverage evidence.  reps sizes the support, positive-product and orbit
-    draws.  The moment conditions E|Q|^s and E||A*||^s iota(A*)^-eps, s =
-    beta_hat + eps, are exact and draw nothing; each is None where the
-    family declares E||M||^s infinite, an atom has iota = 0, or it overflows.
+    draws.  Every check but non-arithmeticity reads the direction factors D
+    of the draws W * D alone (a fixed D is one matrix): a positive scale
+    changes neither a sign pattern nor the action on directions.  The
+    moment conditions E|Q|^s and E||A*||^s iota(A*)^-eps, s = beta_hat +
+    eps, are exact and draw nothing; each is None where the family declares
+    E||M||^s infinite, an atom has iota = 0, or it overflows.
     """
     if beta_hat <= 0:
         raise SpecError("validate requires beta_hat > 0")
@@ -668,15 +657,15 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
     na_pairs: list = []
 
     atoms = spec.ensemble.atoms()
-    mats = (spec.ensemble.draw(rng, min(reps, 256)) if atoms is None
+    dirs = (spec.ensemble.factors(rng, min(reps, 256))[1] if atoms is None
             else atoms[0])
     if spec.geom_class == CLASS_NONNEG:
         conditions["allowable"] = ConditionVerdict(
-            "pass" if check_allowable(mats) else "fail",
-            {"checked": int(len(mats))})
+            "pass" if check_allowable(dirs) else "fail",
+            {"checked": int(len(dirs))})
         found = find_positive_product(spec, budget=max(reps, 256), rng=rng)
         if found is not None:
-            pos_witness, pos_len = found
+            pos_witness, _, pos_len = found
             conditions["positive_product"] = ConditionVerdict(
                 "pass", {"word_length": pos_len})
         else:
@@ -689,17 +678,13 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
     else:
         inv_ok = spec.ensemble.support_invertible()
         conditions["invertible"] = ConditionVerdict("pass" if inv_ok else "fail")
-        i = first_proximal(mats)
+        i = first_proximal(dirs)
         if i is not None:
-            prox_witness = mats[i]
+            prox_witness = dirs[i]
         else:
             # products may be proximal even if single draws are not
-            prods, prod = [], np.eye(spec.d)
-            for m in mats[:64]:
-                prod = m @ prod
-                prod = prod / max(np.abs(prod).max(), 1e-300)
-                prods.append(prod)
-            i = first_proximal(np.array(prods))
+            prods = _prefix_products(dirs[:64])
+            i = first_proximal(prods)
             if i is not None:
                 prox_witness = prods[i]
         conditions["proximal"] = ConditionVerdict(

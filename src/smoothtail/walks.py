@@ -101,19 +101,6 @@ def norms_and_iotas(mats: np.ndarray, norm: str):
     return sv[..., 0], sv[..., -1]
 
 
-# ---------------------------------------------------------------------------
-# projective action
-# ---------------------------------------------------------------------------
-
-def act(m: np.ndarray, x: np.ndarray, norm: str = "l1") -> np.ndarray:
-    """Projective action m . x = m x / |m x|."""
-    y = np.atleast_2d(np.asarray(m, dtype=float)) @ np.asarray(x, dtype=float)
-    nrm = float(vec_norm(y, norm))
-    if nrm <= UNDERFLOW:
-        raise SingularActionError("|m x| underflowed: near-singular or non-allowable draw")
-    return y / nrm
-
-
 def _unit(u0: np.ndarray, norm: str) -> np.ndarray:
     u0 = np.asarray(u0, dtype=float)
     n = float(vec_norm(u0, norm))

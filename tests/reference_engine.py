@@ -1,7 +1,8 @@
 """Reference engines for the replay tests: the population step with a
 y buffer and a full mat-vec (matvec_sum, the unrolled kernel the package
 used before walks.apply_batch), the pool statistics through np.quantile, the
-orbit coverage binned one step at a time, the grid operator assembled
+orbit coverage of the multiplied-out draws W * D binned one step at a time
+through the projective action act, the grid operator assembled
 from cached direction rows at every tilt, k(s) by one power iteration
 on that operator, the proximality search with one eigenvalue call per
 matrix, and the draws of Q as atom indices, then their vectors.
@@ -22,11 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from smoothtail.errors import AssemblyError, SpecError
+from smoothtail.errors import AssemblyError, SingularActionError, SpecError
 from smoothtail.model import ORBIT_CHUNK, ModelSpec, QLaw
 from smoothtail.spectral import (SpectralResult, SphereGrid, build_grid,
                                  power_iteration)
-from smoothtail.walks import UNDERFLOW, act, vec_norm
+from smoothtail.walks import UNDERFLOW, vec_norm
 
 
 def matvec_sum(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -117,6 +118,15 @@ def _pool_stats(pool: np.ndarray):
     mean = float(proj.mean())
     proj.sort()
     return mean, np.quantile(proj, _DECILES)
+
+
+def act(m: np.ndarray, x: np.ndarray, norm: str = "l1") -> np.ndarray:
+    """Projective action m . x = m x / |m x|."""
+    y = np.atleast_2d(np.asarray(m, dtype=float)) @ np.asarray(x, dtype=float)
+    nrm = float(vec_norm(y, norm))
+    if nrm <= UNDERFLOW:
+        raise SingularActionError("|m x| underflowed: near-singular or non-allowable draw")
+    return y / nrm
 
 
 def _orbit_coverage(spec: ModelSpec, rng: np.random.Generator, steps: int,

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import warnings
 from pathlib import Path
 
@@ -91,6 +92,24 @@ def test_truncated_pool_exit_2(tmp_path, capsys):
            "tails": {"pool": "pool.bin", "beta": 3.0}}
     assert _run(tmp_path, "tails", cfg) == 2
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", [0, 2, 2 ** 32 - 1])
+def test_pool_of_another_format_exit_2(tmp_path, capsys, fmt):
+    pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
+                          generation=1, converged=True)
+    path = tmp_path / "pool.bin"
+    artifacts.write_pool(path, pool, "0" * 16)
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", fmt)       # the u32 after the magic
+    path.write_bytes(bytes(raw))
+    cfg = {"model": D1_MODEL, "seed": 1,
+           "tails": {"pool": "pool.bin", "beta": 3.0}}
+    assert _run(tmp_path, "tails", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: pool format {fmt}; this version reads format 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 SOLUTION = {"beta": BETA_D1, "rho": RHO_D1, "k_beta": 0.5}
@@ -191,6 +210,21 @@ def test_validate_ok(tmp_path):
     doc = json.loads((tmp_path / "out/validation.json").read_text())
     assert doc["conditions"]["positive_product"]["verdict"] == "pass"
     assert doc["meta"]["version"].startswith("smoothtail-")
+
+
+def test_validate_reads_the_direction_factors_of_a_small_scale(tmp_path):
+    # m(s) = 2 exp(-25 s + 10 s^2) has the roots 0.0280 and 2.4720; about
+    # 28% of the draws have W < ZERO_TOL, which a structural zero is not
+    model = dict(D1_MODEL, ensemble={"family": "scalar_lognormal",
+                                     "mu": -25.0, "sigma2": 20.0})
+    cfg = {"model": model, "seed": 3,
+           "validate": {"beta_hat": 2.472, "eps": 0.1, "reps": 2000}}
+    assert _run(tmp_path, "validate", cfg) == 0
+    doc = json.loads((tmp_path / "out/validation.json").read_text())
+    assert doc["conditions"]["allowable"] == {"verdict": "pass",
+                                              "evidence": {"checked": 1}}
+    assert doc["conditions"]["positive_product"]["verdict"] == "pass"
+    assert doc["positive_product_witness"] == [[1.0]]
 
 
 def test_validate_hard_fail_exit_3(tmp_path):
@@ -526,6 +560,13 @@ RANGE_MODEL = {
     ("validate", "model.ensemble.matrix", [[math.nan]], "finite values"),
     ("spectrum", "model.q_law.vector", [math.nan], "finite values"),
     ("spectrum", "model.ensemble.probs", [math.nan], "finite values"),
+    # a path is a string and a switch a bool
+    ("tails", "pool", 5, "a path string"),
+    ("certificate", "pool", 5, "a path string"),
+    ("tails", "solution", 5, "a path string"),
+    ("certificate", "solution", 5, "a path string"),
+    ("simulate", "write_csv", "no", "true or false"),
+    ("simulate", "write_csv", 1, "true or false"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, command, key, value,
                                    need):
@@ -537,6 +578,9 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, command, key, value,
            "seed": 1, sec: dict(RANGE_BASE[sec])}
     if key == "t":
         del cfg[sec]["t_quantile"]      # the certificate reads one of the two
+    if key == "solution":
+        for name in ("beta", "rho", "k_beta"):
+            cfg[sec].pop(name, None)    # it takes the place of these
     where = key if key.startswith("model.") else f"{sec}.{key}"
     *path, last = where.split(".")
     target = cfg
@@ -548,6 +592,17 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, command, key, value,
     assert f"{where}: need {need}, got {value!r}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_root_out_of_wrong_type_exit_2(tmp_path, capsys, monkeypatch):
+    # without --out the config's out names the output directory
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "cfg.json", {"model": D1_MODEL, "seed": 1, "out": 5})
+    assert main(["validate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config.out: need a path string, got 5" in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 def test_integer_key_takes_integral_float():

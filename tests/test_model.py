@@ -169,9 +169,13 @@ def test_positive_product_immediate():
                          matrices=np.array([[[1.0, 1.0], [1.0, 2.0]]]),
                          probs=np.array([1.0])),
                      q_law=QLaw(kind="zero"), geom_class="nonnegative-C")
-    witness, length = find_positive_product(spec, 50, substream(7, "p"))
+    witness, log_scale, length = find_positive_product(spec, 50,
+                                                       substream(7, "p"))
     assert length == 1
-    assert witness.min() > 0
+    assert witness.min() > 0 and witness.max() == 1.0
+    # the product is exp(log_scale) * witness
+    assert np.allclose(math.exp(log_scale) * witness, [[1.0, 1.0], [1.0, 2.0]],
+                       rtol=1e-15, atol=0)
 
 
 def test_positive_product_permutation_only_fails():
@@ -194,7 +198,7 @@ def test_positive_product_word_length_two():
     # so the length is that letter's index plus 1, read off a replay
     found = find_positive_product(spec, 2000, substream(10, "p"))
     assert found is not None
-    witness, length = found
+    witness, _, length = found
     assert witness.min() > 0
     replay = substream(10, "p")
     letters = [spec.ensemble.draw(replay, 1)[0] for _ in range(64)]
@@ -309,24 +313,11 @@ def _quarter_turn_spec():
                      geom_class="invertible-ipo")
 
 
-def _singular_steps_spec():
-    # M^T maps e2 to 0, so some steps are singular and skipped: the batched
-    # chunks fall back to the per-step loop
-    mats = np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
-                     [[2.0, 1.0], [1.0, 1.0]]])
-    return ModelSpec(dimension=2, branching=Branching(mode="fixed", n=2),
-                     ensemble=FiniteSupport(matrices=mats,
-                                            probs=np.array([0.4, 0.3, 0.3])),
-                     q_law=QLaw(kind="deterministic", vector=[1.0, 0.0]),
-                     geom_class="nonnegative-C")
-
-
 @pytest.mark.parametrize("make_spec", [
     d2_rotation_spec,
     d3_rotation_spec,
     _quarter_turn_spec,
-    _singular_steps_spec,
-], ids=["c-r-d2", "c-r-d3", "orbit-misses-cells", "singular-steps"])
+], ids=["c-r-d2", "c-r-d3", "orbit-misses-cells"])
 def test_orbit_coverage_replays_the_per_step_loop(make_spec):
     spec = make_spec()
     for steps in (1, 256, 1000):
@@ -352,13 +343,13 @@ def test_chunked_orbit_keeps_coverage_and_verdict(monkeypatch, make_spec,
     assert cov == ref._orbit_coverage(spec, substream(47, "o"), 20_000,
                                       chunk=20_000)
     drawn = []
-    draw = type(spec.ensemble).draw
+    factors = type(spec.ensemble).factors
 
     def counted(self, rng, size):
         drawn.append(size)
-        return draw(self, rng, size)
+        return factors(self, rng, size)
 
-    monkeypatch.setattr(type(spec.ensemble), "draw", counted)
+    monkeypatch.setattr(type(spec.ensemble), "factors", counted)
     report = validate(spec, beta_hat=1.0, eps=0.1, reps=20_000,
                       rng=substream(48, "v"))
     for name in ("strong_irreducibility", "no_invariant_cone"):
@@ -371,6 +362,48 @@ def test_chunked_orbit_keeps_coverage_and_verdict(monkeypatch, make_spec,
         assert orbit <= 4 * 256
     else:
         assert orbit == 20_000
+
+
+def _wp_spec(mu):
+    # P = [[0, 1], [1, 1]] is allowable and P^2 = [[1, 1], [1, 2]] > 0
+    return ModelSpec(dimension=2, branching=Branching(mode="fixed", n=2),
+                     ensemble=LognormalScalarMatrix(
+                         mu=mu, sigma2=0.25, matrix=[[0.0, 1.0], [1.0, 1.0]]),
+                     q_law=QLaw(kind="deterministic", vector=[1.0, 1.0]),
+                     geom_class="nonnegative-C")
+
+
+@pytest.mark.parametrize("mu", [-1.0, -400.0, -800.0, 300.0])
+def test_validate_verdicts_do_not_depend_on_the_scale(mu):
+    # e^mu leaves the entries of W * P far below ZERO_TOL, or overflows
+    # e^600 in a word of two; the checks read P and carry log W apart
+    spec, reps = _wp_spec(mu), 2000
+    report = validate(spec, beta_hat=1.0, eps=0.1, reps=reps,
+                      rng=substream(49, "v"))
+    base = validate(_wp_spec(-1.0), beta_hat=1.0, eps=0.1, reps=reps,
+                    rng=substream(49, "v"))
+    verdicts = {k: c.verdict for k, c in report.conditions.items()}
+    assert verdicts == {k: c.verdict for k, c in base.conditions.items()}
+    assert verdicts == {"allowable": "pass", "positive_product": "pass",
+                        "nonarithmetic": "heuristic-pass"}
+    assert report.conditions["allowable"].evidence == {"checked": 1}
+    assert report.positive_product_word_length == 2
+    assert np.array_equal(report.positive_product_witness,
+                          base.positive_product_witness)
+    # every positive product is a word of two: its log lambda is
+    # log lambda(P^2) plus the word's two log W, replayed after the support
+    # draws and the first search's word
+    replay = substream(49, "v")
+    spec.ensemble.factors(replay, min(reps, 256))
+    log_w = [spec.ensemble.factors(replay, 1)[0][0] for _ in range(2 + 48)]
+    log_lam = math.log((3.0 + math.sqrt(5.0)) / 2.0)
+    logs = [log_lam + log_w[2 + 2 * i] + log_w[3 + 2 * i] for i in range(24)]
+    pairs = report.nonarithmetic_pairs
+    assert len(pairs) == 24 * 23 // 2
+    want = [(logs[i], logs[j]) for i in range(24) for j in range(i + 1, 24)]
+    for pair, (log_a, log_b) in zip(pairs, want):
+        assert pair["log_a"] == pytest.approx(log_a, rel=1e-13, abs=1e-13)
+        assert pair["log_b"] == pytest.approx(log_b, rel=1e-13, abs=1e-13)
 
 
 def test_validate_requires_positive_beta():
@@ -429,8 +462,31 @@ def test_validate_witness_is_the_first_proximal_draw():
     spec = _invertible_wp_spec()
     report = validate(spec, beta_hat=1.0, eps=0.1, reps=500,
                       rng=substream(43, "v"))
-    first = spec.ensemble.draw(substream(43, "v"), 1)[0]
+    # the first draw's direction factor: P, whatever its scale W
+    first = spec.ensemble.factors(substream(43, "v"), 1)[1][0]
     assert np.array_equal(report.proximality_witness, first)
+    assert np.array_equal(first, spec.ensemble.matrix)
+
+
+def test_validate_witness_from_products_is_the_loops():
+    # neither swap is proximal (eigenvalues +-1 and +-sqrt 2); their product
+    # diag(2, 1) is, and the loop's running product rescaled to a largest
+    # entry of 1 after each step is the witness
+    mats = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [1.0, 0.0]]])
+    spec = ModelSpec(dimension=2, branching=Branching(mode="fixed", n=2),
+                     ensemble=FiniteSupport(matrices=mats,
+                                            probs=np.array([0.5, 0.5])),
+                     q_law=QLaw(kind="deterministic", vector=[1.0, 0.0]),
+                     geom_class="invertible-ipo")
+    report = validate(spec, beta_hat=1.0, eps=0.1, reps=500,
+                      rng=substream(46, "v"))
+    assert report.conditions["proximal"].verdict == "pass"
+    prod = np.eye(2)
+    for m in mats:
+        prod = m @ prod
+        prod = prod / np.abs(prod).max()
+    assert np.allclose(report.proximality_witness, prod, rtol=1e-15, atol=0)
+    assert np.array_equal(prod, np.diag([1.0, 0.5]))
 
 
 def test_batched_proximal_falls_back_to_the_loop(monkeypatch):
