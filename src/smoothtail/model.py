@@ -491,8 +491,9 @@ def find_positive_product(spec: ModelSpec, budget: int,
     Multiplies the direction factors of fresh draws, rescaled to a largest
     entry of 1 after each, and carries sum log W plus the rescalings as one
     log scale; restarts when the word gets long.  Returns (witness,
-    log_scale, word_length), the product being exp(log_scale) * witness, or
-    None if the budget is exhausted.  Absence is a value, not an error.
+    log_scale, word_length, draws), the product being exp(log_scale) *
+    witness and draws the matrices drawn, restarts included, or None if
+    the budget is exhausted.  Absence is a value, not an error.
     """
     if spec.geom_class != CLASS_NONNEG:
         raise SpecError("positive-product search applies to the nonnegative class")
@@ -500,7 +501,7 @@ def find_positive_product(spec: ModelSpec, budget: int,
     word = 0
     prod = np.eye(spec.d)
     log_scale = 0.0
-    for _ in range(budget):
+    for draws in range(1, budget + 1):
         log_w, dirs = spec.ensemble.factors(rng, 1)
         prod = dirs[0] @ prod
         word += 1
@@ -511,7 +512,7 @@ def find_positive_product(spec: ModelSpec, budget: int,
         prod = prod / nrm
         log_scale += float(log_w[0]) + math.log(nrm)
         if (prod > ZERO_TOL).all():
-            return prod, log_scale, word
+            return prod, log_scale, word, draws
         if word >= max_word:
             prod, word, log_scale = np.eye(spec.d), 0, 0.0
     return None
@@ -543,10 +544,11 @@ def heuristic_nonarithmetic(spec: ModelSpec, budget: int,
     seen = 0
     while seen < budget and len(logs) < 24:
         found = find_positive_product(spec, budget=min(64, budget - seen), rng=rng)
-        seen += min(64, budget - seen)
         if found is None:
+            seen += min(64, budget - seen)
             continue
-        witness, log_scale, _ = found
+        witness, log_scale, _, draws = found
+        seen += draws
         lam, _v = perron_data(witness)
         if lam > 0:
             logs.append(math.log(lam) + log_scale)
@@ -665,7 +667,7 @@ def validate(spec: ModelSpec, beta_hat: float, eps: float, reps: int,
             {"checked": int(len(dirs))})
         found = find_positive_product(spec, budget=max(reps, 256), rng=rng)
         if found is not None:
-            pos_witness, _, pos_len = found
+            pos_witness, _, pos_len, _ = found
             conditions["positive_product"] = ConditionVerdict(
                 "pass", {"word_length": pos_len})
         else:

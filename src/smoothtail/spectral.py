@@ -24,7 +24,6 @@ DEFAULT_GRID_D2 = 256
 DEFAULT_GRID_HIGH = 512
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 20000
-SCATTER_CHUNK = 1 << 14     # draw x grid-point entries per scatter pass
 COVER_TEST_POINTS = 1024    # d >= 3 covering-radius directions (Sobol, 2^k)
 
 
@@ -172,97 +171,79 @@ def build_grid(spec: ModelSpec, size: Optional[int] = None) -> SphereGrid:
 # ---------------------------------------------------------------------------
 
 class OperatorAssembler:
-    """Assembles the grid operator at any tilt s from one cached draw set.
+    """Assembles the grid operator at any tilt s from one cached draw set,
+    without forming a G x G array.
 
-    Every ensemble is a law of direction factors D with probabilities,
-    scaled by an independent scalar W: the operator at tilt s is the
-    moment E W^s times one direction operator, which scatters each atom's
-    |D^T x_i|^s times its interpolation weights into row i.  The factors
-    stay apart, so k(s) is E W^s times one spectral radius, and E W^s is
-    exact: ``log_scalar_moment`` (0 for finite support, where W = 1).
+    Every ensemble is a law of direction factors D scaled by an independent
+    scalar W: the operator at tilt s is the exact moment E W^s
+    (``log_scalar_moment``, 0 for finite support) times one direction
+    operator, so k(s) is E W^s times one spectral radius.
 
-    * Finite support: the atoms with their probabilities.
-    * Lognormal families W * D: K = min(mc_reps // 8, 4e6 // G) draws of
-      ``directions`` (one atom when D is fixed) at weight 1/K.
+    * K atoms of D (finite support, or a fixed D with K = 1): grid point i
+      holds 2K pairs (p_k |D_k^T x_i|^s w, j), one per atom and
+      interpolation neighbour j of D_k^T . x_i, so a power-iteration step
+      costs O(G 2K) against O(G^2) for a dense matrix.
+    * Haar rotations, the one family that preserves the model norm: the
+      operator is rank one, each row the cell law r of a uniform
+      direction, so k = E W^s, e = 1 and nu = r exactly.  r = 1/G on the
+      evenly spaced circle, where nothing is drawn; at d >= 3 it is the
+      cell mass of every grid point turned by K = min(mc_reps // 8,
+      4e6 // G) drawn rotations.
 
-    When D preserves the model norm (rotations under l2), |D^T x| = 1, so
-    the direction operator has the same value at every s: it is built once
-    here as a dense G x G matrix, scattered SCATTER_CHUNK entries at a time.
-    Every row of it sums to 1, so k(s) is E W^s and K only sets the
-    resolution of e_s and nu_s.  Other families keep the direction rows
-    (|D^T x_i|, scatter indices, weights) and scatter |D^T x_i|^s at each s.
-
-    Common random numbers across rows and across s values: the root finder
-    and finite differences then act on a smooth deterministic function of
-    s.  Everything that does not depend on s (the direction operator or
-    rows) is computed once here; later calls only read.
+    mc_reps is read for every family; only rotations at d >= 3 draw with
+    it.  ``direction_draws`` is the K used, 0 on the circle.  All that does
+    not depend on s is computed here once, so the root finder sees a
+    smooth deterministic function of s.
     """
 
     def __init__(self, spec: ModelSpec, grid: SphereGrid, mc_reps: int,
                  rng: np.random.Generator):
         self.spec = spec
         self.grid = grid
-        ens = spec.ensemble
+        ens, G = spec.ensemble, len(grid)
+        # // 8: the configs' mc_reps were sized for 8 moment groups
+        draws = max(1, min(mc_reps // 8, 4_000_000 // G))
+        self._rows = self._cell_law = None
+        if ens.preserves_norm(spec.norm) and grid.geometry == "circle":
+            self.direction_draws, self._cell_law = 0, np.full(G, 1.0 / G)
+            return
         atoms = ens.atoms()
-        if atoms is not None:
-            mats, self._weights = atoms
-        else:
-            # // 8: the configs' mc_reps were sized for 8 moment groups
-            mats = ens.directions(
-                rng, max(1, min(mc_reps // 8, 4_000_000 // len(grid))))
-            self._weights = np.full(len(mats), 1.0 / len(mats))
-        mats = np.swapaxes(mats, -1, -2)
-        self._rows = self._direction_op = None
+        if atoms is None:
+            mats = ens.directions(rng, draws)
+            atoms = mats, np.full(len(mats), 1.0 / len(mats))
+        mats, weights = np.swapaxes(atoms[0], -1, -2), atoms[1]
+        K = self.direction_draws = len(mats)
         if ens.preserves_norm(spec.norm):
-            self._direction_op = self._direction_operator(mats)
-        else:
-            self._rows = self._direction_rows(mats)
-            if (self._rows[0] <= UNDERFLOW).any():
-                raise AssemblyError(
-                    "an ensemble atom annihilates part of the sphere grid "
-                    "(zero row/column); the operator is not defined there")
+            # every grid point turned by every draw, one point at a time
+            counts = sum(np.bincount(grid.cell_index(apply_batch(mats, x)),
+                                     minlength=G) for x in grid.points)
+            self._cell_law = counts / counts.sum()
+            return
+        Y = apply_batch(mats[:, None], grid.points[None])   # (K, G, d)
+        norms = vec_norm(Y, spec.norm)                      # (K, G)
+        if (norms <= UNDERFLOW).any():
+            raise AssemblyError(
+                "an ensemble atom annihilates part of the sphere grid "
+                "(zero row/column); the operator is not defined there")
+        for j in range(spec.d):      # Y becomes the directions
+            Y[..., j] /= norms
+        cols, w = grid.interp_rows(Y.reshape(K * G, -1))
+        # (K, G, 2) -> (2K, G): column i lists its atoms' two interpolation
+        # neighbours in turn, so a step sums 2K contiguous rows of length G
+        self._rows = tuple(
+            np.swapaxes(a.reshape(K, G, 2), 1, 2).reshape(-1, G) for a in (
+                np.repeat(norms, 2, axis=1),
+                weights[:, None] * w.reshape(K, -1), cols))
 
-    def _direction_operator(self, mats: np.ndarray) -> np.ndarray:
-        """sum_k weight_k times the interpolation weights of M_k x_i in row
-        i, for norm-preserving M, scattered SCATTER_CHUNK entries at a time."""
-        G = len(self.grid)
-        chunk = max(1, SCATTER_CHUNK // G)
-        op = np.zeros((G, G))
-        for a in range(0, len(mats), chunk):
-            _, flat, w = self._direction_rows(mats[a:a + chunk])
-            op += self._scatter(self._weights[a:a + chunk, None, None] * w,
-                                flat)
-        return op
-
-    def _direction_rows(self, mats: np.ndarray):
-        """Per (draw, grid point i): |M x_i|, the flat operator indices
-        i*G + j of its two interpolation neighbours j, and their weights."""
-        Y = apply_batch(mats[:, None], self.grid.points[None])   # (K, G, d)
-        norms = vec_norm(Y, self.spec.norm)             # (K, G)
-        safe = np.maximum(norms, UNDERFLOW)
-        # Y becomes the directions, column by column
-        for j in range(Y.shape[-1]):
-            Y[..., j] /= safe
-        K, G = norms.shape
-        idx, w = self.grid.interp_rows(Y.reshape(K * G, -1))
-        flat = np.arange(G)[None, :, None] * G + idx.reshape(K, G, 2)
-        return norms, flat, w.reshape(K, G, 2)
-
-    def _scatter(self, vals: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        """The G x G operator with op.flat[flat[k, i, :]] += vals[k, i, :]."""
-        G = len(self.grid)
-        return np.bincount(flat.ravel(), weights=vals.ravel(),
-                           minlength=G * G).reshape(G, G)
-
-    def assemble_groups(self, s: float) -> tuple[float, np.ndarray]:
+    def assemble_groups(self, s: float):
         """(moment, op): the exact E W^s and the direction operator at s,
-        shared and read-only.  The benchmark tracer wraps it by this name."""
-        op = self._direction_op
+        shared and read-only: the rows (vals, cols), each (2K, G), or the
+        cell law r that is every row.  The benchmark tracer wraps it by
+        this name."""
+        op = self._cell_law
         if op is None:
-            norms, flat, w = self._rows
-            op = self._scatter(
-                self._weights[:, None, None] * (norms ** s)[:, :, None] * w,
-                flat)
+            norms, base, cols = self._rows
+            op = (base * norms ** s, cols)
         log_moment = self.spec.ensemble.log_scalar_moment(s)
         try:
             return math.exp(log_moment), op
@@ -276,17 +257,19 @@ class OperatorAssembler:
 # power iteration
 # ---------------------------------------------------------------------------
 
-def _dominant_pair(op: np.ndarray):
-    G = op.shape[0]
+def _dominant_pair(apply: Callable[[np.ndarray], np.ndarray], G: int):
+    """(lam, v, iterations): v <- apply(v) / sum from the uniform vector,
+    until successive eigenvalue iterates agree to POWER_TOL relative."""
     v = np.full(G, 1.0 / G)
     lam_prev = None
     lam_hist = []
     for it in range(1, POWER_MAX_ITER + 1):
-        w = op @ v
-        lam = float(w.sum() / v.sum())
+        w = apply(v)
+        total = w.sum()
+        lam = float(total / v.sum())
         if lam <= 0 or not np.isfinite(lam):
             raise ConvergenceError(f"nonpositive eigenvalue iterate {lam}")
-        v = w / w.sum()
+        v = w / total
         lam_hist.append(lam)
         if lam_prev is not None and abs(lam - lam_prev) <= POWER_TOL * abs(lam):
             return lam, v, it
@@ -299,28 +282,43 @@ def _dominant_pair(op: np.ndarray):
         f"power iteration did not converge in {POWER_MAX_ITER} steps")
 
 
-def power_iteration(op: np.ndarray):
-    """(k, e, nu, iterations, residual) for a nonnegative grid operator,
-    iterated until successive eigenvalues agree to POWER_TOL relative.
+def _right_pair(op):
+    """(k, e, iterations) of the right iteration alone on an operator from
+    ``assemble_groups``; the rank-one operator's k = 1 and e = 1 are exact
+    and take no iteration."""
+    if not isinstance(op, tuple):
+        return 1.0, np.ones(len(op)), 0
+    vals, cols = op
+    if vals.shape[1] == 1:
+        return float(vals.sum()), np.array([1.0]), 1
+    if (vals < -1e-14 * max(1.0, np.abs(vals).max())).any():
+        raise ConvergenceError("operator has negative entries")
+    return _dominant_pair(lambda v: (vals * v[cols]).sum(axis=0),
+                          vals.shape[1])
+
+
+def power_iteration(op):
+    """(k, e, nu, iterations, residual) for a nonnegative grid operator
+    from ``assemble_groups``, iterated until successive eigenvalues agree
+    to POWER_TOL relative: P v through the rows, nu P by one bincount.
 
     e is the right eigenvector (strictly positive for primitive operators),
     nu the left probability eigenvector, normalized so sum(nu * e) = 1.
     """
-    op = np.asarray(op, dtype=float)
-    if op.shape == (1, 1):
-        k = float(op[0, 0])
-        return k, np.array([1.0]), np.array([1.0]), 1, 0.0
-    if (op < -1e-14 * max(1.0, np.abs(op).max())).any():
-        raise ConvergenceError("operator has negative entries")
-    k, e, it_e = _dominant_pair(op)
-    k2, nu, it_n = _dominant_pair(op.T)
+    k, e, it_e = _right_pair(op)
+    if it_e < 2:            # no iteration: the rank-one law, or one point
+        return k, e, (e if it_e else op).copy(), it_e, 0.0
+    (vals, cols), G = op, len(e)
+    k2, nu, it_n = _dominant_pair(
+        lambda v: np.bincount(cols.ravel(), weights=(vals * v).ravel(),
+                              minlength=G), G)
     k = 0.5 * (k + k2)
     nu = nu / nu.sum()
     inner = float(nu @ e)
     if inner <= 0:
         raise ConvergenceError("left/right eigenvector normalization failed")
     e = e / inner
-    residual = float(np.max(np.abs(op @ e - k * e)) / k)
+    residual = float(np.max(np.abs((vals * e[cols]).sum(axis=0) - k * e)) / k)
     return k, e, nu, it_e + it_n, residual
 
 
@@ -335,7 +333,7 @@ class SpectralResult:
     grid: SphereGrid
     residual: float
     iterations: int
-    direction_draws: int     # atoms of the direction law: 1 for a fixed D
+    direction_draws: int     # K of the direction law; 0 on the circle
 
     def e_interp(self, dirs: np.ndarray) -> np.ndarray:
         return self.grid.interp_values(self.e, dirs)
@@ -361,7 +359,7 @@ def k_grid(assembler: OperatorAssembler, s: float) -> SpectralResult:
     return SpectralResult(s=s, k=moment * k_op, e=e, nu=nu,
                           grid=assembler.grid, residual=residual,
                           iterations=iters,
-                          direction_draws=len(assembler._weights))
+                          direction_draws=assembler.direction_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +518,8 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
     gs_tol = min(tol, 1e-6) * max(1, s_max); Brent's root finder then
     locates alpha on (0, s*) and beta on (s*, s_max) to within tol.  All m
     evaluations reuse one cached draw set, so the solver sees a smooth
-    deterministic function; each distinct s is assembled once.  The last 20
-    solver steps, as (kind, bracket low, bracket high), are kept in
+    deterministic function; each distinct s is assembled and iterated once,
+    on the right only, since m reads k alone.  The last 20 solver steps, as (kind, bracket low, bracket high), are kept in
     ``bracket_history``.  Raises NoRootError when m(s*) >= 1 and
     NoSecondRootError when the minimizer sits on the s_max boundary.
     """
@@ -541,7 +539,7 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
     def m(s: float) -> float:
         if s not in cache:
             moment, op = assembler.assemble_groups(s)
-            cache[s] = en * moment * power_iteration(op)[0]
+            cache[s] = en * moment * _right_pair(op)[0]
         return cache[s]
 
     history: list = []

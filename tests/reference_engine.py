@@ -2,18 +2,18 @@
 y buffer and a full mat-vec (matvec_sum, the unrolled kernel the package
 used before walks.apply_batch), the pool statistics through np.quantile, the
 orbit coverage of the multiplied-out draws W * D binned one step at a time
-through the projective action act, the grid operator assembled
-from cached direction rows at every tilt, k(s) by one power iteration
-on that operator, the proximality search with one eigenvalue call per
-matrix, and the draws of Q as atom indices, then their vectors.
+through the projective action act, the dense G x G grid operator
+scattered from cached direction rows (Monte Carlo draws for rotations) at
+every tilt, k(s) by the dense power iteration on that operator, the
+proximality search with one eigenvalue call per matrix, and the draws of
+Q as atom indices, then their vectors.
 
 The engines in src/ must replay the first three bit for bit from the same
 generator state; test_branching.py and test_model.py compare the outputs
-with np.array_equal and the final generator states exactly.  The operator
-of a norm-preserving family is built once in src/, without the factor
-|D^T x|^s = (1 +- 3e-16)^s, so test_spectral.py compares it with the
-reference entrywise to rounding, and its factored k(s) with this k_grid
-to a relative 1e-9.
+with np.array_equal and the final generator states exactly.  src/ never
+forms the dense operator: test_spectral.py compares its row form with
+this power iteration to rounding, in as many steps, and its closed-form
+rank-one rotation operator with the Monte Carlo one.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ import numpy as np
 
 from smoothtail.errors import AssemblyError, SingularActionError, SpecError
 from smoothtail.model import ORBIT_CHUNK, ModelSpec, QLaw
-from smoothtail.spectral import (SpectralResult, SphereGrid, build_grid,
-                                 power_iteration)
+from smoothtail.errors import ConvergenceError
+from smoothtail.spectral import (POWER_MAX_ITER, POWER_TOL, SpectralResult,
+                                 SphereGrid, build_grid)
 from smoothtail.walks import UNDERFLOW, vec_norm
 
 
@@ -201,6 +202,53 @@ class OperatorAssembler:
         norms, flat, w = self._rows
         base = self._scatter(norms ** s, flat, w, self._weights)
         return math.exp(self.spec.ensemble.log_scalar_moment(s)) * base
+
+
+def _dominant_pair(op: np.ndarray):
+    """(lam, v, iterations) of the power iteration v <- op v / sum on a
+    dense matrix, from the uniform vector."""
+    G = op.shape[0]
+    v = np.full(G, 1.0 / G)
+    lam_prev = None
+    lam_hist = []
+    for it in range(1, POWER_MAX_ITER + 1):
+        w = op @ v
+        lam = float(w.sum() / v.sum())
+        if lam <= 0 or not np.isfinite(lam):
+            raise ConvergenceError(f"nonpositive eigenvalue iterate {lam}")
+        v = w / w.sum()
+        lam_hist.append(lam)
+        if lam_prev is not None and abs(lam - lam_prev) <= POWER_TOL * abs(lam):
+            return lam, v, it
+        if (it > 20 and len(lam_hist) > 4
+                and abs(lam - lam_hist[-3]) <= 1e-3 * POWER_TOL * abs(lam)
+                and abs(lam - lam_prev) > 100 * POWER_TOL * abs(lam)):
+            raise ConvergenceError("period-2 oscillation in power iteration")
+        lam_prev = lam
+    raise ConvergenceError(
+        f"power iteration did not converge in {POWER_MAX_ITER} steps")
+
+
+def power_iteration(op: np.ndarray):
+    """(k, e, nu, iterations, residual) for a dense nonnegative matrix: the
+    right and the left iteration, each through BLAS mat-vecs, with
+    sum(nu * e) = 1."""
+    op = np.asarray(op, dtype=float)
+    if op.shape == (1, 1):
+        k = float(op[0, 0])
+        return k, np.array([1.0]), np.array([1.0]), 1, 0.0
+    if (op < -1e-14 * max(1.0, np.abs(op).max())).any():
+        raise ConvergenceError("operator has negative entries")
+    k, e, it_e = _dominant_pair(op)
+    k2, nu, it_n = _dominant_pair(op.T)
+    k = 0.5 * (k + k2)
+    nu = nu / nu.sum()
+    inner = float(nu @ e)
+    if inner <= 0:
+        raise ConvergenceError("left/right eigenvector normalization failed")
+    e = e / inner
+    residual = float(np.max(np.abs(op @ e - k * e)) / k)
+    return k, e, nu, it_e + it_n, residual
 
 
 def k_grid(spec: ModelSpec, s: float, grid: Optional[SphereGrid] = None,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (ALPHA_D1, BETA_D1, RHO_D1, d2_finite_three_spec,
-                      d2_lognormal_matrix_spec)
+                      d2_lognormal_matrix_spec, d3_rotation_spec)
 from reference_oracles import model_to_jsonable
 from smoothtail import artifacts
 from smoothtail.branching import FixedPointPool
@@ -403,12 +403,14 @@ def test_spectrum_json_s_scalar(tmp_path):
 @pytest.mark.parametrize("model, mc_reps, draws", [
     (D1_MODEL, 200_000, 1),
     (model_to_jsonable(d2_finite_three_spec()), 200_000, 3),
-    (ROT_MODEL, 8_000, 1_000),
-], ids=["fixed-D", "finite-support", "c*R"])
+    (ROT_MODEL, 8_000, 0),
+    (model_to_jsonable(d3_rotation_spec()), 8_000, 1_000),
+], ids=["fixed-D", "finite-support", "c*R", "c*R-d3"])
 def test_spectral_json_records_the_direction_draws(tmp_path, model, mc_reps,
                                                    draws):
     # a fixed D draws nothing whatever mc_reps says, finite support reads
-    # its atoms, and rotations draw mc_reps // 8 of them
+    # its atoms, rotations on the circle have the closed-form cell law 1/G
+    # and draw nothing, and at d = 3 they draw mc_reps // 8
     cfg = {"model": model, "seed": 8,
            "spectrum": {"s_grid": [1.0], "mc_reps": mc_reps,
                         "grid_size": 32}}

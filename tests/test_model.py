@@ -169,9 +169,9 @@ def test_positive_product_immediate():
                          matrices=np.array([[[1.0, 1.0], [1.0, 2.0]]]),
                          probs=np.array([1.0])),
                      q_law=QLaw(kind="zero"), geom_class="nonnegative-C")
-    witness, log_scale, length = find_positive_product(spec, 50,
-                                                       substream(7, "p"))
-    assert length == 1
+    witness, log_scale, length, draws = find_positive_product(
+        spec, 50, substream(7, "p"))
+    assert length == draws == 1
     assert witness.min() > 0 and witness.max() == 1.0
     # the product is exp(log_scale) * witness
     assert np.allclose(math.exp(log_scale) * witness, [[1.0, 1.0], [1.0, 2.0]],
@@ -198,13 +198,28 @@ def test_positive_product_word_length_two():
     # so the length is that letter's index plus 1, read off a replay
     found = find_positive_product(spec, 2000, substream(10, "p"))
     assert found is not None
-    witness, _, length = found
-    assert witness.min() > 0
+    witness, _, length, draws = found
+    assert witness.min() > 0 and draws == length
     replay = substream(10, "p")
     letters = [spec.ensemble.draw(replay, 1)[0] for _ in range(64)]
     first_change = next(i for i, m in enumerate(letters)
                         if not np.array_equal(m, letters[0]))
     assert length == first_change + 1
+
+
+def test_positive_product_counts_the_restarts():
+    # a zero atom restarts the search: the witness is the first positive
+    # letter, a word of one, found after every draw before it
+    mats = np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 2.0]]])
+    spec = ModelSpec(dimension=2, branching=Branching(mode="fixed", n=2),
+                     ensemble=FiniteSupport(matrices=mats,
+                                            probs=np.array([0.5, 0.5])),
+                     q_law=QLaw(kind="zero"), geom_class="nonnegative-C")
+    _, _, length, draws = find_positive_product(spec, 50, substream(19, "p"))
+    replay = substream(19, "p")
+    letters = [spec.ensemble.draw(replay, 1)[0] for _ in range(50)]
+    first = next(i for i, m in enumerate(letters) if m.any())
+    assert length == 1 and draws == first + 1 == 8
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +419,16 @@ def test_validate_verdicts_do_not_depend_on_the_scale(mu):
     for pair, (log_a, log_b) in zip(pairs, want):
         assert pair["log_a"] == pytest.approx(log_a, rel=1e-13, abs=1e-13)
         assert pair["log_b"] == pytest.approx(log_b, rel=1e-13, abs=1e-13)
+
+
+def test_nonarithmetic_charges_the_draws_each_search_made():
+    # every positive word of W * P is two letters long: the 24 searches
+    # take 48 of the 256 draws at reps 256, where a charge of 64 per
+    # search stopped after 4 of them (6 pairs)
+    report = validate(_wp_spec(-1.0), beta_hat=1.0, eps=0.1, reps=256,
+                      rng=substream(49, "v"))
+    assert len(report.nonarithmetic_pairs) == 24 * 23 // 2 == 276
+    assert report.conditions["nonarithmetic"].evidence == {"n_pairs": 276}
 
 
 def test_validate_requires_positive_beta():

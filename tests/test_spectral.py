@@ -9,8 +9,8 @@ import reference_engine as ref
 from conftest import (ALPHA_D1, ALPHA_ROT, BETA_D1, BETA_ROT, K1_D2, RHO_D1,
                       RHO_ROT, d1_lognormal_spec, d1_quarter_spec,
                       d2_contracting_matrix_spec, d2_finite_pair_spec,
-                      d2_lognormal_matrix_spec, d2_rotation_spec,
-                      d3_rotation_spec, k_at)
+                      d2_finite_three_spec, d2_lognormal_matrix_spec,
+                      d2_rotation_spec, d3_rotation_spec, k_at, rng_state)
 from reference_oracles import k_by_products
 from smoothtail.errors import NoRootError, NoSecondRootError
 from smoothtail.rng import substream
@@ -152,12 +152,35 @@ def test_cell_index_spans_several_chunks():
 # operator and power iteration
 # ---------------------------------------------------------------------------
 
+def _dense(op):
+    """The G x G matrix of an operator from assemble_groups: the rows
+    (vals, cols) added up, or the rank-one matrix whose every row is r."""
+    if not isinstance(op, tuple):
+        return np.tile(op, (len(op), 1))
+    vals, cols = op
+    G = vals.shape[1]
+    out = np.zeros((G, G))
+    np.add.at(out, (np.arange(G)[None, :], cols), vals)
+    return out
+
+
+def _rows_of(dense):
+    """A dense matrix in the row form: row i pairs op[i, j] with column j."""
+    G = len(dense)
+    return (np.asarray(dense, dtype=float).T.copy(),
+            np.tile(np.arange(G)[:, None], (1, G)))
+
+
 def test_operator_rows_stochastic_at_zero_tilt():
     spec = d2_finite_pair_spec()
     moment, op = OperatorAssembler(spec, build_grid(spec), 0,
                                    substream(2, "o")).assemble_groups(0.0)
     assert moment == 1.0
-    assert np.allclose(op.sum(axis=1), 1.0, atol=1e-12)
+    vals, cols = op
+    # two atoms, two interpolation neighbours each, for every grid point
+    assert vals.shape == cols.shape == (4, 256)
+    assert np.allclose(vals.sum(axis=0), 1.0, atol=1e-12)
+    assert np.allclose(_dense(op).sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_operator_d1_scalar_moment():
@@ -168,7 +191,7 @@ def test_operator_d1_scalar_moment():
                                   substream(3, "o"))
     for s in (0.0, 1.0, ALPHA_D1, 2.0, BETA_D1, 5.5):
         moment, op = assembler.assemble_groups(s)
-        assert np.array_equal(op, [[1.0]])
+        assert np.array_equal(_dense(op), [[1.0]])
         exact = math.exp(spec.ensemble.log_scalar_moment(s))
         assert exact == pytest.approx(math.exp(-s + 0.25 * s * s), rel=1e-14)
         assert moment == exact
@@ -176,31 +199,59 @@ def test_operator_d1_scalar_moment():
 
 
 def test_operator_rotation_row_sums():
-    spec = d2_rotation_spec()
-    grid = build_grid(spec, size=64)
-    # |R^T x| = 1 and the interpolation weights sum to 1, so every row of
-    # the operator sums to the exact E c^s
-    assembler = OperatorAssembler(spec, grid, 20_000, substream(4, "o"))
-    for s in (0.0, 1.0, 7.2):
-        moment, op = assembler.assemble_groups(s)
-        target = math.exp(-s + 0.125 * s * s)
-        np.testing.assert_allclose(moment * op.sum(axis=1), target,
-                                   rtol=1e-12)
+    # every row of the rank-one operator is the cell law r, a probability
+    # vector, so k(s) is the exact E c^s, e = 1 and nu = r (1/G on the
+    # circle) with no iteration
+    for make_spec, G in ((d2_rotation_spec, 64), (d3_rotation_spec, 64),
+                         (d2_rotation_spec, 7)):
+        spec = make_spec()
+        assembler = OperatorAssembler(spec, build_grid(spec, size=G), 20_000,
+                                      substream(4, "o"))
+        for s in (0.0, 1.0, 7.2):
+            moment, r = assembler.assemble_groups(s)
+            assert r.shape == (G,) and r.min() >= 0
+            assert r.sum() == pytest.approx(1.0, abs=1e-14)
+            res = k_grid(assembler, s)
+            assert res.k == moment == pytest.approx(
+                math.exp(-s + 0.125 * s * s), rel=1e-14)
+            assert np.array_equal(res.e, np.ones(G))
+            assert np.array_equal(res.nu, r)
+            assert res.iterations == 0 and res.residual == 0.0
+            if spec.d == 2:
+                assert np.array_equal(r, np.full(G, 1.0 / G))
 
 
 @pytest.mark.parametrize("make_spec", [d2_rotation_spec, d3_rotation_spec])
 def test_rotation_operator_matches_cached_rows(make_spec):
-    # the direction operator built once drops only |R^T x|^s = (1 +- 3e-16)^s
-    # and sums chunk by chunk: equal to the per-s scatter up to rounding
+    # the dense Monte Carlo operator scattered from 1875 cached rotations
+    # is circulant on the d = 2 circle, so its eigenpair is (1, 1, 1/G)
+    # whatever the draws: the closed form to rounding.  At d = 3 its rows
+    # sum to 1, so k = E W^s, and its nu is the cell law up to the Monte
+    # Carlo error of the draws.
     spec = make_spec()
-    grid = build_grid(spec, size=64)
+    G = 64
+    grid = build_grid(spec, size=G)
     assembler = OperatorAssembler(spec, grid, 15_000, substream(28, "o"))
     reference = ref.OperatorAssembler(spec, grid, 15_000, substream(28, "o"))
-    assert assembler._rows is None
+    K = len(reference._weights)
+    assert K == 1875
+    assert assembler.direction_draws == (0 if spec.d == 2 else K)
     for s in (0.0, 1.0, 7.2):
-        moment, op = assembler.assemble_groups(s)
-        np.testing.assert_allclose(moment * op, reference.assemble(s),
-                                   rtol=1e-13, atol=0)
+        res = k_grid(assembler, s)
+        k, e, nu, _, _ = ref.power_iteration(reference.assemble(s))
+        assert res.k == pytest.approx(math.exp(-s + 0.125 * s * s), rel=1e-12)
+        if spec.d == 2:
+            np.testing.assert_allclose(res.k, k, rtol=1e-13)
+            np.testing.assert_allclose(res.e, e, rtol=1e-13)
+            np.testing.assert_allclose(res.nu, nu, rtol=1e-13)
+        else:
+            np.testing.assert_allclose(res.k, k, rtol=1e-12)
+            np.testing.assert_allclose(res.e, 1.0, rtol=0)
+            # within one binomial standard error of K directions per cell
+            # (r is the mean row of the reference operator; at seed 28 the
+            # two differ by at most 0.1 of it)
+            se = np.sqrt(nu * (1.0 - nu) / K)
+            assert (np.abs(res.nu - nu) <= se).all()
 
 
 @pytest.mark.parametrize("make_spec, s, mc_reps", [
@@ -211,14 +262,36 @@ def test_rotation_operator_matches_cached_rows(make_spec):
 ], ids=["d1-lognormal", "W*P", "c*R", "finite-support"])
 def test_factored_k_matches_per_group_power_iterations(make_spec, s, mc_reps):
     # the operator is E W^s * op, so one power iteration of op gives k; the
-    # reference iterates on the whole operator, scattered from cached rows
+    # reference iterates on the whole operator, scattered from cached rows.
+    # The rank-one rotation operator needs no iteration.
     spec = make_spec()
     grid = build_grid(spec, size=64)
     res = k_grid(OperatorAssembler(spec, grid, mc_reps, substream(31, "f")), s)
     want = ref.k_grid(spec, s, grid=grid, mc_reps=mc_reps,
                       rng=substream(31, "f"))
     assert res.k == pytest.approx(want.k, rel=1e-9)
+    assert res.iterations == (0 if make_spec is d2_rotation_spec
+                              else want.iterations)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.5, 4.0])
+@pytest.mark.parametrize("make_spec", [
+    d2_lognormal_matrix_spec, d2_contracting_matrix_spec,
+    d2_finite_pair_spec, d2_finite_three_spec],
+    ids=["W*P", "contracting-W*P", "finite-pair", "three-atom"])
+def test_row_form_matches_dense_reference(make_spec, s):
+    # the row form and the dense BLAS iteration differ only in the order of
+    # the additions: k, e and nu agree to rounding, in as many steps
+    spec = make_spec()
+    grid = build_grid(spec)
+    res = k_grid(OperatorAssembler(spec, grid, 50_000, substream(32, "f")), s)
+    want = ref.k_grid(spec, s, grid=grid, mc_reps=50_000,
+                      rng=substream(32, "f"))
     assert res.iterations == want.iterations
+    assert res.k == pytest.approx(want.k, rel=1e-13)
+    for got, exp in ((res.e, want.e), (res.nu, want.nu)):
+        assert np.abs(got - exp).max() <= 1e-13 * np.abs(exp).max()
+    assert res.residual == pytest.approx(want.residual, rel=1e-3, abs=1e-14)
 
 
 @pytest.mark.parametrize("make_spec", [d1_lognormal_spec,
@@ -240,26 +313,31 @@ def test_grid_products_match_einsum_exactly(make_spec):
 
 
 def test_rotation_assembler_memory_at_default_settings():
-    # 256 points and mc_reps = 1e6 draw K = 15,625 rotations: K*G = 4e6
-    # cached row entries took about 450 MB; the G x G operator takes 0.5 MB
+    # 256 points and mc_reps = 1e6 once drew 15,625 rotations into a dense
+    # 0.5 MB G x G operator; the circle's cell law is 1/G in closed form,
+    # so nothing is drawn and no G x G array is formed
     import tracemalloc
     spec = d2_rotation_spec()
     grid = build_grid(spec)
+    rng = substream(30, "o")
+    state = rng_state(rng)
+    # a first call in a fresh process allocates about 0.9 MB of lazy state
+    k_grid(OperatorAssembler(spec, build_grid(spec, size=8), 8, rng), 1.0)
     tracemalloc.start()
     try:
-        assembler = OperatorAssembler(spec, grid, 1_000_000,
-                                      substream(30, "o"))
+        assembler = OperatorAssembler(spec, grid, 1_000_000, rng)
         for s in (1.0, 4.0, 7.2):
-            assembler.assemble_groups(s)
+            k_grid(assembler, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(grid) == 256
-    assert peak < 100e6
+    assert rng_state(rng) == state and assembler.direction_draws == 0
+    assert peak < 256 * 256 * 8 / 8
 
 
 def test_power_iteration_identity():
-    k, e, nu, _, res = power_iteration(np.eye(8))
+    k, e, nu, _, res = power_iteration(_rows_of(np.eye(8)))
     assert k == pytest.approx(1.0)
     assert np.allclose(e, e[0])
     assert np.allclose(nu, 1.0 / 8)
@@ -269,10 +347,11 @@ def test_power_iteration_identity():
 def test_power_iteration_rank_one():
     p = np.array([0.1, 0.2, 0.3, 0.4])
     op = 2.0 * np.outer(np.ones(4), p)
-    k, e, nu, _, _ = power_iteration(op)
-    assert k == pytest.approx(2.0)
-    assert np.allclose(nu, p)
-    assert np.allclose(e, e[0])
+    for form in (_rows_of(op), p):
+        k, e, nu, _, _ = power_iteration(form)
+        assert k == pytest.approx(2.0 if form is not p else 1.0)
+        assert np.allclose(nu, p)
+        assert np.allclose(e, e[0])
 
 
 def test_k_grid_matches_closed_form_d2():
@@ -413,6 +492,41 @@ def test_solve_alpha_beta_rotation_oracle():
     assert sol.rho == pytest.approx(RHO_ROT, rel=0.02)
 
 
+def test_solver_runs_one_right_iteration_per_s(monkeypatch):
+    # m(s) reads only k: each distinct s is assembled once and iterated
+    # once, on the right, and never through the two-sided power_iteration
+    from smoothtail import spectral
+    spec = d2_contracting_matrix_spec()
+    assembled, iterated = [], []
+    assemble, dominant = OperatorAssembler.assemble_groups, spectral._dominant_pair
+
+    def counted_assemble(self, s):
+        assembled.append(s)
+        return assemble(self, s)
+
+    def counted_dominant(apply, G):
+        iterated.append(G)
+        return dominant(apply, G)
+
+    def refused(op):
+        raise AssertionError("the solver ran a left iteration")
+
+    monkeypatch.setattr(OperatorAssembler, "assemble_groups", counted_assemble)
+    monkeypatch.setattr(spectral, "_dominant_pair", counted_dominant)
+    monkeypatch.setattr(spectral, "power_iteration", refused)
+    grid = build_grid(spec, size=64)
+    sol = solve_alpha_beta(spec, s_max=6.0, tol=1e-7, rng=substream(33, "s"),
+                           grid=grid, mc_reps=400_000)
+    assert len(set(assembled)) == len(assembled) == len(iterated) > 20
+    assert iterated == [64] * len(iterated)
+    monkeypatch.undo()
+    res = k_grid(OperatorAssembler(spec, grid, 400_000, substream(33, "s")),
+                 sol.beta)
+    assert res.k == pytest.approx(sol.k_beta, rel=1e-9)
+    assert float(res.nu @ res.e) == pytest.approx(1.0, abs=1e-12)
+    assert res.residual < 1e-9
+
+
 @pytest.mark.parametrize("seed", [6101, 7207, 8311])
 @pytest.mark.parametrize("make_spec, grid_size, mc_reps, s_max, beta, bound", [
     (d1_lognormal_spec, None, 1_000_000, 6.0, BETA_D1, 1e-9),
@@ -491,7 +605,7 @@ def test_power_iteration_oscillation_detected():
     from smoothtail.errors import ConvergenceError
     op = np.array([[0.0, 2.0], [1.0, 0.0]])     # eigenvalues +-sqrt(2)
     with pytest.raises(ConvergenceError, match="oscillation"):
-        power_iteration(op)
+        power_iteration(_rows_of(op))
 
 
 def test_exact_assembly_rejects_annihilating_atom():
