@@ -49,10 +49,17 @@ def _json_default(obj):
 
 def _write_new(path: Path, *chunks) -> None:
     """Write the byte chunks (bytes or C-contiguous buffers) into a new file
-    at path, unlinking whatever the name pointed to before."""
+    at path, unlinking whatever the name pointed to before and creating the
+    directories above it that are missing."""
     path = Path(path)
     path.unlink(missing_ok=True)
-    with open(path, "xb") as fh:
+    try:
+        fh = open(path, "xb")
+    except FileNotFoundError:
+        # only the first artifact of a new --out pays for the mkdir
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "xb")
+    with fh:
         for chunk in chunks:
             fh.write(chunk)
 
@@ -65,13 +72,27 @@ def write_json(path: Path, payload: dict, fp: str) -> None:
     _write_new(path, (text + "\n").encode())
 
 
-def read_json(path: Path) -> dict:
+def _read_bytes(path: Path) -> bytes:
+    """The file's bytes; a file that cannot be read (missing, a directory,
+    no permission) is a config error naming the path."""
     try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}")
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+def read_json(path: Path):
+    """The JSON document in a UTF-8 file; an unreadable file, one that is not
+    UTF-8 or not JSON is a config error naming the path (and for bad JSON
+    its line and column)."""
+    raw = _read_bytes(path)
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
+        raise ConfigError(f"{path}: line {exc.lineno} col {exc.colno}: "
+                          f"{exc.msg}") from None
 
 
 def _fmt(x) -> str:
@@ -110,7 +131,7 @@ def write_pool(path: Path, pool: FixedPointPool, fp: str) -> None:
 
 
 def read_pool(path: Path) -> FixedPointPool:
-    raw = Path(path).read_bytes()
+    raw = _read_bytes(path)
     if len(raw) < _HEADER.size or raw[:8] != POOL_MAGIC:
         raise ConfigError(f"{path}: not a pool file")
     (magic, fmt, d, count, gen, conv, degen, _pad, _fp,

@@ -71,34 +71,20 @@ class EventParams:
         return self.n_t - r, self.n_t - r / 2
 
     def window_levels(self) -> list[int]:
+        """The integer levels of the closed window
+        [n_t - sqrt(n_t), n_t - sqrt(n_t) / 2]: the levels the (C0, delta)
+        search scores."""
         lo, hi = self.window
         return [n for n in range(int(math.ceil(lo)), int(math.floor(hi)) + 1)]
+
+    def levels(self, C1: int) -> list[int]:
+        """L_t: the window levels that are multiples of the sparsity
+        constant C1, where a node's last C1 coordinates are all 1."""
+        return [n for n in self.window_levels() if n % C1 == 0]
 
     @property
     def D(self) -> float:
         return 1.0 + self.C0 / (1.0 - math.exp(-self.delta))
-
-
-@dataclass
-class SubtreeParams:
-    """Sparsity constant C1 and the level set L_t it induces."""
-
-    C1: int
-
-    def __post_init__(self):
-        if self.C1 < 1 or self.C1 != int(self.C1):
-            raise SpecError("C1 must be a positive integer")
-
-    def levels(self, eparams: EventParams) -> list[int]:
-        lo, hi = eparams.window
-        first = int(math.ceil(lo / self.C1))
-        out = []
-        k = first
-        while k * self.C1 < hi:
-            if k * self.C1 >= lo:
-                out.append(k * self.C1)
-            k += 1
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +286,14 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
     A cell whose cone threshold D / eps lies at or beyond the largest pool
     norm is skipped: the J-cap cone family, with this eps, would find no
     mass beyond it, and finds some in every cell that is kept.
-    Score: all window levels must have hits; among those, minimize the range
-    of log P(V_n) - n log k(beta) (the rate-shape residual), tie-breaking
-    toward larger mean mass.  The window depends on t and rho alone, so
-    every cell is scored on the same draws (common random numbers): one
-    tilted batch and its Z-marks per window level, drawn level by level.
-    The chosen values travel inside EventParams and are recorded in every
-    report.
+    Score: first the number of window levels a cell misses (no hit, or an
+    estimate of 0); then, over the levels it hits, the range of
+    log P(V_n) - n log k(beta) (the rate-shape residual), tie-breaking
+    toward larger mean mass.  A pick that misses levels carries a flag that
+    names them.  The window depends on t and rho alone, so every cell is
+    scored on the same draws (common random numbers): one tilted batch and
+    its Z-marks per window level, drawn level by level.  The chosen values
+    travel inside EventParams and are recorded in every report.
     """
     cells = [EventParams(t=t, C0=C0, delta=delta, rho=rho)
              for C0 in SEARCH_C0 for delta in SEARCH_DELTA]
@@ -323,23 +310,25 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
              for n in levels]
     best = None
     for params in cells:
-        centered = []
+        missed, centered = [], []
         for n, (S, log_weight, _, lhs) in zip(levels, draws):
             est = _summarize(_indicator_V_batch(lhs, S, params), log_weight)
             if est.hits == 0 or est.value <= 0:
-                break
-            centered.append(math.log(est.value) - n * math.log(k_beta))
-        else:
-            spread = max(centered) - min(centered)
-            mean_level = sum(centered) / len(centered)
-            key = (spread, -mean_level)
-            if best is None or key < best[0]:
-                best = (key, params)
-    if best is None:
-        raise SpecError(
-            "no (C0, delta) combination produced positive V estimates at all "
-            "window levels; enlarge the budget")
-    return best[1]
+                missed.append(n)
+            else:
+                centered.append(math.log(est.value) - n * math.log(k_beta))
+        spread = max(centered) - min(centered) if centered else 0.0
+        mean_level = sum(centered) / len(centered) if centered else 0.0
+        key = (len(missed), spread, -mean_level)
+        if best is None or key < best[0]:
+            best = (key, params, missed)
+    _, params, missed = best
+    if missed:
+        params.flags.append(
+            f"search: (C0, delta) = ({params.C0:g}, {params.delta:g}) has no "
+            f"positive V estimate at window levels {missed}; no cell hits "
+            "more levels")
+    return params
 
 
 @dataclass
@@ -430,7 +419,8 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     nothing from rng.  Every estimate draws from its own pre-derived
     substream, so results do not depend on the worker count.
     """
-    sparams = SubtreeParams(C1=C1)
+    if C1 < 1 or C1 != int(C1):
+        raise SpecError("C1 must be a positive integer")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     u_len = float(vec_norm(u, spec.norm))
     if not u_len > 0:
@@ -449,7 +439,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     if eparams.n_t < MIN_NT_HARD:
         raise SpecError(
             f"n_t = {eparams.n_t} < {MIN_NT_HARD}: no usable level window at t={t}")
-    levels = sparams.levels(eparams)
+    levels = eparams.levels(C1)
     flags = list(eparams.flags)
     if spec.d >= 3:
         flags.append(f"cap radius sampled over {COVER_TEST_POINTS} directions "

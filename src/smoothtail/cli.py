@@ -24,7 +24,8 @@ from . import artifacts, branching, certificate, spectral, tails
 from .errors import ConfigError, DegeneratePoolError, SmoothtailError
 from .model import (Branching, FiniteSupport, LognormalRotation,
                     LognormalScalarMatrix, ModelSpec, QLaw, validate)
-from .rng import parallel_map, substream
+from .rng import parallel_map  # noqa: F401  (the benchmark tracer looks it up here)
+from .rng import substream
 
 EXIT_OK = 0
 EXIT_VALIDATION = 3
@@ -216,14 +217,7 @@ class RunConfig:
         if model_doc is None:
             raise ConfigError("config field 'model' is required")
         if isinstance(model_doc, str):
-            path = (base / model_doc) if not Path(model_doc).is_absolute() \
-                else Path(model_doc)
-            try:
-                model_doc = json.loads(path.read_text())
-            except FileNotFoundError:
-                raise ConfigError(f"model file not found: {path}")
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}")
+            model_doc = artifacts.read_json(self.resolve(model_doc))
         self.model_doc = model_doc
         self.spec = model_from_jsonable(model_doc)
 
@@ -245,16 +239,11 @@ class RunConfig:
 
 
 def load_config(path: str, seed=None, threads=None, out=None) -> RunConfig:
-    p = Path(path)
-    try:
-        raw = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {p}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: line {exc.lineno} col {exc.colno}: {exc.msg}")
+    raw = artifacts.read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return RunConfig(raw, p.parent, seed=seed, threads=threads, out=out)
+    return RunConfig(raw, Path(path).parent, seed=seed, threads=threads,
+                     out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +260,6 @@ def cmd_validate(cfg: RunConfig) -> int:
     beta_hat = sec.num("beta_hat", 1.0)
     sec.reject_unread()
     report = validate(cfg.spec, beta_hat=beta_hat, eps=eps, reps=reps, rng=rng)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "validation.json", report.to_jsonable(), fp)
     return EXIT_VALIDATION if report.hard_fail() else EXIT_OK
 
@@ -299,20 +287,17 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                                            substream(cfg.seed, "spectrum"))
     en = cfg.spec.mean_children()
 
-    def task(i: int):
-        s = s_grid[i]
-        if not cfg.spec.ensemble.moment_finite(s):
-            return None
-        return spectral.k_grid(assembler, s)
-
-    results = parallel_map(task, len(s_grid), cfg.threads)
+    # a plain loop: one thread ran the rows faster than two (README,
+    # "Determinism")
+    results = [spectral.k_grid(assembler, s)
+               if cfg.spec.ensemble.moment_finite(s) else None
+               for s in s_grid]
     rows = []
     for s, res in zip(s_grid, results):
         if res is None:
             rows.append((s, "NA", "NA"))
         else:
             rows.append((s, res.k, en * res.k))
-    cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_csv(cfg.out / "spectrum.csv", ["s", "k", "m"], rows, fp)
     for i, (s, res) in enumerate(zip(s_grid, results)):
         if res is None or s not in json_s:
@@ -336,7 +321,6 @@ def cmd_solve_index(cfg: RunConfig) -> int:
     grid = spectral.build_grid(cfg.spec, size=grid_size)
     sol = spectral.solve_alpha_beta(cfg.spec, s_max=s_max, tol=tol, rng=rng,
                                     grid=grid, mc_reps=mc_reps, h=h)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "tail_indices.json", sol.to_jsonable(), fp)
     return EXIT_OK
 
@@ -353,7 +337,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     rngs = [substream(cfg.seed, "simulate", i) for i in range(replicates)]
     pool = branching.sample_fixed_point_replicated(
         cfg.spec, generations, pool_size, x0, rngs, threads=cfg.threads)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_pool(cfg.out / "pool.bin", pool, fp)
     if write_csv:
         artifacts.write_pool_csv(cfg.out / "pool.csv", pool, fp)
@@ -401,8 +384,6 @@ def _load_pool(cfg: RunConfig, sec: Section) -> branching.FixedPointPool:
     if "pool" not in sec:
         raise ConfigError(f"{sec.name} needs a 'pool' file path")
     path = cfg.resolve(sec.typed("pool", str, "a path string"))
-    if not path.exists():
-        raise ConfigError(f"pool file not found: {path}")
     pool = artifacts.read_pool(path)
     if pool.d != cfg.spec.d:
         raise ConfigError(f"{path}: pool dimension {pool.d}, the model "
@@ -436,7 +417,6 @@ def cmd_tails(cfg: RunConfig) -> int:
         pool.vectors, u, beta, rng=rng, window_quantiles=tuple(window),
         k_fracs=tuple(k_fracs), n_points=n_points, n_boot=n_boot,
         ratio_max=ratio_max)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     doc = report.to_jsonable()
     doc["verdict"] = ("positivity supported" if report.flatness.supported
                       else "positivity not supported at this window")
@@ -481,7 +461,6 @@ def cmd_certificate(cfg: RunConfig) -> int:
     report = certificate.lower_bound(
         cfg.spec, u, t, rho, beta, k_beta, C1=C1, pool_vectors=pool.vectors,
         rng=rng, C0=C0, delta=delta, J=J, **reps, threads=cfg.threads)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(cfg.out / "certificate.json", report.to_jsonable(), fp)
     artifacts.write_csv(cfg.out / "v_estimates.csv",
                         ["level", "count", "estimate", "se", "hits", "ess",

@@ -29,7 +29,7 @@ import numpy as np
 
 import reference_engine as ref
 from smoothtail.branching import FixedPointPool
-from smoothtail.certificate import (EventParams, ProbEstimate, SubtreeParams,
+from smoothtail.certificate import (EventParams, ProbEstimate,
                                     _summarize)
 from smoothtail.errors import AssemblyError, SmoothtailError, SpecError
 from smoothtail.model import FiniteSupport, LognormalScalarMatrix, ModelSpec
@@ -290,18 +290,16 @@ def estimate_tail_prob(spec: ModelSpec, n: int, t: float, reps: int,
     return _summarize(batch.S > math.log(t), batch.log_weight)
 
 
-def build_sparse_subtree(tree, sparams: SubtreeParams,
-                         eparams: EventParams) -> list:
+def build_sparse_subtree(tree, C1: int, eparams: EventParams) -> list:
     """All tree nodes whose level lies in L_t and whose last C1 coordinates
     are all 1."""
-    levels = set(sparams.levels(eparams))
+    levels = set(eparams.levels(C1))
     if levels and max(levels) > tree.depth:
         raise SpecError("tree too shallow for the requested level set")
-    c1 = sparams.C1
-    ones = (1,) * c1
+    ones = (1,) * C1
     out = []
     for i in tree.nodes:
-        if len(i) in levels and len(i) >= c1 and i[-c1:] == ones:
+        if len(i) in levels and len(i) >= C1 and i[-C1:] == ones:
             out.append(i)
     return sorted(out)
 

@@ -1,5 +1,6 @@
 """Event indicators, probability estimates, subtree counts, cones, and the bound."""
 
+import itertools
 import json
 import math
 import warnings
@@ -19,7 +20,7 @@ from reference_oracles import (build_sparse_subtree, estimate_tail_prob,
 from smoothtail import certificate, walks
 from smoothtail.branching import sample_fixed_point
 from smoothtail.certificate import (ESS_FLOOR, VERDICT_Z, EventParams,
-                                    SubtreeParams, _indicator_V_batch,
+                                    _indicator_V_batch,
                                     _summarize, choose_event_params,
                                     cone_family, draw_z_marks, estimate_PV,
                                     estimate_PW, lower_bound, verdict)
@@ -50,11 +51,17 @@ def test_event_params_small_t_flagged():
 
 def test_subtree_levels():
     p = EventParams(t=math.exp(25 * RHO_D1), C0=10.0, delta=0.2, rho=RHO_D1)
-    assert SubtreeParams(C1=2).levels(p) == [20, 22]
-    assert SubtreeParams(C1=4).levels(p) == [20]
-    assert SubtreeParams(C1=6).levels(p) == []
-    with pytest.raises(SpecError):
-        SubtreeParams(C1=0)
+    assert p.levels(2) == [20, 22]
+    assert p.levels(4) == [20]
+    assert p.levels(6) == []
+    # n_t = 16: the window [12, 14] is closed at both ends, and L_t holds
+    # the same top level the (C0, delta) search scores
+    p = EventParams(t=math.exp(15.5 * RHO_D1), C0=10.0, delta=0.2, rho=RHO_D1)
+    assert p.n_t == 16 and p.window == (12.0, 14.0)
+    assert p.window_levels() == [12, 13, 14]
+    assert p.levels(1) == [12, 13, 14]
+    assert p.levels(2) == [12, 14]
+    assert p.levels(3) == [12]
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +245,9 @@ def test_sparse_subtree_binary():
     spec = d1_lognormal_spec()
     tree = grow_tree(spec, 4, substream(12, "t"))
     ep = EventParams(t=math.exp(5.2 * RHO_D1), C0=1.0, delta=0.1, rho=RHO_D1)
-    # n_t = 6, window [3.55, 4.78): L_t for C1 = 2 is {4}
-    sp = SubtreeParams(C1=2)
-    assert sp.levels(ep) == [4]
-    nodes = build_sparse_subtree(tree, sp, ep)
+    # n_t = 6, window [3.55, 4.78]: L_t for C1 = 2 is {4}
+    assert ep.levels(2) == [4]
+    nodes = build_sparse_subtree(tree, 2, ep)
     assert len(nodes) == 4                      # 2^{4-2}
     for i in nodes:
         assert len(i) == 4 and i[-2:] == (1, 1)
@@ -255,11 +261,10 @@ def test_sparse_subtree_random_n_audit():
                                             probs=np.array([1.0])),
                      q_law=QLaw(kind="zero"), geom_class="nonnegative-C")
     ep = EventParams(t=math.exp(5.2 * RHO_D1), C0=1.0, delta=0.1, rho=RHO_D1)
-    sp = SubtreeParams(C1=2)
     rng = substream(13, "t")
     for _ in range(20):
         tree = grow_tree(spec, 4, rng)
-        for i in build_sparse_subtree(tree, sp, ep):
+        for i in build_sparse_subtree(tree, 2, ep):
             assert i[-2:] == (1, 1) and len(i) == 4
 
 
@@ -637,34 +642,38 @@ def test_lower_bound_below_direct_union(d1_pool):
     rep = lower_bound(spec, np.array([1.0]), t, rho, beta, K_BETA_D1, C1=C1,
                       pool_vectors=d1_pool.vectors, rng=substream(21, "lb"),
                       C0=C0, delta=delta, reps_v=200_000, reps_w=50_000)
-    assert rep.levels == [2]
-    # union over W = {(1,1), (2,1)} simulated on the joint tree
-    R = 2_000_000
+    # n_t = 4: the closed window [2, 3] holds both of its ends
+    assert rep.levels == [2, 3]
+    # the union over the subtree's nodes, those ending in 1 at levels 2 and
+    # 3, simulated on the joint binary tree: every edge weight is drawn
+    # once, and a node's sibling sum is its sibling's weight times a pool
+    # member, plus Q = 1
+    R, chunk = 2_000_000, 250_000
     rng = substream(22, "union")
     mu, sig = -1.0, math.sqrt(0.5)
-
-    def lognorm(n):
-        return np.exp(mu + sig * rng.standard_normal(n))
-
-    a1, a2 = lognorm(R), lognorm(R)                  # root edges
-    a11, a12 = lognorm(R), lognorm(R)                # children of node 1
-    a21, a22 = lognorm(R), lognorm(R)                # children of node 2
-    xs = x[rng.integers(0, len(x), size=(R, 4))]
     log_c0t = math.log(C0 * t)
     logt = math.log(t)
-
-    def v_event(e1, e2, z1, z2):
-        c0 = np.log(np.maximum(z1, 1.0)) <= log_c0t - 2 * delta
-        c1 = np.log(e1) + np.log(np.maximum(z2, 1.0)) <= log_c0t - delta
-        hit = np.log(e1) + np.log(e2) >= logt
-        return c0 & c1 & hit
-
-    z_1 = a2 * xs[:, 0] + 1.0            # sibling sum at the root, child 1
-    z_2 = a1 * xs[:, 1] + 1.0
-    z_11 = a12 * xs[:, 2] + 1.0
-    z_21 = a22 * xs[:, 3] + 1.0
-    union = v_event(a1, a11, z_1, z_11) | v_event(a2, a21, z_2, z_21)
-    p_union = float(union.mean())
+    edges = [e for depth in (1, 2, 3)
+             for e in itertools.product((1, 2), repeat=depth)]
+    nodes = [e for e in edges if len(e) in rep.levels and e[-1] == 1]
+    hits = 0
+    for _ in range(R // chunk):
+        log_a = {e: mu + sig * rng.standard_normal(chunk) for e in edges}
+        sib = {e: np.exp(log_a[e]) * x[rng.integers(0, len(x), size=chunk)]
+               + 1.0 for e in edges}
+        union = np.zeros(chunk, dtype=bool)
+        for node in nodes:
+            L = len(node)
+            log_pi = np.zeros(chunk)
+            ok = np.ones(chunk, dtype=bool)
+            for k in range(L):
+                other = node[:k] + (3 - node[k],)
+                ok &= (log_pi + np.log(np.maximum(sib[other], 1.0))
+                       <= log_c0t - (L - k) * delta)
+                log_pi = log_pi + log_a[node[:k + 1]]
+            union |= ok & (log_pi >= logt)
+        hits += int(union.sum())
+    p_union = hits / R
     se_union = math.sqrt(p_union * (1 - p_union) / R)
     assert rep.bound <= p_union + 3 * se_union + 3 * rep.bound_se
 
@@ -819,12 +828,13 @@ def test_lower_bound_tilts_finite_support_walks_by_e_beta(monkeypatch):
 
 def _brute_force_choice(levels, draws, t, rho, k_beta):
     """The search's score, one path at a time through indicator_V, on the
-    draws the search made."""
+    draws the search made: the fewest missed levels first, then the
+    rate-shape spread and mean over the levels hit."""
     best = None
     for C0 in (1.0, 3.0, 10.0, 30.0):
         for delta in (0.05, 0.1, 0.2, 0.4):
             params = EventParams(t=t, C0=C0, delta=delta, rho=rho)
-            centered = []
+            missed, centered = 0, []
             for n, (batch, z) in zip(levels, draws):
                 ind = np.array([
                     indicator_V(batch.opnorm_log_hist[r], math.exp(batch.S[r]),
@@ -832,13 +842,13 @@ def _brute_force_choice(levels, draws, t, rho, k_beta):
                     for r in range(len(batch.S))])
                 value = float(np.mean(ind * np.exp(batch.log_weight)))
                 if not ind.any() or value <= 0:
-                    break
-                centered.append(math.log(value) - n * math.log(k_beta))
-            else:
-                key = (max(centered) - min(centered),
-                       -sum(centered) / len(centered))
-                if best is None or key < best[0]:
-                    best = (key, (C0, delta))
+                    missed += 1
+                else:
+                    centered.append(math.log(value) - n * math.log(k_beta))
+            key = (missed, max(centered, default=0.0) - min(centered, default=0.0),
+                   -sum(centered) / max(len(centered), 1))
+            if best is None or key < best[0]:
+                best = (key, (C0, delta))
     return best[1]
 
 

@@ -1,5 +1,6 @@
 """CLI exit codes, file artifacts, and byte-level determinism."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -154,6 +155,63 @@ def test_bad_artifact_file_exit_2(tmp_path, capsys, command, files, section,
     cfg = {"model": D1_MODEL, "seed": 1, command: sec}
     assert _run(tmp_path, command, cfg) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+@pytest.mark.parametrize("which", ["config", "model", "solution", "pool"])
+def test_unreadable_input_file_exit_2(tmp_path, capsys, which, kind):
+    # a directory, or a file that is not UTF-8 text, at any input path is a
+    # config error that names the path
+    pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
+                          generation=1, converged=True)
+    artifacts.write_pool(tmp_path / "pool.bin", pool, "0" * 16)
+    _write(tmp_path, "model.json", D1_MODEL)
+    _write(tmp_path, "sol.json", SOLUTION)
+    bad = tmp_path / {"config": "cfg.json", "model": "model.json",
+                      "solution": "sol.json", "pool": "pool.bin"}[which]
+    bad.unlink(missing_ok=True)
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'{"seed": "\xff\xfe"}')
+    if which != "config":
+        _write(tmp_path, "cfg.json", {
+            "model": "model.json", "seed": 1,
+            "tails": {"pool": "pool.bin", "solution": "sol.json"}})
+    rc = main(["tails", "--config", str(tmp_path / "cfg.json"),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"config error: {bad}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_model_file_names_line_and_column(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text('{"dimension": 1,\n "branching": {mode: 1}}')
+    cfg = _write(tmp_path, "cfg.json", {"model": "model.json", "seed": 1})
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert f"{model}: line 2 col 16: " in capsys.readouterr().err
+
+
+def test_spectrum_runs_in_one_thread(tmp_path, monkeypatch):
+    # spectrum starts no thread at any --threads; simulate, which does fan
+    # out, shows that the patch would catch one
+    class ThreadStarted(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise ThreadStarted
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    cfg = {"model": ROT_MODEL, "seed": 1,
+           "spectrum": {"s_grid": [0.5, 1.0, 2.0, 3.0], "mc_reps": 2000,
+                        "grid_size": 32},
+           "simulate": {"pool_size": 1000, "generations": 2,
+                        "replicates": 2, "x0": [1.0, 0.0]}}
+    assert _run(tmp_path, "spectrum", cfg, threads=8) == 0
+    with pytest.raises(ThreadStarted):
+        _run(tmp_path, "simulate", cfg, threads=2)
 
 
 @pytest.mark.parametrize("replicates", [0, -1, 1001])
@@ -1091,7 +1149,7 @@ def _three_atom_cfg(seed):
                             "u": [1.0, 0.0], "reps_search": 4_000}}
 
 
-@pytest.mark.parametrize("seed", [6, 6102])
+@pytest.mark.parametrize("seed", [6, 6101, 6102])
 def test_certificate_keeps_every_cap_on_the_three_atom_pool(tmp_path, seed):
     # the search keeps only cells with a member beyond D/eps, and the cone
     # family keeps every cap with that same eps, so the chosen cell has
@@ -1104,19 +1162,20 @@ def test_certificate_keeps_every_cap_on_the_three_atom_pool(tmp_path, seed):
     assert doc["bound"] == doc["v_term"] - doc["w_sum"]
 
 
-def test_three_atom_search_without_v_hits_exits_2(tmp_path, capsys):
-    # at seed 6101 no search cell has a V hit at the first window level (nor
-    # at reps_search 16,000): the search stops with a config error and
-    # writes no certificate
+def test_three_atom_search_without_v_hits_flags_the_missed_level(tmp_path):
+    # at seed 6101 no search cell has a V hit at window level 8 (nor at
+    # reps_search 16,000), and some cell hits level 9: the search picks a
+    # cell that misses only level 8, names it in a flag, and the
+    # certificate reads not positive
     cfg = _three_atom_cfg(6101)
     assert _run(tmp_path, "simulate", cfg) == 0
-    capsys.readouterr()
-    assert _run(tmp_path, "certificate", cfg) == 2
-    err = capsys.readouterr().err
-    assert ("no (C0, delta) combination produced positive V estimates at "
-            "all window levels") in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "out/certificate.json").exists()
+    assert _run(tmp_path, "certificate", cfg) == 0
+    doc = _strict_json(tmp_path / "out/certificate.json")
+    assert doc["n_t"] == 11 and doc["levels"] == [8]
+    assert ("search: (C0, delta) = (30, 0.1) has no positive V estimate at "
+            "window levels [8]; no cell hits more levels") in doc["flags"]
+    assert doc["per_level_V"][0]["hits"] == 0
+    assert doc["verdict"] == "not positive at these parameters"
 
 
 @pytest.mark.parametrize("command", ["spectrum", "certificate"])

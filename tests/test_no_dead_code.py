@@ -12,6 +12,9 @@ check can miss dead code, but it cannot flag live code.
 A reference oracle that no command runs belongs in tests/, beside the tests
 that check the package against it (see tests/reference_oracles.py).
 
+A module-level import counts as used when its module names the bound name
+outside its imports; __init__ re-exports its imports through __all__.
+
 A dataclass field counts as read when src/ reads an attribute of its name,
 or when its dataclass is written whole by ``asdict(self)``, or is named in
 the annotation of a field of one that is (asdict recurses into it).  Names
@@ -27,6 +30,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "smoothtail"
 # (module, name) -> why the definition stays although no command reaches it
 ALLOWED = {
     ("cli", "main"): "the console entry point",
+}
+
+# (module, name) -> why the module imports a name it never uses
+TRACER_LOOKUP = ("the benchmark tracer looks it up here; ROADMAP item 6")
+ALLOWED_IMPORTS = {
+    ("spectral", "run_walks"): TRACER_LOOKUP,
+    ("cli", "parallel_map"): TRACER_LOOKUP,
 }
 
 # (class, field) -> why the field stays although src/ never reads it
@@ -176,4 +186,40 @@ def test_field_allowlist_names_existing_unread_fields():
     stale = [f"{c}.{n}" for c, n in ALLOWED_FIELDS
              if f"{c}.{n}" not in flagged]
     assert not stale, "allowed but read, drop from ALLOWED_FIELDS: " + \
+        ", ".join(stale)
+
+
+def unused_imports(src: Path = SRC, allowed=ALLOWED_IMPORTS) -> list[str]:
+    """module.name of every module-level import binding its module never
+    names, less the allowed ones."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports = [node for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        named = set()
+        for node in tree.body:
+            if node not in imports:
+                named |= _named(node)
+        for node in imports:
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in named and (module, name) not in allowed:
+                    out.append(f"{module}.{name}")
+    return out
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, ("imported but never named (delete the import, or "
+                        "allow it with a reason): " + ", ".join(unused))
+
+
+def test_import_allowlist_names_existing_unused_imports():
+    flagged = unused_imports(allowed={})
+    stale = [f"{m}.{n}" for m, n in ALLOWED_IMPORTS
+             if f"{m}.{n}" not in flagged]
+    assert not stale, "allowed but used, drop from ALLOWED_IMPORTS: " + \
         ", ".join(stale)
