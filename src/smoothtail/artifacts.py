@@ -50,15 +50,20 @@ def _json_default(obj):
 def _write_new(path: Path, *chunks) -> None:
     """Write the byte chunks (bytes or C-contiguous buffers) into a new file
     at path, unlinking whatever the name pointed to before and creating the
-    directories above it that are missing."""
+    directories above it that are missing.  A path that cannot be made a
+    new file (a regular file above it, no permission) is a config error
+    naming the path."""
     path = Path(path)
-    path.unlink(missing_ok=True)
     try:
-        fh = open(path, "xb")
-    except FileNotFoundError:
-        # only the first artifact of a new --out pays for the mkdir
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "xb")
+        path.unlink(missing_ok=True)
+        try:
+            fh = open(path, "xb")
+        except FileNotFoundError:
+            # only the first artifact of a new --out pays for the mkdir
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(path, "xb")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write: {exc.strerror or exc}") from None
     with fh:
         for chunk in chunks:
             fh.write(chunk)

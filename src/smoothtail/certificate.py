@@ -37,6 +37,7 @@ ESS_FLOOR = 100            # effective contributing samples per estimate
 VERDICT_Z = 2              # a positive bound must clear this many standard errors
 SEARCH_C0 = (1.0, 3.0, 10.0, 30.0)        # the (C0, delta) search grid
 SEARCH_DELTA = (0.05, 0.1, 0.2, 0.4)
+V_BLOCK_MARKS = 2 ** 17    # Z-marks per V block: a V estimate's working set
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +131,7 @@ def _summarize(ind: np.ndarray, log_weight: np.ndarray) -> ProbEstimate:
     ESS_FLOOR is flagged (no hits gives ESS 0); with no hits it also gets a
     heuristic one-sided bound of three times the largest weight per rep."""
     hits = int(ind.sum())
-    est, se = weighted_mean(ind.astype(float), log_weight)
+    est, se = weighted_mean(ind, log_weight)
     ess = effective_sample_size(log_weight[ind]) if hits else 0.0
     upper = None
     if hits == 0:
@@ -168,18 +169,33 @@ def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
     With cones, the same draws also give E[1{V} m(U)], each hit weighed by
     the mass of the cap its final direction U lands in: its rate per cap
     (cap_rates), their sum weighed by the masses (weighted) and that sum's
-    walk standard error (weighted_se)."""
-    S, log_weight, U, lhs = _draw_V(spec, n, reps, rng, tilt, spectral,
-                                    pool_vectors, u)
-    ind = _indicator_V_batch(lhs, S, params)
+    walk standard error (weighted_se).
+
+    The paths come in blocks of at most V_BLOCK_MARKS Z-marks
+    (V_BLOCK_MARKS // n paths), each block one _draw_V call on rng, and a
+    block keeps only each path's hit flag, log weight and cap (17 bytes),
+    so no more than one block's walks and marks are live at once.  With
+    reps * n within one block the draws are exactly those of one _draw_V
+    call."""
+    ind = np.empty(reps, dtype=bool)
+    log_weight = np.empty(reps)
+    cap = np.full(reps, -1)
+    block = max(1, V_BLOCK_MARKS // max(n, 1))
+    for start in range(0, reps, block):
+        stop = min(start + block, reps)
+        S, log_weight[start:stop], U, lhs = _draw_V(
+            spec, n, stop - start, rng, tilt, spectral, pool_vectors, u)
+        hit = ind[start:stop]
+        hit[:] = _indicator_V_batch(lhs, S, params)
+        if cones is not None:
+            cap[start:stop][hit] = cones.caps.cell_index(U[hit])
     est = _summarize(ind, log_weight)
     if cones is not None:
-        cap = np.full(reps, -1)
-        cap[ind] = cones.caps.cell_index(U[ind])
         est.cap_rates = np.array([weighted_mean(cap == j, log_weight)[0]
                                   for j in range(len(cones.masses))])
         est.weighted = float(cones.masses @ est.cap_rates)
-        m_U = np.where(ind, cones.masses[cap], 0.0)
+        # a path with no hit has cap -1, which reads the appended 0
+        m_U = np.append(cones.masses, 0.0)[cap]
         est.weighted_se = float(weighted_mean(m_U, log_weight)[1])
     return est
 

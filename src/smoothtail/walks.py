@@ -284,12 +284,14 @@ def effective_sample_size(log_weight: np.ndarray) -> float:
 def weighted_mean(values: np.ndarray, log_weight: np.ndarray):
     """(mean, se) of values * exp(log_weight) / reps, stable in log space."""
     lw = np.asarray(log_weight, dtype=float)
-    v = np.asarray(values, dtype=float)
     m = lw.max() if len(lw) else 0.0
     if not np.isfinite(m):
         m = 0.0
-    w = np.exp(lw - m)
-    x = v * w
+    # values * exp(lw - m) in one buffer; boolean values are multiplied in
+    # as 0.0 and 1.0 without a float copy
+    x = np.subtract(lw, m)
+    np.exp(x, out=x)
+    x *= np.asarray(values)
     mean = x.mean()
     se = x.std(ddof=1) / math.sqrt(len(x)) if len(x) > 1 else 0.0
     scale = math.exp(m) if m < 700 else math.inf

@@ -3,8 +3,9 @@
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from conftest import (BETA_D1, BETA_ROT, K_BETA_D1, RHO_D1, RHO_ROT,
                       d1_lognormal_spec, d2_contracting_matrix_spec,
                       d2_finite_three_spec,
                       d2_lognormal_matrix_spec, d2_rotation_spec,
-                      d3_rotation_spec, k_at, random13_spec)
+                      d3_rotation_spec, k_at, random13_spec, rng_state)
 from reference_oracles import (build_sparse_subtree, estimate_tail_prob,
                                expected_count_check, grow_tree, indicator_V)
 from smoothtail import certificate, walks
 from smoothtail.branching import sample_fixed_point
 from smoothtail.certificate import (ESS_FLOOR, VERDICT_Z, EventParams,
-                                    _indicator_V_batch,
+                                    _draw_V, _indicator_V_batch,
                                     _summarize, choose_event_params,
                                     cone_family, draw_z_marks, estimate_PV,
                                     estimate_PW, lower_bound, verdict)
@@ -153,6 +154,138 @@ def test_pv_level_stationary(d1_pool):
     b = estimate_PV(spec, 9, p, 150_000, substream(6, "b"), tilt=BETA_D1,
                     pool_vectors=d1_pool.vectors)
     assert abs(a.value - b.value) < 3 * math.hypot(a.se, b.se)
+
+
+# ---------------------------------------------------------------------------
+# V blocks
+# ---------------------------------------------------------------------------
+
+def _pv_from_draws(draws, params, cones):
+    """The V estimate computed in one batch on the given draws (S, log
+    weight, U, left side), the way estimate_PV computes it on one block."""
+    S, log_weight, U, lhs = draws
+    ind = _indicator_V_batch(lhs, S, params)
+    est = _summarize(ind, log_weight)
+    cap = np.full(len(S), -1)
+    cap[ind] = cones.caps.cell_index(U[ind])
+    est.cap_rates = np.array([walks.weighted_mean(cap == j, log_weight)[0]
+                              for j in range(len(cones.masses))])
+    est.weighted = float(cones.masses @ est.cap_rates)
+    m_U = np.where(ind, cones.masses[cap], 0.0)
+    est.weighted_se = float(walks.weighted_mean(m_U, log_weight)[1])
+    return est
+
+
+def _block_draws(spec, n, reps, rng, tilt, pool, u):
+    """_draw_V one V_BLOCK_MARKS block after another, concatenated."""
+    block = certificate.V_BLOCK_MARKS // n
+    parts = [_draw_V(spec, n, min(block, reps - start), rng, tilt, None,
+                     pool, u) for start in range(0, reps, block)]
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+def _as_tuple(est):
+    doc = asdict(est)
+    doc["cap_rates"] = est.cap_rates.tolist()
+    return tuple(sorted(doc.items()))
+
+
+@pytest.mark.parametrize("reps", [5_000, certificate.V_BLOCK_MARKS // 8])
+def test_pv_within_one_block_is_one_draw_v_batch(d1_pool, reps):
+    # an estimate whose reps * n marks fit in one block draws exactly what
+    # one _draw_V call draws, and leaves its generator in the same state
+    spec = d1_lognormal_spec()
+    x = d1_pool.vectors
+    p = EventParams(t=float(np.quantile(x[:, 0], 0.999)), C0=10.0,
+                    delta=0.1, rho=RHO_D1)
+    cones = cone_family(x, 8, p, spec)
+    rng, rng_ref = substream(92, "v"), substream(92, "v")
+    est = estimate_PV(spec, 8, p, reps, rng, tilt=BETA_D1, pool_vectors=x,
+                      cones=cones)
+    want = _pv_from_draws(_draw_V(spec, 8, reps, rng_ref, BETA_D1, None, x,
+                                  None), p, cones)
+    assert est.hits > 0
+    assert _as_tuple(est) == _as_tuple(want)
+    assert rng_state(rng) == rng_state(rng_ref)
+
+
+def test_pv_over_several_blocks_is_the_blocks_in_order(d1_pool):
+    # three blocks, the last one short: the per-block draws concatenated
+    spec = d1_lognormal_spec()
+    x = d1_pool.vectors
+    p = EventParams(t=float(np.quantile(x[:, 0], 0.999)), C0=10.0,
+                    delta=0.1, rho=RHO_D1)
+    cones = cone_family(x, 8, p, spec)
+    reps = 2 * (certificate.V_BLOCK_MARKS // 8) + 5
+    rng, rng_ref = substream(93, "v"), substream(93, "v")
+    est = estimate_PV(spec, 8, p, reps, rng, tilt=BETA_D1, pool_vectors=x,
+                      cones=cones)
+    want = _pv_from_draws(_block_draws(spec, 8, reps, rng_ref, BETA_D1, x,
+                                       None), p, cones)
+    assert est.hits > 0
+    assert _as_tuple(est) == _as_tuple(want)
+    assert rng_state(rng) == rng_state(rng_ref)
+
+
+def test_pv_blocks_keep_per_path_directions(monkeypatch):
+    # rotations give every path its own final direction U, so the cap
+    # lookup runs on each block's own hits; 48 blocks of 21 paths, the last
+    # one of 13
+    monkeypatch.setattr(certificate, "V_BLOCK_MARKS", 64)
+    spec = d2_rotation_spec()
+    g = substream(90, "pool")
+    pool = g.standard_normal((20_000, 2)) * np.exp(g.standard_normal((20_000, 1)))
+    p = EventParams(t=5.0, C0=1.0, delta=0.2, rho=RHO_ROT)
+    cones = cone_family(pool, 8, p, spec)
+    rng, rng_ref = substream(91, "v"), substream(91, "v")
+    est = estimate_PV(spec, 3, p, 1000, rng, tilt=BETA_ROT, pool_vectors=pool,
+                      cones=cones)
+    draws = _block_draws(spec, 3, 1000, rng_ref, BETA_ROT, pool, None)
+    want = _pv_from_draws(draws, p, cones)
+    assert len(np.unique(draws[2], axis=0)) > 1
+    assert (est.cap_rates > 0).sum() > 1
+    assert _as_tuple(est) == _as_tuple(want)
+    assert rng_state(rng) == rng_state(rng_ref)
+
+
+def test_pv_working_set_is_one_block(d1_pool):
+    # past one block the estimate keeps each path's hit flag, log weight and
+    # cap (17 bytes) and its summary a few float buffers; holding every
+    # path's norm history and marks at once took about 218 bytes a path
+    spec = d1_lognormal_spec()
+    x = d1_pool.vectors
+    p = EventParams(t=float(np.quantile(x[:, 0], 0.999)), C0=10.0,
+                    delta=0.1, rho=RHO_D1)
+    cones = cone_family(x, 8, p, spec)
+    reps = 400_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        est = estimate_PV(spec, 8, p, reps, substream(94, "v"), tilt=BETA_D1,
+                          pool_vectors=x, cones=cones)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert est.hits > 0
+    assert peak < 40 * reps + 8 * 2 ** 20
+
+
+def test_lower_bound_over_blocks_is_the_same_at_any_worker_count(
+        monkeypatch, d1_pool):
+    # two levels, each drawn in many blocks, fanned out over 1 and 2 workers
+    monkeypatch.setattr(certificate, "V_BLOCK_MARKS", 2 ** 12)
+    spec = d1_lognormal_spec()
+    x = d1_pool.vectors
+    t = float(np.quantile(x[:, 0], 0.999))
+    reports = [lower_bound(
+        spec, np.array([1.0]), t, RHO_D1, BETA_D1, K_BETA_D1, C1=1,
+        pool_vectors=x, rng=substream(95, "lb"), C0=10.0, delta=0.1,
+        reps_v=5_000, reps_w=1_000, threads=threads) for threads in (1, 2)]
+    assert len(reports[0].levels) == 2
+    assert all(level["hits"] > 0 for level in reports[0].per_level_V)
+    docs = [json.dumps(rep.to_jsonable()) for rep in reports]
+    assert docs[0] == docs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,19 @@ def test_unreadable_input_file_exit_2(tmp_path, capsys, which, kind):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_under_a_regular_file_exit_2(tmp_path, capsys, out):
+    # an --out that is a regular file, or lies under one, cannot hold the
+    # artifacts: a config error naming the path, and the file is untouched
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"keep me")
+    rc = _run(tmp_path, "validate", {"model": D1_MODEL, "seed": 1}, out=out)
+    err = capsys.readouterr().err
+    assert rc == 2 and f"config error: {tmp_path / out}" in err
+    assert "Traceback" not in err
+    assert afile.read_bytes() == b"keep me"
+
+
 def test_malformed_model_file_names_line_and_column(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text('{"dimension": 1,\n "branching": {mode: 1}}')
