@@ -12,6 +12,8 @@ all-ones-suffix subtree.  The assembled statistic
 
 is a statistical lower bound: a negative value is a valid outcome, and
 every low-confidence ingredient flags the report rather than stopping it.
+Every V and W estimate is a HitSummary of its hits' importance weights,
+fed V path blocks of V_BLOCK_MARKS Z-marks, in the (C0, delta) search too.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .model import ModelSpec
 from .rng import parallel_map, spawn
 from .spectral import (COVER_TEST_POINTS, OperatorAssembler, SphereGrid,
                        build_grid, k_grid)
-from .walks import (StepSampler, effective_sample_size, run_walks,
-                    tilted_batch, vec_norm, weighted_mean)
+from .walks import StepSampler, run_walks, tilted_batch, vec_norm
 
 MIN_NT_HARD = 4
 MIN_NT_RECOMMENDED = 16
@@ -97,10 +98,8 @@ def _indicator_V_batch(lhs: np.ndarray, S_final: np.ndarray,
     """Vectorized V indicator over a batch of paths of length n, given
     lhs = log ||Pi*_k|| + log(|Z_k| v 1) for k < n, shape (R, n)."""
     n = lhs.shape[1]
-    ks = np.arange(n)
-    rhs = math.log(params.C0 * params.t) - (n - ks) * params.delta
-    ok_scale = S_final >= math.log(params.t)
-    return ok_scale & (lhs <= rhs[None, :]).all(axis=1)
+    rhs = math.log(params.C0 * params.t) - np.arange(n, 0, -1) * params.delta
+    return (S_final >= math.log(params.t)) & (lhs <= rhs).all(axis=1)
 
 
 def draw_z_marks(spec: ModelSpec, pool_vectors: np.ndarray, count: int,
@@ -126,19 +125,57 @@ class ProbEstimate:
     cap_rates: Optional[np.ndarray] = None
 
 
-def _summarize(ind: np.ndarray, log_weight: np.ndarray) -> ProbEstimate:
-    """Weighted hit rate with its ESS over the hits.  An estimate under
-    ESS_FLOOR is flagged (no hits gives ESS 0); with no hits it also gets a
-    heuristic one-sided bound of three times the largest weight per rep."""
-    hits = int(ind.sum())
-    est, se = weighted_mean(ind, log_weight)
-    ess = effective_sample_size(log_weight[ind]) if hits else 0.0
-    upper = None
-    if hits == 0:
-        upper = 3.0 * float(np.exp(log_weight.max())) / len(ind)
-    return ProbEstimate(value=float(est), se=float(se), hits=hits,
-                        ess=float(ess), flagged=ess < ESS_FLOOR,
-                        upper_95=upper)
+def _mean_se(s1: float, s2: float, n: int) -> float:
+    """Standard error (ddof 1) of a mean of n values, from s1 = sum, s2 = sum^2."""
+    return math.sqrt(max(s2 - s1 * s1 / n, 0.0) / ((n - 1) * n)) if n > 1 else 0.0
+
+
+class HitSummary:
+    """An importance-sampled hit set, folded in block by block: the path
+    count, the largest log weight M seen, the hit count and, per cap, the
+    sums of w = exp(log weight - M) and w^2 over the hits, rescaled when M
+    rises.  W and each search cell are the one-cap case."""
+
+    def __init__(self, caps: int = 1):
+        self.paths = self.hits = 0
+        self.log_max = -math.inf
+        self.sum_w, self.sum_w2 = np.zeros(caps), np.zeros(caps)
+
+    def add(self, log_weight: np.ndarray, hit: np.ndarray,
+            cap: Optional[np.ndarray] = None) -> "HitSummary":
+        """Fold in a block's log weights, hit flags and (with caps) hits' caps."""
+        self.paths += len(log_weight)
+        top = float(log_weight.max())
+        if top > self.log_max:
+            shrink = math.exp(self.log_max - top)
+            self.sum_w *= shrink
+            self.sum_w2 *= shrink * shrink
+            self.log_max = top
+        w = np.exp(log_weight[hit] - self.log_max)
+        self.hits += len(w)
+        cap = np.zeros(len(w), dtype=np.intp) if cap is None else cap
+        self.sum_w += np.bincount(cap, w, minlength=len(self.sum_w))
+        self.sum_w2 += np.bincount(cap, w * w, minlength=len(self.sum_w))
+        return self
+
+    def estimate(self, masses: Optional[np.ndarray] = None) -> ProbEstimate:
+        """The hit rate with its se and ESS (sum w)^2 / sum w^2, flagged under
+        ESS_FLOOR (no hits: ESS 0 and a heuristic bound of three times the
+        largest weight per path); with the caps' masses, also the per-cap
+        rates, their mass-weighted sum and its se."""
+        n = self.paths
+        scale = math.exp(self.log_max) if self.log_max < 700 else math.inf
+        s1, s2 = float(self.sum_w.sum()), float(self.sum_w2.sum())
+        ess = s1 * s1 / s2 if s2 > 0 else 0.0
+        est = ProbEstimate(value=s1 / n * scale, se=_mean_se(s1, s2, n) * scale,
+                           hits=self.hits, ess=ess, flagged=ess < ESS_FLOOR,
+                           upper_95=3.0 * scale / n if self.hits == 0 else None)
+        if masses is not None:
+            est.cap_rates = self.sum_w / n * scale
+            est.weighted = float(masses @ est.cap_rates)
+            est.weighted_se = scale * _mean_se(float(masses @ self.sum_w),
+                                               float(masses ** 2 @ self.sum_w2), n)
+        return est
 
 
 def _draw_V(spec: ModelSpec, n: int, reps: int, rng: np.random.Generator,
@@ -158,6 +195,26 @@ def _draw_V(spec: ModelSpec, n: int, reps: int, rng: np.random.Generator,
     return batch.S, batch.log_weight, batch.U, lhs
 
 
+def _estimate_V_cells(spec: ModelSpec, n: int, cells: list, reps: int,
+                      rng: np.random.Generator, tilt: float, pool_vectors,
+                      spectral, u, cones: Optional[ConeFamily] = None) -> list:
+    """P(V_{n,t}) for every cell (an EventParams) on the same draws: blocks
+    of V_BLOCK_MARKS // n paths, each one _draw_V call on rng, scored for
+    every cell and folded into its HitSummary (with cones, per cap of U),
+    so at most one block is live.  With reps * n within one block the
+    draws are exactly those of one _draw_V call."""
+    sums = [HitSummary(1 if cones is None else len(cones.masses)) for _ in cells]
+    block = max(1, V_BLOCK_MARKS // max(n, 1))
+    for start in range(0, reps, block):
+        S, log_weight, U, lhs = _draw_V(spec, n, min(block, reps - start),
+                                        rng, tilt, spectral, pool_vectors, u)
+        for params, summary in zip(cells, sums):
+            hit = _indicator_V_batch(lhs, S, params)
+            summary.add(log_weight, hit,
+                        None if cones is None else cones.caps.cell_index(U[hit]))
+    return [s.estimate(None if cones is None else cones.masses) for s in sums]
+
+
 def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
                 rng: np.random.Generator, *, tilt: float,
                 pool_vectors: np.ndarray, spectral=None,
@@ -165,39 +222,12 @@ def estimate_PV(spec: ModelSpec, n: int, params: EventParams, reps: int,
                 cones: Optional[ConeFamily] = None) -> ProbEstimate:
     """P(V_{n,t}) by Monte Carlo at the given tilt (0 is the nominal walk,
     beta the certificate's) with Z-marks from a pool; u defaults to e_1.
-
     With cones, the same draws also give E[1{V} m(U)], each hit weighed by
     the mass of the cap its final direction U lands in: its rate per cap
-    (cap_rates), their sum weighed by the masses (weighted) and that sum's
-    walk standard error (weighted_se).
-
-    The paths come in blocks of at most V_BLOCK_MARKS Z-marks
-    (V_BLOCK_MARKS // n paths), each block one _draw_V call on rng, and a
-    block keeps only each path's hit flag, log weight and cap (17 bytes),
-    so no more than one block's walks and marks are live at once.  With
-    reps * n within one block the draws are exactly those of one _draw_V
-    call."""
-    ind = np.empty(reps, dtype=bool)
-    log_weight = np.empty(reps)
-    cap = np.full(reps, -1)
-    block = max(1, V_BLOCK_MARKS // max(n, 1))
-    for start in range(0, reps, block):
-        stop = min(start + block, reps)
-        S, log_weight[start:stop], U, lhs = _draw_V(
-            spec, n, stop - start, rng, tilt, spectral, pool_vectors, u)
-        hit = ind[start:stop]
-        hit[:] = _indicator_V_batch(lhs, S, params)
-        if cones is not None:
-            cap[start:stop][hit] = cones.caps.cell_index(U[hit])
-    est = _summarize(ind, log_weight)
-    if cones is not None:
-        est.cap_rates = np.array([weighted_mean(cap == j, log_weight)[0]
-                                  for j in range(len(cones.masses))])
-        est.weighted = float(cones.masses @ est.cap_rates)
-        # a path with no hit has cap -1, which reads the appended 0
-        m_U = np.append(cones.masses, 0.0)[cap]
-        est.weighted_se = float(weighted_mean(m_U, log_weight)[1])
-    return est
+    (cap_rates), their mass-weighted sum (weighted) and that sum's walk
+    standard error (weighted_se)."""
+    return _estimate_V_cells(spec, n, [params], reps, rng, tilt, pool_vectors,
+                             spectral, u, cones)[0]
 
 
 def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
@@ -228,7 +258,7 @@ def estimate_PW(spec: ModelSpec, p: int, q: int, m: int, params: EventParams,
         # the shorter path is the meet itself: its exceedance uses the prefix
         ok2 = pre.S > log_t
         logw = pre.log_weight + br1.log_weight
-    return _summarize(ok1 & ok2 & meet_ok, logw)
+    return HitSummary().add(logw, ok1 & ok2 & meet_ok).estimate()
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +292,16 @@ def _cap_geometry(spec: ModelSpec, J: int):
     return caps, math.cos(2 * r) / norm_factor
 
 
-def cone_family(pool_vectors: np.ndarray, J: int, eparams: EventParams,
-                spec: ModelSpec) -> ConeFamily:
-    """Every cap with its exceedance mass m_j: the share of pool members of
-    model norm beyond D / eps whose nearest cap grid point is j.  A member x
-    there and a direction U in the same cap have <U, x> > D, so a V path
-    ending at U gains m(U), the mass of U's cap."""
+def cone_family(pool_vectors: np.ndarray, caps: SphereGrid, eps: float,
+                eparams: EventParams, spec: ModelSpec) -> ConeFamily:
+    """Every cap of _cap_geometry with its exceedance mass m_j: the share of
+    pool members of model norm beyond D / eps whose nearest cap grid point
+    is j.  A member x there and a direction U in the same cap have
+    <U, x> > D, so a V path ending at U gains m(U), the mass of U's cap."""
     pool_vectors = np.atleast_2d(np.asarray(pool_vectors, dtype=float))
     n, d = pool_vectors.shape
     if d != spec.d:
         raise SpecError("pool dimension mismatch")
-    caps, eps = _cap_geometry(spec, J)
     exceed = vec_norm(pool_vectors, spec.norm) > eparams.D / eps
     masses = np.bincount(caps.cell_index(pool_vectors[exceed]),
                          minlength=len(caps)) / n
@@ -296,24 +325,21 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
                         rng: np.random.Generator,
                         pool_vectors: np.ndarray, beta: float,
                         spectral=None, u: Optional[np.ndarray] = None,
-                        reps: int = 20_000, *, J: int) -> EventParams:
+                        reps: int = 20_000, *, eps: float) -> EventParams:
     """Grid search for (C0, delta) maximizing P(V) stability over the window.
 
-    A cell whose cone threshold D / eps lies at or beyond the largest pool
-    norm is skipped: the J-cap cone family, with this eps, would find no
-    mass beyond it, and finds some in every cell that is kept.
+    A cell whose cone threshold D / eps (eps of the caps' geometry) lies at
+    or beyond the largest pool norm is skipped: the cone family would find
+    no mass beyond it, and finds some in every cell that is kept.
     Score: first the number of window levels a cell misses (no hit, or an
     estimate of 0); then, over the levels it hits, the range of
     log P(V_n) - n log k(beta) (the rate-shape residual), tie-breaking
     toward larger mean mass.  A pick that misses levels carries a flag that
     names them.  The window depends on t and rho alone, so every cell is
-    scored on the same draws (common random numbers): one tilted batch and
-    its Z-marks per window level, drawn level by level.  The chosen values
-    travel inside EventParams and are recorded in every report.
+    scored on the same V blocks (common random numbers), level by level.
     """
     cells = [EventParams(t=t, C0=C0, delta=delta, rho=rho)
              for C0 in SEARCH_C0 for delta in SEARCH_DELTA]
-    _, eps = _cap_geometry(spec, J)
     reach = float(vec_norm(pool_vectors, spec.norm).max())
     cells = [c for c in cells if c.D / eps < reach]
     if not cells:
@@ -322,23 +348,19 @@ def choose_event_params(spec: ModelSpec, t: float, rho: float, k_beta: float,
             f"cone threshold D/eps (largest pool norm {reach:.6g}); "
             "lower t or enlarge the pool")
     levels = cells[0].window_levels()
-    draws = [_draw_V(spec, n, reps, rng, beta, spectral, pool_vectors, u)
-             for n in levels]
-    best = None
-    for params in cells:
-        missed, centered = [], []
-        for n, (S, log_weight, _, lhs) in zip(levels, draws):
-            est = _summarize(_indicator_V_batch(lhs, S, params), log_weight)
-            if est.hits == 0 or est.value <= 0:
-                missed.append(n)
-            else:
-                centered.append(math.log(est.value) - n * math.log(k_beta))
-        spread = max(centered) - min(centered) if centered else 0.0
-        mean_level = sum(centered) / len(centered) if centered else 0.0
-        key = (len(missed), spread, -mean_level)
-        if best is None or key < best[0]:
-            best = (key, params, missed)
-    _, params, missed = best
+    by_level = [_estimate_V_cells(spec, n, cells, reps, rng, beta,
+                                  pool_vectors, spectral, u) for n in levels]
+    scores = []    # by levels missed, spread, -mean; ties go to the first cell
+    for i in range(len(cells)):
+        hit = {n: math.log(ests[i].value) - n * math.log(k_beta)
+               for n, ests in zip(levels, by_level)
+               if ests[i].hits and ests[i].value > 0}
+        missed = [n for n in levels if n not in hit]
+        centered = list(hit.values()) or [0.0]
+        scores.append((len(missed), max(centered) - min(centered),
+                       -(sum(centered) / len(centered)), i, missed))
+    *_, i, missed = min(scores)
+    params = cells[i]
     if missed:
         params.flags.append(
             f"search: (C0, delta) = ({params.C0:g}, {params.delta:g}) has no "
@@ -391,11 +413,13 @@ class CertificateReport:
 
 
 def verdict(levels: list, bound: float, bound_se: float, n_flagged: int,
-            sampled_radius: bool = False) -> tuple[str, Optional[str]]:
+            sampled_radius: bool = False,
+            random_n: bool = False) -> tuple[str, Optional[str]]:
     """The certificate's verdict on a bound summed over the levels L_t, and
     the reason when it is not positive.  Positive needs the bound to clear
     VERDICT_Z standard errors, no V or W estimate under the ESS floor
-    (n_flagged counts those) and an exact cap radius (not sampled, d <= 2)."""
+    (n_flagged counts those), an exact cap radius (not sampled, d <= 2)
+    and a fixed N (not random_n, where marks and counts are not exact)."""
     if not levels:
         # no level to sum over: the bound is 0 by construction, not evidence
         return "vacuous", None
@@ -407,6 +431,8 @@ def verdict(levels: list, bound: float, bound_se: float, n_flagged: int,
         reasons.append(f"{n_flagged} V/W estimates below the ESS floor")
     if sampled_radius:
         reasons.append("cap radius sampled, not exact (d >= 3)")
+    if random_n:
+        reasons.append("random N: Z-marks and pair counts not exact")
     if not reasons:
         return "positive", None
     return ("not positive at these parameters",
@@ -442,14 +468,13 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     if not u_len > 0:
         raise SpecError("u must be nonzero")
     unit, t_unit = u / u_len, t / u_len
-    spectral = None
-    if spec.ensemble.atoms() is not None:
-        spectral = k_grid(OperatorAssembler(spec, build_grid(spec), 0, rng),
-                          beta)
+    caps, eps = _cap_geometry(spec, J)
+    spectral = (k_grid(OperatorAssembler(spec, build_grid(spec), 0, rng), beta)
+                if spec.ensemble.atoms() is not None else None)
     if C0 is None or delta is None:
         eparams = choose_event_params(spec, t_unit, rho, k_beta, rng,
                                       pool_vectors, beta, spectral=spectral,
-                                      u=unit, reps=reps_search, J=J)
+                                      u=unit, reps=reps_search, eps=eps)
     else:
         eparams = EventParams(t=t_unit, C0=C0, delta=delta, rho=rho)
     if eparams.n_t < MIN_NT_HARD:
@@ -462,32 +487,31 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
                      "(d >= 3): eps may overstate the cone constant")
     if not levels:
         flags.append(f"L_t empty for C1={C1} in window {eparams.window}")
+    law = spec.branching
+    random_n = law.mode == "random" and len(
+        {k for k, p in zip(law.support, law.probs) if p > 0}) > 1
+    if random_n:
+        flags.append("random N: Z-marks use the law of N, not the size-biased "
+                     "one, and pair counts are powers of E N; both can "
+                     "overstate the bound")
     en = spec.mean_children()
     thin = spec.branching.p_child() ** C1
-    cones = cone_family(pool_vectors, J, eparams, spec)
+    cones = cone_family(pool_vectors, caps, eps, eparams, spec)
     geoms = [(p, q, m)
              for p in levels for q in levels if q <= p
              for m in range(0, (q - 1 if q == p else q) + 1)]
     v_streams = spawn(rng, len(levels))
     w_streams = spawn(rng, len(geoms))
-
-    def v_task(i: int) -> ProbEstimate:
-        return estimate_PV(spec, levels[i], eparams, reps_v, v_streams[i],
-                           tilt=beta, pool_vectors=pool_vectors,
-                           spectral=spectral, u=unit, cones=cones)
-
-    def w_task(i: int) -> ProbEstimate:
-        p, q, m = geoms[i]
-        return estimate_PW(spec, p, q, m, eparams, reps_w, w_streams[i],
-                           tilt=beta, spectral=spectral, u=unit)
-
-    v_results = parallel_map(v_task, len(levels), threads)
-    w_results = parallel_map(w_task, len(geoms), threads)
+    v_results = parallel_map(lambda i: estimate_PV(
+        spec, levels[i], eparams, reps_v, v_streams[i], tilt=beta,
+        pool_vectors=pool_vectors, spectral=spectral, u=unit, cones=cones),
+        len(levels), threads)
+    w_results = parallel_map(lambda i: estimate_PW(
+        spec, *geoms[i], eparams, reps_w, w_streams[i], tilt=beta,
+        spectral=spectral, u=unit), len(geoms), threads)
 
     per_level = []
-    v_sum = 0.0
-    v_var = 0.0
-    walk_var = 0.0
+    v_sum = v_var = walk_var = 0.0
     cap_totals = np.zeros(len(cones.masses))   # sum_l coef_l rate_lj
     for ell, est in zip(levels, v_results):
         coef = en ** (ell - C1) * thin
@@ -502,8 +526,7 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
                           "method": "tilted", "weighted": est.weighted,
                           "weighted_se": est.weighted_se})
     per_geom = []
-    w_sum = 0.0
-    w_var = 0.0
+    w_sum = w_var = 0.0
     for (p, q, m), est in zip(geoms, w_results):
         coef = en ** (p + q - m - 2 * C1)
         w_sum += coef * est.value
@@ -522,7 +545,8 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
     bound = v_term - w_sum
     bound_se = math.sqrt(v_term_var + w_var)
     n_flagged = sum(est.flagged for est in v_results + w_results)
-    outcome, reason = verdict(levels, bound, bound_se, n_flagged, spec.d >= 3)
+    outcome, reason = verdict(levels, bound, bound_se, n_flagged, spec.d >= 3,
+                              random_n)
     if reason is not None:
         flags.append(reason)
     n_t = eparams.n_t

@@ -6,12 +6,12 @@ model's norm and the log scale S_n = log |M_n ... M_1 u0|.  Exponentially
 tilted proposals (the h-transform at tilt s, with the eigenfunction read
 off a grid) come with exact per-step likelihood ratios, so weighted
 averages stay unbiased for nominal expectations no matter how rough the
-eigenfunction interpolation is.
+eigenfunction interpolation is.  A batch returns its paths' log weights;
+certificate.HitSummary turns them into estimates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -271,28 +271,3 @@ def tilted_batch(spec: ModelSpec, u0: Optional[np.ndarray], n: int, s: float,
     """Vectorized paths at tilt s (the estimator workhorse)."""
     return run_walks(spec, u0, n, reps, rng, StepSampler(spec, s, spectral),
                      record_hist)
-
-
-def effective_sample_size(log_weight: np.ndarray) -> float:
-    """(sum w)^2 / sum w^2 computed stably in log space."""
-    lw = np.asarray(log_weight, dtype=float)
-    m = lw.max()
-    w = np.exp(lw - m)
-    return float(w.sum() ** 2 / (w * w).sum())
-
-
-def weighted_mean(values: np.ndarray, log_weight: np.ndarray):
-    """(mean, se) of values * exp(log_weight) / reps, stable in log space."""
-    lw = np.asarray(log_weight, dtype=float)
-    m = lw.max() if len(lw) else 0.0
-    if not np.isfinite(m):
-        m = 0.0
-    # values * exp(lw - m) in one buffer; boolean values are multiplied in
-    # as 0.0 and 1.0 without a float copy
-    x = np.subtract(lw, m)
-    np.exp(x, out=x)
-    x *= np.asarray(values)
-    mean = x.mean()
-    se = x.std(ddof=1) / math.sqrt(len(x)) if len(x) > 1 else 0.0
-    scale = math.exp(m) if m < 700 else math.inf
-    return mean * scale, se * scale

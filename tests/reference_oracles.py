@@ -29,12 +29,11 @@ import numpy as np
 
 import reference_engine as ref
 from smoothtail.branching import FixedPointPool
-from smoothtail.certificate import (EventParams, ProbEstimate,
-                                    _summarize)
+from smoothtail.certificate import EventParams, HitSummary, ProbEstimate
 from smoothtail.errors import AssemblyError, SmoothtailError, SpecError
 from smoothtail.model import FiniteSupport, LognormalScalarMatrix, ModelSpec
 from smoothtail.tails import MIN_EXCEEDANCES
-from smoothtail.walks import StepSampler, run_walks, tilted_batch, weighted_mean
+from smoothtail.walks import StepSampler, run_walks, tilted_batch
 
 NodeId = tuple[int, ...]
 ROOT: NodeId = ()
@@ -287,7 +286,7 @@ def estimate_tail_prob(spec: ModelSpec, n: int, t: float, reps: int,
                        u: Optional[np.ndarray] = None) -> ProbEstimate:
     """P(|Pi*_n u| > t), the one-path scale exceedance alone."""
     batch = tilted_batch(spec, u, n, tilt, spectral, reps, rng)
-    return _summarize(batch.S > math.log(t), batch.log_weight)
+    return HitSummary().add(batch.log_weight, batch.S > math.log(t)).estimate()
 
 
 def build_sparse_subtree(tree, C1: int, eparams: EventParams) -> list:
@@ -395,7 +394,8 @@ def k_by_products(spec: ModelSpec, s: float, n_list, reps: int,
     low_conf = False
     for n in n_list:
         logvals = s * batch.opnorm_log_hist[:, n] + log_weight[n]
-        mean, se = weighted_mean(np.ones(reps), logvals)
+        est = HitSummary().add(logvals, np.ones(reps, dtype=bool)).estimate()
+        mean, se = est.value, est.se
         if not (mean > 0) or not np.isfinite(mean):
             raise AssemblyError(f"empirical moment vanished at n={n}")
         rel = se / mean

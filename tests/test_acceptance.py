@@ -145,8 +145,8 @@ def test_criterion_7_tilted_sampler():
     se_naive = math.sqrt(p_naive * (1 - p_naive) / 200_000)
     tb = walks.tilted_batch(spec, u0, n, 1.0, None, 200_000,
                             substream(1012, "tilt"))
-    p_tilt, se_tilt = walks.weighted_mean((tb.S > log_t).astype(float),
-                                          tb.log_weight)
+    tilted = cert.HitSummary().add(tb.log_weight, tb.S > log_t).estimate()
+    p_tilt, se_tilt = tilted.value, tilted.se
     gap = abs(p_tilt - p_naive) / math.hypot(se_naive, se_tilt)
     zb = walks.tilted_batch(spec, u0, n, 0.0, None, 1000,
                             substream(1013, "zero"))

@@ -21,8 +21,8 @@ from reference_oracles import (build_sparse_subtree, estimate_tail_prob,
 from smoothtail import certificate, walks
 from smoothtail.branching import sample_fixed_point
 from smoothtail.certificate import (ESS_FLOOR, VERDICT_Z, EventParams,
-                                    _draw_V, _indicator_V_batch,
-                                    _summarize, choose_event_params,
+                                    HitSummary, _cap_geometry, _draw_V,
+                                    _indicator_V_batch, choose_event_params,
                                     cone_family, draw_z_marks, estimate_PV,
                                     estimate_PW, lower_bound, verdict)
 from smoothtail.errors import CoverageError, NondegeneracyError, SpecError
@@ -160,28 +160,54 @@ def test_pv_level_stationary(d1_pool):
 # V blocks
 # ---------------------------------------------------------------------------
 
-def _pv_from_draws(draws, params, cones):
-    """The V estimate computed in one batch on the given draws (S, log
-    weight, U, left side), the way estimate_PV computes it on one block."""
-    S, log_weight, U, lhs = draws
-    ind = _indicator_V_batch(lhs, S, params)
-    est = _summarize(ind, log_weight)
-    cap = np.full(len(S), -1)
-    cap[ind] = cones.caps.cell_index(U[ind])
-    est.cap_rates = np.array([walks.weighted_mean(cap == j, log_weight)[0]
-                              for j in range(len(cones.masses))])
-    est.weighted = float(cones.masses @ est.cap_rates)
-    m_U = np.where(ind, cones.masses[cap], 0.0)
-    est.weighted_se = float(walks.weighted_mean(m_U, log_weight)[1])
-    return est
+def _pv_from_draws(blocks, params, cones):
+    """The V estimate on the given blocks of draws (S, log weight, U, left
+    side), each scored and folded into one summary in order."""
+    summary = HitSummary(len(cones.masses))
+    for S, log_weight, U, lhs in blocks:
+        ind = _indicator_V_batch(lhs, S, params)
+        summary.add(log_weight, ind, cones.caps.cell_index(U[ind]))
+    return summary.estimate(cones.masses)
 
 
 def _block_draws(spec, n, reps, rng, tilt, pool, u):
-    """_draw_V one V_BLOCK_MARKS block after another, concatenated."""
+    """_draw_V one V_BLOCK_MARKS block after another."""
     block = certificate.V_BLOCK_MARKS // n
-    parts = [_draw_V(spec, n, min(block, reps - start), rng, tilt, None,
-                     pool, u) for start in range(0, reps, block)]
-    return [np.concatenate(arrays) for arrays in zip(*parts)]
+    return [_draw_V(spec, n, min(block, reps - start), rng, tilt, None,
+                    pool, u) for start in range(0, reps, block)]
+
+
+def _two_pass(log_weight, hit, cap, masses):
+    """The summary by two passes over every path, with numpy's mean and
+    std: value and se, the ESS over the hits, the per-cap rates, their
+    mass-weighted sum and its se (cap is read on the hits only)."""
+    x = np.where(hit, np.exp(log_weight), 0.0)
+    rates = np.array([np.mean(np.where(hit & (cap == j), x, 0.0))
+                      for j in range(len(masses))])
+    root_n = math.sqrt(len(x))
+    return {"hits": int(hit.sum()), "value": np.mean(x),
+            "se": np.std(x, ddof=1) / root_n,
+            "ess": x[hit].sum() ** 2 / (x[hit] ** 2).sum(),
+            "cap_rates": rates, "weighted": masses @ rates,
+            "weighted_se": np.std(np.where(hit, masses[cap], 0.0) * x,
+                                  ddof=1) / root_n}
+
+
+def _two_pass_on_draws(blocks, params, cones):
+    """_two_pass over the V draws of every block at once."""
+    S, log_weight, U, lhs = (np.concatenate(arrays) for arrays in zip(*blocks))
+    hit = _indicator_V_batch(lhs, S, params)
+    cap = np.zeros(len(S), dtype=np.intp)
+    cap[hit] = cones.caps.cell_index(U[hit])
+    return _two_pass(log_weight, hit, cap, cones.masses)
+
+
+def _assert_matches_two_pass(est, want):
+    assert est.hits == want["hits"] > 0
+    for key in ("value", "se", "ess", "weighted", "weighted_se"):
+        assert getattr(est, key) == pytest.approx(want[key], rel=1e-12), key
+    np.testing.assert_allclose(est.cap_rates, want["cap_rates"], rtol=1e-12,
+                               atol=0)
 
 
 def _as_tuple(est):
@@ -198,15 +224,15 @@ def test_pv_within_one_block_is_one_draw_v_batch(d1_pool, reps):
     x = d1_pool.vectors
     p = EventParams(t=float(np.quantile(x[:, 0], 0.999)), C0=10.0,
                     delta=0.1, rho=RHO_D1)
-    cones = cone_family(x, 8, p, spec)
+    cones = cone_family(x, *_cap_geometry(spec, 8), p, spec)
     rng, rng_ref = substream(92, "v"), substream(92, "v")
     est = estimate_PV(spec, 8, p, reps, rng, tilt=BETA_D1, pool_vectors=x,
                       cones=cones)
-    want = _pv_from_draws(_draw_V(spec, 8, reps, rng_ref, BETA_D1, None, x,
-                                  None), p, cones)
+    draws = [_draw_V(spec, 8, reps, rng_ref, BETA_D1, None, x, None)]
     assert est.hits > 0
-    assert _as_tuple(est) == _as_tuple(want)
+    assert _as_tuple(est) == _as_tuple(_pv_from_draws(draws, p, cones))
     assert rng_state(rng) == rng_state(rng_ref)
+    _assert_matches_two_pass(est, _two_pass_on_draws(draws, p, cones))
 
 
 def test_pv_over_several_blocks_is_the_blocks_in_order(d1_pool):
@@ -215,16 +241,17 @@ def test_pv_over_several_blocks_is_the_blocks_in_order(d1_pool):
     x = d1_pool.vectors
     p = EventParams(t=float(np.quantile(x[:, 0], 0.999)), C0=10.0,
                     delta=0.1, rho=RHO_D1)
-    cones = cone_family(x, 8, p, spec)
+    cones = cone_family(x, *_cap_geometry(spec, 8), p, spec)
     reps = 2 * (certificate.V_BLOCK_MARKS // 8) + 5
     rng, rng_ref = substream(93, "v"), substream(93, "v")
     est = estimate_PV(spec, 8, p, reps, rng, tilt=BETA_D1, pool_vectors=x,
                       cones=cones)
-    want = _pv_from_draws(_block_draws(spec, 8, reps, rng_ref, BETA_D1, x,
-                                       None), p, cones)
+    blocks = _block_draws(spec, 8, reps, rng_ref, BETA_D1, x, None)
+    assert len(blocks) == 3
     assert est.hits > 0
-    assert _as_tuple(est) == _as_tuple(want)
+    assert _as_tuple(est) == _as_tuple(_pv_from_draws(blocks, p, cones))
     assert rng_state(rng) == rng_state(rng_ref)
+    _assert_matches_two_pass(est, _two_pass_on_draws(blocks, p, cones))
 
 
 def test_pv_blocks_keep_per_path_directions(monkeypatch):
@@ -236,39 +263,65 @@ def test_pv_blocks_keep_per_path_directions(monkeypatch):
     g = substream(90, "pool")
     pool = g.standard_normal((20_000, 2)) * np.exp(g.standard_normal((20_000, 1)))
     p = EventParams(t=5.0, C0=1.0, delta=0.2, rho=RHO_ROT)
-    cones = cone_family(pool, 8, p, spec)
+    cones = cone_family(pool, *_cap_geometry(spec, 8), p, spec)
     rng, rng_ref = substream(91, "v"), substream(91, "v")
     est = estimate_PV(spec, 3, p, 1000, rng, tilt=BETA_ROT, pool_vectors=pool,
                       cones=cones)
-    draws = _block_draws(spec, 3, 1000, rng_ref, BETA_ROT, pool, None)
-    want = _pv_from_draws(draws, p, cones)
-    assert len(np.unique(draws[2], axis=0)) > 1
+    blocks = _block_draws(spec, 3, 1000, rng_ref, BETA_ROT, pool, None)
+    assert len(np.unique(np.concatenate([U for _, _, U, _ in blocks]),
+                         axis=0)) > 1
     assert (est.cap_rates > 0).sum() > 1
-    assert _as_tuple(est) == _as_tuple(want)
+    assert _as_tuple(est) == _as_tuple(_pv_from_draws(blocks, p, cones))
     assert rng_state(rng) == rng_state(rng_ref)
+    _assert_matches_two_pass(est, _two_pass_on_draws(blocks, p, cones))
 
 
-def test_pv_working_set_is_one_block(d1_pool):
-    # past one block the estimate keeps each path's hit flag, log weight and
-    # cap (17 bytes) and its summary a few float buffers; holding every
-    # path's norm history and marks at once took about 218 bytes a path
-    spec = d1_lognormal_spec()
-    x = d1_pool.vectors
-    p = EventParams(t=float(np.quantile(x[:, 0], 0.999)), C0=10.0,
-                    delta=0.1, rho=RHO_D1)
-    cones = cone_family(x, 8, p, spec)
-    reps = 400_000
+def _traced_peak(call):
+    """call()'s result and the tracemalloc peak above its entry point."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        est = estimate_PV(spec, 8, p, reps, substream(94, "v"), tilt=BETA_D1,
-                          pool_vectors=x, cones=cones)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert est.hits > 0
-    assert peak < 40 * reps + 8 * 2 ** 20
+
+
+def test_pv_working_set_is_one_block(d1_pool):
+    # every block folds into the summary's running sums, so the peak is one
+    # block's draws whatever reps is; keeping a hit flag, log weight and
+    # cap per path grew by about 36 bytes a path
+    spec = d1_lognormal_spec()
+    x = d1_pool.vectors
+    p = EventParams(t=float(np.quantile(x[:, 0], 0.999)), C0=10.0,
+                    delta=0.1, rho=RHO_D1)
+    cones = cone_family(x, *_cap_geometry(spec, 8), p, spec)
+    peaks = []
+    for reps in (100_000, 2_000_000):
+        est, peak = _traced_peak(lambda: estimate_PV(
+            spec, 8, p, reps, substream(94, "v"), tilt=BETA_D1,
+            pool_vectors=x, cones=cones))
+        assert est.hits > 0
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + 2 ** 20
+
+
+def test_search_working_set_is_one_block(d1_pool):
+    # the search scores each block for every cell and keeps only the
+    # cells' sums, so its peak does not grow with reps either
+    spec = d1_lognormal_spec()
+    x = d1_pool.vectors
+    t = float(np.quantile(x[:, 0], 0.999))
+    eps = _cap_geometry(spec, 8)[1]
+    peaks = []
+    for reps in (100_000, 2_000_000):
+        chosen, peak = _traced_peak(lambda: choose_event_params(
+            spec, t, RHO_D1, K_BETA_D1, substream(96, "search"), x, BETA_D1,
+            u=np.array([1.0]), reps=reps, eps=eps))
+        assert reps * min(chosen.window_levels()) > certificate.V_BLOCK_MARKS
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + 2 ** 20
 
 
 def test_lower_bound_over_blocks_is_the_same_at_any_worker_count(
@@ -475,7 +528,7 @@ def test_cone_family_symmetric_d1():
                      q_law=QLaw(kind="deterministic", vector=[1.0]),
                      geom_class="invertible-id")
     ep = EventParams(t=10.0, C0=1.0, delta=0.5, rho=1.0)
-    fam = cone_family(pool, 2, ep, spec)
+    fam = cone_family(pool, *_cap_geometry(spec, 2), ep, spec)
     assert fam.eps == pytest.approx(1.0)
     p_direct = float((np.abs(z) > ep.D).mean()) / 2
     assert fam.kappa == pytest.approx(p_direct, rel=0.2)
@@ -487,7 +540,7 @@ def test_cone_family_symmetric_d1():
 def test_cone_family_class_C_coverage(d1_pool):
     spec = d1_lognormal_spec()
     ep = EventParams(t=20.0, C0=1.0, delta=0.5, rho=RHO_D1)
-    fam = cone_family(d1_pool.vectors, 1, ep, spec)
+    fam = cone_family(d1_pool.vectors, *_cap_geometry(spec, 1), ep, spec)
     assert fam.kappa > 0
     direct = float((d1_pool.vectors[:, 0] > ep.D).mean())
     assert fam.kappa == pytest.approx(direct, rel=1e-9)
@@ -498,13 +551,13 @@ def test_cone_family_degenerate_pool():
     ep = EventParams(t=20.0, C0=10.0, delta=0.1, rho=RHO_D1)
     pool = np.full((1000, 1), 0.5)     # point mass below D
     with pytest.raises(NondegeneracyError):
-        cone_family(pool, 1, ep, spec)
+        cone_family(pool, *_cap_geometry(spec, 1), ep, spec)
 
 
 def test_cone_family_d2(d2_pool_for_cones):
     spec, pool = d2_pool_for_cones
     ep = EventParams(t=5.0, C0=0.5, delta=0.5, rho=0.5)
-    fam = cone_family(pool, 8, ep, spec)
+    fam = cone_family(pool, *_cap_geometry(spec, 8), ep, spec)
     assert fam.kappa > 0
     # every cap is kept: kappa is the smallest mass any of them holds, and
     # eps = cos(2r) / d for the exact covering radius r = pi / 32 of the 8
@@ -551,7 +604,7 @@ def test_cone_family_d3_checks_coverage_on_balanced_sobol_points():
     ep = EventParams(t=100.0, C0=1.0, delta=0.4, rho=0.5)
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message="The balance properties")
-        fam = cone_family(pool, 8, ep, spec)
+        fam = cone_family(pool, *_cap_geometry(spec, 8), ep, spec)
         r = fam.caps.covering_radius()
     assert fam.caps.geometry == "orthant" and len(fam.caps) == 8
     assert fam.kappa > 0 and 0 < r < math.pi / 4
@@ -824,7 +877,7 @@ def test_cone_family_one_sided_pool_keeps_the_empty_cap():
     object.__setattr__(spec, "norm", "l2")
     pool = np.abs(substream(23, "c").standard_normal((50_000, 1))) * 30.0
     ep = EventParams(t=10.0, C0=1.0, delta=0.5, rho=1.0)
-    fam = cone_family(pool, 2, ep, spec)
+    fam = cone_family(pool, *_cap_geometry(spec, 2), ep, spec)
     assert fam.eps == 1.0
     assert fam.masses[0] > 0 and fam.masses[1] == 0.0
     assert fam.kappa == fam.masses[0]
@@ -842,10 +895,29 @@ def test_cone_family_one_sided_pool_keeps_the_empty_cap():
     assert est.weighted > 0
 
 
+@pytest.mark.parametrize("n_blocks", [1, 9])
+def test_summary_matches_a_two_pass_reference(n_blocks):
+    # the summary's running sums against numpy's two passes over the whole
+    # draw; over many blocks the log weights drift up, so the running
+    # maximum rises block after block and the sums are rescaled
+    g = substream(97, "summary")
+    reps, masses = 45_000, np.array([0.0, 3e-4, 1e-3, 2.5e-3])
+    log_weight = 2.0 * g.standard_normal(reps) + np.linspace(0.0, 30.0, reps)
+    hit = g.random(reps) < 0.3
+    cap = g.integers(0, len(masses), reps)
+    blocks = np.array_split(np.arange(reps), n_blocks)
+    assert (np.diff([log_weight[idx].max() for idx in blocks]) > 0).all()
+    summary = HitSummary(len(masses))
+    for idx in blocks:
+        summary.add(log_weight[idx], hit[idx], cap[idx][hit[idx]])
+    _assert_matches_two_pass(summary.estimate(masses),
+                             _two_pass(log_weight, hit, cap, masses))
+
+
 def test_summarize_flags_and_upper_bound():
     # no hits: flagged (ESS 0), with three times the largest weight per rep
     lw = np.log(np.array([0.5, 2.0, 1.0, 4.0]))
-    none = _summarize(np.zeros(4, dtype=bool), lw)
+    none = HitSummary().add(lw, np.zeros(4, dtype=bool)).estimate()
     assert none.hits == 0 and none.ess == 0.0 and none.value == 0.0
     assert none.flagged
     assert none.upper_95 == pytest.approx(3.0 * 4.0 / 4, rel=1e-12)
@@ -854,14 +926,14 @@ def test_summarize_flags_and_upper_bound():
     ind[:200] = True
     lw = np.zeros(1000)
     lw[0] = 20.0
-    skewed = _summarize(ind, lw)
+    skewed = HitSummary().add(lw, ind).estimate()
     assert skewed.hits == 200 and skewed.ess < 2.0
     assert skewed.flagged and skewed.upper_95 is None
     # equal weights: the ESS is the hit count; at the floor it passes
     for hits in (ESS_FLOOR - 1, ESS_FLOOR, 3 * ESS_FLOOR):
         ind = np.zeros(1000, dtype=bool)
         ind[:hits] = True
-        est = _summarize(ind, np.zeros(1000))
+        est = HitSummary().add(np.zeros(1000), ind).estimate()
         assert est.ess == pytest.approx(hits, rel=1e-12)
         assert est.value == pytest.approx(hits / 1000, rel=1e-12)
         assert est.flagged == (hits < ESS_FLOOR)
@@ -915,9 +987,11 @@ def test_lower_bound_hands_the_verdict_its_bound_and_flags(monkeypatch, d1_pool)
               reps_w=2_000)
     seen = []
 
-    def fake_verdict(levels, bound, bound_se, n_flagged, sampled_radius):
+    def fake_verdict(levels, bound, bound_se, n_flagged, sampled_radius,
+                     random_n):
         seen.append((bound, bound_se, n_flagged))
         assert not sampled_radius          # d = 1: the radius is exact
+        assert not random_n                # N = 2 is fixed
         return verdict(levels, 1.0, 0.0, 0)
 
     monkeypatch.setattr(certificate, "verdict", fake_verdict)
@@ -1010,7 +1084,8 @@ def test_search_scores_every_cell_on_one_draw_per_level(monkeypatch, d1_pool):
     monkeypatch.setattr(certificate, "draw_z_marks", counting_marks)
     chosen = choose_event_params(spec, t, RHO_D1, K_BETA_D1,
                                  substream(27, "search"), x, BETA_D1,
-                                 u=np.array([1.0]), reps=reps, J=8)
+                                 u=np.array([1.0]), reps=reps,
+                                 eps=_cap_geometry(spec, 8)[1])
     levels = chosen.window_levels()
     assert len(levels) >= 2
     # exactly one tilted walk batch and one Z-mark array per window level

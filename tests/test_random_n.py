@@ -20,10 +20,12 @@ from smoothtail.model import Branching, LognormalScalarMatrix, ModelSpec, QLaw
 from smoothtail.rng import substream
 
 
-def random_n_lognormal_spec() -> ModelSpec:
+def random_n_lognormal_spec(
+        branching=Branching(mode="random", support=(1, 3), probs=(0.5, 0.5))
+) -> ModelSpec:
     return ModelSpec(
         dimension=1,
-        branching=Branching(mode="random", support=(1, 3), probs=(0.5, 0.5)),
+        branching=branching,
         ensemble=LognormalScalarMatrix(mu=-1.0, sigma2=0.5, matrix=[[1.0]]),
         q_law=QLaw(kind="deterministic", vector=[1.0]),
         geom_class="nonnegative-C")
@@ -81,3 +83,28 @@ def test_random_n_certificate(rn_pool, rn_solution):
     # coefficients must follow the branching mean, not the fixed-N value
     for r in rep.per_level_V:
         assert r["count"] == pytest.approx(2.0 ** (r["level"] - 2))
+
+
+def test_random_n_certificate_is_flagged_and_never_positive(d1_pool):
+    # the Z-marks follow the plain law of N, not the size-biased law of a
+    # node on a path, and the pairs are counted by (E N) powers: under a
+    # random N both can overstate the bound, so the report names them and
+    # the verdict refuses positive; a random law on one value is fixed N
+    x = d1_pool.vectors
+    t = float(np.quantile(x[:, 0], 0.999))
+    laws = {True: Branching(mode="random", support=(1, 3), probs=(0.5, 0.5)),
+            False: Branching(mode="random", support=(1, 2), probs=(0.0, 1.0))}
+    for random_n, law in laws.items():
+        rep = cert.lower_bound(random_n_lognormal_spec(law), np.array([1.0]), t,
+                               RHO_D1, BETA_D1, K_BETA_D1, C1=2, pool_vectors=x,
+                               rng=substream(8805, "lb"), C0=10.0, delta=0.2,
+                               reps_v=2_000, reps_w=500)
+        flagged = [f for f in rep.flags if f.startswith("random N: Z-marks")]
+        assert len(flagged) == random_n
+        reason = [f for f in rep.flags if f.startswith("not positive")]
+        assert rep.verdict != "positive"
+        assert ("random N" in reason[0]) == random_n
+    assert cert.verdict([4], 1.0, 0.01, 0, random_n=True) == (
+        "not positive at these parameters",
+        "not positive: random N: Z-marks and pair counts not exact")
+    assert cert.verdict([4], 1.0, 0.01, 0, random_n=False)[0] == "positive"

@@ -14,9 +14,10 @@ from reference_oracles import RecordedRatios, k_by_products
 from smoothtail.errors import SingularActionError
 from smoothtail.rng import substream
 from smoothtail import walks
+from smoothtail.certificate import HitSummary
 from smoothtail.spectral import build_grid
 from smoothtail.walks import (norms_and_iotas, operator_norms, run_walks,
-                              tilted_batch, weighted_mean)
+                              tilted_batch)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -259,8 +260,8 @@ def test_tilted_vs_naive_probability():
     se_n = math.sqrt(p * (1 - p) / 100_000)
     tb = tilted_batch(spec, np.array([1.0]), n, 1.0, None, 100_000,
                       substream(15, "t"))
-    est, se_t = weighted_mean((tb.S > log_t).astype(float), tb.log_weight)
-    assert abs(est - p) < 3 * math.hypot(se_n, se_t)
+    est = HitSummary().add(tb.log_weight, tb.S > log_t).estimate()
+    assert abs(est.value - p) < 3 * math.hypot(se_n, est.se)
 
 
 def test_tilted_finite_support_exact_ratios():
@@ -364,11 +365,11 @@ def test_tilted_with_eigenfunction_unbiased():
     target = float(np.exp(s * nominal.S).mean())
     se_n = float(np.exp(s * nominal.S).std(ddof=1) / math.sqrt(200_000))
     tb = walks.tilted_batch(spec, u0, n, s, res, 50_000, substream(42, "t"))
-    est, se_t = weighted_mean(np.ones(50_000), s * tb.S + tb.log_weight)
-    assert abs(est - target) < 3 * math.hypot(se_n, se_t)
+    every_path = np.ones(50_000, dtype=bool)
+    est = HitSummary().add(s * tb.S + tb.log_weight, every_path).estimate()
+    assert abs(est.value - target) < 3 * math.hypot(se_n, est.se)
     # the eigenfunction proposal should not be degenerate
-    from smoothtail.walks import effective_sample_size
-    assert effective_sample_size(tb.log_weight) > 10_000
+    assert HitSummary().add(tb.log_weight, every_path).estimate().ess > 10_000
 
 
 def test_d3_rotation_walk_and_grid():
