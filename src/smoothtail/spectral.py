@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import AssemblyError, ConvergenceError, NoRootError, NoSecondRootError, SpecError
-from .model import CLASS_NONNEG, ModelSpec
+from .model import CLASS_NONNEG, ZERO_TOL, ModelSpec, perron_data
 from .walks import UNDERFLOW, apply_batch, vec_norm
 from .walks import run_walks  # noqa: F401  (the benchmark tracer looks it up here)
 
@@ -170,6 +170,39 @@ def build_grid(spec: ModelSpec, size: Optional[int] = None) -> SphereGrid:
 # operator assembly
 # ---------------------------------------------------------------------------
 
+class ExactTriple(NamedTuple):
+    """A direction operator's eigen-triple in closed form, normalized as
+    ``power_iteration`` normalizes its own: sum(nu) = 1 and nu . e = 1."""
+
+    k: float
+    e: np.ndarray
+    nu: np.ndarray
+
+
+def _perron_triple(M: np.ndarray, grid: SphereGrid):
+    """s -> the ExactTriple of f -> |M x|^s f(M . x) for one nonnegative M
+    whose Perron vectors are strictly positive, else None.  With
+    M l = rho l and M^T r = rho r, e_s(x) = <x, r>^s has eigenvalue rho^s,
+    and the point mass at l's direction is the left eigenmeasure, here its
+    interpolation row (Kesten 1973; Buraczewski, Damek, Mentemeier and
+    Mirek 2013)."""
+    rho, l = perron_data(M)
+    r = perron_data(M.T)[1]
+    if not (rho > 0 and (l > ZERO_TOL).all() and (r > ZERO_TOL).all()):
+        return None
+    idx, w = grid.interp_rows(l)
+    nu = np.bincount(idx[0], weights=w[0], minlength=len(grid))
+    nu /= nu.sum()
+    g = grid.points @ r
+    return lambda s: ExactTriple(rho ** s, g ** s / (nu @ g ** s), nu)
+
+
+def _rank_one(law: np.ndarray):
+    """s -> the ExactTriple (1, 1, law) of the operator whose every row is
+    the probability vector law."""
+    return lambda s: ExactTriple(1.0, np.ones(len(law)), law)
+
+
 class OperatorAssembler:
     """Assembles the grid operator at any tilt s from one cached draw set,
     without forming a G x G array.
@@ -177,18 +210,27 @@ class OperatorAssembler:
     Every ensemble is a law of direction factors D scaled by an independent
     scalar W: the operator at tilt s is the exact moment E W^s
     (``log_scalar_moment``, 0 for finite support) times one direction
-    operator, so k(s) is E W^s times one spectral radius.
+    operator, so k(s) is E W^s times one spectral radius.  Where that
+    operator's eigen-triple has a closed form, ``assemble_groups`` returns
+    it as an ``ExactTriple`` and nothing is iterated:
 
-    * K atoms of D (finite support, or a fixed D with K = 1): grid point i
-      holds 2K pairs (p_k |D_k^T x_i|^s w, j), one per atom and
-      interpolation neighbour j of D_k^T . x_i, so a power-iteration step
-      costs O(G 2K) against O(G^2) for a dense matrix.
+    * one fixed D (K = 1) in the nonnegative class with strictly positive
+      Perron vectors: k = rho(D)^s, e_i = <x_i, r>^s with D r = rho r, and
+      nu the interpolation row of the left Perron direction;
     * Haar rotations, the one family that preserves the model norm: the
-      operator is rank one, each row the cell law r of a uniform
-      direction, so k = E W^s, e = 1 and nu = r exactly.  r = 1/G on the
-      evenly spaced circle, where nothing is drawn; at d >= 3 it is the
-      cell mass of every grid point turned by K = min(mc_reps // 8,
-      4e6 // G) drawn rotations.
+      operator is rank one, each row the cell law of a uniform direction,
+      so k = 1, e = 1 and nu = that law.  It is 1/G on the evenly spaced
+      circle, where nothing is drawn; at d >= 3 it is the cell mass of
+      every grid point turned by K = min(mc_reps // 8, 4e6 // G) drawn
+      rotations;
+    * a one-point grid (d = 1, nonnegative class): the 1 x 1 operator
+      sum_k p_k |D_k^T x|^s, with e = nu = 1.
+
+    Every other law (finite support, a D with a zero in a Perron vector, a
+    fixed D in an invertible class) keeps K atoms of D as rows: grid point
+    i holds 2K pairs (p_k |D_k^T x_i|^s w, j), one per atom and
+    interpolation neighbour j of D_k^T . x_i, so a power-iteration step
+    costs O(G 2K) against O(G^2) for a dense matrix.
 
     mc_reps is read for every family; only rotations at d >= 3 draw with
     it.  ``direction_draws`` is the K used, 0 on the circle.  All that does
@@ -203,9 +245,10 @@ class OperatorAssembler:
         ens, G = spec.ensemble, len(grid)
         # // 8: the configs' mc_reps were sized for 8 moment groups
         draws = max(1, min(mc_reps // 8, 4_000_000 // G))
-        self._rows = self._cell_law = None
+        self._rows = self._exact = None     # _exact: s -> ExactTriple
         if ens.preserves_norm(spec.norm) and grid.geometry == "circle":
-            self.direction_draws, self._cell_law = 0, np.full(G, 1.0 / G)
+            self.direction_draws = 0
+            self._exact = _rank_one(np.full(G, 1.0 / G))
             return
         atoms = ens.atoms()
         if atoms is None:
@@ -217,7 +260,7 @@ class OperatorAssembler:
             # every grid point turned by every draw, one point at a time
             counts = sum(np.bincount(grid.cell_index(apply_batch(mats, x)),
                                      minlength=G) for x in grid.points)
-            self._cell_law = counts / counts.sum()
+            self._exact = _rank_one(counts / counts.sum())
             return
         Y = apply_batch(mats[:, None], grid.points[None])   # (K, G, d)
         norms = vec_norm(Y, spec.norm)                      # (K, G)
@@ -225,6 +268,15 @@ class OperatorAssembler:
             raise AssemblyError(
                 "an ensemble atom annihilates part of the sphere grid "
                 "(zero row/column); the operator is not defined there")
+        if G == 1:
+            self._exact = lambda s: ExactTriple(
+                float((weights * norms[:, 0] ** s).sum()), np.ones(1),
+                np.ones(1))
+            return
+        if K == 1 and spec.geom_class == CLASS_NONNEG:
+            self._exact = _perron_triple(mats[0], grid)
+            if self._exact is not None:
+                return
         for j in range(spec.d):      # Y becomes the directions
             Y[..., j] /= norms
         cols, w = grid.interp_rows(Y.reshape(K * G, -1))
@@ -237,13 +289,14 @@ class OperatorAssembler:
 
     def assemble_groups(self, s: float):
         """(moment, op): the exact E W^s and the direction operator at s,
-        shared and read-only: the rows (vals, cols), each (2K, G), or the
-        cell law r that is every row.  The benchmark tracer wraps it by
-        this name."""
-        op = self._cell_law
-        if op is None:
+        either its ``ExactTriple`` or its rows (vals, cols), each (2K, G)
+        and shared read-only.  The benchmark tracer wraps it by this
+        name."""
+        if self._exact is None:
             norms, base, cols = self._rows
             op = (base * norms ** s, cols)
+        else:
+            op = self._exact(s)
         log_moment = self.spec.ensemble.log_scalar_moment(s)
         try:
             return math.exp(log_moment), op
@@ -284,13 +337,10 @@ def _dominant_pair(apply: Callable[[np.ndarray], np.ndarray], G: int):
 
 def _right_pair(op):
     """(k, e, iterations) of the right iteration alone on an operator from
-    ``assemble_groups``; the rank-one operator's k = 1 and e = 1 are exact
-    and take no iteration."""
-    if not isinstance(op, tuple):
-        return 1.0, np.ones(len(op)), 0
+    ``assemble_groups``; an ``ExactTriple`` takes no iteration."""
+    if isinstance(op, ExactTriple):
+        return op.k, op.e, 0
     vals, cols = op
-    if vals.shape[1] == 1:
-        return float(vals.sum()), np.array([1.0]), 1
     if (vals < -1e-14 * max(1.0, np.abs(vals).max())).any():
         raise ConvergenceError("operator has negative entries")
     return _dominant_pair(lambda v: (vals * v[cols]).sum(axis=0),
@@ -300,14 +350,15 @@ def _right_pair(op):
 def power_iteration(op):
     """(k, e, nu, iterations, residual) for a nonnegative grid operator
     from ``assemble_groups``, iterated until successive eigenvalues agree
-    to POWER_TOL relative: P v through the rows, nu P by one bincount.
+    to POWER_TOL relative: P v through the rows, nu P by one bincount.  An
+    ``ExactTriple`` is returned as it is, with 0 iterations and residual 0.
 
     e is the right eigenvector (strictly positive for primitive operators),
     nu the left probability eigenvector, normalized so sum(nu * e) = 1.
     """
     k, e, it_e = _right_pair(op)
-    if it_e < 2:            # no iteration: the rank-one law, or one point
-        return k, e, (e if it_e else op).copy(), it_e, 0.0
+    if not it_e:
+        return k, e, op.nu.copy(), 0, 0.0
     (vals, cols), G = op, len(e)
     k2, nu, it_n = _dominant_pair(
         lambda v: np.bincount(cols.ravel(), weights=(vals * v).ravel(),
@@ -518,10 +569,12 @@ def solve_alpha_beta(spec: ModelSpec, s_max: float, tol: float = 1e-6,
     gs_tol = min(tol, 1e-6) * max(1, s_max); Brent's root finder then
     locates alpha on (0, s*) and beta on (s*, s_max) to within tol.  All m
     evaluations reuse one cached draw set, so the solver sees a smooth
-    deterministic function; each distinct s is assembled and iterated once,
-    on the right only, since m reads k alone.  The last 20 solver steps, as (kind, bracket low, bracket high), are kept in
-    ``bracket_history``.  Raises NoRootError when m(s*) >= 1 and
-    NoSecondRootError when the minimizer sits on the s_max boundary.
+    deterministic function; each distinct s is assembled once and, unless
+    its operator has an exact eigen-triple, iterated once on the right only,
+    since m reads k alone.  The last 20 solver steps, as (kind, bracket low,
+    bracket high), are kept in ``bracket_history``.  Raises NoRootError when
+    m(s*) >= 1 and NoSecondRootError when the minimizer sits on the s_max
+    boundary.
     """
     edge, cap = "s_max", spec.ensemble.finite_moment_s_max
     if cap is not None and cap < s_max:

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
-from conftest import (ALPHA_D1, ALPHA_ROT, BETA_D1, BETA_ROT, K1_D2, RHO_D1,
-                      RHO_ROT, d1_lognormal_spec, d1_quarter_spec,
+from conftest import (ALPHA_D1, ALPHA_ROT, BETA_D1, BETA_ROT, K1_D2, LAMBDA_P,
+                      RHO_D1, RHO_ROT, d1_lognormal_spec, d1_quarter_spec,
                       d2_contracting_matrix_spec, d2_finite_pair_spec,
                       d2_finite_three_spec, d2_lognormal_matrix_spec,
                       d2_rotation_spec, d3_rotation_spec, k_at, rng_state)
 from reference_oracles import k_by_products
 from smoothtail.errors import NoRootError, NoSecondRootError
 from smoothtail.rng import substream
-from smoothtail.spectral import (OperatorAssembler, _brent_min, _brent_root,
-                                 build_grid, k_grid, power_iteration,
-                                 solve_alpha_beta)
+from smoothtail.model import Branching, LognormalScalarMatrix, ModelSpec, QLaw
+from smoothtail.spectral import (ExactTriple, OperatorAssembler, _brent_min,
+                                 _brent_root, build_grid, k_grid,
+                                 power_iteration, solve_alpha_beta)
 from smoothtail.walks import apply_batch
 
 
@@ -54,12 +55,7 @@ def test_grid_interp_recovers_linear_in_angle():
 @pytest.mark.parametrize("geom_class, geometry", [
     ("nonnegative-C", "halfline"), ("invertible-ipo", "pm1")])
 def test_d1_grid_lookups_nearest_neighbour(geom_class, geometry):
-    from smoothtail.model import (Branching, LognormalScalarMatrix,
-                                  ModelSpec, QLaw)
-    spec = ModelSpec(dimension=1, branching=Branching(mode="fixed", n=2),
-                     ensemble=LognormalScalarMatrix(mu=-1.0, sigma2=0.5,
-                                                    matrix=[[1.0]]),
-                     q_law=QLaw(kind="zero"), geom_class=geom_class)
+    spec = _fixed_d_spec([[1.0]], geom_class)
     grid = build_grid(spec)
     assert grid.geometry == geometry
     dirs = np.concatenate([[[1.0], [-1.0], [0.0], [-0.0], [np.nan],
@@ -80,13 +76,26 @@ def test_d1_grid_lookups_nearest_neighbour(geom_class, geometry):
     assert np.array_equal(w, np.column_stack([np.ones(n), np.zeros(n)]))
 
 
-def _geometry_spec(d, geom_class):
-    from smoothtail.model import (Branching, LognormalScalarMatrix,
-                                  ModelSpec, QLaw)
-    return ModelSpec(dimension=d, branching=Branching(mode="fixed", n=2),
-                     ensemble=LognormalScalarMatrix(
-                         mu=-1.0, sigma2=0.5, matrix=np.ones((d, d)) + np.eye(d)),
+def _fixed_d_spec(matrix, geom_class):
+    """W * D for W ~ LogNormal(-1, 0.5) and a fixed D."""
+    return ModelSpec(dimension=len(matrix),
+                     branching=Branching(mode="fixed", n=2),
+                     ensemble=LognormalScalarMatrix(mu=-1.0, sigma2=0.5,
+                                                    matrix=matrix),
                      q_law=QLaw(kind="zero"), geom_class=geom_class)
+
+
+def _geometry_spec(d, geom_class):
+    return _fixed_d_spec(np.ones((d, d)) + np.eye(d), geom_class)
+
+
+def d2_reducible_matrix_spec():
+    # D r = 2 r at r = (1, 0): a zero in the right Perron vector
+    return _fixed_d_spec([[2.0, 1.0], [0.0, 1.0]], "nonnegative-C")
+
+
+def d2_invertible_matrix_spec():
+    return _fixed_d_spec([[1.0, 1.0], [1.0, 2.0]], "invertible-ipo")
 
 
 def _random_directions(n, d, nonneg, seed):
@@ -153,10 +162,7 @@ def test_cell_index_spans_several_chunks():
 # ---------------------------------------------------------------------------
 
 def _dense(op):
-    """The G x G matrix of an operator from assemble_groups: the rows
-    (vals, cols) added up, or the rank-one matrix whose every row is r."""
-    if not isinstance(op, tuple):
-        return np.tile(op, (len(op), 1))
+    """The G x G matrix of an operator's rows (vals, cols), added up."""
     vals, cols = op
     G = vals.shape[1]
     out = np.zeros((G, G))
@@ -184,14 +190,15 @@ def test_operator_rows_stochastic_at_zero_tilt():
 
 
 def test_operator_d1_scalar_moment():
-    # G = 1 and |W x| = W: the direction operator is [[1]], so k(s) is the
-    # closed-form E W^s = exp(-s + s^2/4) itself
+    # G = 1 and |W x| = W: the direction operator is [[1]], an exact
+    # triple, so k(s) is the closed-form E W^s = exp(-s + s^2/4) itself
     spec = d1_lognormal_spec()
     assembler = OperatorAssembler(spec, build_grid(spec), 400_000,
                                   substream(3, "o"))
     for s in (0.0, 1.0, ALPHA_D1, 2.0, BETA_D1, 5.5):
         moment, op = assembler.assemble_groups(s)
-        assert np.array_equal(_dense(op), [[1.0]])
+        assert isinstance(op, ExactTriple)
+        assert op.k == 1.0 and op.e.tolist() == op.nu.tolist() == [1.0]
         exact = math.exp(spec.ensemble.log_scalar_moment(s))
         assert exact == pytest.approx(math.exp(-s + 0.25 * s * s), rel=1e-14)
         assert moment == exact
@@ -200,15 +207,17 @@ def test_operator_d1_scalar_moment():
 
 def test_operator_rotation_row_sums():
     # every row of the rank-one operator is the cell law r, a probability
-    # vector, so k(s) is the exact E c^s, e = 1 and nu = r (1/G on the
-    # circle) with no iteration
+    # vector, so its exact triple is k = 1, e = 1 and nu = r (1/G on the
+    # circle), and k(s) is the exact E c^s with no iteration
     for make_spec, G in ((d2_rotation_spec, 64), (d3_rotation_spec, 64),
                          (d2_rotation_spec, 7)):
         spec = make_spec()
         assembler = OperatorAssembler(spec, build_grid(spec, size=G), 20_000,
                                       substream(4, "o"))
         for s in (0.0, 1.0, 7.2):
-            moment, r = assembler.assemble_groups(s)
+            moment, op = assembler.assemble_groups(s)
+            assert isinstance(op, ExactTriple) and op.k == 1.0
+            r = op.nu
             assert r.shape == (G,) and r.min() >= 0
             assert r.sum() == pytest.approx(1.0, abs=1e-14)
             res = k_grid(assembler, s)
@@ -256,38 +265,42 @@ def test_rotation_operator_matches_cached_rows(make_spec):
 
 @pytest.mark.parametrize("make_spec, s, mc_reps", [
     (d1_lognormal_spec, BETA_D1, 400_000),
-    (d2_lognormal_matrix_spec, 1.0, 50_000),
+    (d2_reducible_matrix_spec, 1.0, 50_000),
     (d2_rotation_spec, 4.0, 15_000),
     (d2_finite_pair_spec, 1.5, 0),
-], ids=["d1-lognormal", "W*P", "c*R", "finite-support"])
+], ids=["d1-lognormal", "reducible-W*P", "c*R", "finite-support"])
 def test_factored_k_matches_per_group_power_iterations(make_spec, s, mc_reps):
     # the operator is E W^s * op, so one power iteration of op gives k; the
     # reference iterates on the whole operator, scattered from cached rows.
-    # The rank-one rotation operator needs no iteration.
+    # The one-point d = 1 operator and the rank-one rotation operator are
+    # exact triples and need no iteration.
     spec = make_spec()
     grid = build_grid(spec, size=64)
     res = k_grid(OperatorAssembler(spec, grid, mc_reps, substream(31, "f")), s)
     want = ref.k_grid(spec, s, grid=grid, mc_reps=mc_reps,
                       rng=substream(31, "f"))
     assert res.k == pytest.approx(want.k, rel=1e-9)
-    assert res.iterations == (0 if make_spec is d2_rotation_spec
-                              else want.iterations)
+    assert res.iterations == (
+        0 if make_spec in (d1_lognormal_spec, d2_rotation_spec)
+        else want.iterations)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.5, 4.0])
 @pytest.mark.parametrize("make_spec", [
-    d2_lognormal_matrix_spec, d2_contracting_matrix_spec,
+    d2_reducible_matrix_spec, d2_invertible_matrix_spec,
     d2_finite_pair_spec, d2_finite_three_spec],
-    ids=["W*P", "contracting-W*P", "finite-pair", "three-atom"])
+    ids=["reducible-W*P", "invertible-W*P", "finite-pair", "three-atom"])
 def test_row_form_matches_dense_reference(make_spec, s):
     # the row form and the dense BLAS iteration differ only in the order of
-    # the additions: k, e and nu agree to rounding, in as many steps
+    # the additions: k, e and nu agree to rounding, in as many steps.  A
+    # fixed D whose right Perron vector has a zero, or one in an invertible
+    # class, stays on the rows like finite support
     spec = make_spec()
     grid = build_grid(spec)
     res = k_grid(OperatorAssembler(spec, grid, 50_000, substream(32, "f")), s)
     want = ref.k_grid(spec, s, grid=grid, mc_reps=50_000,
                       rng=substream(32, "f"))
-    assert res.iterations == want.iterations
+    assert res.iterations == want.iterations > 0
     assert res.k == pytest.approx(want.k, rel=1e-13)
     for got, exp in ((res.e, want.e), (res.nu, want.nu)):
         assert np.abs(got - exp).max() <= 1e-13 * np.abs(exp).max()
@@ -345,23 +358,61 @@ def test_power_iteration_identity():
 
 
 def test_power_iteration_rank_one():
+    # the rows iterate to the eigen-triple (2, 1, p); that triple in its
+    # exact form is returned as it is, with no iteration and residual 0
     p = np.array([0.1, 0.2, 0.3, 0.4])
-    op = 2.0 * np.outer(np.ones(4), p)
-    for form in (_rows_of(op), p):
-        k, e, nu, _, _ = power_iteration(form)
-        assert k == pytest.approx(2.0 if form is not p else 1.0)
-        assert np.allclose(nu, p)
-        assert np.allclose(e, e[0])
+    k, e, nu, it, _ = power_iteration(_rows_of(2.0 * np.outer(np.ones(4), p)))
+    assert k == pytest.approx(2.0) and it > 0
+    assert np.allclose(nu, p)
+    assert np.allclose(e, e[0])
+    k, e, nu, it, res = power_iteration(ExactTriple(2.0, np.ones(4), p))
+    assert (k, it, res) == (2.0, 0, 0.0)
+    assert np.array_equal(e, np.ones(4)) and np.array_equal(nu, p)
 
 
 def test_k_grid_matches_closed_form_d2():
     spec = d2_lognormal_matrix_spec()
     res = k_at(spec, 1.0, 100_000, substream(5, "k"))
-    assert res.k == pytest.approx(K1_D2, rel=0.02)
+    assert res.k == pytest.approx(K1_D2, rel=1e-12)
     assert res.e.min() > 0
     assert res.nu.sum() == pytest.approx(1.0)
     assert float(res.nu @ res.e) == pytest.approx(1.0, abs=1e-8)
     assert res.residual <= 1e-8
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 3.1, 6.0])
+@pytest.mark.parametrize("make_spec", [d2_lognormal_matrix_spec,
+                                       d2_contracting_matrix_spec],
+                         ids=["W*P", "contracting-W*P"])
+def test_fixed_matrix_triple_is_the_perron_closed_form(make_spec, s):
+    # P = [[1, 1], [1, 2]] is symmetric with P r = LAMBDA_P r at
+    # r = (1, phi): k = E W^s LAMBDA_P^s, e_i = <x_i, r>^s up to scale, and
+    # nu the interpolation row of r's direction.  The dense 256-point
+    # iteration converges to them within the grid's error.
+    spec = make_spec()
+    grid = build_grid(spec)
+    res = k_grid(OperatorAssembler(spec, grid, 50_000, substream(34, "x")), s)
+    assert res.iterations == 0 and res.residual == 0.0
+    moment = math.exp(spec.ensemble.log_scalar_moment(s))
+    assert res.k == pytest.approx(moment * LAMBDA_P ** s, rel=1e-14)
+    r = np.array([1.0, (1.0 + math.sqrt(5.0)) / 2.0])
+    e_exact = (grid.points @ r) ** s
+    np.testing.assert_allclose(res.e / e_exact, res.e[0] / e_exact[0],
+                               rtol=1e-12)
+    assert res.nu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert float(res.nu @ res.e) == pytest.approx(1.0, abs=1e-12)
+    # all of nu's mass on the two grid points whose angles bracket r's
+    angles = np.arctan2(grid.points[:, 1], grid.points[:, 0])
+    j = int(np.searchsorted(angles, math.atan2(r[1], r[0])))
+    assert set(np.flatnonzero(res.nu)) <= {j - 1, j}
+    assert res.nu[j - 1] + res.nu[j] == pytest.approx(1.0, abs=1e-12)
+
+    want = ref.k_grid(spec, s, grid=grid, mc_reps=50_000,
+                      rng=substream(34, "x"))
+    assert want.iterations > 0
+    assert abs(want.k / res.k - 1.0) <= 2e-5
+    ratio = want.e / e_exact
+    assert np.ptp(ratio) <= 1e-4 * ratio.mean()
 
 
 def test_k_zero_is_one_on_all_families():
@@ -372,7 +423,8 @@ def test_k_zero_is_one_on_all_families():
 
 
 def test_grid_resolution_stability():
-    spec = d2_lognormal_matrix_spec()
+    # three atoms stay on the rows, whose k moves with the grid
+    spec = d2_finite_three_spec()
     k1 = k_at(spec, 1.0, 50_000, substream(7, "k"),
               grid=build_grid(spec, 128)).k
     k2 = k_at(spec, 1.0, 50_000, substream(7, "k"),
@@ -495,8 +547,9 @@ def test_solve_alpha_beta_rotation_oracle():
 def test_solver_runs_one_right_iteration_per_s(monkeypatch):
     # m(s) reads only k: each distinct s is assembled once and iterated
     # once, on the right, and never through the two-sided power_iteration
+    # (three atoms: finite support stays on the rows)
     from smoothtail import spectral
-    spec = d2_contracting_matrix_spec()
+    spec = d2_finite_three_spec()
     assembled, iterated = [], []
     assemble, dominant = OperatorAssembler.assemble_groups, spectral._dominant_pair
 
@@ -527,17 +580,36 @@ def test_solver_runs_one_right_iteration_per_s(monkeypatch):
     assert res.residual < 1e-9
 
 
+def test_fixed_matrix_solver_iterates_nothing(monkeypatch):
+    # k(s) = E W^s rho(P)^s in closed form: no s of the W * P solve reaches
+    # the power iteration, and beta is the oracle's to the root finder's tol
+    from smoothtail import spectral
+    iterated = []
+    dominant = spectral._dominant_pair
+
+    def counted_dominant(apply, G):
+        iterated.append(G)
+        return dominant(apply, G)
+
+    monkeypatch.setattr(spectral, "_dominant_pair", counted_dominant)
+    sol = solve_alpha_beta(d2_contracting_matrix_spec(), s_max=6.0, tol=1e-7,
+                           rng=substream(35, "s"), mc_reps=400_000)
+    assert iterated == []
+    assert abs(sol.beta - BETA_D1) <= 1e-9 and abs(sol.alpha - ALPHA_D1) <= 1e-9
+
+
 @pytest.mark.parametrize("seed", [6101, 7207, 8311])
 @pytest.mark.parametrize("make_spec, grid_size, mc_reps, s_max, beta, bound", [
     (d1_lognormal_spec, None, 1_000_000, 6.0, BETA_D1, 1e-9),
     (d2_rotation_spec, 64, 15_000, 12.0, BETA_ROT, 1e-6),
-    (d2_contracting_matrix_spec, 256, 400_000, 6.0, BETA_D1, 1e-5),
+    (d2_contracting_matrix_spec, 256, 400_000, 6.0, BETA_D1, 1e-9),
 ], ids=["d1", "c*R", "W*P"])
 def test_beta_meets_its_oracle(make_spec, grid_size, mc_reps, s_max, beta,
                                bound, seed):
-    # the benchmark workloads' solve_index settings.  E W^s is exact, so
-    # the error left is the root finder's (d=1, and c*R, whose rows sum to
-    # 1) and the 256-point grid's (W*P)
+    # the benchmark workloads' solve_index settings.  E W^s is exact, and so
+    # is the direction operator's k (the one-point d=1 grid, c*R's rank-one
+    # law and W*P's Perron closed form), so the error left is the root
+    # finder's
     spec = make_spec()
     sol = solve_alpha_beta(spec, s_max=s_max, tol=1e-7,
                            rng=substream(seed, "solve-index"),
