@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -77,11 +79,14 @@ def write_json(path: Path, payload: dict, fp: str) -> None:
     _write_new(path, (text + "\n").encode())
 
 
-def _read_bytes(path: Path) -> bytes:
-    """The file's bytes; a file that cannot be read (missing, a directory,
-    no permission) is a config error naming the path."""
+@contextmanager
+def _reading(path: Path):
+    """The file opened for binary reading; a file that cannot be opened or
+    read (missing, a directory, no permission) is a config error naming the
+    path."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            yield fh
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
@@ -90,7 +95,8 @@ def read_json(path: Path):
     """The JSON document in a UTF-8 file; an unreadable file, one that is not
     UTF-8 or not JSON is a config error naming the path (and for bad JSON
     its line and column)."""
-    raw = _read_bytes(path)
+    with _reading(path) as fh:
+        raw = fh.read()
     try:
         return json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -136,24 +142,38 @@ def write_pool(path: Path, pool: FixedPointPool, fp: str) -> None:
 
 
 def read_pool(path: Path) -> FixedPointPool:
-    raw = _read_bytes(path)
-    if len(raw) < _HEADER.size or raw[:8] != POOL_MAGIC:
-        raise ConfigError(f"{path}: not a pool file")
-    (magic, fmt, d, count, gen, conv, degen, _pad, _fp,
-     _ver) = _HEADER.unpack_from(raw)
-    if fmt != 1:
-        raise ConfigError(f"{path}: pool format {fmt}; this version reads "
-                          "format 1")
-    payload = len(raw) - _HEADER.size
+    """The pool in a pool file, read straight into the array it returns.
+
+    The header and the file size are checked before the (count, d) array is
+    allocated, so a header that declares more rows than the file holds
+    allocates nothing.  A file that cannot be read, is not a pool file, is
+    of another format, or whose payload is not the declared count * d
+    float64 values is a config error naming the path."""
+    with _reading(path) as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size or head[:8] != POOL_MAGIC:
+            raise ConfigError(f"{path}: not a pool file")
+        (_magic, fmt, d, count, gen, conv, degen, _pad, _fp,
+         _ver) = _HEADER.unpack(head)
+        if fmt != 1:
+            raise ConfigError(f"{path}: pool format {fmt}; this version "
+                              "reads format 1")
+        _check_payload(path, os.fstat(fh.fileno()).st_size - _HEADER.size,
+                       count, d)
+        data = np.empty((count, d), dtype="<f8")
+        # a short read: the file shrank after the size check
+        _check_payload(path, fh.readinto(data.reshape(-1).view(np.uint8)),
+                       count, d)
+    return FixedPointPool(vectors=data, generation=gen,
+                          converged=bool(conv), degenerate=bool(degen))
+
+
+def _check_payload(path: Path, payload: int, count: int, d: int) -> None:
     if payload != count * d * 8:
         raise ConfigError(
             f"{path}: pool payload is {payload} bytes, the header declares "
             f"{count} x {d} float64 values ({count * d * 8} bytes); "
             "the file is truncated or corrupt")
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size,
-                         count=count * d).reshape(count, d)
-    return FixedPointPool(vectors=data.copy(), generation=gen,
-                          converged=bool(conv), degenerate=bool(degen))
 
 
 def write_pool_csv(path: Path, pool: FixedPointPool, fp: str) -> None:

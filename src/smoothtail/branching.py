@@ -47,11 +47,13 @@ class FixedPointPool:
 
 def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
                   rng: np.random.Generator, skip: int = 0,
-                  norm: Optional[str] = None) -> np.ndarray:
+                  norm: Optional[str] = None,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """size draws of sum_{skip < i <= N} A_i X_i + Q, (size, d), from fresh
     innovations (N, (A_i), Q) with the X_i resampled uniformly with
     replacement from pool; with norm ("l1" or "l2"), the norm of each draw,
-    (size,).
+    (size,).  The draws are written into out where it is given, an array
+    of that shape which must not overlap pool.
 
     skip = 0 is one population-dynamics step; skip = 1 leaves out the first
     child, which gives the side sums Z of the path decomposition.  Draw
@@ -82,7 +84,8 @@ def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
         if len(dirs) > 1:
             dirs = dirs.reshape(size, slots, d, d)
     q_idx = spec.q_law.atom_indices(rng, size)
-    out = np.empty((size, d) if norm is None else size)
+    if out is None:
+        out = np.empty((size, d) if norm is None else size)
     for a in range(0, size, BLOCK_ROWS):
         b = min(a + BLOCK_ROWS, size)
         blk = spec.q_law.values(None if q_idx is None else q_idx[a:b], b - a, d)
@@ -122,13 +125,15 @@ def _add_children(out: np.ndarray, pool: np.ndarray, w: np.ndarray,
 
 
 def population_iterate(spec: ModelSpec, pool: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
+                       rng: np.random.Generator,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
     """One generation: each output is sum_i A_i X_i + Q with X_i resampled
-    uniformly with replacement from the input pool."""
+    uniformly with replacement from the input pool, written into out (an
+    array of the pool's shape apart from it) where it is given."""
     pool = np.atleast_2d(np.asarray(pool, dtype=float))
     if pool.shape[0] == 0:
         raise SpecError("pool must be nonempty")
-    out = resampled_sum(spec, pool, pool.shape[0], rng)
+    out = resampled_sum(spec, pool, pool.shape[0], rng, out=out)
     if not np.isfinite(out).all():
         # one retry per flagged sample, then give up
         redo = np.flatnonzero(~np.isfinite(out).all(axis=1))
@@ -160,29 +165,34 @@ def _pool_stats(pool: np.ndarray):
 
 
 def sample_fixed_point(spec: ModelSpec, generations: int, pool_size: int,
-                       x0: np.ndarray,
-                       rng: np.random.Generator) -> FixedPointPool:
+                       x0: np.ndarray, rng: np.random.Generator,
+                       out: Optional[np.ndarray] = None) -> FixedPointPool:
     """Iterate population dynamics from the point mass at x0.
 
     Convergence is declared when the relative decile drift between
     successive generations stays below DRIFT_TOL for 3 generations in a
-    row; a pool that collapses to a point is flagged degenerate.
+    row; a pool that collapses to a point is flagged degenerate.  The last
+    generation is written into out, a (pool_size, d) array (a new one
+    where it is not given), and the pool's vectors are out itself.
     """
     if generations < 1:
         raise SpecError("need generations >= 1")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (spec.d,):
         raise SpecError(f"x0 must have shape ({spec.d},)")
+    if out is None:
+        out = np.empty((pool_size, spec.d))
     if spec.q_law.is_zero() and not x0.any():
-        pool = np.zeros((pool_size, spec.d))
-        return FixedPointPool(vectors=pool, generation=0, degenerate=True)
+        out[...] = 0.0
+        return FixedPointPool(vectors=out, generation=0, degenerate=True)
     pool = np.broadcast_to(x0, (pool_size, spec.d)).copy()
     history = []
     prev_dec = None
     calm = 0
     converged = False
     for g in range(1, generations + 1):
-        pool = population_iterate(spec, pool, rng)
+        pool = population_iterate(spec, pool, rng,
+                                  out=out if g == generations else None)
         mean, dec = _pool_stats(pool)
         history.append((g, mean, dec.tolist()))
         if prev_dec is not None:
@@ -208,22 +218,26 @@ def sample_fixed_point_replicated(spec: ModelSpec, generations: int,
     Resampling with replacement correlates members within one pool, so
     between-replicate spread is the only defensible error bar.  Replicate r
     draws only from rngs[r]; the replicates fan out over ``threads`` workers
-    and merge in index order, so the pool does not depend on the worker count.
+    and write their last generations into their own row blocks of one
+    (pool_size, d) array, so the pool does not depend on the worker count
+    and no replicate is copied.
     """
     n_rep = len(rngs)
     if not 1 <= n_rep <= pool_size:
         raise SpecError("need 1 <= replicates <= pool_size")
     per = pool_size // n_rep
-    sizes = [per] * (n_rep - 1) + [pool_size - per * (n_rep - 1)]
+    bounds = [per * r for r in range(n_rep)] + [pool_size]
+    vectors = np.empty((pool_size, spec.d))
 
     def task(r: int) -> FixedPointPool:
-        return sample_fixed_point(spec, generations, sizes[r], x0, rngs[r])
+        a, b = bounds[r], bounds[r + 1]
+        return sample_fixed_point(spec, generations, b - a, x0, rngs[r],
+                                  out=vectors[a:b])
 
     # looked up on the rng module at call time, so a wrapper installed there
     # (perfbench's tracer) also sees this fan-out
     parts = rng_module.parallel_map(task, n_rep, threads)
-    bounds = [per * r for r in range(n_rep)] + [pool_size]
-    return FixedPointPool(vectors=np.vstack([p.vectors for p in parts]),
+    return FixedPointPool(vectors=vectors,
                           generation=generations,
                           converged=all(p.converged for p in parts),
                           degenerate=any(p.degenerate for p in parts),

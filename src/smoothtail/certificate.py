@@ -502,13 +502,21 @@ def lower_bound(spec: ModelSpec, u: np.ndarray, t: float, rho: float,
              for m in range(0, (q - 1 if q == p else q) + 1)]
     v_streams = spawn(rng, len(levels))
     w_streams = spawn(rng, len(geoms))
-    v_results = parallel_map(lambda i: estimate_PV(
-        spec, levels[i], eparams, reps_v, v_streams[i], tilt=beta,
-        pool_vectors=pool_vectors, spectral=spectral, u=unit, cones=cones),
-        len(levels), threads)
-    w_results = parallel_map(lambda i: estimate_PW(
-        spec, *geoms[i], eparams, reps_w, w_streams[i], tilt=beta,
-        spectral=spectral, u=unit), len(geoms), threads)
+    n_v = len(levels)
+
+    def estimate(i: int):
+        # the V levels first, then the W geometries, in one fan-out: no
+        # worker waits for the V estimates to finish before a W starts
+        if i < n_v:
+            return estimate_PV(spec, levels[i], eparams, reps_v, v_streams[i],
+                               tilt=beta, pool_vectors=pool_vectors,
+                               spectral=spectral, u=unit, cones=cones)
+        return estimate_PW(spec, *geoms[i - n_v], eparams, reps_w,
+                           w_streams[i - n_v], tilt=beta, spectral=spectral,
+                           u=unit)
+
+    results = parallel_map(estimate, n_v + len(geoms), threads)
+    v_results, w_results = results[:n_v], results[n_v:]
 
     per_level = []
     v_sum = v_var = walk_var = 0.0

@@ -10,7 +10,7 @@ oracle-checkable spectral behavior.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -518,13 +518,12 @@ def find_positive_product(spec: ModelSpec, budget: int,
     return None
 
 
-def _rational_margin(r: float) -> float:
-    """min over q <= RATIONAL_QMAX of q^2 |r - p/q| (irrationality margin)."""
-    best = math.inf
-    for q in range(1, RATIONAL_QMAX + 1):
-        p = round(r * q)
-        best = min(best, q * q * abs(r - p / q))
-    return best
+def _rational_margins(r: np.ndarray) -> np.ndarray:
+    """Per entry of r, min over q <= RATIONAL_QMAX of q^2 |r - p/q| with p
+    the nearest integer to r q, ties to even (irrationality margins)."""
+    q = np.arange(1, RATIONAL_QMAX + 1)
+    r = r[:, None]
+    return (q * q * np.abs(r - np.rint(r * q) / q)).min(axis=1)
 
 
 def heuristic_nonarithmetic(spec: ModelSpec, budget: int,
@@ -554,18 +553,16 @@ def heuristic_nonarithmetic(spec: ModelSpec, budget: int,
             logs.append(math.log(lam) + log_scale)
     if len(logs) < 2:
         return {"verdict": "inapplicable", "pairs": []}
-    pairs = []
-    passed = False
-    for i in range(len(logs)):
-        for j in range(i + 1, len(logs)):
-            if logs[j] == 0.0:
-                continue
-            r = logs[i] / logs[j]
-            margin = _rational_margin(abs(r))
-            pairs.append({"log_a": logs[i], "log_b": logs[j],
-                          "ratio": r, "margin": margin})
-            if margin >= 1e-3:
-                passed = True
+    logs = np.asarray(logs)
+    i, j = np.triu_indices(len(logs), 1)        # the pairs i < j in order
+    keep = logs[j] != 0.0
+    log_a, log_b = logs[i[keep]], logs[j[keep]]
+    ratios = log_a / log_b
+    margins = _rational_margins(np.abs(ratios))
+    pairs = [{"log_a": a, "log_b": b, "ratio": r, "margin": m}
+             for a, b, r, m in zip(log_a.tolist(), log_b.tolist(),
+                                   ratios.tolist(), margins.tolist())]
+    passed = bool((margins >= 1e-3).any())
     verdict = "heuristic-pass" if passed else "inconclusive"
     return {"verdict": verdict, "pairs": pairs}
 
@@ -596,7 +593,17 @@ class ValidationReport:
         return any(c.verdict == "fail" for c in self.conditions.values())
 
     def to_jsonable(self) -> dict:
-        return asdict(self)
+        # the fields as they are, the verdicts one level down: no deep copy
+        return {
+            "conditions": {name: {"verdict": c.verdict, "evidence": c.evidence}
+                           for name, c in self.conditions.items()},
+            "positive_product_witness": self.positive_product_witness,
+            "positive_product_word_length": self.positive_product_word_length,
+            "proximality_witness": self.proximality_witness,
+            "nonarithmetic_pairs": self.nonarithmetic_pairs,
+            "moments": self.moments,
+            "notes": self.notes,
+        }
 
 
 def _prefix_products(mats: np.ndarray) -> np.ndarray:

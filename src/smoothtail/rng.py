@@ -39,9 +39,35 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
 
 def parallel_map(fn, n_tasks: int, threads: int) -> list:
     """Index-ordered map over range(n_tasks); results are identical for any
-    worker count as long as each task only uses its own pre-derived stream."""
-    if threads <= 1 or n_tasks <= 1:
+    worker count as long as each task only uses its own pre-derived stream.
+
+    The calling thread works beside threads - 1 helper threads, task 0
+    first; each worker takes the next free index when it is done.  What
+    the caller's tasks allocate stays in the main thread's heap, so
+    repeated fan-outs leave fewer per-thread heaps holding freed memory.
+    """
+    workers = min(threads, n_tasks)
+    if workers <= 1:
         return [fn(i) for i in range(n_tasks)]
+    import threading
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_tasks)))
+    results = [None] * n_tasks
+    indices = iter(range(n_tasks))
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return next(indices, None)
+
+    def work(i):
+        while i is not None:
+            results[i] = fn(i)
+            i = take()
+
+    first = take()
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(work, take()) for _ in range(workers - 1)]
+        work(first)
+        for helper in helpers:
+            helper.result()
+    return results

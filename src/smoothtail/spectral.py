@@ -312,7 +312,10 @@ class OperatorAssembler:
 
 def _dominant_pair(apply: Callable[[np.ndarray], np.ndarray], G: int):
     """(lam, v, iterations): v <- apply(v) / sum from the uniform vector,
-    until successive eigenvalue iterates agree to POWER_TOL relative."""
+    until successive eigenvalue iterates agree to POWER_TOL relative and
+    successive vectors, each summing to 1, to POWER_TOL in l1.  The vector
+    test matters where the eigenvalue settles first: on stochastic rows
+    (s = 0) every iterate is 1 while the vector still moves."""
     v = np.full(G, 1.0 / G)
     lam_prev = None
     lam_hist = []
@@ -322,9 +325,12 @@ def _dominant_pair(apply: Callable[[np.ndarray], np.ndarray], G: int):
         lam = float(total / v.sum())
         if lam <= 0 or not np.isfinite(lam):
             raise ConvergenceError(f"nonpositive eigenvalue iterate {lam}")
-        v = w / total
+        w /= total
+        step = float(np.abs(w - v).sum())
+        v = w
         lam_hist.append(lam)
-        if lam_prev is not None and abs(lam - lam_prev) <= POWER_TOL * abs(lam):
+        if (lam_prev is not None and step <= POWER_TOL
+                and abs(lam - lam_prev) <= POWER_TOL * abs(lam)):
             return lam, v, it
         if (it > 20 and len(lam_hist) > 4
                 and abs(lam - lam_hist[-3]) <= 1e-3 * POWER_TOL * abs(lam)

@@ -51,23 +51,24 @@ def _top_counts(rng: np.random.Generator, n: int, lo: int) -> np.ndarray:
     return np.bincount(rng.integers(0, n - lo, m), minlength=n - lo)
 
 
-def _resampled_hill(logs: np.ndarray, rng: np.random.Generator, k: int,
-                    window: int) -> float:
-    """Hill index of one bootstrap resample of ascending log data.
+def _resampled_hill(xs: np.ndarray, top_logs: np.ndarray,
+                    rng: np.random.Generator, k: int) -> float:
+    """Hill index of one bootstrap resample of ascending positive data xs,
+    given the logs of its top window.
 
-    The resample is drawn over the top ``window`` order statistics only;
-    when k or fewer of its n draws land there, the other draws are added,
-    uniform below the window, and the resample is counted in full.
+    The resample is drawn over the window only; when k or fewer of its n
+    draws land there, the other draws are added, uniform below the window,
+    the resample is counted in full, and the full sample's logs are taken.
     """
-    n = len(logs)
-    lo = n - window
+    n = len(xs)
+    lo = n - len(top_logs)
     counts = _top_counts(rng, n, lo)
     hits = int(counts.sum())
+    logs = top_logs
     if hits <= k:
         below = np.bincount(rng.integers(0, lo, n - hits), minlength=lo)
         counts = np.concatenate([below, counts])
-        lo = 0
-    logs = logs[lo:]
+        logs = np.log(xs)
     # walk down from the top to find the resampled k-th order statistic
     csum = np.cumsum(counts[::-1])
     m = np.searchsorted(csum, k + 1)           # index from the top
@@ -88,9 +89,9 @@ def hill(samples: np.ndarray, k_frac: float, rng: np.random.Generator,
     sample.  Each resample draws only the top window of min(n, 2k + 64)
     order statistics, which almost always holds the resampled k + 1
     largest: a binomial count of window hits, then their positions.  A
-    resample thus costs O(window) = O(k); in the rare fallback, when the
-    window holds k or fewer draws, the rest of the resample is drawn and
-    counted in full at O(n).
+    resample thus costs O(window) = O(k), and only the window's logs are
+    taken; in the rare fallback, when the window holds k or fewer draws,
+    the rest of the resample is drawn and counted in full at O(n).
     """
     xs = np.asarray(samples, dtype=float)
     n = len(xs)
@@ -100,11 +101,10 @@ def hill(samples: np.ndarray, k_frac: float, rng: np.random.Generator,
     if xs[-k - 1] <= 0 or xs[-k - 1] == xs[-1]:
         raise SpecError("degenerate upper order statistics (no positive log spacings)")
     est = 1.0 / np.mean(np.log(xs[-k:]) - math.log(xs[-k - 1]))
-    logs = np.log(xs)
-    window = min(n, 2 * k + 64)
+    top_logs = np.log(xs[n - min(n, 2 * k + 64):])
     boots = np.empty(n_boot)
     for b in range(n_boot):
-        boots[b] = _resampled_hill(logs, rng, k, window)
+        boots[b] = _resampled_hill(xs, top_logs, rng, k)
     lo, hi = np.percentile(boots[np.isfinite(boots)], [2.5, 97.5])
     return HillEstimate(float(est), float(lo), float(hi), k)
 
@@ -228,10 +228,12 @@ def tail_report(pool_vectors: np.ndarray, u: np.ndarray, beta: float,
                 n_points: int = 25, n_boot: int = BOOTSTRAP_DEFAULT,
                 ratio_max: float = FLATNESS_RATIO_MAX) -> TailReport:
     """Assemble the survival/Hill/flatness report over a quantile window.
-    The pool is projected onto u and sorted once: the flatness curve reads
-    the ascending projections, and Hill their positive slice."""
+    The pool is projected onto u and the projections sorted in place once:
+    the flatness curve reads them in ascending order, and Hill their
+    positive slice."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    proj = np.sort(np.atleast_2d(np.asarray(pool_vectors, dtype=float)) @ u)
+    proj = np.atleast_2d(np.asarray(pool_vectors, dtype=float)) @ u
+    proj.sort()
     pos = proj[np.searchsorted(proj, 0.0, side="right"):]
     if len(pos) < 10 * MIN_EXCEEDANCES:
         raise WindowError("too few positive projections for a tail report")

@@ -58,10 +58,11 @@ def matvec_sum(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
-                  rng: np.random.Generator, skip: int = 0) -> np.ndarray:
+                  rng: np.random.Generator, skip: int = 0,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """size draws of sum_{skip < i <= N} A_i X_i + Q, (size, d), from fresh
     innovations (N, (A_i), Q) with the X_i resampled uniformly with
-    replacement from pool.
+    replacement from pool, copied into out where it is given.
 
     skip = 0 is one population-dynamics step; skip = 1 leaves out the first
     child, which gives the side sums Z of the path decomposition.  Draw
@@ -80,7 +81,7 @@ def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
         w = np.exp(log_w).reshape(size, slots)
         if n.min() < skip + slots:
             w = w * (np.arange(skip + 1, skip + slots + 1)[None, :] <= n[:, None])
-    out = draw_q(spec.q_law, rng, size, d).astype(float, copy=False)
+    sums = draw_q(spec.q_law, rng, size, d).astype(float, copy=False)
     if slots > 0:
         xs = np.take(pool, rng.integers(0, pool.shape[0], size=(size, slots)),
                      axis=0)
@@ -93,10 +94,13 @@ def resampled_sum(spec: ModelSpec, pool: np.ndarray, size: int,
                 for k in range(1, slots):
                     acc += w[:, k] * xs[:, k, j]
             del xs                    # the mat-vec needs only the sums
-            out += matvec_sum(dirs[None], y[:, None])
+            sums += matvec_sum(dirs[None], y[:, None])
         else:
-            out += matvec_sum(dirs.reshape(size, slots, d, d),
-                              w[:, :, None] * xs)
+            sums += matvec_sum(dirs.reshape(size, slots, d, d),
+                               w[:, :, None] * xs)
+    if out is None:
+        return sums
+    out[...] = sums
     return out
 
 
@@ -206,7 +210,8 @@ class OperatorAssembler:
 
 def _dominant_pair(op: np.ndarray):
     """(lam, v, iterations) of the power iteration v <- op v / sum on a
-    dense matrix, from the uniform vector."""
+    dense matrix, from the uniform vector, with the stop rule of
+    smoothtail.spectral: eigenvalue and vector iterates both settled."""
     G = op.shape[0]
     v = np.full(G, 1.0 / G)
     lam_prev = None
@@ -216,9 +221,12 @@ def _dominant_pair(op: np.ndarray):
         lam = float(w.sum() / v.sum())
         if lam <= 0 or not np.isfinite(lam):
             raise ConvergenceError(f"nonpositive eigenvalue iterate {lam}")
-        v = w / w.sum()
+        w = w / w.sum()
+        step = float(np.abs(w - v).sum())
+        v = w
         lam_hist.append(lam)
-        if lam_prev is not None and abs(lam - lam_prev) <= POWER_TOL * abs(lam):
+        if (lam_prev is not None and step <= POWER_TOL
+                and abs(lam - lam_prev) <= POWER_TOL * abs(lam)):
             return lam, v, it
         if (it > 20 and len(lam_hist) > 4
                 and abs(lam - lam_hist[-3]) <= 1e-3 * POWER_TOL * abs(lam)

@@ -424,27 +424,40 @@ def test_sample_fixed_point_replays_the_reference_engine(monkeypatch,
 
 def test_replicated_pool_is_the_simulate_engine(tmp_path):
     # one engine for every worker count, and the one `simulate` writes out
-    spec = d1_lognormal_spec()
-    seed, generations, size, reps = 31, 4, 3001, 3
+    # at --threads 2; each replicate's row block is the pool that
+    # sample_fixed_point draws alone
+    seed, generations, size = 31, 4, 3001
+    for make_spec, x0, reps, bounds in (
+            (d1_lognormal_spec, [1.0], 3, [0, 1000, 2000, 3001]),
+            (d2_lognormal_matrix_spec, [1.0, 1.0], 8,
+             [0, 375, 750, 1125, 1500, 1875, 2250, 2625, 3001])):
+        spec = make_spec()
 
-    def build(threads):
-        rngs = [substream(seed, "simulate", i) for i in range(reps)]
-        return sample_fixed_point_replicated(spec, generations, size,
-                                             np.array([1.0]), rngs,
-                                             threads=threads)
+        def build(threads):
+            rngs = [substream(seed, "simulate", i) for i in range(reps)]
+            return sample_fixed_point_replicated(spec, generations, size,
+                                                 np.array(x0), rngs,
+                                                 threads=threads)
 
-    one, two = build(1), build(2)
-    assert np.array_equal(one.vectors, two.vectors)
-    assert one.replicate_bounds == two.replicate_bounds == [0, 1000, 2000, 3001]
-    assert one.history == two.history and len(one.history) == reps
-    cfg = {"model": model_to_jsonable(spec), "seed": seed,
-           "simulate": {"pool_size": size, "generations": generations,
-                        "replicates": reps, "x0": [1.0]}}
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    assert main(["simulate", "--config", str(tmp_path / "cfg.json"),
-                 "--out", str(tmp_path / "out")]) == 0
-    assert np.array_equal(read_pool(tmp_path / "out/pool.bin").vectors,
-                          one.vectors)
+        one, two = build(1), build(2)
+        assert np.array_equal(one.vectors, two.vectors)
+        assert one.replicate_bounds == two.replicate_bounds == bounds
+        assert one.history == two.history and len(one.history) == reps
+        for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            alone = sample_fixed_point(spec, generations, b - a, np.array(x0),
+                                       substream(seed, "simulate", r))
+            assert np.array_equal(one.vectors[a:b], alone.vectors)
+            assert one.history[r] == alone.history
+        work = tmp_path / f"d{spec.d}"
+        work.mkdir()
+        cfg = {"model": model_to_jsonable(spec), "seed": seed,
+               "simulate": {"pool_size": size, "generations": generations,
+                            "replicates": reps, "x0": x0}}
+        (work / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(work / "cfg.json"),
+                     "--out", str(work / "out"), "--threads", "2"]) == 0
+        assert np.array_equal(read_pool(work / "out/pool.bin").vectors,
+                              one.vectors)
 
 
 def test_pool_convergence_contraction():

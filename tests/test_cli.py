@@ -95,6 +95,62 @@ def test_truncated_pool_exit_2(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def _guard_huge_empty(monkeypatch):
+    # np.empty of more than 2**30 values fails the test where it is asked
+    real = np.empty
+
+    def empty(shape, *args, **kwargs):
+        assert np.prod(shape, dtype=float) <= 2 ** 30, f"allocated {shape}"
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+
+
+def _report_size_plus(monkeypatch, extra):
+    # os.fstat reports extra bytes: the size check passes a file that the
+    # read then finds short
+    real = os.fstat
+
+    def fstat(fd):
+        st = real(fd)
+        return os.stat_result((*st[:6], st.st_size + extra, *st[7:10]))
+
+    monkeypatch.setattr(os, "fstat", fstat)
+
+
+@pytest.mark.parametrize("case", ["trailing-bytes", "2**40-rows",
+                                  "short-read"])
+def test_corrupt_pool_exit_2(tmp_path, capsys, monkeypatch, case):
+    pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],
+                          generation=1, converged=True)
+    path = tmp_path / "pool.bin"
+    artifacts.write_pool(path, pool, "0" * 16)
+    raw = path.read_bytes()
+    header = len(raw) - 2000 * 8
+    if case == "trailing-bytes":
+        path.write_bytes(raw + b"\0" * 8)
+        named = ("pool payload is 16008 bytes, the header declares 2000 x 1 "
+                 "float64 values (16000 bytes)")
+    elif case == "2**40-rows":
+        # the u64 count after the magic, the format and d
+        path.write_bytes(raw[:16] + struct.pack("<Q", 2 ** 40) + raw[24:])
+        _guard_huge_empty(monkeypatch)
+        named = (f"pool payload is 16000 bytes, the header declares {2 ** 40} "
+                 f"x 1 float64 values ({2 ** 43} bytes)")
+    else:
+        path.write_bytes(raw[:header + 1000 * 8])
+        _report_size_plus(monkeypatch, 1000 * 8)
+        named = ("pool payload is 8000 bytes, the header declares 2000 x 1 "
+                 "float64 values (16000 bytes)")
+    cfg = {"model": D1_MODEL, "seed": 1,
+           "tails": {"pool": "pool.bin", "beta": 3.0}}
+    assert _run(tmp_path, "tails", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {named}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fmt", [0, 2, 2 ** 32 - 1])
 def test_pool_of_another_format_exit_2(tmp_path, capsys, fmt):
     pool = FixedPointPool(vectors=np.linspace(1.0, 50.0, 2000)[:, None],

@@ -14,7 +14,8 @@ from conftest import (BETA_D1, d1_lognormal_spec, d2_finite_three_spec,
                       d3_rotation_spec, rng_state)
 from reference_oracles import exchangeify, sample_family
 from smoothtail.errors import SpecError
-from smoothtail.model import (_orbit_coverage, Branching, FiniteSupport,
+from smoothtail.model import (RATIONAL_QMAX, _orbit_coverage,
+                              _rational_margins, Branching, FiniteSupport,
                               LognormalRotation, LognormalScalarMatrix,
                               ModelSpec, QLaw,
                               check_allowable, check_proximal,
@@ -262,6 +263,24 @@ def test_nonarithmetic_two_scales_pass():
                      q_law=QLaw(kind="zero"), geom_class="nonnegative-C")
     out = heuristic_nonarithmetic(spec, 400, substream(12, "na"))
     assert out["verdict"] == "heuristic-pass"
+
+
+def _rational_margin_loop(r):
+    # the per-ratio loop the array pass replaced: round() ties to even
+    best = math.inf
+    for q in range(1, RATIONAL_QMAX + 1):
+        p = round(r * q)
+        best = min(best, q * q * abs(r - p / q))
+    return best
+
+
+def test_rational_margins_match_the_per_ratio_loop():
+    rng = np.random.default_rng(14)
+    ties = np.array([0.0, 0.5, 1.5, 2.5, 0.125, 1.0 / 3.0, 7.0, 1e-12, 123.25])
+    r = np.concatenate([ties, rng.uniform(0, 3, 3000),
+                        np.exp(rng.uniform(-20, 20, 1000))])
+    want = [_rational_margin_loop(x) for x in r.tolist()]
+    assert _rational_margins(r).tolist() == want
 
 
 def test_nonarithmetic_inapplicable_without_witness():

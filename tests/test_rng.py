@@ -1,10 +1,14 @@
-"""Keyed substreams: the bit generator, reproducibility and distinct streams."""
+"""Keyed substreams: the bit generator, reproducibility and distinct streams;
+the index-ordered fan-out."""
 
 import itertools
+import sys
+import threading
 
 import numpy as np
+import pytest
 
-from smoothtail.rng import spawn, substream
+from smoothtail.rng import parallel_map, spawn, substream
 
 KINDS = ("validate", "spectrum", "solve-index", "simulate", "tails",
          "certificate", "o", "p")
@@ -48,3 +52,37 @@ def test_64_substreams_start_distinct():
 
 def test_64_spawned_streams_start_distinct():
     _no_shared_draws(spawn(substream(6101, "certificate"), 64))
+
+
+def test_parallel_map_runs_each_task_once_in_index_order():
+    # more workers than cores and a short switch interval: a lost or doubled
+    # claim of an index shows as a missing or repeated task
+    calls = []
+    caller = threading.get_ident()
+
+    def task(i):
+        calls.append((i, threading.get_ident()))
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (2, 3, 8):
+            calls.clear()
+            assert parallel_map(task, 500, threads) == [i * i for i in range(500)]
+            assert sorted(i for i, _ in calls) == list(range(500))
+            # task 0 runs on the calling thread, beside threads - 1 helpers
+            assert dict(calls)[0] == caller
+            assert len({ident for _, ident in calls}) <= threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_parallel_map_raises_a_task_error():
+    def task(i):
+        if i == 5:
+            raise ValueError("task 5")
+        return i
+
+    with pytest.raises(ValueError, match="task 5"):
+        parallel_map(task, 20, 2)

@@ -189,6 +189,27 @@ def test_operator_rows_stochastic_at_zero_tilt():
     assert np.allclose(_dense(op).sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("make_spec", [d2_finite_three_spec,
+                                       d2_finite_pair_spec],
+                         ids=["three-atom", "finite-pair"])
+def test_power_iteration_vector_settles_at_zero_tilt(make_spec):
+    # stochastic rows give k = 1 from the first step, so an eigenvalue-only
+    # stop returned after 2 + 2 steps with nu at l1 distance 0.50 (three
+    # atoms) and 0.67 (pair) from its fixed point
+    spec = make_spec()
+    _, op = OperatorAssembler(spec, build_grid(spec), 0,
+                              substream(2, "o")).assemble_groups(0.0)
+    k, e, nu, iterations, residual = power_iteration(op)
+    dense = _dense(op)
+    fixed = np.full(len(dense), 1.0 / len(dense))
+    for _ in range(2000):               # the left iteration, no stop rule
+        fixed = fixed @ dense
+        fixed /= fixed.sum()
+    assert np.abs(nu - fixed).sum() <= 1e-9
+    assert np.abs(e - 1.0).max() <= 1e-12 and k == pytest.approx(1.0, abs=1e-12)
+    assert iterations > 4
+
+
 def test_operator_d1_scalar_moment():
     # G = 1 and |W x| = W: the direction operator is [[1]], an exact
     # triple, so k(s) is the closed-form E W^s = exp(-s + s^2/4) itself

@@ -271,9 +271,9 @@ def test_hill_bootstrap_matches_full_count():
 
 def test_hill_window_fallback_matches_full_count():
     from smoothtail.tails import _resampled_hill
-    x = _pareto(1.5, 20_000, 72)
-    logs = np.log(np.sort(x))
-    n, k = len(x), 200
+    xs = np.sort(_pareto(1.5, 20_000, 72))
+    logs = np.log(xs)
+    n, k = len(xs), 200
     for window in (10, 2 * k + 64, n):
         got, rng = substream(73, "boot"), substream(73, "boot")
         rest = substream(73, "rest")
@@ -281,7 +281,8 @@ def test_hill_window_fallback_matches_full_count():
             draws, m = _replayed_resample(rng, n, n - window, rest, k)
             # the top 10 order statistics catch about 10 draws, not k + 1
             assert (m <= k) == (window == 10)
-            assert _resampled_hill(logs, got, k, window) == \
+            # the window's logs are taken on its slice alone
+            assert _resampled_hill(xs, np.log(xs[n - window:]), got, k) == \
                 _hill_boot_full_count(logs, draws, k)
         # both generators consumed the same draws, fallback included
         assert got.random() == rng.random()
